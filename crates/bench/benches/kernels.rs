@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the hot kernels: chain viability
 //! checks (with and without Corollary-2 skipping), popcount part
-//! distances, signature enumeration, k-combination signatures, content
+//! distances, signature enumeration, CSR part probes and arena chain
+//! extension, k-combination signatures, content
 //! filter bounds, banded edit-distance verification, set-overlap merges,
 //! subgraph embedding, and threshold-pruned GED — plus the
 //! scalar-vs-batched-vs-dispatched tier comparison for the vectorized
@@ -16,13 +17,15 @@ use criterion::{black_box, Criterion};
 use pigeonring_core::viability::{
     find_prefix_viable, find_prefix_viable_noskip, Direction, ThresholdScheme,
 };
+use pigeonring_datagen::VectorConfig;
 use pigeonring_editdist::content::{char_mask, min_window_bound, window_masks};
 use pigeonring_editdist::verify::{
     edit_distance, edit_distance_within, edit_distance_within_banded,
     edit_distance_within_reference,
 };
-use pigeonring_hamming::index::enumerate_within;
-use pigeonring_hamming::{kernels, BitVector};
+use pigeonring_hamming::arena::VectorArena;
+use pigeonring_hamming::index::{enumerate_within, PartIndex};
+use pigeonring_hamming::{kernels, BitVector, Partitioning};
 use pigeonring_service::MachineFingerprint;
 use rand::{Rng, SeedableRng};
 
@@ -89,6 +92,42 @@ fn bench_signature_enumeration(c: &mut Criterion) {
             let mut n = 0u64;
             enumerate_within(black_box(0xBEEF), 16, 4, &mut |_, _| n += 1);
             n
+        })
+    });
+}
+
+/// The two halves of Hamming candidate generation on their contiguous
+/// layouts, at the harness's gist shape (256-d, 16 parts of 16 bits):
+/// one dense-key CSR part probed at radius 3 (697 signatures), and the
+/// `l = 5` chain extension — four arena box values past the probed
+/// box — over 256 records.
+fn bench_hamming_layouts(c: &mut Criterion) {
+    let data = VectorConfig::gist_like(20_000).generate();
+    let parts = Partitioning::equi_width(256, 16);
+    let qsigs = parts.signatures(&data[17]);
+    let index = PartIndex::build(&data, parts.clone());
+    let mut t = [-1i64; 16];
+    t[5] = 3;
+    c.bench_function("hamming/probe_w16_t3", |b| {
+        b.iter(|| {
+            let mut acc = 0u64;
+            let probes = index.probe_signatures(black_box(&qsigs), &t, |_, dist, id| {
+                acc += u64::from(dist) + u64::from(id);
+            });
+            (probes, acc)
+        })
+    });
+    let arena = VectorArena::build(&data, &parts);
+    c.bench_function("hamming/chain_check_l5_arena", |b| {
+        b.iter(|| {
+            let mut acc = 0u32;
+            for id in (0..data.len()).step_by(data.len() / 256) {
+                let start = id % 16;
+                for j in start + 1..start + 5 {
+                    acc += arena.box_value(black_box(id), j % 16, qsigs[j % 16]);
+                }
+            }
+            acc
         })
     });
 }
@@ -403,6 +442,7 @@ fn main() {
     bench_chain_check(&mut c);
     bench_part_distance(&mut c);
     bench_signature_enumeration(&mut c);
+    bench_hamming_layouts(&mut c);
     bench_content_filter(&mut c);
     bench_verify(&mut c);
     bench_set_kernels(&mut c);

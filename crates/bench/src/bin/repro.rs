@@ -36,7 +36,9 @@ use pigeonring_editdist::{
     EditParams, GramDictionary, GramOrder, Pivotal, QGramCollection, RingEdit,
 };
 use pigeonring_graph::{Graph, GraphParams, Pars, RingGraph};
-use pigeonring_hamming::{AllocationStrategy, BitVector, HammingParams, RingHamming};
+use pigeonring_hamming::{
+    AllocationStrategy, BitVector, CostModel, HammingParams, Partitioning, RingHamming,
+};
 use pigeonring_service::{ShardedIndex, Sweep};
 use pigeonring_setsim::{
     AdaptSearch, Collection, PartAlloc, RingSetSim, SetParams, Threshold, TokenDictionary,
@@ -877,11 +879,18 @@ fn sweep(scale: Scale, opts: &ServiceOpts) {
         let params = HammingParams { tau: 48, l: 5 };
         let mut base_qps = None;
         for &k in &shard_counts {
-            // No dictionary for hamming: the legacy build avoids the
-            // plan-once machinery's per-query `Arc<()>` overhead.
-            let index = ShardedIndex::build(data.clone(), k, |shard| {
-                RingHamming::build(shard, 16, AllocationStrategy::CostModel)
-            });
+            // One cost model sampled from the whole corpus (the server
+            // registry's build): every shard allocates like the
+            // unsharded engine, so filter work is flat in K.
+            let index = ShardedIndex::build_global(
+                data.clone(),
+                k,
+                |corpus| {
+                    let parts = Partitioning::equi_width(corpus[0].dims(), 16);
+                    Arc::new(CostModel::build(corpus, &parts, RingHamming::COST_SAMPLE))
+                },
+                |cost, shard| RingHamming::with_cost_model(shard, 16, Arc::clone(cost)),
+            );
             let (row, _) = sw.run(
                 "hamming",
                 "gist",
@@ -974,7 +983,6 @@ fn sweep(scale: Scale, opts: &ServiceOpts) {
         let params = GraphParams { l: tau };
         let mut base_qps = None;
         for &k in &shard_counts {
-            // No dictionary for graph either (see the hamming note).
             let index = ShardedIndex::build(data.clone(), k, |shard| RingGraph::build(shard, tau));
             let (row, _) = sw.run(
                 "graph",

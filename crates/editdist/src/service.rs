@@ -2,17 +2,16 @@
 //! `pigeonring-service` sharded query layer.
 //!
 //! The plan ([`EditPlan`]) carries the query's interned prefix, pivotal
-//! grams, and character masks. With the legacy per-shard build each
-//! shard interns against its own gram dictionary, so plans are
-//! shard-local (the default `search_into` path). With a dictionary-first
-//! build (`ShardedIndex::build_global` over one corpus-wide
-//! [`GramDictionary`](crate::qgram::GramDictionary)) the global
-//! frequency order makes prefix/pivotal selection identical in every
-//! shard, so the service layer plans each query once and every shard
-//! executes the same plan.
+//! grams, and character masks — all expressed in the gram id space and
+//! global frequency order of one
+//! [`GramDictionary`](crate::qgram::GramDictionary). A sharded index
+//! plans each query once and every shard executes that plan, so every
+//! shard must hold the *same* dictionary (`ShardedIndex::build_global`
+//! over one corpus-wide dictionary); [`SearchEngine::plans_portable_to`]
+//! enforces it at construction.
 //!
-//! Either way verification is exact edit distance, so the merged
-//! *result set* is identical for any shard count and either build path.
+//! Verification is exact edit distance, so the merged *result set* is
+//! identical for any shard count.
 
 use crate::pivotal::EditStats;
 use crate::ring::{EditPlan, EditScratch, RingEdit};
@@ -68,5 +67,12 @@ impl SearchEngine for RingEdit {
         let (ids, stats) = self.search_with_plan(scratch, plan, query, params.l);
         out.extend(ids);
         stats
+    }
+
+    fn plans_portable_to(&self, other: &Self) -> bool {
+        std::sync::Arc::ptr_eq(
+            self.index().collection().dictionary(),
+            other.index().collection().dictionary(),
+        )
     }
 }

@@ -16,11 +16,15 @@
 //! "union of candidate sets before verification" the paper measures) and
 //! verified with early-abandoning Hamming distance.
 
-use crate::alloc::{even_allocation, AllocationStrategy, CostModel};
+use std::sync::Arc;
+
+use crate::alloc::{even_allocation_into, AllocationStrategy, CostModel};
+use crate::arena::VectorArena;
 use crate::bitvec::BitVector;
 use crate::index::PartIndex;
+use crate::kernels;
 use crate::partition::Partitioning;
-use pigeonring_core::viability::{check_prefix_viable_lazy, Direction, ThresholdScheme};
+use pigeonring_core::scratch::EpochScratch;
 
 /// Per-query search counters, matching the cost terms of §7.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -56,12 +60,50 @@ impl SearchStats {
 
 /// Per-thread mutable query state for [`RingHamming`]: the shared
 /// epoch-stamped candidate dedup array and Corollary-2 ruled-start
-/// bitmasks ([`pigeonring_core::scratch::EpochScratch`]).
+/// bitmasks ([`EpochScratch`]) plus every per-query buffer of candidate
+/// generation, so a warm scratch makes a query allocation-free up to its
+/// returned id list.
 ///
 /// `Default` yields an empty scratch that lazily sizes itself to the
 /// engine's record count on first use, so worker threads can create one
 /// without seeing the engine.
-pub type HammingScratch = pigeonring_core::scratch::EpochScratch;
+#[derive(Clone, Debug, Default)]
+pub struct HammingScratch {
+    epochs: EpochScratch,
+    /// This query's threshold allocation `t_0 … t_{m−1}`.
+    t: Vec<i64>,
+    /// Prefix sums of `t` repeated twice (length `2m + 1`), so a wrapping
+    /// range sum `t_i + … + t_{i+l−1}` is one subtraction.
+    prefix: Vec<i64>,
+    /// The greedy allocator's next-unit cost per part.
+    marginal: Vec<f64>,
+    /// The first step's viable boxes `(id, part, distance)`, in probe
+    /// order, buffered so the second step runs as one flat loop.
+    viable: Vec<(u32, u8, u8)>,
+    /// Candidates accepted this query, in acceptance order.
+    cands: Vec<u32>,
+}
+
+/// The query-side work of a Hamming search that depends on neither the
+/// threshold `τ`, the chain length `l`, nor any shard's records: the
+/// query's part signatures (the probe centres and the chain check's box
+/// operands) and, under [`AllocationStrategy::CostModel`], its sampled
+/// distance histogram. Computed once per query by
+/// [`RingHamming::plan_query`]; valid for every engine with the same
+/// partitioning and strategy.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct HammingPlan {
+    sigs: Vec<u64>,
+    histogram: Vec<u32>,
+}
+
+impl HammingPlan {
+    /// The query's [`CostModel::distance_histogram`]; empty under
+    /// [`AllocationStrategy::Even`].
+    pub fn distance_histogram(&self) -> &[u32] {
+        &self.histogram
+    }
+}
 
 /// The pigeonring Hamming-distance search engine (§6.1). With `l = 1` it
 /// degenerates to GPH exactly; [`Gph`] is that fixed configuration.
@@ -72,17 +114,20 @@ pub type HammingScratch = pigeonring_core::scratch::EpochScratch;
 /// wrappers around an engine-owned scratch.
 pub struct RingHamming {
     data: Vec<BitVector>,
+    /// The same vectors, flat: what the chain check and verification read.
+    arena: VectorArena,
     partitioning: Partitioning,
     index: PartIndex,
-    strategy: AllocationStrategy,
-    cost: Option<CostModel>,
+    /// `Some` under [`AllocationStrategy::CostModel`]; shared between the
+    /// shards of a [`RingHamming::with_cost_model`] build.
+    cost: Option<Arc<CostModel>>,
     corollary2_skip: bool,
     scratch: HammingScratch,
 }
 
 impl RingHamming {
-    /// Default cost-model sample size.
-    const COST_SAMPLE: usize = 1024;
+    /// Cost-model sample size of [`RingHamming::build`].
+    pub const COST_SAMPLE: usize = 1024;
 
     /// Builds the engine over `data` with `m` equi-width parts.
     ///
@@ -102,19 +147,52 @@ impl RingHamming {
         strategy: AllocationStrategy,
     ) -> Self {
         assert!(!data.is_empty(), "cannot index an empty dataset");
-        assert!(partitioning.num_parts() <= 64, "at most 64 parts supported");
-        let index = PartIndex::build(&data, partitioning.clone());
         let cost = match strategy {
             AllocationStrategy::Even => None,
-            AllocationStrategy::CostModel => {
-                Some(CostModel::build(&data, &partitioning, Self::COST_SAMPLE))
-            }
+            AllocationStrategy::CostModel => Some(Arc::new(CostModel::build(
+                &data,
+                &partitioning,
+                Self::COST_SAMPLE,
+            ))),
         };
+        Self::assemble(data, partitioning, cost)
+    }
+
+    /// Builds the engine over `data` with `m` equi-width parts, allocating
+    /// thresholds from a caller-supplied cost model — the sharded build:
+    /// one model sampled from the whole corpus makes every shard allocate
+    /// exactly as the unsharded engine would, so candidate statistics do
+    /// not depend on how records were partitioned.
+    ///
+    /// # Panics
+    /// Panics as [`RingHamming::build`] does, or if `cost` was sampled
+    /// under a different partitioning.
+    pub fn with_cost_model(data: Vec<BitVector>, m: usize, cost: Arc<CostModel>) -> Self {
+        assert!(!data.is_empty(), "cannot index an empty dataset");
+        let partitioning = Partitioning::equi_width(data[0].dims(), m);
+        assert!(
+            partitioning
+                .iter()
+                .map(|(lo, hi)| hi - lo)
+                .eq(cost.widths().iter().copied()),
+            "cost model was sampled under a different partitioning"
+        );
+        Self::assemble(data, partitioning, Some(cost))
+    }
+
+    fn assemble(
+        data: Vec<BitVector>,
+        partitioning: Partitioning,
+        cost: Option<Arc<CostModel>>,
+    ) -> Self {
+        assert!(partitioning.num_parts() <= 64, "at most 64 parts supported");
+        let index = PartIndex::build(&data, partitioning.clone());
+        let arena = VectorArena::build(&data, &partitioning);
         RingHamming {
             data,
+            arena,
             partitioning,
             index,
-            strategy,
             cost,
             corollary2_skip: true,
             scratch: HammingScratch::default(),
@@ -137,16 +215,59 @@ impl RingHamming {
         self.partitioning.num_parts()
     }
 
+    /// Heap bytes of the query-time structures: the part index's posting
+    /// arenas and key tables plus the flat vector arena (the
+    /// [`RingHamming::data`] copy kept for callers is not counted).
+    pub fn index_bytes(&self) -> usize {
+        self.index.index_bytes() + self.arena.bytes()
+    }
+
+    /// Whether a plan computed by `self` can be executed by `other`:
+    /// same partitioning (signatures and histogram rows line up) and
+    /// same allocation strategy (the histogram is present or absent in
+    /// both).
+    pub fn plans_portable_to(&self, other: &Self) -> bool {
+        self.partitioning == other.partitioning && self.cost.is_some() == other.cost.is_some()
+    }
+
+    /// Computes `q`'s query plan: its part signatures and, under the
+    /// cost-model strategy, its sampled distance histogram — everything
+    /// about a search that depends on neither `τ` nor `l`.
+    ///
+    /// # Panics
+    /// Panics if `q`'s dimensionality differs from the indexed vectors'.
+    pub fn plan_query(&self, q: &BitVector) -> HammingPlan {
+        assert_eq!(
+            q.dims(),
+            self.partitioning.dims(),
+            "query dimensionality mismatch"
+        );
+        let sigs = self.partitioning.signatures(q);
+        let histogram = self
+            .cost
+            .as_ref()
+            .map_or_else(Vec::new, |cost| cost.distance_histogram(&sigs));
+        HammingPlan { sigs, histogram }
+    }
+
     /// Allocates the per-part thresholds for this query
     /// (`Σ t_i = τ − m + 1`).
     pub fn allocate(&self, q: &BitVector, tau: i64) -> Vec<i64> {
-        match self.strategy {
-            AllocationStrategy::Even => even_allocation(tau, self.partitioning.num_parts()),
-            AllocationStrategy::CostModel => self
-                .cost
-                .as_ref()
-                .expect("cost model built at construction")
-                .allocate(q, &self.partitioning, tau),
+        let (mut t, mut marginal) = (Vec::new(), Vec::new());
+        self.allocate_into(&self.plan_query(q), tau, &mut t, &mut marginal);
+        t
+    }
+
+    fn allocate_into(
+        &self,
+        plan: &HammingPlan,
+        tau: i64,
+        t: &mut Vec<i64>,
+        marginal: &mut Vec<f64>,
+    ) {
+        match &self.cost {
+            None => even_allocation_into(tau, self.partitioning.num_parts(), t),
+            Some(cost) => cost.allocate_into(&plan.histogram, tau, t, marginal),
         }
     }
 
@@ -162,7 +283,8 @@ impl RingHamming {
 
     /// [`RingHamming::search`] against a caller-owned scratch; takes
     /// `&self`, so any number of threads can search one engine
-    /// concurrently, each with its own [`HammingScratch`].
+    /// concurrently, each with its own [`HammingScratch`]. Plans the
+    /// query, then executes the plan.
     pub fn search_with(
         &self,
         scratch: &mut HammingScratch,
@@ -170,10 +292,38 @@ impl RingHamming {
         tau: u32,
         l: usize,
     ) -> (Vec<u32>, SearchStats) {
-        let (cands, mut stats) = self.candidates_with(scratch, q, tau, l);
-        let mut results: Vec<u32> = cands
-            .into_iter()
-            .filter(|&id| self.data[id as usize].distance_within(q, tau).is_some())
+        self.search_with_plan(scratch, &self.plan_query(q), q, tau, l)
+    }
+
+    /// [`RingHamming::search_with`] with `q`'s plan precomputed by
+    /// [`RingHamming::plan_query`] on this engine or any engine it is
+    /// [portable](RingHamming::plans_portable_to) from.
+    ///
+    /// # Panics
+    /// Panics if `q`'s dimensionality differs from the indexed vectors'
+    /// or `plan` was computed under a different partitioning.
+    pub fn search_with_plan(
+        &self,
+        scratch: &mut HammingScratch,
+        plan: &HammingPlan,
+        q: &BitVector,
+        tau: u32,
+        l: usize,
+    ) -> (Vec<u32>, SearchStats) {
+        assert_eq!(
+            q.dims(),
+            self.partitioning.dims(),
+            "query dimensionality mismatch"
+        );
+        let mut stats = self.generate(scratch, plan, tau, l);
+        let qwords = q.words();
+        let mut results: Vec<u32> = scratch
+            .cands
+            .iter()
+            .copied()
+            .filter(|&id| {
+                kernels::distance_within(self.arena.record(id as usize), qwords, tau).is_some()
+            })
             .collect();
         results.sort_unstable();
         stats.results = results.len();
@@ -199,85 +349,135 @@ impl RingHamming {
         tau: u32,
         l: usize,
     ) -> (Vec<u32>, SearchStats) {
-        assert_eq!(
-            q.dims(),
-            self.partitioning.dims(),
-            "query dimensionality mismatch"
-        );
+        self.candidates_with_plan(scratch, &self.plan_query(q), tau, l)
+    }
+
+    /// [`RingHamming::candidates_with`] with the query's plan
+    /// precomputed (see [`RingHamming::search_with_plan`]).
+    pub fn candidates_with_plan(
+        &self,
+        scratch: &mut HammingScratch,
+        plan: &HammingPlan,
+        tau: u32,
+        l: usize,
+    ) -> (Vec<u32>, SearchStats) {
+        let stats = self.generate(scratch, plan, tau, l);
+        (scratch.cands.clone(), stats)
+    }
+
+    /// Both steps of §7 for one planned query: leaves the accepted
+    /// candidates in `scratch.cands` and returns the statistics
+    /// (`results` still zero).
+    fn generate(
+        &self,
+        scratch: &mut HammingScratch,
+        plan: &HammingPlan,
+        tau: u32,
+        l: usize,
+    ) -> SearchStats {
         let m = self.partitioning.num_parts();
+        assert_eq!(plan.sigs.len(), m, "plan of a different partitioning");
         let l = l.clamp(1, m);
-        let t = self.allocate(q, tau as i64);
-        let scheme = ThresholdScheme::integer_reduced(t.clone());
-        let epoch = scratch.next_epoch(self.data.len());
+        let HammingScratch {
+            epochs,
+            t,
+            prefix,
+            marginal,
+            viable,
+            cands,
+        } = scratch;
+        self.allocate_into(plan, i64::from(tau), t, marginal);
+        prefix.clear();
+        prefix.push(0);
+        let mut acc = 0i64;
+        for k in 0..2 * m {
+            acc += t[k % m];
+            prefix.push(acc);
+        }
+        let epoch = epochs.next_epoch(self.data.len());
+        cands.clear();
 
         let mut stats = SearchStats::default();
-        let mut cands: Vec<u32> = Vec::new();
-
-        // The probe visitor mutates the scratch arrays while the index
-        // is borrowed immutably.
         let Self {
-            ref data,
-            ref partitioning,
-            ref index,
+            arena,
+            index,
             corollary2_skip,
             ..
-        } = *self;
-        let pigeonring_core::scratch::EpochScratch {
-            ref mut accepted,
-            ref mut ruled_epoch,
-            ref mut ruled_mask,
+        } = self;
+        let sigs = &plan.sigs[..];
+        let prefix = &prefix[..];
+        let EpochScratch {
+            accepted,
+            ruled_epoch,
+            ruled_mask,
             ..
-        } = *scratch;
+        } = epochs;
 
-        stats.probes = index.probe(q, &t, |part, dist, id| {
-            stats.viable_boxes += 1;
+        // First step: collect the viable boxes (part < 64 and
+        // dist ≤ width ≤ 64 both fit a byte). Running the second step as
+        // its own flat loop, instead of inside the probe's callbacks,
+        // keeps the random per-record loads of consecutive boxes in
+        // flight together rather than serialised behind the probe's
+        // unpredictable posting-list branches.
+        viable.clear();
+        stats.probes = index.probe_signatures(sigs, t, |part, dist, id| {
+            viable.push((id, part as u8, dist as u8));
+        });
+        stats.viable_boxes = viable.len();
+        for &(id, part, dist) in viable.iter() {
+            let part = usize::from(part);
             let idu = id as usize;
             if accepted[idu] == epoch {
-                return;
+                continue;
             }
             if l == 1 {
                 // Pigeonhole: the viable box alone makes a candidate.
                 accepted[idu] = epoch;
                 cands.push(id);
-                return;
+                continue;
             }
-            if corollary2_skip && ruled_epoch[idu] == epoch && (ruled_mask[idu] >> part) & 1 == 1 {
+            if *corollary2_skip && ruled_epoch[idu] == epoch && (ruled_mask[idu] >> part) & 1 == 1 {
                 stats.skipped_by_corollary2 += 1;
-                return;
+                continue;
             }
-            let x = &data[idu];
-            let mut first = true;
-            let check = check_prefix_viable_lazy(&scheme, Direction::Le, part, l, |j| {
+            // Extend the chain clockwise from the viable box, whose value
+            // is known from the enumeration depth (and within its own
+            // quota, `dist ≤ t_part`, by the probe radius). Theorem 7:
+            // prefix l' is viable iff ‖c^{l'}‖₁ ≤ l' − 1 + Σ t_j.
+            stats.boxes_checked += 1;
+            let mut sum = i64::from(dist);
+            let mut failed_at = None;
+            for lp in 2..=l {
+                let j = (part + lp - 1) % m;
                 stats.boxes_checked += 1;
-                if first {
-                    first = false;
-                    dist as i64 // known from the enumeration depth
-                } else {
-                    let (lo, hi) = partitioning.part(j % m);
-                    x.part_distance(q, lo, hi) as i64
+                sum += i64::from(arena.box_value(idu, j, sigs[j]));
+                if sum > lp as i64 - 1 + prefix[part + lp] - prefix[part] {
+                    failed_at = Some(lp);
+                    break;
                 }
-            });
-            match check {
-                Ok(()) => {
+            }
+            match failed_at {
+                None => {
                     accepted[idu] = epoch;
                     cands.push(id);
                 }
-                Err(l_fail) => {
-                    if corollary2_skip {
-                        if ruled_epoch[idu] != epoch {
-                            ruled_epoch[idu] = epoch;
-                            ruled_mask[idu] = 0;
-                        }
-                        for k in 0..l_fail {
-                            ruled_mask[idu] |= 1u64 << ((part + k) % m);
-                        }
+                // Corollary 2: no chain starting in part..part+l'−1 can
+                // be prefix-viable for this object.
+                Some(l_fail) if *corollary2_skip => {
+                    if ruled_epoch[idu] != epoch {
+                        ruled_epoch[idu] = epoch;
+                        ruled_mask[idu] = 0;
+                    }
+                    for k in 0..l_fail {
+                        ruled_mask[idu] |= 1u64 << ((part + k) % m);
                     }
                 }
+                Some(_) => {}
             }
-        });
+        }
 
         stats.candidates = cands.len();
-        (cands, stats)
+        stats
     }
 }
 
@@ -387,6 +587,79 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn planned_search_matches_plan_and_search() {
+        let data = tiny_dataset();
+        for strategy in [AllocationStrategy::Even, AllocationStrategy::CostModel] {
+            let ring = RingHamming::build(data.clone(), 4, strategy);
+            let mut scratch = HammingScratch::default();
+            for q in [&data[3], &data[20], &BitVector::zeros(64)] {
+                // One plan serves every (τ, l).
+                let plan = ring.plan_query(q);
+                for tau in [0u32, 4, 9, 70] {
+                    for l in 1..=4usize {
+                        let direct = ring.search_with(&mut scratch, q, tau, l);
+                        let planned = ring.search_with_plan(&mut scratch, &plan, q, tau, l);
+                        assert_eq!(planned, direct, "tau={tau} l={l}");
+                        let cands = ring.candidates_with(&mut scratch, q, tau, l);
+                        let planned = ring.candidates_with_plan(&mut scratch, &plan, tau, l);
+                        assert_eq!(planned, cands, "tau={tau} l={l}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_cost_model_makes_shards_allocate_like_the_whole() {
+        let data = tiny_dataset();
+        let whole = RingHamming::build(data.clone(), 4, AllocationStrategy::CostModel);
+        let cost = Arc::new(CostModel::build(
+            &data,
+            &Partitioning::equi_width(64, 4),
+            RingHamming::COST_SAMPLE,
+        ));
+        let (left, right) = data.split_at(11);
+        let shards = [
+            RingHamming::with_cost_model(left.to_vec(), 4, Arc::clone(&cost)),
+            RingHamming::with_cost_model(right.to_vec(), 4, cost),
+        ];
+        assert!(shards[0].plans_portable_to(&shards[1]));
+        assert!(!shards[0].plans_portable_to(&RingHamming::build(
+            right.to_vec(),
+            4,
+            AllocationStrategy::Even
+        )));
+        let mut scratch = HammingScratch::default();
+        for q in [&data[5], &data[27]] {
+            let plan = shards[0].plan_query(q);
+            assert_eq!(plan, whole.plan_query(q));
+            for (tau, l) in [(3u32, 2usize), (9, 3), (15, 4)] {
+                let (expect, expect_stats) = whole.search_with(&mut scratch, q, tau, l);
+                let mut got = Vec::new();
+                let mut stats = SearchStats::default();
+                for (shard, base) in shards.iter().zip([0u32, 11]) {
+                    let (ids, s) = shard.search_with_plan(&mut scratch, &plan, q, tau, l);
+                    got.extend(ids.into_iter().map(|id| id + base));
+                    stats.merge(&s);
+                }
+                assert_eq!(got, expect, "tau={tau} l={l}");
+                // Every shard enumerates the signatures for itself; all
+                // per-record work adds up to the unsharded engine's.
+                stats.probes = expect_stats.probes;
+                assert_eq!(stats, expect_stats, "tau={tau} l={l}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different partitioning")]
+    fn cost_model_of_another_partitioning_is_rejected() {
+        let data = tiny_dataset();
+        let cost = CostModel::build(&data, &Partitioning::equi_width(64, 8), 16);
+        let _ = RingHamming::with_cost_model(data, 4, Arc::new(cost));
     }
 
     #[test]

@@ -7,15 +7,109 @@
 //! matching posting lists — the same multi-index scheme GPH \[72\] and
 //! MIH \[64\] use. Enumeration cost is `Σ_{k≤t} C(w, k)` per part, which
 //! the threshold allocator (see [`crate::alloc`]) keeps small.
+//!
+//! ## Layout
+//!
+//! Each part stores its posting lists in CSR form: one `ids` arena of
+//! all `n` vector ids grouped by signature (ascending id within a
+//! group), and an `offsets` array delimiting the groups. For parts of at
+//! most [`DENSE_MAX_WIDTH`] bits the group index *is* the signature
+//! (`offsets` has `2^w + 1` entries), so a probe is two adjacent array
+//! loads; wider parts keep a sorted array of the distinct signatures
+//! that occur and binary-search it. Both are built by sorting — a
+//! counting sort for dense parts — with no hash map and no per-signature
+//! heap allocation: `4n + 4·(2^w + 1)` bytes per dense part.
 
 use crate::bitvec::BitVector;
 use crate::partition::Partitioning;
-use pigeonring_core::fxhash::FxHashMap;
 
-/// Inverted index from part signatures to vector ids, one map per part.
+/// Widest part indexed by direct signature lookup; `2^16 + 1` offsets
+/// are 256 KiB per part, small beside the `ids` arena of any collection
+/// worth indexing.
+pub const DENSE_MAX_WIDTH: usize = 16;
+
+/// Posting ranges [`PartIndex::probe`] resolves before walking any.
+const RANGE_CHUNK: usize = 128;
+
+/// How a part's signatures map to posting-list groups.
+enum Keys {
+    /// Group `k` holds signature `k` (every `w`-bit value has a group).
+    Dense,
+    /// Group `k` holds signature `keys[k]`; sorted, distinct.
+    Sorted(Vec<u64>),
+}
+
+/// One part's posting lists: group `k` is
+/// `ids[offsets[k]..offsets[k + 1]]`.
+struct Postings {
+    ids: Vec<u32>,
+    offsets: Vec<u32>,
+    keys: Keys,
+}
+
+impl Postings {
+    /// Groups vector ids `0..sigs.len()` by their `width`-bit signature.
+    fn build(sigs: &[u64], width: usize) -> Self {
+        if width <= DENSE_MAX_WIDTH {
+            // Counting sort: histogram, prefix sums, stable scatter.
+            let mut offsets = vec![0u32; (1usize << width) + 1];
+            for &s in sigs {
+                offsets[s as usize + 1] += 1;
+            }
+            for k in 1..offsets.len() {
+                offsets[k] += offsets[k - 1];
+            }
+            let mut next = offsets.clone();
+            let mut ids = vec![0u32; sigs.len()];
+            for (id, &s) in sigs.iter().enumerate() {
+                let slot = &mut next[s as usize];
+                ids[*slot as usize] = id as u32;
+                *slot += 1;
+            }
+            return Postings {
+                ids,
+                offsets,
+                keys: Keys::Dense,
+            };
+        }
+        let mut pairs: Vec<(u64, u32)> = sigs.iter().copied().zip(0u32..).collect();
+        pairs.sort_unstable();
+        let mut keys = Vec::new();
+        let mut offsets = Vec::new();
+        for (pos, &(sig, _)) in pairs.iter().enumerate() {
+            if keys.last() != Some(&sig) {
+                keys.push(sig);
+                offsets.push(pos as u32);
+            }
+        }
+        offsets.push(pairs.len() as u32);
+        Postings {
+            ids: pairs.into_iter().map(|(_, id)| id).collect(),
+            offsets,
+            keys: Keys::Sorted(keys),
+        }
+    }
+
+    /// The `ids` range of group `k`.
+    #[inline]
+    fn range(&self, k: usize) -> (u32, u32) {
+        (self.offsets[k], self.offsets[k + 1])
+    }
+
+    fn bytes(&self) -> usize {
+        let keys = match &self.keys {
+            Keys::Dense => 0,
+            Keys::Sorted(keys) => keys.len() * size_of::<u64>(),
+        };
+        (self.ids.len() + self.offsets.len()) * size_of::<u32>() + keys
+    }
+}
+
+/// Inverted index from part signatures to vector ids, one CSR posting
+/// arena per part.
 pub struct PartIndex {
     partitioning: Partitioning,
-    maps: Vec<FxHashMap<u64, Vec<u32>>>,
+    parts: Vec<Postings>,
     len: usize,
 }
 
@@ -27,31 +121,30 @@ impl PartIndex {
     /// partitioning, or if there are more than `u32::MAX` vectors.
     pub fn build(data: &[BitVector], partitioning: Partitioning) -> Self {
         assert!(data.len() <= u32::MAX as usize, "id space is u32");
-        let m = partitioning.num_parts();
-        for i in 0..m {
-            assert!(
-                partitioning.width(i) <= 64,
-                "indexed part widths must fit a u64 signature"
-            );
-        }
-        let mut maps: Vec<FxHashMap<u64, Vec<u32>>> =
-            (0..m).map(|_| FxHashMap::default()).collect();
         for (id, v) in data.iter().enumerate() {
             assert_eq!(
                 v.dims(),
                 partitioning.dims(),
                 "vector {id} has wrong dimensionality"
             );
-            for (i, (lo, hi)) in partitioning.iter().enumerate() {
-                maps[i]
-                    .entry(v.part_signature(lo, hi))
-                    .or_default()
-                    .push(id as u32);
-            }
         }
+        let mut sigs = vec![0u64; data.len()];
+        let parts = partitioning
+            .iter()
+            .map(|(lo, hi)| {
+                assert!(
+                    hi - lo <= 64,
+                    "indexed part widths must fit a u64 signature"
+                );
+                for (sig, v) in sigs.iter_mut().zip(data) {
+                    *sig = v.part_signature(lo, hi);
+                }
+                Postings::build(&sigs, hi - lo)
+            })
+            .collect();
         PartIndex {
             partitioning,
-            maps,
+            parts,
             len: data.len(),
         }
     }
@@ -71,32 +164,88 @@ impl PartIndex {
         self.len == 0
     }
 
+    /// Heap bytes held by the posting arenas and their key tables.
+    pub fn index_bytes(&self) -> usize {
+        self.parts.iter().map(Postings::bytes).sum()
+    }
+
     /// Probes every part `i` with radius `t[i]` around the query's
     /// signature, invoking `visit(part, distance, id)` for each matching
     /// vector (distance is the part's exact Hamming distance, known from
     /// the enumeration depth). Parts with `t[i] < 0` are skipped — an
     /// integer-reduced allocation may disable a part entirely. Returns the
     /// number of signatures enumerated (the probe cost `CC1`).
-    pub fn probe(&self, q: &BitVector, t: &[i64], mut visit: impl FnMut(usize, u32, u32)) -> usize {
-        assert_eq!(t.len(), self.maps.len(), "one threshold per part");
+    pub fn probe(&self, q: &BitVector, t: &[i64], visit: impl FnMut(usize, u32, u32)) -> usize {
+        self.probe_signatures(&self.partitioning.signatures(q), t, visit)
+    }
+
+    /// [`PartIndex::probe`] with the query's part signatures already
+    /// extracted (`qsigs[i]` is the query's part-`i` signature) — the
+    /// form the engine uses, since one query plan serves every shard.
+    pub fn probe_signatures(
+        &self,
+        qsigs: &[u64],
+        t: &[i64],
+        mut visit: impl FnMut(usize, u32, u32),
+    ) -> usize {
+        assert_eq!(t.len(), self.parts.len(), "one threshold per part");
+        assert_eq!(qsigs.len(), self.parts.len(), "one signature per part");
         let mut probes = 0;
-        for (i, (lo, hi)) in self.partitioning.iter().enumerate() {
-            if t[i] < 0 {
-                continue;
+        for (i, (&qsig, &ti)) in qsigs.iter().zip(t).enumerate() {
+            if ti >= 0 {
+                probes += self.probe_part(i, qsig, ti as usize, &mut visit);
             }
-            let width = hi - lo;
-            let radius = (t[i] as usize).min(width);
-            let qsig = q.part_signature(lo, hi);
-            let map = &self.maps[i];
-            enumerate_within(qsig, width, radius, &mut |sig, dist| {
-                probes += 1;
-                if let Some(ids) = map.get(&sig) {
-                    for &id in ids {
-                        visit(i, dist, id);
-                    }
-                }
-            });
         }
+        probes
+    }
+
+    /// Visits every vector whose part-`i` signature lies within `radius`
+    /// of `qsig`; returns the number of signatures enumerated.
+    fn probe_part(
+        &self,
+        i: usize,
+        qsig: u64,
+        radius: usize,
+        visit: &mut impl FnMut(usize, u32, u32),
+    ) -> usize {
+        let width = self.partitioning.width(i);
+        let postings = &self.parts[i];
+        // Two phases per chunk: resolve signatures to posting ranges with
+        // no data-dependent branch (an empty range is written, then
+        // overwritten by the next), then walk the non-empty ranges. The
+        // range loads of a chunk overlap instead of each waiting behind
+        // the mispredicted exit of the previous posting-list loop.
+        let mut ranges = [(0u32, 0u32, 0u32); RANGE_CHUNK];
+        let mut len = 0;
+        let mut flush = |ranges: &[(u32, u32, u32)]| {
+            for &(lo, hi, dist) in ranges {
+                for &id in &postings.ids[lo as usize..hi as usize] {
+                    visit(i, dist, id);
+                }
+            }
+        };
+        let mut push = |(lo, hi): (u32, u32), dist: u32| {
+            ranges[len] = (lo, hi, dist);
+            len += usize::from(lo != hi);
+            if len == RANGE_CHUNK {
+                flush(&ranges);
+                len = 0;
+            }
+        };
+        let mut probes = 0;
+        match &postings.keys {
+            Keys::Dense => enumerate_within(qsig, width, radius, &mut |sig, dist| {
+                probes += 1;
+                push(postings.range(sig as usize), dist);
+            }),
+            Keys::Sorted(keys) => enumerate_within(qsig, width, radius, &mut |sig, dist| {
+                probes += 1;
+                if let Ok(k) = keys.binary_search(&sig) {
+                    push(postings.range(k), dist);
+                }
+            }),
+        }
+        flush(&ranges[..len]);
         probes
     }
 }

@@ -7,7 +7,7 @@
 //! pair is reported exactly once.
 
 use crate::bitvec::BitVector;
-use crate::engine::RingHamming;
+use crate::engine::{HammingScratch, RingHamming};
 
 /// Aggregate statistics for a join run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -31,12 +31,11 @@ impl JoinStats {
 /// chain length `l` (`l = 1` is the GPH-style join). Pairs are returned
 /// with `i < j`, lexicographically sorted.
 pub fn self_join(engine: &mut RingHamming, tau: u32, l: usize) -> (Vec<(u32, u32)>, JoinStats) {
-    let n = engine.data().len();
+    let mut scratch = HammingScratch::default();
     let mut out = Vec::new();
     let mut stats = JoinStats::default();
-    for i in 0..n {
-        let q = engine.data()[i].clone();
-        let (ids, s) = engine.search(&q, tau, l);
+    for (i, q) in engine.data().iter().enumerate() {
+        let (ids, s) = engine.search_with(&mut scratch, q, tau, l);
         stats.candidates += s.candidates;
         for id in ids {
             if (id as usize) > i {

@@ -22,6 +22,7 @@
 //! equal results.
 
 pub mod alloc;
+pub mod arena;
 pub mod bitvec;
 pub mod engine;
 pub mod index;
@@ -30,9 +31,9 @@ pub mod kernels;
 pub mod partition;
 pub mod service;
 
-pub use alloc::AllocationStrategy;
+pub use alloc::{AllocationStrategy, CostModel};
 pub use bitvec::BitVector;
-pub use engine::{Gph, HammingScratch, LinearScan, RingHamming, SearchStats};
+pub use engine::{Gph, HammingPlan, HammingScratch, LinearScan, RingHamming, SearchStats};
 pub use join::self_join;
 pub use partition::Partitioning;
 pub use service::HammingParams;

@@ -5,6 +5,8 @@
 //! over the leading parts, so part widths differ by at most one — the
 //! same layout the GPH paper uses for its vertical partitioning.
 
+use crate::bitvec::BitVector;
+
 /// A partitioning of `d` dimensions into `m` contiguous parts.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Partitioning {
@@ -66,6 +68,18 @@ impl Partitioning {
     /// Iterator over all part bounds.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.bounds.iter().copied()
+    }
+
+    /// `v`'s part signatures ([`BitVector::part_signature`]), one per
+    /// part.
+    ///
+    /// # Panics
+    /// Panics if `v` has fewer than `d` dimensions or a part is wider
+    /// than 64 bits.
+    pub fn signatures(&self, v: &BitVector) -> Vec<u64> {
+        self.iter()
+            .map(|(lo, hi)| v.part_signature(lo, hi))
+            .collect()
     }
 }
 

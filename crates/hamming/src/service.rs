@@ -2,7 +2,7 @@
 //! `pigeonring-service` sharded query layer.
 
 use crate::bitvec::BitVector;
-use crate::engine::{HammingScratch, RingHamming, SearchStats};
+use crate::engine::{HammingPlan, HammingScratch, RingHamming, SearchStats};
 use pigeonring_service::{MergeStats, SearchEngine};
 
 /// Per-batch parameters for Hamming search through the service layer.
@@ -34,27 +34,33 @@ impl SearchEngine for RingHamming {
     type Params = HammingParams;
     type Stats = SearchStats;
     type Scratch = HammingScratch;
-    /// Hamming queries need no dictionary-dependent preprocessing (the
-    /// partition signature enumeration depends on `τ`/`l`, which are
-    /// per-batch parameters), so the plan is empty.
-    type Plan = ();
+    /// The query's part signatures and sampled distance histogram —
+    /// independent of `τ` and `l` (per-batch parameters), so one plan
+    /// serves every shard and every parameter setting.
+    type Plan = HammingPlan;
 
     fn num_records(&self) -> usize {
         self.data().len()
     }
 
-    fn plan(&self, _scratch: &mut HammingScratch, _query: &BitVector) {}
+    fn plan(&self, _scratch: &mut HammingScratch, query: &BitVector) -> HammingPlan {
+        self.plan_query(query)
+    }
 
     fn search_planned(
         &self,
         scratch: &mut HammingScratch,
-        _plan: &(),
+        plan: &HammingPlan,
         query: &BitVector,
         params: &HammingParams,
         out: &mut Vec<u32>,
     ) -> SearchStats {
-        let (ids, stats) = self.search_with(scratch, query, params.tau, params.l);
+        let (ids, stats) = self.search_with_plan(scratch, plan, query, params.tau, params.l);
         out.extend(ids);
         stats
+    }
+
+    fn plans_portable_to(&self, other: &Self) -> bool {
+        RingHamming::plans_portable_to(self, other)
     }
 }

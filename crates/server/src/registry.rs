@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use pigeonring_datagen::{sample_query_ids, GraphConfig, SetConfig, StringConfig, VectorConfig};
 use pigeonring_editdist::{EditParams, GramDictionary, GramOrder, QGramCollection, RingEdit};
 use pigeonring_graph::{GraphParams, RingGraph};
-use pigeonring_hamming::{AllocationStrategy, HammingParams, RingHamming};
+use pigeonring_hamming::{CostModel, HammingParams, Partitioning, RingHamming};
 use pigeonring_service::{IndexMetrics, MergeStats, SearchEngine, ShardedIndex, WorkerPool};
 use pigeonring_setsim::{Collection, RingSetSim, SetParams, Threshold, TokenDictionary};
 use pigeonring_telemetry::trace::{kind, ShardTrace, TraceBatch};
@@ -245,22 +245,36 @@ impl EngineSet {
     /// Builds all four domain indexes from `spec` (deterministic:
     /// equal specs ⇒ identical engines).
     ///
-    /// The dictionary-bearing domains go through the dictionary-first
-    /// [`ShardedIndex::build_global`] path: editdist shards share one
-    /// corpus-wide [`GramDictionary`] and setsim shards one
-    /// [`TokenDictionary`], so the service layer plans each query once
+    /// Every domain whose plans depend on corpus-wide state is built
+    /// dictionary-first ([`ShardedIndex::build_global`]): hamming shards
+    /// share one [`CostModel`] sampled from the whole corpus (so every
+    /// shard allocates thresholds exactly as the unsharded engine
+    /// would), editdist shards one [`GramDictionary`] and setsim shards
+    /// one [`TokenDictionary`]. The service layer plans each query once
     /// and every shard executes the same plan — batched mixed-domain
     /// dispatches through the TCP frontend inherit plan sharing for
-    /// free. Hamming and graph have no dictionary and empty plans, so
-    /// they keep the legacy build: routing them through the plan-once
-    /// machinery would cost one `Arc<()>` per query for nothing.
+    /// free. Graph plans are empty, so it uses the unit dictionary.
     pub fn build(spec: EngineSpec) -> Self {
         let vectors = VectorConfig::gist_like(spec.hamming_n).generate();
         let hamming_dims = vectors.first().map_or(0, |v| v.dims());
         let m = spec.hamming_m;
-        let hamming = ShardedIndex::build(vectors, spec.shards, |shard| {
-            RingHamming::build(shard, m, AllocationStrategy::CostModel)
-        });
+        let hamming = ShardedIndex::build_global(
+            vectors,
+            spec.shards,
+            |corpus| {
+                // No model for an empty corpus: it has no shards to build.
+                corpus.first().map(|v| {
+                    let parts = Partitioning::equi_width(v.dims(), m);
+                    std::sync::Arc::new(CostModel::build(corpus, &parts, RingHamming::COST_SAMPLE))
+                })
+            },
+            |cost, shard| {
+                // lint: allow(panic) — shards are built from corpus records, so a
+                // shard to build means a non-empty corpus, which has a model
+                let cost = cost.as_ref().expect("non-empty corpus has a cost model");
+                RingHamming::with_cost_model(shard, m, std::sync::Arc::clone(cost))
+            },
+        );
         let (tau, kappa) = (spec.edit_tau, spec.edit_kappa);
         let edit = ShardedIndex::build_global(
             StringConfig::imdb_like(spec.edit_n).generate(),

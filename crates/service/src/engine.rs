@@ -30,15 +30,16 @@ pub trait MergeStats: Default + Send + 'static {
 /// Query execution is split into **plan once, execute per shard**:
 /// [`SearchEngine::plan`] computes the query-side work (gram interning
 /// and prefix/pivotal selection for edit distance, token ranking and
-/// k-wise signature enumeration for set similarity) into a
-/// [`SearchEngine::Plan`], and [`SearchEngine::search_planned`] executes
-/// it against this engine's postings. A plan is only valid for an engine
-/// whose *dictionary* agrees with the planning engine's — guaranteed
-/// when shards are built dictionary-first
-/// ([`ShardedIndex::build_global`](crate::sharded::ShardedIndex::build_global)),
-/// in which case the sharded layer plans each query exactly once and
-/// hands `&Plan` to every shard worker. Engines without data-dependent
-/// query-side work use `type Plan = ()`.
+/// k-wise signature enumeration for set similarity, part signatures and
+/// the allocation histogram for Hamming) into a [`SearchEngine::Plan`],
+/// and [`SearchEngine::search_planned`] executes it against this
+/// engine's postings. [`ShardedIndex`](crate::sharded::ShardedIndex)
+/// plans each query exactly once — on its first shard — and hands
+/// `&Plan` to every shard worker, so a plan must be valid for every
+/// shard: engines whose plans depend on a build-time dictionary say so
+/// through [`SearchEngine::plans_portable_to`], and construction
+/// rejects shards that disagree. Engines without query-side work use
+/// `type Plan = ()`.
 ///
 /// Everything is `'static` (and queries are `Clone`) so batches can be
 /// shipped to the persistent [`WorkerPool`](crate::pool::WorkerPool),
@@ -91,10 +92,19 @@ pub trait SearchEngine: Send + Sync + 'static {
         Self::Stats::default()
     }
 
-    /// Plan-and-search in one call: the legacy per-shard path, used when
-    /// shards do not share a dictionary (each shard then plans — and
-    /// accounts plan statistics — for itself, exactly as before the
-    /// plan/execute split).
+    /// Whether a plan computed by `self` is valid input to `other`'s
+    /// [`SearchEngine::search_planned`]. `true` by default (plans that
+    /// depend on the query alone); engines whose plans are expressed in
+    /// a build-time dictionary's id space override this to compare
+    /// dictionaries — by identity, which is what a dictionary-first
+    /// build shares. [`ShardedIndex`](crate::sharded::ShardedIndex)
+    /// checks every shard against its planner at construction.
+    fn plans_portable_to(&self, _other: &Self) -> bool {
+        true
+    }
+
+    /// Plan-and-search in one call, for callers holding a single engine
+    /// (plan statistics included).
     fn search_into(
         &self,
         scratch: &mut Self::Scratch,

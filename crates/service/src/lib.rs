@@ -26,12 +26,13 @@
 //! * [`ShardedIndex`] — hash-partitions records across `N` shards, fans a
 //!   query batch out over the worker pool (one job per shard), and merges
 //!   per-shard result sets back into stable ascending record-id order.
-//!   [`ShardedIndex::build_global`] is the dictionary-first build: one
-//!   corpus-wide dictionary, shard-local postings, and each query's plan
-//!   computed exactly once ([`ShardedIndex::plan_batch`]) and shared by
-//!   every shard worker. Because every engine verifies candidates
-//!   exactly, the merged result set is *identical* to the unsharded
-//!   engine's for any shard count and either build path
+//!   Each query's plan is computed exactly once
+//!   ([`ShardedIndex::plan_batch`]) and shared by every shard worker;
+//!   [`ShardedIndex::build_global`] builds all shards against one
+//!   corpus-wide dictionary so that plan is valid everywhere
+//!   ([`ShardedIndex::build`] is its unit-dictionary case). Because
+//!   every engine verifies candidates exactly, the merged result set is
+//!   *identical* to the unsharded engine's for any shard count
 //!   (property-tested across all four domains).
 //! * [`Sweep`] — a throughput-sweep driver used by the `repro` binary's
 //!   `--shards K --batch B` flags and `sweep` subcommand; emits the

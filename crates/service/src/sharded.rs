@@ -13,18 +13,22 @@
 //!
 //! ## Plan once, execute per shard
 //!
-//! [`ShardedIndex::build_global`] is the **dictionary-first** build path:
-//! a caller-supplied closure derives one shared dictionary (gram interning
-//! table, token rank space, …) from the *whole* record set, and every
-//! shard engine is built against it. Because all shards then agree on the
-//! query-side structures, each query's [`SearchEngine::Plan`] is computed
-//! **exactly once** — by [`ShardedIndex::plan_batch`], against a
+//! Every query's [`SearchEngine::Plan`] is computed **exactly once** — by
+//! [`ShardedIndex::plan_batch`], on the first shard's engine, against a
 //! long-lived planner scratch — and handed read-only to every shard
-//! worker, so query-side preprocessing no longer scales with the shard
+//! worker, so query-side preprocessing does not scale with the shard
 //! count. Plan-time statistics ([`SearchEngine::plan_stats`]) are folded
-//! in once per query. The legacy [`ShardedIndex::build`] keeps per-shard
-//! dictionaries; its shards plan for themselves inside
-//! [`SearchEngine::search_into`], exactly as before the split.
+//! in once per query. That is the only execution path, so every shard
+//! must be able to execute the first shard's plans
+//! ([`SearchEngine::plans_portable_to`]); construction panics otherwise.
+//!
+//! [`ShardedIndex::build_global`] is the build for engines whose plans
+//! live in a dictionary's id space (gram interning table, token rank
+//! space) or depend on corpus statistics (the Hamming cost model): a
+//! caller-supplied closure derives one shared dictionary from the
+//! *whole* record set and every shard engine is built against it.
+//! [`ShardedIndex::build`] is its unit-dictionary case, for engines
+//! whose plans depend on the query alone.
 //!
 //! The pool is persistent (the ROADMAP "persistent worker pool" item):
 //! `search_batch` lazily spawns one sized to its `threads` argument and
@@ -34,8 +38,7 @@
 //! Merging is by fixed shard order regardless of job completion order,
 //! so results are deterministic for any worker count.
 //!
-//! Every domain engine verifies its candidates exactly, so sharding —
-//! and the choice between the legacy and dictionary-first build paths —
+//! Every domain engine verifies its candidates exactly, so sharding
 //! cannot change the result set: the union over shards of "records within
 //! the threshold" is exactly the unsharded answer, independent of how
 //! data-dependent build decisions (gram frequency orders, cost models)
@@ -144,30 +147,6 @@ struct Shard<E> {
 }
 
 impl<E: SearchEngine> Shard<E> {
-    /// Runs every query of `batch` against this shard (planning
-    /// per query locally — the legacy path), translating shard-local ids
-    /// to global ids.
-    fn run_batch(
-        &self,
-        scratch: &mut E::Scratch,
-        batch: &[E::Query],
-        params: &E::Params,
-    ) -> ShardBatch<E::Stats> {
-        batch
-            .iter()
-            .map(|q| {
-                let mut out = Vec::new();
-                let stats = self.engine.search_into(scratch, q, params, &mut out);
-                for id in &mut out {
-                    // lint: allow(panic) — engines emit shard-local ids, which
-                    // index the shard's own id table by construction
-                    *id = self.ids[*id as usize];
-                }
-                (out, stats)
-            })
-            .collect()
-    }
-
     /// Runs every query of `batch` against this shard with precomputed
     /// plans (`plans[i]` belongs to `batch[i]`), translating shard-local
     /// ids to global ids.
@@ -205,12 +184,7 @@ pub struct ShardedIndex<E> {
     shards: Arc<Vec<Shard<E>>>,
     requested_shards: usize,
     total: usize,
-    /// Whether the shards were built dictionary-first
-    /// ([`ShardedIndex::build_global`]): query plans are then
-    /// shard-independent and computed once per query.
-    plan_once: bool,
-    /// Wall time spent building the shared dictionary (0 for the legacy
-    /// per-shard-dictionary path).
+    /// Wall time spent building the shared dictionary.
     dict_build_ms: f64,
     /// Long-lived planner scratch for [`ShardedIndex::plan_batch`]:
     /// plan-side buffers (gram/token scratch vectors) are reused across
@@ -248,52 +222,29 @@ impl<E: SearchEngine> ShardedIndex<E> {
     /// for tiny collections — are skipped, since the domain engines
     /// reject empty datasets).
     ///
-    /// This is the **legacy** build path: each shard derives its own
-    /// dictionary (gram/token frequency order) from its records alone,
-    /// so query plans are shard-local and each shard re-plans every
-    /// query. Prefer [`ShardedIndex::build_global`] for engines with a
-    /// dictionary.
+    /// The unit-dictionary case of [`ShardedIndex::build_global`], for
+    /// engines whose plans depend on the query alone.
     ///
     /// # Panics
-    /// Panics if `shards == 0`.
+    /// Panics if `shards == 0`, or as [`ShardedIndex::build_global`]
+    /// does when `build` gives the shards private dictionaries.
     pub fn build<R>(records: Vec<R>, shards: usize, build: impl Fn(Vec<R>) -> E) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        let requested_shards = shards;
-        let total = records.len();
-        let shards = partition(records, shards)
-            .into_iter()
-            .map(|(ids, records)| Shard {
-                engine: build(records),
-                ids,
-            })
-            .collect();
-        ShardedIndex {
-            shards: Arc::new(shards),
-            requested_shards,
-            total,
-            plan_once: false,
-            dict_build_ms: 0.0,
-            planner: Mutex::new(ScratchStore::default()),
-            pool: Mutex::new(None),
-            metrics: OnceLock::new(),
-        }
+        Self::build_global(records, shards, |_| (), |_, records| build(records))
     }
 
-    /// The **dictionary-first** build path: `dictionary` derives one
-    /// shared artifact (a gram interning table, a token rank space, …)
-    /// from the *whole* record set, and `build` constructs each shard's
-    /// engine against it. All shards then agree on every query-side
-    /// structure, so the index plans each query exactly once
-    /// ([`ShardedIndex::plan_batch`]) and hands the plan to every shard —
-    /// query-side preprocessing stops scaling with the shard count, and
-    /// per-shard candidate statistics become invariant under resharding.
-    ///
-    /// Engines without a dictionary (`Plan = ()`) gain nothing from
-    /// this path — prefer the legacy [`ShardedIndex::build`] for them,
-    /// since plan-once execution still pays one `Arc` per query.
+    /// Builds the index dictionary-first: `dictionary` derives one
+    /// shared artifact (a gram interning table, a token rank space, a
+    /// cost model, …) from the *whole* record set, and `build`
+    /// constructs each non-empty shard's engine against it. All shards
+    /// then agree on every query-side structure, so one plan per query
+    /// ([`ShardedIndex::plan_batch`]) serves every shard and per-shard
+    /// candidate statistics are invariant under resharding.
     ///
     /// # Panics
-    /// Panics if `shards == 0`.
+    /// Panics if `shards == 0`, or if some shard's engine cannot execute
+    /// the first shard's plans ([`SearchEngine::plans_portable_to`]) —
+    /// the shards were given private dictionaries instead of the shared
+    /// one.
     pub fn build_global<R, D>(
         records: Vec<R>,
         shards: usize,
@@ -306,18 +257,27 @@ impl<E: SearchEngine> ShardedIndex<E> {
         let dict_start = Instant::now();
         let dict = dictionary(&records);
         let dict_build_ms = dict_start.elapsed().as_secs_f64() * 1e3;
-        let shards = partition(records, shards)
+        let shards: Vec<Shard<E>> = partition(records, shards)
             .into_iter()
             .map(|(ids, records)| Shard {
                 engine: build(&dict, records),
                 ids,
             })
             .collect();
+        if let Some((planner, rest)) = shards.split_first() {
+            for (si, shard) in rest.iter().enumerate() {
+                assert!(
+                    planner.engine.plans_portable_to(&shard.engine),
+                    "shard {} cannot execute shard 0's query plans: build every shard \
+                     against one shared dictionary (ShardedIndex::build_global)",
+                    si + 1
+                );
+            }
+        }
         ShardedIndex {
             shards: Arc::new(shards),
             requested_shards,
             total,
-            plan_once: true,
             dict_build_ms,
             planner: Mutex::new(ScratchStore::default()),
             pool: Mutex::new(None),
@@ -348,32 +308,21 @@ impl<E: SearchEngine> ShardedIndex<E> {
         self.total
     }
 
-    /// Whether this index plans each query once and shares the plan
-    /// across shards (the [`ShardedIndex::build_global`] path).
-    pub fn plan_once(&self) -> bool {
-        self.plan_once
-    }
-
     /// Wall time spent building the shared dictionary, in milliseconds
-    /// (0 for the legacy per-shard-dictionary path).
+    /// (≈ 0 for [`ShardedIndex::build`]'s unit dictionary).
     pub fn dictionary_build_ms(&self) -> f64 {
         self.dict_build_ms
     }
 
     /// Computes every query's plan exactly once against the index's
-    /// long-lived planner scratch. Returns `None` for legacy-built
-    /// indexes (per-shard dictionaries make plans shard-dependent) and
-    /// for empty indexes; callers then fall back to
-    /// [`ShardedIndex::search_batch`]'s per-shard planning.
+    /// long-lived planner scratch. Returns `None` only for an index
+    /// without shards (no records, hence no engine to plan on).
     ///
     /// Concurrent callers (the server's dispatcher threads) do not
     /// serialize here: the shared planner scratch is taken with
     /// `try_lock`, and a contended caller plans against a fresh local
     /// scratch instead of waiting out another batch's whole plan phase.
     pub fn plan_batch(&self, batch: &[E::Query]) -> Option<Vec<Arc<E::Plan>>> {
-        if !self.plan_once {
-            return None;
-        }
         let shard0 = self.shards.first()?;
         // A poisoned planner scratch (a plan panicked mid-update) is treated
         // like contention: plan against a fresh local scratch instead.
@@ -395,59 +344,31 @@ impl<E: SearchEngine> ShardedIndex<E> {
     }
 
     /// Answers a single query on the calling thread (all shards,
-    /// serially, one scratch). On a [`ShardedIndex::build_global`] index
-    /// the plan is computed once and reused by every shard, so the
-    /// query-side preprocessing cost is flat in the shard count.
+    /// serially, one scratch): the plan is computed once and reused by
+    /// every shard, so the query-side preprocessing cost is flat in the
+    /// shard count.
     ///
     /// Convenience path: shards usually differ in record count, so the
     /// shared scratch re-sizes on every shard transition. Hot callers
     /// should prefer [`ShardedIndex::search_batch`], which amortizes the
     /// resize across the whole batch (each worker serves entire shards).
     pub fn search(&self, query: &E::Query, params: &E::Params) -> SearchResult<E::Stats> {
-        let mut scratch = E::Scratch::default();
-        let mut merged = SearchResult {
-            ids: Vec::new(),
-            stats: E::Stats::default(),
-        };
-        let plan = if self.plan_once {
-            self.shards
-                .first()
-                .map(|s0| Arc::new(s0.engine.plan(&mut scratch, query)))
-        } else {
-            None
-        };
-        for shard in self.shards.iter() {
-            let mut res = match &plan {
-                Some(p) => shard.run_batch_planned(
-                    &mut scratch,
-                    std::slice::from_ref(query),
-                    std::slice::from_ref(p),
-                    params,
-                ),
-                None => shard.run_batch(&mut scratch, std::slice::from_ref(query), params),
-            };
-            // lint: allow(panic) — run_batch returns one entry per query and
-            // exactly one query was passed
-            let (ids, stats) = res.pop().expect("one query in, one result out");
-            merged.ids.extend(ids);
-            merged.stats.merge(&stats);
-        }
-        if let Some(p) = &plan {
-            // lint: allow(panic) — plan_batch returned Some, so shards is
-            // non-empty
-            let shard0 = self.shards.first().expect("plan implies a shard");
-            merged.stats.merge(&shard0.engine.plan_stats(p));
-        }
-        merged.ids.sort_unstable();
-        merged
+        let batch = std::slice::from_ref(query);
+        let plans = self.plan_batch(batch).unwrap_or_default();
+        let per_shard = self.run_serial_planned(batch, &plans, params, None);
+        self.merge_planned(1, per_shard, &plans)
+            .pop()
+            // lint: allow(panic) — merge_planned returns one entry per query
+            // and exactly one query was passed
+            .expect("one query in, one result out")
     }
 
     /// Answers a batch of queries with up to `threads` worker threads
     /// from the index's interior persistent pool.
     ///
-    /// On a [`ShardedIndex::build_global`] index every query is planned
-    /// exactly once ([`ShardedIndex::plan_batch`]) and the plan shared
-    /// by all shard jobs; legacy indexes plan per shard as before.
+    /// Every query is planned exactly once
+    /// ([`ShardedIndex::plan_batch`]) and the plan shared by all shard
+    /// jobs.
     ///
     /// The pool is spawned on the first parallel call and reused by
     /// every later batch (respawned only when `threads` changes), so
@@ -466,19 +387,8 @@ impl<E: SearchEngine> ShardedIndex<E> {
         params: &E::Params,
         threads: usize,
     ) -> Vec<SearchResult<E::Stats>> {
-        match self.plan_batch(batch) {
-            Some(plans) => self.search_batch_planned(batch, &plans, params, threads),
-            None => {
-                let ns = self.shards.len();
-                let workers = threads.clamp(1, ns.max(1));
-                if workers <= 1 || ns <= 1 {
-                    return self.merge(batch.len(), self.run_serial(batch, params, None));
-                }
-                let per_shard =
-                    self.with_interior_pool(workers, |pool| self.run_on(pool, batch, params, None));
-                self.merge(batch.len(), per_shard)
-            }
-        }
+        let plans = self.plan_batch(batch).unwrap_or_default();
+        self.search_batch_planned(batch, &plans, params, threads)
     }
 
     /// [`ShardedIndex::search_batch`] with caller-provided plans
@@ -496,8 +406,8 @@ impl<E: SearchEngine> ShardedIndex<E> {
         params: &E::Params,
         threads: usize,
     ) -> Vec<SearchResult<E::Stats>> {
-        assert_eq!(batch.len(), plans.len(), "one plan per query");
         let ns = self.shards.len();
+        assert!(ns == 0 || batch.len() == plans.len(), "one plan per query");
         let workers = threads.clamp(1, ns.max(1));
         let per_shard = if workers <= 1 || ns <= 1 {
             self.run_serial_planned(batch, plans, params, None)
@@ -511,9 +421,8 @@ impl<E: SearchEngine> ShardedIndex<E> {
 
     /// Answers a batch of queries on a caller-owned [`WorkerPool`]
     /// (shared across indexes — and across *domains*, since worker
-    /// scratch is keyed by scratch type). Plans once per query on
-    /// [`ShardedIndex::build_global`] indexes, exactly like
-    /// [`ShardedIndex::search_batch`].
+    /// scratch is keyed by scratch type). Plans once per query, exactly
+    /// like [`ShardedIndex::search_batch`].
     ///
     /// Same determinism guarantee as [`ShardedIndex::search_batch`]:
     /// per-shard results are merged in fixed shard order and sorted.
@@ -528,8 +437,8 @@ impl<E: SearchEngine> ShardedIndex<E> {
 
     /// [`ShardedIndex::search_batch_on`] with per-request tracing: for
     /// every `(trace_id, parent span)` target in `trace`, the index
-    /// emits a `plan` span bracketing the shared plan phase (plan-once
-    /// indexes only), a `pool` span bracketing the whole fan-out
+    /// emits a `plan` span bracketing the shared plan phase, a `pool`
+    /// span bracketing the whole fan-out
     /// window, and one `shard` child span per shard measured where the
     /// work runs (on the worker for the parallel path, on the calling
     /// thread for the serial fallback). `None` is the zero-cost
@@ -544,10 +453,9 @@ impl<E: SearchEngine> ShardedIndex<E> {
     ) -> Vec<SearchResult<E::Stats>> {
         let start = Instant::now();
         // One `plan` span per traced query, around the shared plan
-        // phase (absent on legacy-built indexes, which re-plan inside
-        // each shard).
+        // phase.
         let plan_handles: Option<Vec<SpanHandle>> = match trace {
-            Some(t) if self.plan_once && !self.shards.is_empty() => Some(
+            Some(t) if !self.shards.is_empty() => Some(
                 t.targets
                     .iter()
                     .map(|&(tid, parent)| t.collector.child_of(tid, parent))
@@ -555,7 +463,7 @@ impl<E: SearchEngine> ShardedIndex<E> {
             ),
             _ => None,
         };
-        let plans = self.plan_batch(batch);
+        let plans = self.plan_batch(batch).unwrap_or_default();
         if let (Some(t), Some(handles)) = (trace, plan_handles) {
             let buf = handles
                 .into_iter()
@@ -582,24 +490,12 @@ impl<E: SearchEngine> ShardedIndex<E> {
             (handles, ctx)
         });
         let shard_trace = exec.as_ref().map(|(_, ctx)| ctx);
-        let merged = match plans {
-            Some(plans) => {
-                let per_shard = if self.shards.len() <= 1 || pool.workers() <= 1 {
-                    self.run_serial_planned(batch, &plans, params, shard_trace)
-                } else {
-                    self.run_on_planned(pool, batch, &plans, params, shard_trace)
-                };
-                self.merge_planned(batch.len(), per_shard, &plans)
-            }
-            None => {
-                let per_shard = if self.shards.len() <= 1 || pool.workers() <= 1 {
-                    self.run_serial(batch, params, shard_trace)
-                } else {
-                    self.run_on(pool, batch, params, shard_trace)
-                };
-                self.merge(batch.len(), per_shard)
-            }
+        let per_shard = if self.shards.len() <= 1 || pool.workers() <= 1 {
+            self.run_serial_planned(batch, &plans, params, shard_trace)
+        } else {
+            self.run_on_planned(pool, batch, &plans, params, shard_trace)
         };
+        let merged = self.merge_planned(batch.len(), per_shard, &plans);
         if let (Some(t), Some((handles, _))) = (trace, exec) {
             let tags = vec![
                 ("shards", self.shards.len() as u64),
@@ -619,8 +515,7 @@ impl<E: SearchEngine> ShardedIndex<E> {
     }
 
     /// Ensures the interior pool has `workers` threads and runs `f` on
-    /// it (shared by the legacy and plan-sharing fan-outs, so the
-    /// ensure/respawn policy cannot diverge between them).
+    /// it.
     fn with_interior_pool(
         &self,
         workers: usize,
@@ -637,27 +532,8 @@ impl<E: SearchEngine> ShardedIndex<E> {
         f(pool)
     }
 
-    /// Serial fallback: every shard on the calling thread, one scratch.
-    fn run_serial(
-        &self,
-        batch: &[E::Query],
-        params: &E::Params,
-        trace: Option<&Arc<ShardTrace>>,
-    ) -> Vec<ShardBatch<E::Stats>> {
-        let mut scratch = E::Scratch::default();
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(si, s)| {
-                shard_spans(trace.map(Arc::as_ref), si, || {
-                    s.run_batch(&mut scratch, batch, params)
-                })
-            })
-            .collect()
-    }
-
-    /// Serial plan-sharing fallback: every shard on the calling thread,
-    /// one scratch, one plan per query.
+    /// Serial fallback: every shard on the calling thread, one scratch,
+    /// one plan per query.
     fn run_serial_planned(
         &self,
         batch: &[E::Query],
@@ -677,31 +553,13 @@ impl<E: SearchEngine> ShardedIndex<E> {
             .collect()
     }
 
-    /// Fans one job per shard out to `pool` and collects per-shard
-    /// results back into shard order.
+    /// Fans one job per shard out to `pool`; each job receives `&Plan`
+    /// references into one `Arc`'d plan set.
     ///
     /// Jobs on the persistent pool must be `'static`, so the batch is
     /// cloned into an `Arc` shared by all jobs (queries are cheap to
     /// clone relative to a shard search; the server path hands over
     /// owned queries anyway).
-    fn run_on(
-        &self,
-        pool: &WorkerPool,
-        batch: &[E::Query],
-        params: &E::Params,
-        trace: Option<&Arc<ShardTrace>>,
-    ) -> Vec<ShardBatch<E::Stats>> {
-        let batch: Arc<Vec<E::Query>> = Arc::new(batch.to_vec());
-        self.fan_out(
-            pool,
-            move |shard, scratch, params| shard.run_batch(scratch, &batch, params),
-            params,
-            trace,
-        )
-    }
-
-    /// [`ShardedIndex::run_on`] with shared plans: each shard job
-    /// receives `&Plan` references into one `Arc`'d plan set.
     fn run_on_planned(
         &self,
         pool: &WorkerPool,
@@ -720,7 +578,7 @@ impl<E: SearchEngine> ShardedIndex<E> {
         )
     }
 
-    /// Shared fan-out skeleton: one job per shard on `pool`, results
+    /// Fan-out skeleton: one job per shard on `pool`, results
     /// collected back into fixed shard order. With a trace context,
     /// each job opens its `shard` spans on the worker thread — queue
     /// wait inside the pool shows up as the gap between the `pool`
@@ -778,11 +636,14 @@ impl<E: SearchEngine> ShardedIndex<E> {
     }
 
     /// Merges per-shard batches into one [`SearchResult`] per query, in
-    /// fixed shard order, then sorts ids ascending.
-    fn merge(
+    /// fixed shard order, then sorts ids ascending and folds in each
+    /// query's plan-time statistics **once per query** (the shards
+    /// reported execution-only statistics).
+    fn merge_planned(
         &self,
         batch_len: usize,
         per_shard: Vec<ShardBatch<E::Stats>>,
+        plans: &[Arc<E::Plan>],
     ) -> Vec<SearchResult<E::Stats>> {
         let mut merged: Vec<SearchResult<E::Stats>> = (0..batch_len)
             .map(|_| SearchResult {
@@ -802,19 +663,6 @@ impl<E: SearchEngine> ShardedIndex<E> {
         for res in &mut merged {
             res.ids.sort_unstable();
         }
-        merged
-    }
-
-    /// [`ShardedIndex::merge`] plus each query's plan-time statistics,
-    /// folded in **once per query** (the shards reported execution-only
-    /// statistics).
-    fn merge_planned(
-        &self,
-        batch_len: usize,
-        per_shard: Vec<ShardBatch<E::Stats>>,
-        plans: &[Arc<E::Plan>],
-    ) -> Vec<SearchResult<E::Stats>> {
-        let mut merged = self.merge(batch_len, per_shard);
         if let Some(shard0) = self.shards.first() {
             for (res, plan) in merged.iter_mut().zip(plans) {
                 res.stats.merge(&shard0.engine.plan_stats(plan));
@@ -923,31 +771,51 @@ mod tests {
         (values, index)
     }
 
-    fn build_counting(
-        n: usize,
-        shards: usize,
-        global: bool,
-    ) -> (Arc<AtomicUsize>, ShardedIndex<CountingEngine>) {
+    fn build_counting(n: usize, shards: usize) -> (Arc<AtomicUsize>, ShardedIndex<CountingEngine>) {
         let values: Vec<i64> = (0..n as i64).map(|i| (i * 37) % 101).collect();
         let plans = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&plans);
-        let index = if global {
-            ShardedIndex::build_global(
-                values,
-                shards,
-                |_| (),
-                move |_, values| CountingEngine {
-                    inner: AbsDiffEngine { values },
-                    plans_computed: Arc::clone(&counter),
-                },
-            )
-        } else {
-            ShardedIndex::build(values, shards, move |values| CountingEngine {
-                inner: AbsDiffEngine { values },
-                plans_computed: Arc::clone(&counter),
-            })
-        };
+        let index = ShardedIndex::build(values, shards, move |values| CountingEngine {
+            inner: AbsDiffEngine { values },
+            plans_computed: Arc::clone(&counter),
+        });
         (plans, index)
+    }
+
+    /// An engine whose plans are only valid under its own dictionary:
+    /// the shape of editdist/setsim, reduced to the portability hook.
+    struct DictEngine {
+        inner: AbsDiffEngine,
+        dict: Arc<i64>,
+    }
+
+    impl SearchEngine for DictEngine {
+        type Query = i64;
+        type Params = i64;
+        type Stats = AbsDiffStats;
+        type Scratch = ();
+        type Plan = ();
+
+        fn num_records(&self) -> usize {
+            self.inner.num_records()
+        }
+
+        fn plan(&self, _scratch: &mut (), _query: &i64) {}
+
+        fn search_planned(
+            &self,
+            scratch: &mut (),
+            plan: &(),
+            query: &i64,
+            params: &i64,
+            out: &mut Vec<u32>,
+        ) -> AbsDiffStats {
+            self.inner.search_planned(scratch, plan, query, params, out)
+        }
+
+        fn plans_portable_to(&self, other: &Self) -> bool {
+            Arc::ptr_eq(&self.dict, &other.dict)
+        }
     }
 
     #[test]
@@ -1007,8 +875,7 @@ mod tests {
     fn global_build_plans_once_per_query_for_any_shard_count() {
         let batch: Vec<i64> = (0..10).map(|i| i * 11).collect();
         for k in [1usize, 2, 4, 7] {
-            let (plans, index) = build_counting(300, k, true);
-            assert!(index.plan_once());
+            let (plans, index) = build_counting(300, k);
             for threads in [1usize, 4] {
                 plans.store(0, Ordering::SeqCst);
                 let _ = index.search_batch(&batch, &7, threads);
@@ -1025,31 +892,40 @@ mod tests {
         }
     }
 
-    #[test]
-    fn legacy_build_plans_per_shard_and_matches_global_results() {
-        let batch: Vec<i64> = (0..10).map(|i| i * 11).collect();
-        let (legacy_plans, legacy) = build_counting(300, 4, false);
-        let (_, global) = build_counting(300, 4, true);
-        assert!(!legacy.plan_once());
-        assert!(legacy.plan_batch(&batch).is_none());
-        let legacy_res = legacy.search_batch(&batch, &7, 2);
-        let global_res = global.search_batch(&batch, &7, 2);
-        // The legacy path plans once per (query, shard).
-        assert_eq!(
-            legacy_plans.load(Ordering::SeqCst),
-            batch.len() * legacy.num_shards()
-        );
-        for qi in 0..batch.len() {
-            assert_eq!(legacy_res[qi].ids, global_res[qi].ids, "qi={qi}");
-            assert_eq!(legacy_res[qi].stats, global_res[qi].stats, "qi={qi}");
+    fn dict_engine(values: Vec<i64>, dict: &Arc<i64>) -> DictEngine {
+        DictEngine {
+            inner: AbsDiffEngine { values },
+            dict: Arc::clone(dict),
         }
     }
 
     #[test]
+    fn shards_sharing_a_dictionary_are_accepted() {
+        let values: Vec<i64> = (0..40).collect();
+        let shared = ShardedIndex::build_global(
+            values.clone(),
+            4,
+            |_| Arc::new(0i64),
+            |d, v| dict_engine(v, d),
+        );
+        assert_eq!(shared.search(&5, &1).ids, vec![4, 5, 6]);
+        // A single shard has nobody to disagree with.
+        let lone = ShardedIndex::build(values, 1, |v| dict_engine(v, &Arc::new(0)));
+        assert_eq!(lone.search(&5, &1).ids, vec![4, 5, 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot execute shard 0's query plans")]
+    fn private_per_shard_dictionaries_are_rejected() {
+        let values: Vec<i64> = (0..40).collect();
+        let _ = ShardedIndex::build(values, 4, |v| dict_engine(v, &Arc::new(0)));
+    }
+
+    #[test]
     fn precomputed_plans_are_reusable_across_params() {
-        let (_, index) = build_counting(200, 3, true);
+        let (_, index) = build_counting(200, 3);
         let batch: Vec<i64> = (0..8).collect();
-        let plans = index.plan_batch(&batch).expect("global build plans");
+        let plans = index.plan_batch(&batch).expect("non-empty index plans");
         for params in [3i64, 7, 11] {
             let via_plans = index.search_batch_planned(&batch, &plans, &params, 2);
             let direct = index.search_batch(&batch, &params, 2);
@@ -1084,7 +960,7 @@ mod tests {
 
     #[test]
     fn search_batch_on_plans_once_with_shared_pool() {
-        let (plans, index) = build_counting(300, 4, true);
+        let (plans, index) = build_counting(300, 4);
         let pool = WorkerPool::new(2);
         let batch: Vec<i64> = (0..9).collect();
         let expect = index.search_batch(&batch, &5, 1);
@@ -1101,7 +977,7 @@ mod tests {
         use pigeonring_telemetry::json::Value;
         use pigeonring_telemetry::TraceCollector;
 
-        let (_, index) = build_counting(300, 4, true);
+        let (_, index) = build_counting(300, 4);
         let pool = WorkerPool::new(2);
         let batch: Vec<i64> = (0..6).collect();
         let collector = Arc::new(TraceCollector::new(0, 256));

@@ -51,14 +51,14 @@ pub struct SweepRow {
     pub p95_ms: f64,
     /// 99th-percentile per-query latency in milliseconds.
     pub p99_ms: f64,
-    /// Total wall time spent computing query plans (0 for legacy
-    /// per-shard-dictionary indexes, whose shards plan internally).
+    /// Total wall time spent computing query plans (≈ 0 for engines
+    /// with empty plans).
     pub plan_ms: f64,
     /// `plan_ms` per query in microseconds — the plan-once acceptance
-    /// metric: flat across shard counts on `build_global` indexes.
+    /// metric: flat across shard counts.
     pub plan_us_per_query: f64,
-    /// Wall time the index spent building its shared dictionary (0 for
-    /// legacy builds).
+    /// Wall time the index spent building its shared dictionary (≈ 0
+    /// for `ShardedIndex::build`'s unit dictionary).
     pub dict_build_ms: f64,
     /// Order-sensitive FxHash fingerprint of every query's result ids.
     pub result_hash: u64,
@@ -124,10 +124,8 @@ impl Sweep {
     /// returns it along with the statistics aggregated over every query
     /// and shard.
     ///
-    /// On a [`ShardedIndex::build_global`] index every chunk's plans are
-    /// computed once (timed into the row's `plan_ms`) and shared by all
-    /// shards; legacy indexes run the per-shard-planning path with
-    /// `plan_ms = 0`.
+    /// Every chunk's plans are computed once (timed into the row's
+    /// `plan_ms`) and shared by all shards.
     #[expect(
         clippy::too_many_arguments,
         reason = "one timed configuration is exactly these eight knobs"
@@ -211,30 +209,20 @@ impl Sweep {
             // Plan outside the per-batch latency window so p50/p95/p99
             // mean the same thing whether plans were inlined here or
             // precomputed by the caller.
-            let chunk_plans = match shared_plans {
-                Some(_) => None,
+            let inline_plans;
+            let plans: &[Arc<E::Plan>] = match shared_plans {
+                // lint: allow(panic) — plans has one entry per query; served
+                // + chunk.len() never exceeds queries.len() by the chunking
+                Some((plans, _)) => &plans[served..served + chunk.len()],
                 None => {
                     let plan_start = Instant::now();
-                    let plans = index.plan_batch(chunk);
-                    if plans.is_some() {
-                        plan_ms += plan_start.elapsed().as_secs_f64() * 1e3;
-                    }
-                    plans
+                    inline_plans = index.plan_batch(chunk).unwrap_or_default();
+                    plan_ms += plan_start.elapsed().as_secs_f64() * 1e3;
+                    &inline_plans
                 }
             };
             let batch_start = Instant::now();
-            let batch_results = match (shared_plans, &chunk_plans) {
-                (Some((plans, _)), _) => index.search_batch_planned(
-                    chunk,
-                    // lint: allow(panic) — plans has one entry per query; served
-                    // + chunk.len() never exceeds queries.len() by the chunking
-                    &plans[served..served + chunk.len()],
-                    params,
-                    threads,
-                ),
-                (None, Some(plans)) => index.search_batch_planned(chunk, plans, params, threads),
-                (None, None) => index.search_batch(chunk, params, threads),
-            };
+            let batch_results = index.search_batch_planned(chunk, plans, params, threads);
             let batch_ms = batch_start.elapsed().as_secs_f64() * 1e3;
             latencies.extend(std::iter::repeat_n(batch_ms, chunk.len()));
             for res in batch_results {
@@ -489,18 +477,18 @@ mod tests {
     fn rows_carry_plan_and_dictionary_timing() {
         let queries: Vec<u32> = (0..16).map(|i| i % 8).collect();
         let mut sweep = Sweep::new();
-        // Legacy build: shards plan internally, so plan_ms stays 0.
-        sweep.run("toy", "legacy", &index(2), &queries, &(), 4, 1);
-        assert_eq!(sweep.rows[0].plan_ms, 0.0);
-        assert_eq!(sweep.rows[0].dict_build_ms, 0.0);
-        // Dictionary-first build: the plan phase is timed (possibly 0.0
-        // on a coarse clock, but the hash must match the legacy run).
+        // The plan phase and the dictionary build are timed (possibly
+        // 0.0 on a coarse clock) for either build flavour, and both
+        // answer alike.
+        sweep.run("toy", "unit", &index(2), &queries, &(), 4, 1);
+        assert!(sweep.rows[0].plan_ms >= 0.0);
+        assert!(sweep.rows[0].dict_build_ms >= 0.0);
         let g = global_index(2);
         sweep.run("toy", "global", &g, &queries, &(), 4, 1);
         assert!(sweep.rows[1].plan_ms >= 0.0);
         assert_eq!(sweep.rows[0].result_hash, sweep.rows[1].result_hash);
         // Precomputed plans reuse: same answers, caller-measured time.
-        let plans = g.plan_batch(&queries).expect("global build plans");
+        let plans = g.plan_batch(&queries).expect("non-empty index plans");
         sweep.run_with_plans("toy", "shared", &g, &queries, &plans, 1.25, &(), 4, 1);
         assert_eq!(sweep.rows[2].result_hash, sweep.rows[1].result_hash);
         assert!(sweep.rows[2].plan_ms >= 1.25);

@@ -3,18 +3,22 @@
 //! same result set as the unsharded engine, and repeated runs of the
 //! same batch must agree bit-for-bit.
 //!
-//! Candidate counts may legitimately differ across shard counts
-//! (per-shard gram orders, cost models); the *result* sets may not —
-//! every engine verifies exactly.
+//! Hamming shards built with private cost models may allocate — and so
+//! count candidates — differently across shard counts; the *result*
+//! sets may not: every engine verifies exactly. (Editdist and setsim
+//! plans live in a dictionary's id space, so their shards must share
+//! one dictionary; `global_dictionary.rs` pins what that buys.)
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use pigeonring_datagen::{sample_query_ids, GraphConfig, SetConfig, StringConfig, VectorConfig};
-use pigeonring_editdist::{EditParams, GramOrder, QGramCollection, RingEdit};
+use pigeonring_editdist::{EditParams, GramDictionary, GramOrder, QGramCollection, RingEdit};
 use pigeonring_graph::{Graph, GraphParams, RingGraph};
 use pigeonring_hamming::{AllocationStrategy, BitVector, HammingParams, RingHamming};
 use pigeonring_service::ShardedIndex;
-use pigeonring_setsim::{Collection, RingSetSim, SetParams, Threshold};
+use pigeonring_setsim::{Collection, RingSetSim, SetParams, Threshold, TokenDictionary};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
 
@@ -62,12 +66,19 @@ proptest! {
             .collect();
         let params = EditParams { l: 3 };
 
-        let build = |shard: Vec<Vec<u8>>| {
-            RingEdit::build(QGramCollection::build(shard, 2, GramOrder::Frequency), tau)
+        let build = |k: usize| {
+            ShardedIndex::build_global(
+                data.clone(),
+                k,
+                |corpus| Arc::new(GramDictionary::build(corpus, 2, GramOrder::Frequency)),
+                |dict, shard| {
+                    RingEdit::build(QGramCollection::with_dictionary(shard, Arc::clone(dict)), tau)
+                },
+            )
         };
-        let reference = ShardedIndex::build(data.clone(), 1, build);
+        let reference = build(1);
         for k in SHARD_COUNTS {
-            let index = ShardedIndex::build(data.clone(), k, build);
+            let index = build(k);
             let got = index.search_batch(&queries, &params, k);
             for (qi, q) in queries.iter().enumerate() {
                 let expect = reference.search(q, &params);
@@ -88,11 +99,19 @@ proptest! {
             .collect();
         let params = SetParams { l: 2 };
 
-        let build =
-            |shard: Vec<Vec<u32>>| RingSetSim::build(Collection::new(shard), threshold, 5);
-        let reference = ShardedIndex::build(data.clone(), 1, build);
+        let build = |k: usize| {
+            ShardedIndex::build_global(
+                data.clone(),
+                k,
+                |corpus| Arc::new(TokenDictionary::build(corpus)),
+                |dict, shard| {
+                    RingSetSim::build(Collection::with_dictionary(shard, Arc::clone(dict)), threshold, 5)
+                },
+            )
+        };
+        let reference = build(1);
         for k in SHARD_COUNTS {
-            let index = ShardedIndex::build(data.clone(), k, build);
+            let index = build(k);
             let got = index.search_batch(&queries, &params, k);
             for (qi, q) in queries.iter().enumerate() {
                 let expect = reference.search(q, &params);

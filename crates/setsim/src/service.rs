@@ -5,14 +5,11 @@
 //! token ids, as fed to [`crate::Collection::new`]), not rank arrays.
 //! The plan ([`SetPlan`]) ranks the raw query through the collection's
 //! [`TokenDictionary`](crate::types::TokenDictionary) and enumerates its
-//! k-wise signatures once. With the legacy per-shard build each shard
-//! ranks independently, so plans are shard-local (the default
-//! `search_into` path re-plans per shard — translation preserves set
-//! sizes and overlaps exactly, so results are identical either way).
-//! With a dictionary-first build (`ShardedIndex::build_global` over one
-//! corpus-wide dictionary) all shards share one rank space, so the
-//! service layer ranks and enumerates each query exactly once and every
-//! shard probes with the same pre-enumerated signatures.
+//! k-wise signatures once. A sharded index plans each query once and
+//! every shard probes with the same pre-enumerated signatures, so all
+//! shards must share one rank space (`ShardedIndex::build_global` over
+//! one corpus-wide dictionary); [`SearchEngine::plans_portable_to`]
+//! enforces it at construction.
 
 use crate::ring::{RingSetSim, SetPlan, SetScratch, SetStats};
 use pigeonring_service::{MergeStats, SearchEngine};
@@ -67,6 +64,13 @@ impl SearchEngine for RingSetSim {
         let (ids, stats) = self.search_with_plan(scratch, plan, params.l);
         out.extend(ids);
         stats
+    }
+
+    fn plans_portable_to(&self, other: &Self) -> bool {
+        std::sync::Arc::ptr_eq(
+            self.collection().dictionary(),
+            other.collection().dictionary(),
+        )
     }
 
     fn plan_stats(&self, plan: &SetPlan) -> SetStats {
