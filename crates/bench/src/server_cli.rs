@@ -39,7 +39,6 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::Instant;
 
-use pigeonring_server::server::Backend;
 use pigeonring_server::{
     start, start_with_handler, Client, Domain, DomainQuery, EngineSet, EngineSpec, Outcome,
     Response, ServerConfig,
@@ -55,9 +54,6 @@ use crate::{f1, f3, Report, Scale};
 pub struct ServerCliOpts {
     /// Dataset scale (`--quick` / `--paper`).
     pub scale: Scale,
-    /// Connection-handling backend for `serve` / `server-smoke`
-    /// (`--backend reactor|threaded`; default reactor).
-    pub backend: Backend,
     /// Shard count per domain index.
     pub shards: usize,
     /// Worker threads (defaults to `min(shards, cores)`).
@@ -112,8 +108,7 @@ impl ServerCliOpts {
     /// flags and malformed values are errors, not silent defaults.
     pub fn from_args(args: &[String]) -> Result<ServerCliOpts, String> {
         const BOOL_FLAGS: [&str; 4] = ["--quick", "--paper", "--mix", "--raw"];
-        const VALUE_FLAGS: [&str; 18] = [
-            "--backend",
+        const VALUE_FLAGS: [&str; 17] = [
             "--shards",
             "--threads",
             "--port",
@@ -140,11 +135,10 @@ impl ServerCliOpts {
             } else if a.starts_with("--") && !BOOL_FLAGS.contains(&a) {
                 return Err(format!(
                     "unknown flag {a:?}; known: --quick, --paper, --mix, --raw, \
-                     --backend reactor|threaded, --shards K, --threads T, --port P, --queue Q, \
-                     --batch B, --conns C, --requests N, --pipeline P, --domain D, \
-                     --metrics-dump PATH, --metrics-interval-secs S, --slow-query-ms MS, \
-                     --slow-query-ring N, --trace-sample N, --trace-buffer M, --watch SECS, \
-                     --chrome PATH"
+                     --shards K, --threads T, --port P, --queue Q, --batch B, --conns C, \
+                     --requests N, --pipeline P, --domain D, --metrics-dump PATH, \
+                     --metrics-interval-secs S, --slow-query-ms MS, --slow-query-ring N, \
+                     --trace-sample N, --trace-buffer M, --watch SECS, --chrome PATH"
                 ));
             } else {
                 i += 1;
@@ -159,16 +153,6 @@ impl ServerCliOpts {
                     .filter(|&v| v > 0)
                     .map(Some)
                     .ok_or_else(|| format!("{flag} requires a positive integer value")),
-            }
-        };
-        let backend = match args.iter().position(|a| a == "--backend") {
-            None => Backend::default(),
-            Some(i) => {
-                let name = args
-                    .get(i + 1)
-                    .ok_or("--backend requires a value (reactor|threaded)")?;
-                Backend::parse_name(name)
-                    .ok_or_else(|| format!("unknown backend {name:?}; expected reactor|threaded"))?
             }
         };
         let domain = match args.iter().position(|a| a == "--domain") {
@@ -207,7 +191,6 @@ impl ServerCliOpts {
         }
         Ok(ServerCliOpts {
             scale: Scale::from_args(args),
-            backend,
             shards: value_of("--shards")?.unwrap_or(2),
             threads: value_of("--threads")?,
             port: port as u16,
@@ -252,7 +235,6 @@ impl ServerCliOpts {
     fn server_config(&self) -> ServerConfig {
         let defaults = ServerConfig::default();
         ServerConfig {
-            backend: self.backend,
             lane_depth: self.queue,
             micro_batch: self.batch,
             slow_query_ms: self.slow_query_ms,
@@ -293,9 +275,8 @@ fn serve(opts: &ServerCliOpts) -> Result<(), String> {
     let handle = start(listener, engines, pool, opts.server_config())
         .map_err(|e| format!("cannot start server: {e}"))?;
     println!(
-        "pigeonring-server listening on {} ({} backend, lane depth {}, micro-batch {}, {} workers)",
+        "pigeonring-server listening on {} (lane depth {}, micro-batch {}, {} workers)",
         handle.addr(),
-        opts.backend,
         opts.queue,
         opts.batch,
         opts.worker_threads()
@@ -495,8 +476,6 @@ fn run_query_set(
 
 /// One loadgen measurement for one domain under one load shape.
 struct LoadRow {
-    /// Connection-handling backend the server ran (`reactor`/`threaded`).
-    backend: &'static str,
     domain: &'static str,
     /// `"solo"` (only this domain on the wire) or `"mixed"` (all four
     /// round-robin).
@@ -547,7 +526,7 @@ fn loadgen(opts: &ServerCliOpts) -> Result<(), String> {
         _ => None,
     };
     let idle = measure_idle_conns(opts)?;
-    emit_loadgen(&rows, opts, server_metrics.as_deref(), &idle)
+    emit_loadgen(&rows, opts, server_metrics.as_deref(), idle.as_ref())
 }
 
 /// Best-effort Stats fetch on a fresh connection; `None` when the
@@ -815,7 +794,6 @@ fn run_phase(
             lat.sort_by(f64::total_cmp);
             let busy = samples.iter().filter(|(i, _, b)| *i == di && *b).count();
             LoadRow {
-                backend: opts.backend.as_str(),
                 domain: d.as_str(),
                 mode,
                 requests: lat.len(),
@@ -835,22 +813,18 @@ fn run_phase(
         .collect())
 }
 
-/// Idle connections for the thread-cost experiment: enough that the
-/// per-connection thread cost of the threaded backend is unmistakable
-/// next to the reactor's flat census.
+/// Idle connections for the thread-cost experiment: enough that any
+/// per-connection thread would be unmistakable in the census.
 const IDLE_PROBE_CONNS: usize = 256;
 
-/// One backend's footprint while parking [`IDLE_PROBE_CONNS`] idle,
+/// The server's footprint while parking [`IDLE_PROBE_CONNS`] idle,
 /// fully negotiated connections.
 struct IdleRow {
-    backend: &'static str,
     conns: usize,
     /// Total process threads while the connections were parked.
     thread_count: u64,
-    /// Threads over the pre-start baseline — the per-server cost
-    /// (threaded: ≈ `2·conns` reader/writer pairs + dispatchers;
-    /// reactor: one event-loop thread + dispatchers, independent of
-    /// `conns`).
+    /// Threads over the pre-start baseline — the per-server cost (one
+    /// event-loop thread + dispatchers, independent of `conns`).
     threads_added: u64,
     /// `VmRSS` while the connections were parked, in KiB.
     rss_kb: u64,
@@ -871,78 +845,40 @@ fn proc_status() -> (u64, u64) {
     (field("Threads:"), field("VmRSS:"))
 }
 
-/// The tentpole's headline number, measured: for each backend, an
-/// in-process server (trivial handler — the cost under test is
-/// *connection handling*, not query execution) parks
-/// [`IDLE_PROBE_CONNS`] negotiated-but-idle connections while the
-/// process thread census and RSS are read from `/proc/self/status`.
-/// The servers are spawned in this process precisely so that census
-/// is attributable; each backend is measured alone, against its own
-/// pre-start baseline.
-fn measure_idle_conns(opts: &ServerCliOpts) -> Result<Vec<IdleRow>, String> {
-    if proc_status().0 == 0 {
-        // No procfs (non-Linux): skip rather than record garbage.
-        return Ok(Vec::new());
+/// What a connection costs, measured: an in-process server (trivial
+/// handler — the cost under test is *connection handling*, not query
+/// execution) parks [`IDLE_PROBE_CONNS`] negotiated-but-idle
+/// connections while the process thread census and RSS are read from
+/// `/proc/self/status`. The server is spawned in this process
+/// precisely so that census is attributable. `None` without procfs
+/// (non-Linux): skip rather than record garbage.
+fn measure_idle_conns(opts: &ServerCliOpts) -> Result<Option<IdleRow>, String> {
+    let (threads_before, _) = proc_status();
+    if threads_before == 0 {
+        return Ok(None);
     }
-    let backends: &[Backend] = if cfg!(unix) {
-        &[Backend::Threaded, Backend::Reactor]
-    } else {
-        &[Backend::Threaded]
+    let listener = TcpListener::bind("127.0.0.1:0")
+        .map_err(|e| format!("idle-conns probe cannot bind loopback: {e}"))?;
+    let handle = start_with_handler(listener, Arc::new(|_, _, _| {}), opts.server_config())
+        .map_err(|e| format!("idle-conns probe cannot start server: {e}"))?;
+    let clients = (0..IDLE_PROBE_CONNS)
+        .map(|_| Client::connect(handle.addr()))
+        .collect::<Result<Vec<Client>, _>>()
+        .map_err(|e| format!("idle-conns probe connect failed: {e}"))?;
+    let (thread_count, rss_kb) = proc_status();
+    let row = IdleRow {
+        conns: clients.len(),
+        thread_count,
+        threads_added: thread_count.saturating_sub(threads_before),
+        rss_kb,
     };
-    let mut rows: Vec<IdleRow> = Vec::new();
-    for &backend in backends {
-        // Wait for the previous measurement's threads to wind down so
-        // baselines don't bleed across backends.
-        let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        let settled = loop {
-            let (threads, _) = proc_status();
-            if rows.is_empty() || threads <= rows[0].thread_count - rows[0].threads_added + 4 {
-                break threads;
-            }
-            if Instant::now() > deadline {
-                break threads;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        };
-        let threads_before = settled;
-        let listener = TcpListener::bind("127.0.0.1:0")
-            .map_err(|e| format!("idle-conns probe cannot bind loopback: {e}"))?;
-        let handle = start_with_handler(
-            listener,
-            Arc::new(|_, _, _| {}),
-            ServerConfig {
-                backend,
-                ..opts.server_config()
-            },
-        )
-        .map_err(|e| format!("idle-conns probe cannot start {backend} server: {e}"))?;
-        let clients = (0..IDLE_PROBE_CONNS)
-            .map(|_| Client::connect(handle.addr()))
-            .collect::<Result<Vec<Client>, _>>()
-            .map_err(|e| format!("idle-conns probe connect failed on {backend}: {e}"))?;
-        // Let late thread spawns (threaded writer threads) land before
-        // the census.
-        std::thread::sleep(std::time::Duration::from_millis(200));
-        let (thread_count, rss_kb) = proc_status();
-        rows.push(IdleRow {
-            backend: backend.as_str(),
-            conns: clients.len(),
-            thread_count,
-            threads_added: thread_count.saturating_sub(threads_before),
-            rss_kb,
-        });
-        println!(
-            "idle-conns probe: {backend} holds {} connections with {} threads \
-             (+{} over baseline), rss {} KiB",
-            clients.len(),
-            thread_count,
-            thread_count.saturating_sub(threads_before),
-            rss_kb
-        );
-        drop(clients);
-        handle.shutdown();
-    }
-    Ok(rows)
+    println!(
+        "idle-conns probe: {} connections held with {} threads (+{} over baseline), rss {} KiB",
+        row.conns, row.thread_count, row.threads_added, row.rss_kb
+    );
+    drop(clients);
+    handle.shutdown();
+    Ok(Some(row))
 }
 
 /// Prints the loadgen table and writes `results/BENCH_server.json`
@@ -952,12 +888,11 @@ fn emit_loadgen(
     rows: &[LoadRow],
     opts: &ServerCliOpts,
     server_metrics: Option<&str>,
-    idle: &[IdleRow],
+    idle: Option<&IdleRow>,
 ) -> Result<(), String> {
     let mut rep = Report::new(
         "server_loadgen",
         &[
-            "backend",
             "domain",
             "mode",
             "conns",
@@ -982,7 +917,6 @@ fn emit_loadgen(
             .mixed_over_solo_p50
             .map_or("-".to_string(), |r| format!("{r:.2}"));
         rep.row(&[
-            row.backend.to_string(),
             row.domain.to_string(),
             row.mode.to_string(),
             opts.conns.to_string(),
@@ -999,11 +933,10 @@ fn emit_loadgen(
             format!(", \"mixed_over_solo_p50\": {r:.3}")
         });
         json.push_str(&format!(
-            "  {{\"backend\": \"{}\", \"domain\": \"{}\", \"mode\": \"{}\", \"conns\": {}, \
-             \"pipeline\": {}, \"shards\": {}, \"lane_depth\": {}, \"micro_batch\": {}, \
-             \"requests\": {}, \"busy\": {}, \"qps\": {:.3}, \"p50_ms\": {:.3}, \
-             \"p95_ms\": {:.3}, \"p99_ms\": {:.3}{}}}{}\n",
-            row.backend,
+            "  {{\"domain\": \"{}\", \"mode\": \"{}\", \"conns\": {}, \"pipeline\": {}, \
+             \"shards\": {}, \"lane_depth\": {}, \"micro_batch\": {}, \"requests\": {}, \
+             \"busy\": {}, \"qps\": {:.3}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
+             \"p99_ms\": {:.3}{}}}{}\n",
             row.domain,
             row.mode,
             opts.conns,
@@ -1022,21 +955,12 @@ fn emit_loadgen(
         ));
     }
     json.push(']');
-    if !idle.is_empty() {
-        json.push_str(",\n\"idle_conns\": [\n");
-        for (i, row) in idle.iter().enumerate() {
-            json.push_str(&format!(
-                "  {{\"backend\": \"{}\", \"conns\": {}, \"thread_count\": {}, \
-                 \"threads_added\": {}, \"rss_kb\": {}}}{}\n",
-                row.backend,
-                row.conns,
-                row.thread_count,
-                row.threads_added,
-                row.rss_kb,
-                if i + 1 < idle.len() { "," } else { "" },
-            ));
-        }
-        json.push(']');
+    if let Some(row) = idle {
+        json.push_str(&format!(
+            ",\n\"idle_conns\": [\n  {{\"conns\": {}, \"thread_count\": {}, \
+             \"threads_added\": {}, \"rss_kb\": {}}}\n]",
+            row.conns, row.thread_count, row.threads_added, row.rss_kb
+        ));
     }
     if let Some(delta) = server_metrics {
         json.push_str(",\n\"server_metrics\": ");
@@ -1140,7 +1064,7 @@ fn server_smoke(opts: &ServerCliOpts) -> Result<(), String> {
     let after = fetch_stats(addr).ok_or("server did not answer Stats after loadgen")?;
     let server_metrics = metrics_delta_json(&before, &after)?;
     let idle = measure_idle_conns(opts)?;
-    emit_loadgen(&rows, opts, Some(&server_metrics), &idle)?;
+    emit_loadgen(&rows, opts, Some(&server_metrics), idle.as_ref())?;
     // The raw post-load snapshot is its own CI-gated artifact: jq
     // checks per-lane gauges, per-domain query counters, and the
     // embedded machine fingerprint.
@@ -1233,19 +1157,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_flag_parses_and_rejects_unknown_names() {
-        let o = ServerCliOpts::from_args(&args(&[])).expect("defaults parse");
-        assert_eq!(o.backend, Backend::Reactor, "reactor is the default");
-        let o = ServerCliOpts::from_args(&args(&["--backend", "threaded"])).expect("parses");
-        assert_eq!(o.backend, Backend::Threaded);
-        let o = ServerCliOpts::from_args(&args(&["--backend", "reactor"])).expect("parses");
-        assert_eq!(o.backend, Backend::Reactor);
-        let err = ServerCliOpts::from_args(&args(&["--backend", "green-threads"])).unwrap_err();
-        assert!(err.contains("reactor|threaded"), "{err}");
-        assert!(ServerCliOpts::from_args(&args(&["--backend"])).is_err());
-    }
-
-    #[test]
     fn out_of_range_port_is_an_error_not_a_wrap() {
         let err = ServerCliOpts::from_args(&args(&["--port", "70000"])).unwrap_err();
         assert!(err.contains("65535"), "{err}");
@@ -1257,6 +1168,8 @@ mod tests {
     #[test]
     fn unknown_flags_and_domains_rejected() {
         assert!(ServerCliOpts::from_args(&args(&["--ports", "1"])).is_err());
+        let err = ServerCliOpts::from_args(&args(&["--backend", "reactor"])).unwrap_err();
+        assert!(err.contains("unknown flag \"--backend\""), "{err}");
         assert!(ServerCliOpts::from_args(&args(&["--domain", "sets"])).is_err());
         assert!(ServerCliOpts::from_args(&args(&["--domain", "all"])).is_ok());
         assert!(ServerCliOpts::from_args(&args(&["--conns", "0"])).is_err());

@@ -222,7 +222,7 @@ impl Client {
     /// Fetches the server's recent sampled traces (a JSON document:
     /// sampling rate, dropped-span count, span trees). Like
     /// [`Client::stats`], it is answered inline on the server's
-    /// connection thread — usable even under full lanes — and must not
+    /// reactor thread — usable even under full lanes — and must not
     /// be interleaved with in-flight pipelined queries.
     pub fn trace(&mut self) -> Result<String, ClientError> {
         let request_id = self.next_id;

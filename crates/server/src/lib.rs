@@ -15,21 +15,19 @@
 //!   out of order). Strict, typed, allocation-bounded decoding:
 //!   malformed input fails the connection closed, never panics the
 //!   server.
-//! * [`queue`] — the bounded request queues. Admission control lives
+//! * [`queue`] — the bounded request queue. Admission control lives
 //!   here: the [`FairQueue`] keeps one bounded lane per domain, so a
 //!   full lane answers `Busy` for *that domain only* and weighted
 //!   round-robin batch formation stops a slow-domain burst from
 //!   inflating every domain's tail.
-//! * [`server`] — connection handling (a nonblocking [`sys`]-backed
-//!   reactor by default, so connection count costs file descriptors
-//!   instead of threads; the PR 4 thread-per-connection backend stays
-//!   selectable via [`Backend`] for differential testing) and the
-//!   weighted-fair dispatchers that coalesce up to `B` queued queries
-//!   per fan-out so the network path inherits the service layer's
-//!   batch amortization on the shared persistent
-//!   [`WorkerPool`](pigeonring_service::WorkerPool). Lane weights come
-//!   from a validated [`LaneWeightPolicy`] — derived live from the
-//!   measured per-domain cost EMA by default.
+//! * [`server`] — connection handling (one nonblocking [`sys`]-backed
+//!   reactor thread, so connection count costs file descriptors
+//!   instead of threads) and the weighted-fair dispatchers that
+//!   coalesce up to `B` queued queries per fan-out so the network path
+//!   inherits the service layer's batch amortization on the shared
+//!   persistent [`WorkerPool`](pigeonring_service::WorkerPool). Lane
+//!   weights come from a validated [`LaneWeightPolicy`] — derived live
+//!   from the measured per-domain cost EMA by default.
 //! * [`sys`] — dependency-free readiness syscalls: hand-rolled
 //!   `extern "C"` epoll bindings with a portable `poll(2)` fallback,
 //!   and the UDP-pair waker that lets dispatchers interrupt a blocked
@@ -60,11 +58,10 @@ pub mod weights;
 pub mod wire;
 
 pub use client::{Client, ClientError, Outcome};
-pub use queue::{lane_of, BoundedQueue, FairQueue, PushError, NUM_LANES};
+pub use queue::{lane_of, FairQueue, PushError, NUM_LANES};
 pub use registry::{EngineSet, EngineSpec};
 pub use server::{
-    start, start_with_handler, Backend, Handler, ServerConfig, ServerHandle, ServerMetrics,
-    SlowQuery,
+    start, start_with_handler, Handler, ServerConfig, ServerHandle, ServerMetrics, SlowQuery,
 };
 pub use weights::{CostEmaWeights, LaneWeightPolicy, WeightConfigError, DEFAULT_STATIC_WEIGHTS};
 pub use wire::{

@@ -1,6 +1,6 @@
-//! Bounded request queues: the admission-control point.
+//! The bounded request queue: the admission-control point.
 //!
-//! Producers (connection threads) *never block*: `try_push` either
+//! The producer (the reactor thread) *never blocks*: `try_push` either
 //! enqueues or returns the item back immediately — as
 //! [`PushError::Full`] when the lane holds `capacity` items (the caller
 //! answers a retryable `Busy`), or as [`PushError::Closed`] during
@@ -9,18 +9,12 @@
 //! `pop_batch` and drain up to `max` items per wakeup, which is what
 //! turns queued singles into micro-batches.
 //!
-//! Two queues live here:
-//!
-//! * [`BoundedQueue`] — the original single-FIFO queue, kept for
-//!   single-stream workloads and as the building-block reference.
-//! * [`FairQueue`] — one bounded lane per [`Domain`] with
-//!   weighted-round-robin batch formation. A burst of slow-domain
-//!   queries (graph GED) fills *its own* lane and draws per-lane `Busy`
-//!   while the other domains' lanes keep admitting and every popped
-//!   micro-batch contains each backlogged domain in proportion to its
-//!   weight — the fix for the head-of-line blocking recorded in
-//!   `results/BENCH_server.json` (editdist/graph p50 ≈ 3.5× faster
-//!   domains under the old global FIFO).
+//! [`FairQueue`] keeps one bounded lane per [`Domain`] with
+//! weighted-round-robin batch formation. A burst of slow-domain
+//! queries (graph GED) fills *its own* lane and draws per-lane `Busy`
+//! while the other domains' lanes keep admitting, and every popped
+//! micro-batch contains each backlogged domain in proportion to its
+//! weight — no head-of-line blocking behind a global FIFO.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -30,12 +24,13 @@ use pigeonring_telemetry::Gauge;
 
 use crate::wire::Domain;
 
-/// Locks `m`, recovering the data on poison. Queue state holds no
-/// invariant a mid-panic unwind can half-apply (every mutation is a
-/// single `VecDeque` op or a flag write), so recovery is always sound
-/// — and a connection thread must never abort because a sibling
-/// thread died while holding the lock.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Locks `m`, recovering the data on poison. Every mutex in this crate
+/// guards state no mid-panic unwind can half-apply (one `VecDeque` or
+/// `Vec` op, a flag write, a ring of owned entries), so serving on the
+/// recovered state is always sound — and the reactor, a dispatcher or
+/// the Stats snapshot must never abort because another thread died
+/// while holding the lock.
+pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -59,94 +54,6 @@ impl<T> PushError<T> {
         match self {
             PushError::Full(item) | PushError::Closed(item) => item,
         }
-    }
-}
-
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// A bounded MPSC queue with non-blocking, fail-fast producers.
-pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    not_empty: Condvar,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// A queue admitting at most `capacity.max(1)` buffered items.
-    pub fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// The admission-control depth.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of items currently buffered (racy outside tests/metrics).
-    pub fn len(&self) -> usize {
-        lock_recover(&self.state).items.len()
-    }
-
-    /// Whether the queue is currently empty (racy outside tests).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Attempts to enqueue. Returns immediately — never blocking — with
-    /// [`PushError::Full`] at capacity (retryable `Busy`) or
-    /// [`PushError::Closed`] after [`BoundedQueue::close`] (terminal).
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut state = lock_recover(&self.state);
-        if state.closed {
-            return Err(PushError::Closed(item));
-        }
-        if state.items.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        state.items.push_back(item);
-        drop(state);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Blocks until at least one item is available (or the queue is
-    /// closed), then moves up to `max` items into `out` in FIFO order.
-    /// Returns `false` when the queue is closed *and* drained — the
-    /// consumer's shutdown signal.
-    pub fn pop_batch(&self, max: usize, out: &mut Vec<T>) -> bool {
-        out.clear();
-        let mut state = lock_recover(&self.state);
-        loop {
-            if !state.items.is_empty() {
-                let take = max.max(1).min(state.items.len());
-                out.extend(state.items.drain(..take));
-                return true;
-            }
-            if state.closed {
-                return false;
-            }
-            state = self
-                .not_empty
-                .wait(state)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Closes the queue: future pushes fail with [`PushError::Closed`],
-    /// and consumers unblock once the remaining items are drained.
-    pub fn close(&self) {
-        lock_recover(&self.state).closed = true;
-        self.not_empty.notify_all();
     }
 }
 
@@ -356,71 +263,6 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn push_fails_fast_when_full() {
-        let q = BoundedQueue::new(2);
-        assert!(q.try_push(1).is_ok());
-        assert!(q.try_push(2).is_ok());
-        assert_eq!(
-            q.try_push(3),
-            Err(PushError::Full(3)),
-            "depth-2 queue rejects the third as retryable"
-        );
-        assert_eq!(q.len(), 2);
-        let mut out = Vec::new();
-        assert!(q.pop_batch(8, &mut out));
-        assert_eq!(out, vec![1, 2], "FIFO order");
-        assert!(q.try_push(3).is_ok(), "space freed after drain");
-    }
-
-    #[test]
-    fn pop_batch_respects_max() {
-        let q = BoundedQueue::new(8);
-        for i in 0..5 {
-            q.try_push(i).expect("under capacity");
-        }
-        let mut out = Vec::new();
-        assert!(q.pop_batch(2, &mut out));
-        assert_eq!(out, vec![0, 1]);
-        assert!(q.pop_batch(2, &mut out));
-        assert_eq!(out, vec![2, 3]);
-        assert!(q.pop_batch(2, &mut out));
-        assert_eq!(out, vec![4]);
-    }
-
-    #[test]
-    fn close_unblocks_consumer_after_drain() {
-        let q = Arc::new(BoundedQueue::new(4));
-        q.try_push(1).expect("under capacity");
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut out = Vec::new();
-                let mut seen = Vec::new();
-                while q.pop_batch(4, &mut out) {
-                    seen.append(&mut out);
-                }
-                seen
-            })
-        };
-        q.close();
-        assert_eq!(consumer.join().expect("consumer exits"), vec![1]);
-        assert_eq!(
-            q.try_push(2),
-            Err(PushError::Closed(2)),
-            "closed queue rejects pushes terminally, not as Full"
-        );
-    }
-
-    #[test]
-    fn capacity_clamps_to_one() {
-        let q = BoundedQueue::new(0);
-        assert_eq!(q.capacity(), 1);
-        assert!(q.try_push(1).is_ok());
-        assert_eq!(q.try_push(2), Err(PushError::Full(2)));
-        assert!(!q.is_empty());
-    }
-
-    #[test]
     fn push_error_returns_the_item() {
         assert_eq!(PushError::Full(7).into_inner(), 7);
         assert_eq!(PushError::Closed(9).into_inner(), 9);
@@ -431,6 +273,18 @@ mod tests {
     /// `(domain, tag)` items for lane tests.
     fn fq(lane_capacity: usize) -> FairQueue<(Domain, u32)> {
         FairQueue::new(lane_capacity, [1, 1, 1, 1])
+    }
+
+    #[test]
+    fn capacity_clamps_to_one() {
+        let q = fq(0);
+        assert_eq!(q.lane_capacity(), 1);
+        q.try_push(Domain::Set, (Domain::Set, 1)).expect("room");
+        assert!(matches!(
+            q.try_push(Domain::Set, (Domain::Set, 2)),
+            Err(PushError::Full(_))
+        ));
+        assert!(!q.is_empty());
     }
 
     #[test]

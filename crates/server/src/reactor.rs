@@ -1,19 +1,18 @@
-//! The nonblocking reactor backend: one thread multiplexes every
-//! connection over [`sys::Poller`] readiness events.
+//! The nonblocking reactor: one thread multiplexes every connection
+//! over [`sys::Poller`] readiness events — the only path between
+//! sockets and the lanes.
 //!
 //! Per connection the reactor keeps a small state machine — an
 //! incremental [`FrameDecoder`] on the read side, a queue of encoded
-//! response frames plus a write cursor on the write side — and
-//! reproduces the threaded backend's semantics exactly:
+//! response frames plus a write cursor on the write side:
 //!
-//! * **Admission**: every complete frame goes through the same
-//!   [`handle_payload`] the threaded reader uses; protocol behavior is
-//!   shared code, not a reimplementation.
+//! * **Admission**: every complete frame goes through
+//!   [`handle_payload`], which answers it with exactly one response.
 //! * **Reply budget**: `outstanding` counts responses
 //!   admitted-or-unwritten, incremented when a frame is accepted for
 //!   handling and decremented when its response's last byte reaches
-//!   the socket — the same ledger [`ReplyBudget`] keeps with a mutex.
-//!   At `conn_in_flight` the reactor stops parsing *and drops read
+//!   the socket. Only the reactor thread touches it, so it needs no
+//!   lock. At `conn_in_flight` the reactor stops parsing *and drops read
 //!   interest*, so the kernel's receive window fills and the client
 //!   blocks: real TCP backpressure without a parked thread.
 //! * **Writer-stall teardown**: a connection that accepts no bytes for
@@ -30,7 +29,7 @@
 //! Dispatchers hand finished responses to [`ReactorShared::send`]: a
 //! mailbox plus a [`sys::Waker`] kick that interrupts a blocked
 //! [`sys::Poller::wait`]. Stall deadlines are folded into the wait
-//! timeout, replacing the threaded backend's per-socket write timeout.
+//! timeout.
 
 #![cfg(unix)]
 
@@ -42,10 +41,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::queue::FairQueue;
+use crate::queue::{lock_recover, FairQueue};
 use crate::server::{
-    error_response, handle_payload, lock_recover, response_payload, FrameDisposition, Job,
-    ReplySink, ServerMetrics, WRITER_STALL_TIMEOUT,
+    error_response, handle_payload, response_payload, FrameDisposition, Job, ReplySink,
+    ServerMetrics, WRITER_STALL_TIMEOUT,
 };
 use crate::sys;
 use crate::wire::{ErrorCode, FrameDecoder, Response, WireError, CONNECTION_REQUEST_ID};
@@ -86,14 +85,9 @@ pub(crate) struct ReactorControl {
 }
 
 impl ReactorControl {
-    /// Interrupts a blocked poll wait (e.g. so the stop flag is seen).
-    pub(crate) fn wake(&self) {
-        self.shared.waker.wake();
-    }
-
     /// Blocks (bounded at 1 s) until the reactor has observed the stop
-    /// flag and closed its listener — after this returns, no new
-    /// connection can be accepted.
+    /// flag and closed its listener, waking it out of a blocked poll
+    /// wait — after this returns, no new connection can be accepted.
     pub(crate) fn wait_listener_closed(&self) {
         let deadline = Instant::now() + Duration::from_secs(1);
         while !self.listener_closed.load(Ordering::Acquire) && Instant::now() < deadline {
@@ -111,6 +105,9 @@ impl ReactorControl {
         let Some(handle) = self.thread.take() else {
             return;
         };
+        // An idle reactor sits in a poll wait with no timeout: kick it
+        // so it re-checks the stop flag and its connection count.
+        self.shared.waker.wake();
         let deadline = Instant::now() + Duration::from_millis(250);
         while !handle.is_finished() {
             if Instant::now() >= deadline {
@@ -353,8 +350,8 @@ impl Reactor {
             match conn.stream.read(&mut buf) {
                 Ok(0) => {
                     if conn.decoder.has_partial() {
-                        // EOF inside a frame: the same typed error the
-                        // blocking `read_frame` raises.
+                        // EOF inside a frame is a protocol error, not
+                        // a clean close: answer it before winding down.
                         self.metrics.frames_rejected.inc();
                         self.metrics.errors.inc();
                         conn.outstanding += 1;
@@ -398,11 +395,11 @@ impl Reactor {
             }
             match conn.decoder.next_frame() {
                 Ok(Some(payload)) => {
-                    // The frame will produce exactly one response:
-                    // reserve its budget slot, exactly like the
-                    // threaded reader's `budget.reserve()`.
+                    // Invariant: one response per frame. Its budget
+                    // slot is taken before the frame is handled, so
+                    // `outstanding` never undercounts a reply in flight.
                     conn.outstanding += 1;
-                    let sink = ReplySink::Reactor {
+                    let sink = ReplySink {
                         conn: token,
                         shared: Arc::clone(&self.shared),
                     };
@@ -414,9 +411,9 @@ impl Reactor {
                         &self.metrics,
                     );
                     if matches!(disposition, FrameDisposition::Terminal) {
-                        // Mirror of the threaded reader's `break`: any
-                        // bytes already buffered past the terminal
-                        // frame are never parsed.
+                        // Invariant: nothing past a terminal frame is
+                        // parsed, even bytes already buffered — the
+                        // terminal response is the connection's last.
                         let Some(conn) = self.conns.get_mut(&token) else {
                             return;
                         };
@@ -427,8 +424,8 @@ impl Reactor {
                 Ok(None) => return,
                 Err(e) => {
                     // Undecodable frame boundary (oversized length):
-                    // same accounting as the threaded read_frame error
-                    // path — typed error, then wind down.
+                    // count the rejection, answer the typed error,
+                    // then wind down.
                     self.metrics.frames_rejected.inc();
                     self.metrics.errors.inc();
                     conn.outstanding += 1;
@@ -471,9 +468,8 @@ impl Reactor {
                     {
                         conn.outbuf.pop_front();
                         conn.front_pos = 0;
-                        // Response fully on the wire: release the
-                        // budget slot (the threaded writer's
-                        // `budget.release()`).
+                        // Response fully on the wire: release its
+                        // budget slot.
                         let was_at_cap = conn.outstanding >= self.cap;
                         conn.outstanding = conn.outstanding.saturating_sub(1);
                         if was_at_cap && conn.outstanding < self.cap && !conn.closing {
@@ -483,8 +479,7 @@ impl Reactor {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     // The client stopped draining: arm the stall
-                    // deadline (the reactor's version of the 30 s
-                    // write timeout).
+                    // deadline.
                     if conn.stall_deadline.is_none() {
                         conn.stall_deadline = Some(Instant::now() + WRITER_STALL_TIMEOUT);
                     }
@@ -623,9 +618,9 @@ impl Reactor {
     }
 }
 
-/// Encodes `response` (through the same frame-cap substitution choke
-/// point as the threaded writer) and appends it to the connection's
-/// write buffer.
+/// Encodes `response` through [`response_payload`] — the frame-cap
+/// substitution every outbound frame passes — and appends it to the
+/// connection's write buffer.
 fn enqueue_frame(conn: &mut Conn, response: &Response) {
     let payload = response_payload(response);
     let mut frame = Vec::with_capacity(4 + payload.len());

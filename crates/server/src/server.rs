@@ -1,9 +1,8 @@
-//! The TCP frontend: connection handling (a nonblocking reactor by
-//! default, the PR 4 thread-per-connection backend as a selectable
-//! alternative) and the weighted-fair dispatchers between the
-//! per-domain lanes and the worker pool.
+//! The TCP frontend: connection handling (one nonblocking reactor
+//! thread) and the weighted-fair dispatchers between the per-domain
+//! lanes and the worker pool.
 //!
-//! Data path of one request (wire v2, reactor backend):
+//! Data path of one request (wire v2):
 //!
 //! ```text
 //! client ══frames══▶ reactor (1 thread, epoll/poll) ──try_push──▶ FairQueue
@@ -19,9 +18,7 @@
 //!   connection — accepting, incrementally decoding frames on
 //!   readable events ([`FrameDecoder`]), and draining per-connection
 //!   write buffers on writable events. Connection count costs file
-//!   descriptors and buffer bytes, never OS threads. The threaded
-//!   backend ([`Backend::Threaded`]) keeps the PR 4 reader/writer
-//!   pair per connection for differential testing.
+//!   descriptors and buffer bytes, never OS threads.
 //! * **Pipelining**: frames are admitted without waiting for replies,
 //!   so many requests per connection are in flight at once; responses
 //!   return in completion order, matched to requests by id — out of
@@ -30,10 +27,8 @@
 //!   [`ServerConfig::conn_in_flight`] responses admitted-or-unwritten.
 //!   At the cap the reactor stops parsing and drops read interest —
 //!   the kernel's receive window fills and the client blocks: honest
-//!   TCP backpressure, bit-identical in admission behavior to the
-//!   threaded backend's blocking [`ReplyBudget`]. A client that stops
-//!   draining its socket for 30 s is torn down (a reactor deadline on
-//!   the stalled connection; a write timeout in the threaded backend)
+//!   TCP backpressure. A client that stops draining its socket for
+//!   30 s is torn down (a reactor deadline on the stalled connection)
 //!   with a terminal typed error, counted in `server.writer.stalls`.
 //! * **Weighted-fair admission**: each domain owns a bounded lane; a
 //!   full lane answers [`Response::Busy`] for *that domain only*, so a
@@ -54,11 +49,10 @@
 //!   retryable `Busy`.
 
 use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use pigeonring_service::{MachineFingerprint, PoolMetrics, WorkerPool};
@@ -67,64 +61,20 @@ use pigeonring_telemetry::{
     Counter, Gauge, Histogram, MetricsRegistry, SpanHandle, TraceCollector,
 };
 
-use crate::queue::{lane_of, FairQueue, PushError, NUM_LANES};
+use crate::queue::{lane_of, lock_recover, FairQueue, PushError, NUM_LANES};
 use crate::registry::EngineSet;
 use crate::weights::{CostEmaWeights, LaneWeightPolicy};
 use crate::wire::{
-    decode_request, encode_response, read_frame, write_frame, Domain, DomainQuery, ErrorCode,
-    Request, Response, WireError, CONNECTION_REQUEST_ID, MAX_FRAME_LEN, PROTOCOL_VERSION,
+    decode_request, encode_response, Domain, DomainQuery, ErrorCode, Request, Response, WireError,
+    CONNECTION_REQUEST_ID, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
 #[cfg(unix)]
 use crate::reactor;
 
-/// Which connection-handling engine serves the sockets. Both backends
-/// share the lanes, dispatchers, handler, frame handling
-/// (`handle_payload`) and metrics — only how bytes move between
-/// sockets and the queue differs, which is what makes them
-/// differentially testable.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Backend {
-    /// PR 4's thread-per-connection backend: a blocking reader thread
-    /// plus a writer thread per connection. Simple, but connection
-    /// count costs 2 OS threads each.
-    Threaded,
-    /// The nonblocking reactor (default): one thread multiplexes every
-    /// connection over epoll (Linux) or `poll(2)`.
-    #[default]
-    Reactor,
-}
-
-impl Backend {
-    /// Parses a CLI/config name (`"threaded"` / `"reactor"`).
-    pub fn parse_name(name: &str) -> Option<Backend> {
-        match name {
-            "threaded" => Some(Backend::Threaded),
-            "reactor" => Some(Backend::Reactor),
-            _ => None,
-        }
-    }
-
-    /// The canonical name (round-trips through [`Backend::parse_name`]).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Backend::Threaded => "threaded",
-            Backend::Reactor => "reactor",
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// Server tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Connection-handling backend (default: [`Backend::Reactor`]).
-    pub backend: Backend,
     /// Bounded per-lane queue depth `Q` (admission control): request
     /// `Q+1` of a domain while `Q` are buffered in its lane receives
     /// [`Response::Busy`]; other domains' lanes are unaffected.
@@ -145,9 +95,9 @@ pub struct ServerConfig {
     /// configuration fails [`start`] with `InvalidInput`.
     pub lane_weights: LaneWeightPolicy,
     /// Per-connection reply budget: the maximum responses a connection
-    /// may have admitted-or-unwritten at once. Beyond it the reader
-    /// stops reading frames (real TCP backpressure) until the writer
-    /// drains — so a client that pipelines requests but reads replies
+    /// may have admitted-or-unwritten at once. Beyond it the reactor
+    /// stops reading the socket (real TCP backpressure) until replies
+    /// drain — so a client that pipelines requests but reads replies
     /// slowly cannot grow server memory without bound.
     pub conn_in_flight: usize,
     /// Slow-query threshold in milliseconds: a query whose
@@ -170,7 +120,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            backend: Backend::default(),
             lane_depth: 64,
             micro_batch: 16,
             dispatchers: 4,
@@ -188,37 +137,20 @@ impl Default for ServerConfig {
     }
 }
 
-/// Locks a mutex, recovering the guard when a panicking holder
-/// poisoned it. Every mutex in this file guards state that is
-/// consistent after any partial update (a ring of owned entries, a
-/// counter pair), so serving on recovered state is always sound —
-/// aborting the connection or the Stats snapshot would not be.
-pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// How long the writer half waits on a blocked socket before declaring
-/// the client wedged and tearing the connection down (which frees its
-/// buffered replies and unparks a backpressured reader).
+/// How long a connection with buffered replies may accept no bytes
+/// before the reactor declares the client wedged and tears it down
+/// (which frees its buffered replies).
 pub(crate) const WRITER_STALL_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
 
-/// Where a finished response goes: the backend-specific half of the
-/// reply path. Dispatchers (and the inline Stats/Trace answers) are
-/// backend-agnostic — they call [`ReplySink::send`] and the sink
-/// routes to the connection's writer thread (threaded backend) or to
-/// the reactor's pending-reply mailbox plus a wakeup.
+/// Where a finished response goes: the owning connection's reactor
+/// token plus the mailbox the reactor drains when woken. Dispatchers
+/// and the inline Stats/Trace answers all reply through
+/// [`ReplySink::send`].
 #[derive(Clone)]
-pub(crate) enum ReplySink {
-    /// Threaded backend: the connection's reply channel; its writer
-    /// thread serializes the frames.
-    Channel(mpsc::Sender<Response>),
-    /// Reactor backend: connection token + the shared mailbox the
-    /// reactor drains when woken.
+pub(crate) struct ReplySink {
+    pub(crate) conn: u64,
     #[cfg(unix)]
-    Reactor {
-        conn: u64,
-        shared: Arc<reactor::ReactorShared>,
-    },
+    pub(crate) shared: Arc<reactor::ReactorShared>,
 }
 
 impl ReplySink {
@@ -226,13 +158,11 @@ impl ReplySink {
     /// a connection that already went away is silently dropped, like a
     /// send on a closed channel.
     pub(crate) fn send(&self, response: Response) {
-        match self {
-            ReplySink::Channel(tx) => {
-                let _ = tx.send(response);
-            }
-            #[cfg(unix)]
-            ReplySink::Reactor { conn, shared } => shared.send(*conn, response),
-        }
+        #[cfg(unix)]
+        self.shared.send(self.conn, response);
+        // No reactor exists off unix (`start` fails), so no sink does.
+        #[cfg(not(unix))]
+        let _ = (self.conn, response);
     }
 }
 
@@ -299,9 +229,9 @@ pub struct ServerMetrics {
     pub(crate) frames_rejected: Arc<Counter>,
     dispatch_batch: Arc<Histogram>,
     pub(crate) writer_stalls: Arc<Counter>,
-    /// Open connections right now (either backend).
+    /// Open connections right now.
     pub(crate) conns: Arc<Gauge>,
-    /// Reactor poll returns (the threaded backend leaves these at 0).
+    /// Reactor poll returns.
     pub(crate) reactor_wakeups: Arc<Counter>,
     /// Readiness events delivered per poll return.
     pub(crate) reactor_events_per_wake: Arc<Histogram>,
@@ -455,59 +385,6 @@ impl ServerMetrics {
     }
 }
 
-/// Bounds a connection's admitted-or-unwritten responses.
-///
-/// The *reader* reserves one slot per response it will cause (an
-/// admitted query, a `Busy`, a `HelloOk`, an error) and **blocks** when
-/// the budget is exhausted — it simply stops reading frames, which is
-/// honest TCP backpressure on a client that pipelines faster than it
-/// reads. The *writer* releases a slot per response written.
-/// Dispatchers never touch the budget, so one slow-reading connection
-/// can never stall another connection's dispatch.
-struct ReplyBudget {
-    /// `(outstanding, writer_gone)`.
-    state: Mutex<(usize, bool)>,
-    changed: Condvar,
-    cap: usize,
-}
-
-impl ReplyBudget {
-    fn new(cap: usize) -> Self {
-        ReplyBudget {
-            state: Mutex::new((0, false)),
-            changed: Condvar::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Blocks until a slot is free, then reserves it. Returns `false`
-    /// when the writer is gone (client wedged or disconnected) — the
-    /// reader should wind the connection down instead of admitting.
-    fn reserve(&self) -> bool {
-        let mut state = lock_recover(&self.state);
-        while state.0 >= self.cap && !state.1 {
-            state = self.changed.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-        if state.1 {
-            return false;
-        }
-        state.0 += 1;
-        true
-    }
-
-    /// Releases one slot (a response reached the socket).
-    fn release(&self) {
-        lock_recover(&self.state).0 -= 1;
-        self.changed.notify_all();
-    }
-
-    /// Marks the writer as gone, unparking any backpressured reader.
-    fn writer_gone(&self) {
-        lock_recover(&self.state).1 = true;
-        self.changed.notify_all();
-    }
-}
-
 /// Retunes the [`FairQueue`] lane weights from a live per-domain cost
 /// signal, once every [`CostEmaWeights::refresh_batches`] dispatched
 /// batches. Shared by all dispatcher threads; the counter is atomic
@@ -552,24 +429,23 @@ pub type Handler =
     Arc<dyn Fn(Vec<DomainQuery>, &TraceBatch, &mut dyn FnMut(usize, Response)) + Send + Sync>;
 
 /// A running server; dropping (or calling [`ServerHandle::shutdown`])
-/// stops the accept loop and dispatchers.
+/// stops accepting and joins the dispatchers.
 pub struct ServerHandle {
     addr: SocketAddr,
     queue: Arc<FairQueue<Job>>,
     stop: Arc<AtomicBool>,
     metrics: Arc<ServerMetrics>,
-    /// Threaded backend: the accept loop's thread.
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    /// Reactor backend: the event loop's thread + wake handle.
+    /// The event loop's thread + wake handle.
     #[cfg(unix)]
-    reactor: Option<reactor::ReactorControl>,
+    reactor: reactor::ReactorControl,
     dispatch_threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 /// Starts a server answering from `engines` with `pool` as the
 /// execution backend. The listener should already be bound (use port 0
-/// for tests); the accept loop, dispatchers, and per-connection threads
-/// are all spawned here. The engine set's stage counters and the worker
+/// for tests); the reactor and dispatcher threads are spawned here (on
+/// a non-unix target there is no reactor and this returns
+/// `Unsupported`). The engine set's stage counters and the worker
 /// pool's utilization metrics are attached to the server's registry, so
 /// the Stats snapshot covers every layer.
 pub fn start(
@@ -663,81 +539,31 @@ fn start_inner(
         })
         .collect::<std::io::Result<Vec<_>>>()?;
 
-    match config.backend {
-        Backend::Reactor => {
-            #[cfg(unix)]
-            {
-                let control = reactor::spawn(
-                    listener,
-                    Arc::clone(&queue),
-                    Arc::clone(&stop),
-                    Arc::clone(&metrics),
-                    config.conn_in_flight,
-                )?;
-                Ok(ServerHandle {
-                    addr,
-                    queue,
-                    stop,
-                    metrics,
-                    accept_thread: None,
-                    reactor: Some(control),
-                    dispatch_threads,
-                })
-            }
-            #[cfg(not(unix))]
-            {
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::Unsupported,
-                    "the reactor backend requires a unix platform; use Backend::Threaded",
-                ))
-            }
-        }
-        Backend::Threaded => {
-            let accept_thread = {
-                let queue = Arc::clone(&queue);
-                let stop = Arc::clone(&stop);
-                let metrics = Arc::clone(&metrics);
-                std::thread::Builder::new()
-                    .name("pigeonring-accept".into())
-                    .spawn(move || {
-                        for stream in listener.incoming() {
-                            if stop.load(Ordering::Acquire) {
-                                break;
-                            }
-                            let Ok(stream) = stream else {
-                                // Persistent accept errors (fd exhaustion
-                                // under load) would otherwise busy-spin
-                                // this loop at 100% CPU; back off briefly
-                                // so closing connections can release
-                                // their fds.
-                                std::thread::sleep(std::time::Duration::from_millis(10));
-                                continue;
-                            };
-                            let queue = Arc::clone(&queue);
-                            let metrics = Arc::clone(&metrics);
-                            let conn_in_flight = config.conn_in_flight;
-                            // Connection threads are detached: they exit
-                            // when the peer hangs up or a protocol error
-                            // closes the stream.
-                            let _ = std::thread::Builder::new()
-                                .name("pigeonring-conn".into())
-                                .spawn(move || {
-                                    serve_connection(stream, &queue, conn_in_flight, &metrics)
-                                });
-                        }
-                    })?
-            };
-            Ok(ServerHandle {
-                addr,
-                queue,
-                stop,
-                metrics,
-                accept_thread: Some(accept_thread),
-                #[cfg(unix)]
-                reactor: None,
-                dispatch_threads,
-            })
-        }
+    #[cfg(unix)]
+    {
+        let reactor = reactor::spawn(
+            listener,
+            Arc::clone(&queue),
+            Arc::clone(&stop),
+            Arc::clone(&metrics),
+            config.conn_in_flight,
+        )?;
+        Ok(ServerHandle {
+            addr,
+            queue,
+            stop,
+            metrics,
+            reactor,
+            dispatch_threads,
+        })
+    }
+    #[cfg(not(unix))]
+    {
+        queue.close(); // the dispatchers just spawned exit
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "the reactor requires a unix platform (epoll or poll(2))",
+        ))
     }
 }
 
@@ -775,72 +601,32 @@ impl ServerHandle {
         self.metrics.stats_json()
     }
 
-    /// Stops accepting, drains the lanes, and joins the accept and
-    /// dispatcher threads.
-    pub fn shutdown(mut self) {
-        self.stop_threads();
-    }
-
-    fn stop_threads(&mut self) {
-        // Release/Acquire pairs with the accept/reactor loop's load;
-        // the flag carries no data, only the shutdown edge.
-        self.stop.store(true, Ordering::Release);
-        #[cfg(unix)]
-        let reactor_control = self.reactor.take();
-        #[cfg(unix)]
-        if let Some(mut control) = reactor_control {
-            // Wake the reactor so it observes the stop flag and closes
-            // the listener; wait for that edge so no connection is
-            // accepted after shutdown() returns.
-            control.wake();
-            control.wait_listener_closed();
-            self.queue.close();
-            for t in self.dispatch_threads.drain(..) {
-                let _ = t.join();
-            }
-            // The reactor itself keeps serving connections that are
-            // still open (their queries now draw the terminal
-            // "shutting down" error from the closed queue) and exits
-            // once the last one closes — join promptly when they are
-            // already gone, otherwise detach and let it wind down.
-            control.wake();
-            control.join_or_detach();
-            return;
-        }
-        // Unblock the accept loop with a throwaway connection. When the
-        // listener is bound to a wildcard address (0.0.0.0 / ::),
-        // dialing that address is platform-dependent and can hang;
-        // always dial the loopback of the same family at the bound
-        // port instead.
-        let _ = TcpStream::connect(unblock_addr(self.addr));
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        self.queue.close();
-        for t in self.dispatch_threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-/// The address [`ServerHandle::stop_threads`] dials to unblock the
-/// accept loop: the bound address itself, unless it is a wildcard —
-/// then the same-family loopback at the bound port.
-fn unblock_addr(bound: SocketAddr) -> SocketAddr {
-    if bound.ip().is_unspecified() {
-        let loopback: IpAddr = match bound.ip() {
-            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-        };
-        SocketAddr::new(loopback, bound.port())
-    } else {
-        bound
-    }
+    /// Stops accepting, drains the lanes, and joins the dispatcher
+    /// threads (what dropping the handle does, by name).
+    pub fn shutdown(self) {}
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.stop_threads();
+        // Release/Acquire pairs with the reactor loop's load; the flag
+        // carries no data, only the shutdown edge.
+        self.stop.store(true, Ordering::Release);
+        // Wake the reactor so it observes the stop flag and closes the
+        // listener; wait for that edge so no connection is accepted
+        // after shutdown() returns.
+        #[cfg(unix)]
+        self.reactor.wait_listener_closed();
+        self.queue.close();
+        for t in self.dispatch_threads.drain(..) {
+            let _ = t.join();
+        }
+        // The reactor itself keeps serving connections that are still
+        // open (their queries now draw the terminal "shutting down"
+        // error from the closed queue) and exits once the last one
+        // closes — join promptly when they are already gone, otherwise
+        // detach and let it wind down.
+        #[cfg(unix)]
+        self.reactor.join_or_detach();
     }
 }
 
@@ -977,82 +763,6 @@ fn dispatch_loop(
     }
 }
 
-/// One connection, reader half: read frames, decode, admit — without
-/// waiting for replies — until EOF or a protocol error (which draws a
-/// typed connection-scoped error, then winds the connection down). The
-/// writer half runs on its own thread, draining the reply channel; it
-/// exits once the reader and every in-flight request have dropped
-/// their senders, so admitted queries still get their answers even
-/// when the reader stops early.
-///
-/// The protocol requires `Hello` as the first frame; a query before
-/// negotiation draws a typed `Malformed` error and closes (so the
-/// server can rely on every connection having negotiated v2).
-fn serve_connection(
-    stream: TcpStream,
-    queue: &FairQueue<Job>,
-    conn_in_flight: usize,
-    metrics: &ServerMetrics,
-) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    metrics.conns.inc();
-    // A client that stops draining its socket must not pin the writer
-    // (and the replies the budget still counts) forever.
-    let _ = stream.set_write_timeout(Some(WRITER_STALL_TIMEOUT));
-    let budget = Arc::new(ReplyBudget::new(conn_in_flight));
-    let (reply_tx, reply_rx) = mpsc::channel::<Response>();
-    let writer_thread = {
-        let budget = Arc::clone(&budget);
-        let stalls = Arc::clone(&metrics.writer_stalls);
-        std::thread::Builder::new()
-            .name("pigeonring-conn-writer".into())
-            .spawn(move || writer_loop(BufWriter::new(stream), &reply_rx, &budget, &stalls))
-    };
-    let Ok(writer_thread) = writer_thread else {
-        metrics.conns.dec();
-        return;
-    };
-
-    let sink = ReplySink::Channel(reply_tx.clone());
-    let mut negotiated = false;
-    loop {
-        let payload = match read_frame(&mut reader) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => break, // clean EOF between frames
-            Err(e) => {
-                metrics.frames_rejected.inc();
-                if budget.reserve() {
-                    metrics.errors.inc();
-                    let _ = reply_tx.send(error_response(&e));
-                }
-                break;
-            }
-        };
-        // Every frame produces exactly one response; reserve its reply
-        // slot up front. Blocking here *is* the backpressure: a
-        // connection with `conn_in_flight` responses admitted or
-        // unwritten stops being read until the writer drains.
-        if !budget.reserve() {
-            break; // writer gone: client wedged or disconnected
-        }
-        match handle_payload(&payload, &mut negotiated, &sink, queue, metrics) {
-            FrameDisposition::Continue => {}
-            FrameDisposition::Terminal => break,
-        }
-    }
-    // Dropping the reader's sender lets the writer exit once every
-    // in-flight request's sender (held by queued jobs / dispatchers)
-    // is gone too — admitted work still answers before the socket
-    // closes.
-    drop(sink);
-    drop(reply_tx);
-    let _ = writer_thread.join();
-    metrics.conns.dec();
-}
-
 /// What the connection owner should do after one frame was handled.
 pub(crate) enum FrameDisposition {
     /// Keep reading frames.
@@ -1096,11 +806,9 @@ fn precondition_failed(
 
 /// Decodes and handles one complete frame payload: negotiation,
 /// admission (or `Busy`/shutdown refusal), and the inline Stats/Trace
-/// answers. **Both backends call exactly this function**, which is
-/// what makes their protocol behavior identical by construction; the
-/// caller owns backend-specific concerns (reply budgeting, reading,
-/// writing). Every call sends exactly one response — immediately, or
-/// later via the admitted job's sink.
+/// answers — the protocol, free of socket I/O; the reactor owns
+/// reading, writing and the reply budget. Every call sends exactly one
+/// response — immediately, or later via the admitted job's sink.
 pub(crate) fn handle_payload(
     payload: &[u8],
     negotiated: &mut bool,
@@ -1215,37 +923,6 @@ pub(crate) fn handle_payload(
             FrameDisposition::Continue
         }
     }
-}
-
-/// One connection, writer half: frames every response — there is no
-/// other path to the socket, so the frame-cap substitution in
-/// [`response_payload`] covers every outbound message — until all
-/// senders hang up (connection winding down) or a write fails (client
-/// gone, or stalled past [`WRITER_STALL_TIMEOUT`]). Releases one
-/// [`ReplyBudget`] slot per response taken off the channel, and marks
-/// the budget on exit so a backpressured reader unparks.
-fn writer_loop(
-    mut writer: BufWriter<TcpStream>,
-    replies: &mpsc::Receiver<Response>,
-    budget: &ReplyBudget,
-    stalls: &Counter,
-) {
-    while let Ok(response) = replies.recv() {
-        let result = write_frame(&mut writer, &response_payload(&response));
-        budget.release();
-        if let Err(e) = result {
-            // Distinguish a wedged client (stalled past the write
-            // timeout) from an ordinary hangup in the metrics.
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) {
-                stalls.inc();
-            }
-            break; // client hung up or wedged; senders' sends fail silently
-        }
-    }
-    budget.writer_gone();
 }
 
 /// Encodes a response, substituting a typed `Internal` error (tagged

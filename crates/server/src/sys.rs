@@ -1,4 +1,4 @@
-//! Readiness syscalls for the nonblocking reactor backend, with no
+//! Readiness syscalls for the nonblocking reactor, with no
 //! dependency on `libc`: hand-rolled `extern "C"` bindings for
 //! `epoll_create1` / `epoll_ctl` / `epoll_wait` on Linux plus a
 //! portable `poll(2)` fallback that works on any Unix (and doubles as

@@ -41,7 +41,7 @@
 //! [`WireError::Malformed`] (fail closed, so a future flag cannot be
 //! silently ignored by an old peer). [`Request::Trace`] asks for the
 //! most recent sampled traces ([`Response::Trace`]) and — like
-//! `Stats` — is answered inline on the connection thread, so it works
+//! `Stats` — is answered inline on the reactor thread, so it works
 //! under saturation.
 //!
 //! Decoding is strict: truncated bodies are [`WireError::Truncated`],
@@ -234,7 +234,7 @@ pub enum Request {
         explain: bool,
     },
     /// Asks for a live metrics snapshot ([`Response::Stats`]). Answered
-    /// directly on the connection thread — it never enters the request
+    /// directly on the reactor thread — it never enters the request
     /// queue, so it works even when every lane is saturated. Follows
     /// the same id rules as `Query`: `request_id` must not be
     /// [`CONNECTION_REQUEST_ID`].
@@ -243,7 +243,7 @@ pub enum Request {
         request_id: u64,
     },
     /// Asks for the most recent sampled traces ([`Response::Trace`]).
-    /// Answered inline on the connection thread, exactly like `Stats`,
+    /// Answered inline on the reactor thread, exactly like `Stats`,
     /// so traces stay readable while every lane is saturated. Same id
     /// rules as `Query`.
     Trace {
@@ -505,7 +505,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
 
 /// Incremental frame parser for nonblocking readers: feed whatever
 /// bytes a readiness event yielded, pull out as many complete frames
-/// as those bytes contain. The reactor backend's per-connection state
+/// as those bytes contain. The reactor's per-connection state
 /// machine is built on this; the cap check mirrors [`read_frame`] —
 /// an oversized declared length is rejected from the 4-byte prefix
 /// alone, before any payload allocation.

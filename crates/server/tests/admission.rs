@@ -3,14 +3,12 @@
 //! immediately, without queueing — and every previously queued request
 //! still completes once the pool unstalls.
 
-mod common;
-
-use std::net::TcpListener;
+use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use pigeonring_server::server::{start_with_handler, Backend, Handler, ServerConfig};
+use pigeonring_server::server::{start_with_handler, Handler, ServerConfig};
 use pigeonring_server::wire::{DomainQuery, ErrorCode, Response, CONNECTION_REQUEST_ID};
 use pigeonring_server::{Client, ClientError, Outcome};
 
@@ -19,9 +17,8 @@ const Q: usize = 3;
 /// A single-dispatcher config so the tests can reason about exactly one
 /// in-flight batch (the pipelining tests cover multi-dispatcher
 /// behavior).
-fn config(backend: Backend, lane_depth: usize) -> ServerConfig {
+fn config(lane_depth: usize) -> ServerConfig {
     ServerConfig {
-        backend,
         lane_depth,
         micro_batch: 1,
         dispatchers: 1,
@@ -52,8 +49,8 @@ fn echo(queries: &[DomainQuery], emit: &mut dyn FnMut(usize, Response)) {
     }
 }
 
-/// Spin-waits for `cond` (the queue fills asynchronously as connection
-/// threads push).
+/// Spin-waits for `cond` (the queue fills asynchronously as the
+/// reactor admits each client's frame).
 fn wait_for(what: &str, cond: impl Fn() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while !cond() {
@@ -64,10 +61,6 @@ fn wait_for(what: &str, cond: impl Fn() -> bool) {
 
 #[test]
 fn queue_overflow_answers_busy_and_queued_requests_complete() {
-    common::for_each_backend(queue_overflow_answers_busy_and_queued_requests_complete_on);
-}
-
-fn queue_overflow_answers_busy_and_queued_requests_complete_on(backend: Backend) {
     // A handler that blocks on a gate: the "stalled pool". It records
     // which queries it eventually served so we can prove none of the
     // admitted requests was dropped or corrupted.
@@ -95,7 +88,7 @@ fn queue_overflow_answers_busy_and_queued_requests_complete_on(backend: Backend)
     };
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let handle = start_with_handler(listener, handler, config(backend, Q)).expect("server starts");
+    let handle = start_with_handler(listener, handler, config(Q)).expect("server starts");
     let addr = handle.addr();
 
     // Request 0 is popped by the dispatcher, which then stalls on the
@@ -150,17 +143,13 @@ fn queue_overflow_answers_busy_and_queued_requests_complete_on(backend: Backend)
 
 #[test]
 fn shutdown_answers_terminal_internal_error_not_busy() {
-    common::for_each_backend(shutdown_answers_terminal_internal_error_not_busy_on);
-}
-
-fn shutdown_answers_terminal_internal_error_not_busy_on(backend: Backend) {
     // A client that is mid-connection when the server shuts down must
     // see a *terminal* typed error, not a retryable Busy — otherwise
     // well-behaved retry loops hammer a dying server.
     let handler: Handler =
         Arc::new(|queries: Vec<DomainQuery>, _traces, emit| echo(&queries, emit));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let handle = start_with_handler(listener, handler, config(backend, Q)).expect("server starts");
+    let handle = start_with_handler(listener, handler, config(Q)).expect("server starts");
     let addr = handle.addr();
 
     let mut client = Client::connect(addr).expect("connect");
@@ -169,8 +158,8 @@ fn shutdown_answers_terminal_internal_error_not_busy_on(backend: Backend) {
         Outcome::Results(vec![5])
     );
 
-    // Shutdown closes the lanes; the connection thread stays up long
-    // enough to answer in-flight frames.
+    // Shutdown closes the lanes; the reactor keeps serving the open
+    // connection long enough to answer in-flight frames.
     handle.shutdown();
     match client.search(query(6)) {
         Err(ClientError::Server { code, message }) => {
@@ -185,11 +174,39 @@ fn shutdown_answers_terminal_internal_error_not_busy_on(backend: Backend) {
 }
 
 #[test]
-fn busy_connection_stays_usable() {
-    common::for_each_backend(busy_connection_stays_usable_on);
+fn shutdown_on_wildcard_bind_returns_promptly_and_refuses_new_connections() {
+    // A wildcard-bound listener has no address of its own to dial, so
+    // shutdown must not depend on connecting to itself; and a client
+    // parked on an open connection must not hold shutdown() hostage.
+    let handler: Handler =
+        Arc::new(|queries: Vec<DomainQuery>, _traces, emit| echo(&queries, emit));
+    let listener = TcpListener::bind("0.0.0.0:0").expect("bind wildcard");
+    let handle = start_with_handler(listener, handler, config(Q)).expect("server starts");
+    let loopback = SocketAddr::from((Ipv4Addr::LOCALHOST, handle.addr().port()));
+    let mut parked = Client::connect(loopback).expect("connect + negotiate");
+
+    let begun = Instant::now();
+    handle.shutdown();
+    let took = begun.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "shutdown took {took:?} with one parked connection"
+    );
+    assert!(
+        Client::connect(loopback).is_err(),
+        "the listener must be closed once shutdown() returns"
+    );
+    match parked.search(query(6)) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::Internal);
+            assert!(message.contains("shutting down"), "got: {message}");
+        }
+        other => panic!("expected a terminal Internal error, got {other:?}"),
+    }
 }
 
-fn busy_connection_stays_usable_on(backend: Backend) {
+#[test]
+fn busy_connection_stays_usable() {
     // After a Busy, the same connection can retry and succeed.
     let (gate_tx, gate_rx) = mpsc::channel::<()>();
     let gate_rx = Mutex::new(gate_rx);
@@ -212,7 +229,7 @@ fn busy_connection_stays_usable_on(backend: Backend) {
         }
     });
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let handle = start_with_handler(listener, handler, config(backend, 1)).expect("server starts");
+    let handle = start_with_handler(listener, handler, config(1)).expect("server starts");
     let addr = handle.addr();
 
     let head = std::thread::spawn(move || {

@@ -1,41 +1,14 @@
-//! Shared two-backend harness: every integration suite that exercises
-//! connection handling runs its body once per [`Backend`], so the
-//! nonblocking reactor and the PR 4 thread-per-connection path are
-//! held to bit-identical protocol semantics by the same assertions.
-
-// Each test binary includes this module and uses its own subset.
-#![allow(dead_code)]
+//! The in-process reference the over-TCP suites compare against: the
+//! batched `search_batch` API is the serving contract, so a server
+//! round-trip must reproduce its result fingerprint exactly.
 
 use pigeonring_editdist::EditParams;
 use pigeonring_graph::GraphParams;
 use pigeonring_hamming::HammingParams;
-use pigeonring_server::server::Backend;
 use pigeonring_server::wire::{Domain, DomainQuery};
 use pigeonring_server::EngineSet;
 use pigeonring_service::ResultHasher;
 use pigeonring_setsim::SetParams;
-
-/// The backends under differential test. `Backend::Reactor` needs the
-/// Unix readiness syscalls; elsewhere only the threaded path exists.
-pub fn backends() -> &'static [Backend] {
-    #[cfg(unix)]
-    {
-        &[Backend::Threaded, Backend::Reactor]
-    }
-    #[cfg(not(unix))]
-    {
-        &[Backend::Threaded]
-    }
-}
-
-/// Runs `body` once per backend, labeling failures with the backend so
-/// a differential regression names the guilty implementation.
-pub fn for_each_backend(body: impl Fn(Backend)) {
-    for &backend in backends() {
-        eprintln!("--- backend: {backend} ---");
-        body(backend);
-    }
-}
 
 /// Fingerprint of a direct in-process `search_batch` run over the
 /// domain's standard query set.

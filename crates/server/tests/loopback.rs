@@ -11,7 +11,6 @@ use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
-use pigeonring_server::server::Backend;
 use pigeonring_server::wire::{
     encode_request, read_frame, write_frame, Domain, DomainQuery, ErrorCode, Request,
     PROTOCOL_VERSION,
@@ -33,20 +32,13 @@ fn tiny_spec() -> EngineSpec {
 
 #[test]
 fn loopback_round_trip_matches_in_process_for_all_domains() {
-    common::for_each_backend(loopback_round_trip_matches_in_process_for_all_domains_on);
-}
-
-fn loopback_round_trip_matches_in_process_for_all_domains_on(backend: Backend) {
     let engines = Arc::new(EngineSet::build(tiny_spec()));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let handle = start(
         listener,
         Arc::clone(&engines),
         WorkerPool::new(2),
-        ServerConfig {
-            backend,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .expect("server starts");
 
@@ -74,19 +66,12 @@ fn loopback_round_trip_matches_in_process_for_all_domains_on(backend: Backend) {
 
 #[test]
 fn garbage_bytes_fail_closed_with_typed_error() {
-    common::for_each_backend(garbage_bytes_fail_closed_with_typed_error_on);
-}
-
-fn garbage_bytes_fail_closed_with_typed_error_on(backend: Backend) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     // Handler irrelevant: garbage never reaches it.
     let handle = pigeonring_server::start_with_handler(
         listener,
         Arc::new(|_, _, _| {}),
-        ServerConfig {
-            backend,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .expect("server starts");
 
@@ -140,18 +125,11 @@ fn garbage_bytes_fail_closed_with_typed_error_on(backend: Backend) {
 
 #[test]
 fn query_before_hello_is_refused() {
-    common::for_each_backend(query_before_hello_is_refused_on);
-}
-
-fn query_before_hello_is_refused_on(backend: Backend) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let handle = pigeonring_server::start_with_handler(
         listener,
         Arc::new(|_, _, _| {}),
-        ServerConfig {
-            backend,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .expect("server starts");
 
@@ -188,18 +166,11 @@ fn query_before_hello_is_refused_on(backend: Backend) {
 
 #[test]
 fn old_client_version_is_refused_in_negotiation() {
-    common::for_each_backend(old_client_version_is_refused_in_negotiation_on);
-}
-
-fn old_client_version_is_refused_in_negotiation_on(backend: Backend) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let handle = pigeonring_server::start_with_handler(
         listener,
         Arc::new(|_, _, _| {}),
-        ServerConfig {
-            backend,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .expect("server starts");
 

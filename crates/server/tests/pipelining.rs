@@ -5,15 +5,13 @@
 //! * a saturated, stalled graph lane while Hamming requests are still
 //!   admitted *and answered* (the head-of-line-blocking fix).
 
-mod common;
-
 use std::net::TcpListener;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pigeonring_hamming::BitVector;
-use pigeonring_server::server::{start_with_handler, Backend, Handler, ServerConfig};
+use pigeonring_server::server::{start_with_handler, Handler, ServerConfig};
 use pigeonring_server::wire::{Domain, DomainQuery, Response, CONNECTION_REQUEST_ID};
 use pigeonring_server::{Client, LaneWeightPolicy, Outcome};
 
@@ -70,10 +68,6 @@ fn wait_for(what: &str, cond: impl Fn() -> bool) {
 /// by id.
 #[test]
 fn out_of_order_responses_are_matched_by_id() {
-    common::for_each_backend(out_of_order_responses_are_matched_by_id_on);
-}
-
-fn out_of_order_responses_are_matched_by_id_on(backend: Backend) {
     let (gate_tx, gate_rx) = mpsc::channel::<()>();
     let gate_rx = Mutex::new(gate_rx);
     let (started_tx, started_rx) = mpsc::channel::<()>();
@@ -97,7 +91,6 @@ fn out_of_order_responses_are_matched_by_id_on(backend: Backend) {
         listener,
         handler,
         ServerConfig {
-            backend,
             lane_depth: 8,
             micro_batch: 1,
             dispatchers: 2,
@@ -130,10 +123,6 @@ fn out_of_order_responses_are_matched_by_id_on(backend: Backend) {
 /// server interleaves completions across N in-flight requests.
 #[test]
 fn pipelined_outcomes_return_in_query_order() {
-    common::for_each_backend(pipelined_outcomes_return_in_query_order_on);
-}
-
-fn pipelined_outcomes_return_in_query_order_on(backend: Backend) {
     // Reverse each micro-batch's completion order so positions and ids
     // genuinely disagree within every batch.
     let handler: Handler = Arc::new(|queries: Vec<DomainQuery>, _traces, emit| {
@@ -146,7 +135,6 @@ fn pipelined_outcomes_return_in_query_order_on(backend: Backend) {
         listener,
         handler,
         ServerConfig {
-            backend,
             lane_depth: 32,
             micro_batch: 4,
             dispatchers: 2,
@@ -177,10 +165,6 @@ fn pipelined_outcomes_return_in_query_order_on(backend: Backend) {
 /// answered once replies drain.
 #[test]
 fn reply_buffering_is_bounded_per_connection() {
-    common::for_each_backend(reply_buffering_is_bounded_per_connection_on);
-}
-
-fn reply_buffering_is_bounded_per_connection_on(backend: Backend) {
     const CAP: usize = 2;
     let (gate_tx, gate_rx) = mpsc::channel::<()>();
     let gate_rx = Mutex::new(gate_rx);
@@ -201,7 +185,6 @@ fn reply_buffering_is_bounded_per_connection_on(backend: Backend) {
         listener,
         handler,
         ServerConfig {
-            backend,
             lane_depth: 64,
             micro_batch: 1,
             dispatchers: 1,
@@ -265,10 +248,6 @@ fn reply_buffering_is_bounded_per_connection_on(backend: Backend) {
 ///    remains queued.
 #[test]
 fn hamming_answered_while_graph_lane_is_saturated() {
-    common::for_each_backend(hamming_answered_while_graph_lane_is_saturated_on);
-}
-
-fn hamming_answered_while_graph_lane_is_saturated_on(backend: Backend) {
     const LANE: usize = 4;
     let (gate_tx, gate_rx) = mpsc::channel::<()>();
     let gate_rx = Mutex::new(gate_rx);
@@ -302,7 +281,6 @@ fn hamming_answered_while_graph_lane_is_saturated_on(backend: Backend) {
         listener,
         handler,
         ServerConfig {
-            backend,
             lane_depth: LANE,
             micro_batch: 2,
             dispatchers: 1,

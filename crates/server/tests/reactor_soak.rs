@@ -1,4 +1,4 @@
-//! Reactor soak: the nonblocking backend under the exact traffic shape
+//! Reactor soak: the nonblocking reactor under the exact traffic shape
 //! it exists for — hundreds of concurrent *idle* connections (which
 //! must cost file descriptors, not threads or correctness) while a few
 //! active connections stream queries as deliberately fragmented frames
@@ -16,7 +16,6 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pigeonring_server::server::Backend;
 use pigeonring_server::wire::{encode_request, read_frame, Domain, DomainQuery, Request, Response};
 use pigeonring_server::{start, Client, EngineSet, EngineSpec, ServerConfig, PROTOCOL_VERSION};
 use pigeonring_service::{ResultHasher, WorkerPool};
@@ -96,10 +95,7 @@ fn soak_idle_connections_and_fragmented_frames_match_in_process() {
         listener,
         Arc::clone(&engines),
         WorkerPool::new(2),
-        ServerConfig {
-            backend: Backend::Reactor,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .expect("server starts");
     let addr = handle.addr();
@@ -110,8 +106,7 @@ fn soak_idle_connections_and_fragmented_frames_match_in_process() {
         .map(|_| Client::connect(addr).expect("idle connect"))
         .collect();
 
-    // The connection gauge sees every parked connection — this is the
-    // load the threaded backend would pay ~2 threads each for.
+    // The connection gauge sees every parked connection.
     let stats = json::parse(&handle.stats_json()).expect("stats JSON");
     let conns = stats
         .get("metrics")

@@ -6,12 +6,9 @@
 //! batching-invariant), and which embeds the machine fingerprint and
 //! per-lane depth gauges.
 
-mod common;
-
 use std::net::TcpListener;
 use std::sync::Arc;
 
-use pigeonring_server::server::Backend;
 use pigeonring_server::wire::Domain;
 use pigeonring_server::{start, Client, EngineSet, EngineSpec, Outcome, ServerConfig};
 use pigeonring_service::WorkerPool;
@@ -33,10 +30,6 @@ const QUERIES_PER_DOMAIN: usize = 3;
 
 #[test]
 fn stats_snapshot_matches_known_query_batch() {
-    common::for_each_backend(stats_snapshot_matches_known_query_batch_on);
-}
-
-fn stats_snapshot_matches_known_query_batch_on(backend: Backend) {
     let spec = tiny_spec();
     let engines = Arc::new(EngineSet::build(spec.clone()));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
@@ -44,10 +37,7 @@ fn stats_snapshot_matches_known_query_batch_on(backend: Backend) {
         listener,
         Arc::clone(&engines),
         WorkerPool::new(2),
-        ServerConfig {
-            backend,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .expect("server starts");
 

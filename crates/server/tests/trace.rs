@@ -7,15 +7,12 @@
 //! built in-process run. Also covers the per-query EXPLAIN flag: same
 //! ids as the plain path, span tree inline with the answer.
 
-mod common;
-
 use std::net::TcpListener;
 use std::sync::Arc;
 
 use pigeonring_editdist::EditParams;
 use pigeonring_graph::GraphParams;
 use pigeonring_hamming::HammingParams;
-use pigeonring_server::server::Backend;
 use pigeonring_server::wire::{Domain, DomainQuery};
 use pigeonring_server::{start, Client, EngineSet, EngineSpec, Outcome, ServerConfig};
 use pigeonring_service::WorkerPool;
@@ -213,10 +210,6 @@ fn assert_tree_shape(spans: &[&Value], expect_domain: &str) {
 /// inline, stage counts bit-identical to the engines' own MergeStats.
 #[test]
 fn explain_returns_reference_identical_ids_and_stage_counts() {
-    common::for_each_backend(explain_returns_reference_identical_ids_and_stage_counts_on);
-}
-
-fn explain_returns_reference_identical_ids_and_stage_counts_on(backend: Backend) {
     let spec = tiny_spec();
     let engines = Arc::new(EngineSet::build(spec.clone()));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
@@ -225,10 +218,7 @@ fn explain_returns_reference_identical_ids_and_stage_counts_on(backend: Backend)
         listener,
         Arc::clone(&engines),
         WorkerPool::new(2),
-        ServerConfig {
-            backend,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .expect("server starts");
 
@@ -277,10 +267,6 @@ fn explain_returns_reference_identical_ids_and_stage_counts_on(backend: Backend)
 /// in the ring, retrievable over the wire via `Request::Trace`.
 #[test]
 fn sampled_traces_cover_every_query_with_valid_parentage() {
-    common::for_each_backend(sampled_traces_cover_every_query_with_valid_parentage_on);
-}
-
-fn sampled_traces_cover_every_query_with_valid_parentage_on(backend: Backend) {
     let spec = tiny_spec();
     let engines = Arc::new(EngineSet::build(spec.clone()));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
@@ -289,7 +275,6 @@ fn sampled_traces_cover_every_query_with_valid_parentage_on(backend: Backend) {
         Arc::clone(&engines),
         WorkerPool::new(2),
         ServerConfig {
-            backend,
             trace_sample: 1,
             ..ServerConfig::default()
         },
