@@ -1,94 +1,55 @@
 //! Regenerates every evaluation artifact of the paper (Figures 2 and
-//! 5–12) plus two ablations, at reduced dataset scale (DESIGN.md §5),
-//! and drives the sharded service layer.
+//! 5–12) plus two ablations, at reduced dataset scale, and fronts the
+//! `pigeonring-server` subcommands.
 //!
 //! ```text
-//! repro <fig2|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|ablate-skip|ablate-alloc|sweep|all>
-//!       [--quick | --paper] [--shards K] [--batch B] [--threads T]
-//! repro <serve|query|loadgen|stats|trace|server-smoke>
+//! repro <fig2|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|ablate-skip|ablate-alloc|all>
+//!       [--quick | --paper]
+//! repro <serve|query|stats|trace|server-smoke>
 //!       [--quick | --paper] [--shards K] [--threads T] [--port P] [--queue Q]
-//!       [--batch B] [--conns C] [--requests N] [--pipeline P] [--mix] [--domain D]
-//!       [--raw] [--slow-query-ms MS] [--slow-query-ring N] [--metrics-dump PATH]
-//!       [--metrics-interval-secs S] [--trace-sample N] [--trace-buffer M]
-//!       [--watch SECS] [--chrome PATH]
+//!       [--batch B] [--domain D] [--raw] [--slow-query-ms MS]
+//!       [--slow-query-ring N] [--metrics-dump PATH] [--metrics-interval-secs S]
+//!       [--trace-sample N] [--trace-buffer M] [--watch SECS] [--chrome PATH]
 //! ```
 //!
 //! Each experiment prints an aligned table and writes a CSV under
 //! `results/`. Absolute numbers differ from the paper (synthetic data,
 //! different machine); the *shape* — who wins, candidate monotonicity,
-//! U-shaped total time in `l` — is the reproduction target and is
-//! recorded in EXPERIMENTS.md.
-//!
-//! With `--shards K`, `fig7` routes through the `pigeonring-service`
-//! [`ShardedIndex`] (batched, shard-parallel); its table gains a
-//! `result_hash` column — equal hashes across `K` certify identical
-//! result sets. `sweep` runs all four domain engines through the service
-//! layer across shard counts and writes `results/BENCH_service.json`
-//! (per-shard throughput, uploaded by CI).
+//! U-shaped total time in `l` — is the reproduction target. Performance
+//! numbers of the service and server layers come from `benchmark/`, not
+//! from this binary.
 
-use std::sync::Arc;
-use std::time::Instant;
-
-use pigeonring_bench::{f1, f3, time_per_query, Report, Scale, ServiceOpts};
+use pigeonring_bench::{f1, f3, time_per_query, validate_args, Report, Scale};
 use pigeonring_core::analysis::{DiscreteDist, FilterAnalysis};
 use pigeonring_datagen::{sample_query_ids, GraphConfig, SetConfig, StringConfig, VectorConfig};
-use pigeonring_editdist::{
-    EditParams, GramDictionary, GramOrder, Pivotal, QGramCollection, RingEdit,
-};
-use pigeonring_graph::{Graph, GraphParams, Pars, RingGraph};
-use pigeonring_hamming::{
-    AllocationStrategy, BitVector, CostModel, HammingParams, Partitioning, RingHamming,
-};
-use pigeonring_service::{ShardedIndex, Sweep};
-use pigeonring_setsim::{
-    AdaptSearch, Collection, PartAlloc, RingSetSim, SetParams, Threshold, TokenDictionary,
-};
+use pigeonring_editdist::{GramOrder, Pivotal, QGramCollection, RingEdit};
+use pigeonring_graph::{Graph, Pars, RingGraph};
+use pigeonring_hamming::{AllocationStrategy, BitVector, RingHamming};
+use pigeonring_setsim::{AdaptSearch, Collection, PartAlloc, RingSetSim, Threshold};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // The server subcommands own their flag set (ports, connection
-    // counts, queue depth) and are parsed by the server CLI module.
-    if let Some(cmd) = args.first().map(String::as_str) {
-        if matches!(
-            cmd,
-            "serve" | "query" | "loadgen" | "stats" | "trace" | "server-smoke"
-        ) {
-            if let Err(e) = pigeonring_bench::server_cli::run(cmd, &args[1..]) {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-            return;
-        }
-    }
-    if let Err(e) = ServiceOpts::validate_flags(&args[args.len().min(1)..]) {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
-    let scale = Scale::from_args(&args);
-    let opts = ServiceOpts::from_args(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
     let cmd = args.first().map(String::as_str).unwrap_or("help");
-    // Only fig7, sweep, and all route through the service layer; reject
-    // service flags anywhere they would be silently ignored.
-    let service_aware = matches!(cmd, "fig7" | "sweep" | "all");
-    let batch_or_threads_given = args.iter().any(|a| a == "--batch" || a == "--threads");
-    if (opts.shards.is_some() || batch_or_threads_given) && !service_aware {
-        eprintln!("--shards/--batch/--threads only apply to fig7, sweep, and all (got {cmd:?})");
+    let flags = &args[args.len().min(1)..];
+    // The server subcommands own their flag set (ports, queue depth,
+    // telemetry) and are parsed by the server CLI module.
+    if matches!(cmd, "serve" | "query" | "stats" | "trace" | "server-smoke") {
+        if let Err(e) = pigeonring_bench::server_cli::run(cmd, flags) {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
+        return;
+    }
+    if let Err(e) = validate_args(flags, &["--quick", "--paper"], &[]) {
+        eprintln!("{e}");
         std::process::exit(2);
     }
-    // fig7 without --shards runs the classic unsharded path, which reads
-    // no service options at all.
-    if cmd == "fig7" && opts.shards.is_none() && batch_or_threads_given {
-        eprintln!("fig7 ignores --batch/--threads unless --shards K selects the service path");
-        std::process::exit(2);
-    }
+    let scale = Scale::from_args(flags);
     match cmd {
         "fig2" => fig2(),
         "fig5" => fig5(scale),
         "fig6" => fig6(scale),
-        "fig7" => fig7(scale, &opts),
+        "fig7" => fig7(scale),
         "fig8" => fig8(scale),
         "fig9" => fig9(scale),
         "fig10" => fig10(scale),
@@ -96,17 +57,11 @@ fn main() {
         "fig12" => fig12(scale),
         "ablate-skip" => ablate_skip(scale),
         "ablate-alloc" => ablate_alloc(scale),
-        "sweep" => sweep(scale, &opts),
         "all" => {
             fig2();
             fig5(scale);
             fig6(scale);
-            // Always refresh the classic fig7 paper artifact; with
-            // --shards also run the sharded service-layer variant.
-            fig7_classic(scale);
-            if opts.shards.is_some() {
-                fig7(scale, &opts);
-            }
+            fig7(scale);
             fig8(scale);
             fig9(scale);
             fig10(scale);
@@ -114,16 +69,13 @@ fn main() {
             fig12(scale);
             ablate_skip(scale);
             ablate_alloc(scale);
-            sweep(scale, &opts);
         }
         other => {
             eprintln!(
-                "unknown experiment {other:?}; expected fig2|fig5..fig12|ablate-skip|ablate-alloc|sweep|all \
-                 [--quick|--paper] [--shards K] [--batch B] [--threads T], or a server subcommand \
-                 serve|query|loadgen|stats|trace|server-smoke [--port P] [--queue Q] [--conns C] \
-                 [--requests N] [--pipeline P] [--mix] [--domain D] [--raw] [--slow-query-ms MS] \
-                 [--slow-query-ring N] [--metrics-dump PATH] [--metrics-interval-secs S] \
-                 [--trace-sample N] [--trace-buffer M] [--watch SECS] [--chrome PATH]"
+                "unknown experiment {other:?}; expected \
+                 fig2|fig5..fig12|ablate-skip|ablate-alloc|all [--quick|--paper], or a server \
+                 subcommand serve|query|stats|trace|server-smoke [FLAGS] (an unknown flag \
+                 lists the known ones)"
             );
             std::process::exit(2);
         }
@@ -463,17 +415,7 @@ fn kappa_for(name: &str, tau: usize) -> usize {
 }
 
 /// Figure 7: effect of chain length on string edit distance search.
-/// With `--shards K` the sharded service-layer variant runs instead.
-fn fig7(scale: Scale, opts: &ServiceOpts) {
-    match opts.shards {
-        Some(k) => fig7_sharded(scale, opts, k),
-        None => fig7_classic(scale),
-    }
-}
-
-/// Classic single-threaded fig7: per-query timing of the unsharded
-/// engine.
-fn fig7_classic(scale: Scale) {
+fn fig7(scale: Scale) {
     let mut rep = Report::new(
         "fig7_editdist_chain",
         &[
@@ -510,101 +452,6 @@ fn fig7_classic(scale: Scale) {
                     f1(stats.iter().map(|s| s.results as f64).sum::<f64>() / nq),
                     f3(cand_ms),
                     f3(total_ms),
-                ]);
-            }
-        }
-    }
-    rep.emit();
-}
-
-/// Sharded fig7 through the service layer: same datasets, same `τ`/`l`
-/// grid, but queries run as batches over a `K`-shard worker pool. The
-/// `result_hash` column fingerprints every query's result ids — equal
-/// hashes across different `--shards K` runs certify identical result
-/// sets (the service-layer acceptance check).
-///
-/// The index is built dictionary-first (one corpus-wide gram dictionary,
-/// shard-local postings), so each query is planned **once per `τ`** —
-/// the plan is shared across all `K` shards *and* the whole `l` sweep
-/// via [`Sweep::run_with_plans`].
-fn fig7_sharded(scale: Scale, opts: &ServiceOpts, shards: usize) {
-    let threads = opts.threads_for(shards);
-    let mut rep = Report::new(
-        &format!("fig7_editdist_chain_shards{shards}"),
-        &[
-            "dataset",
-            "tau",
-            "l",
-            "shards",
-            "batch",
-            "avg_cand",
-            "avg_res",
-            "result_hash",
-            "ms_per_query",
-            "plan_us_per_q",
-            "qps",
-        ],
-    );
-    // The Sweep accumulator is used here only for its batched
-    // timing/result-hash logic; its rows are reported through `rep`, not
-    // through BENCH_service.json (which only the `sweep` subcommand
-    // writes).
-    let mut sweep = Sweep::new();
-    for setup in string_setup(scale) {
-        let taus: [usize; 2] = if setup.name == "imdb" {
-            [2, 4]
-        } else {
-            [6, 12]
-        };
-        let queries: Vec<Vec<u8>> = setup
-            .queries
-            .iter()
-            .map(|&qid| setup.strings[qid].clone())
-            .collect();
-        for tau in taus {
-            let kappa = kappa_for(setup.name, tau);
-            let index = ShardedIndex::build_global(
-                setup.strings.clone(),
-                shards,
-                |corpus| Arc::new(GramDictionary::build(corpus, kappa, GramOrder::Frequency)),
-                |dict, shard| {
-                    RingEdit::build(
-                        QGramCollection::with_dictionary(shard, Arc::clone(dict)),
-                        tau,
-                    )
-                },
-            );
-            // One plan set serves every l below (plans are l-independent).
-            let plan_start = Instant::now();
-            let plans = index
-                .plan_batch(&queries)
-                .expect("dictionary-first build shares plans");
-            let plan_ms = plan_start.elapsed().as_secs_f64() * 1e3;
-            for l in 1..=4usize.min(tau + 1) {
-                let (row, stats) = sweep.run_with_plans(
-                    "editdist",
-                    setup.name,
-                    &index,
-                    &queries,
-                    &plans,
-                    plan_ms,
-                    &EditParams { l },
-                    opts.batch,
-                    threads,
-                );
-                let nq = queries.len() as f64;
-                rep.row(&[
-                    setup.name.into(),
-                    tau.to_string(),
-                    l.to_string(),
-                    shards.to_string(),
-                    opts.batch.to_string(),
-                    f1(stats.candidates as f64 / nq),
-                    f1(stats.results as f64 / nq),
-                    format!("{:016x}", row.result_hash),
-                    f3(row.total_ms / nq),
-                    f3(row.plan_us_per_query),
-                    f1(row.qps),
                 ]);
             }
         }
@@ -770,7 +617,7 @@ fn fig12(scale: Scale) {
 
 // ------------------------------------------------------------ ablations
 
-/// Ablation: Corollary-2 start skipping on/off (DESIGN.md §6).
+/// Ablation: Corollary-2 start skipping on/off.
 fn ablate_skip(scale: Scale) {
     let mut rep = Report::new(
         "ablate_corollary2_skip",
@@ -802,215 +649,7 @@ fn ablate_skip(scale: Scale) {
     rep.emit();
 }
 
-// -------------------------------------------------------- service sweep
-
-/// Service-layer throughput sweep over all four domain engines.
-///
-/// For each domain a representative dataset/threshold is run through
-/// [`ShardedIndex`] across shard counts (the `--shards K` value, or the
-/// core-aware `{1, 2, 4, 8, …}` ladder from
-/// [`pigeonring_service::default_shard_counts`] when unset), batching
-/// `--batch B` queries per fan-out. Emits `results/service_sweep.csv`
-/// (with speedup vs the domain's first shard count) and
-/// `results/BENCH_service.json` (per-shard throughput plus the machine
-/// fingerprint, the artifact CI uploads). Combined with `--paper` this
-/// is the paper-§8-scale "all" mode the ROADMAP Scale item asks for.
-fn sweep(scale: Scale, opts: &ServiceOpts) {
-    let shard_counts: Vec<usize> = match opts.shards {
-        Some(k) => vec![k],
-        None => pigeonring_service::default_shard_counts(),
-    };
-    let mut sw = Sweep::new();
-    let mut rep = Report::new(
-        "service_sweep",
-        &[
-            "domain",
-            "dataset",
-            "shards",
-            "threads",
-            "batch",
-            "queries",
-            "total_ms",
-            "qps",
-            "per_shard_qps",
-            "p50_ms",
-            "p95_ms",
-            "p99_ms",
-            "plan_us_per_q",
-            "dict_build_ms",
-            "speedup_vs_first",
-            "result_hash",
-        ],
-    );
-    let record = |rep: &mut Report, row: &pigeonring_service::SweepRow, base_qps: f64| {
-        rep.row(&[
-            row.domain.clone(),
-            row.dataset.clone(),
-            row.shards.to_string(),
-            row.threads.to_string(),
-            row.batch.to_string(),
-            row.queries.to_string(),
-            f3(row.total_ms),
-            f1(row.qps),
-            f1(row.per_shard_qps),
-            f3(row.p50_ms),
-            f3(row.p95_ms),
-            f3(row.p99_ms),
-            // The plan-once acceptance metric: flat in the shard count
-            // for the dictionary-first (editdist/setsim) builds.
-            f3(row.plan_us_per_query),
-            f3(row.dict_build_ms),
-            // base_qps can be the 0.0 "too fast to measure" sentinel
-            // (see Sweep::run); don't let inf/NaN into the CSV.
-            if base_qps > 0.0 {
-                format!("{:.2}", row.qps / base_qps)
-            } else {
-                "-".into()
-            },
-            format!("{:016x}", row.result_hash),
-        ]);
-    };
-
-    // Hamming / gist (fig9's Ring configuration).
-    {
-        let data = VectorConfig::gist_like(scale.n(100_000)).generate();
-        let qids = sample_query_ids(data.len(), scale.queries(50), 1);
-        let queries: Vec<BitVector> = qids.iter().map(|&i| data[i].clone()).collect();
-        let params = HammingParams { tau: 48, l: 5 };
-        let mut base_qps = None;
-        for &k in &shard_counts {
-            // One cost model sampled from the whole corpus (the server
-            // registry's build): every shard allocates like the
-            // unsharded engine, so filter work is flat in K.
-            let index = ShardedIndex::build_global(
-                data.clone(),
-                k,
-                |corpus| {
-                    let parts = Partitioning::equi_width(corpus[0].dims(), 16);
-                    Arc::new(CostModel::build(corpus, &parts, RingHamming::COST_SAMPLE))
-                },
-                |cost, shard| RingHamming::with_cost_model(shard, 16, Arc::clone(cost)),
-            );
-            let (row, _) = sw.run(
-                "hamming",
-                "gist",
-                &index,
-                &queries,
-                &params,
-                opts.batch,
-                opts.threads_for(k),
-            );
-            let base = *base_qps.get_or_insert(row.qps);
-            record(&mut rep, row, base);
-        }
-    }
-
-    // Set similarity / dblp (fig10's Ring configuration).
-    {
-        let data = SetConfig::dblp_like(scale.n(20_000)).generate();
-        let qids = sample_query_ids(data.len(), scale.queries(50), 4);
-        let queries: Vec<Vec<u32>> = qids.iter().map(|&i| data[i].clone()).collect();
-        let params = SetParams { l: 2 };
-        let mut base_qps = None;
-        for &k in &shard_counts {
-            let index = ShardedIndex::build_global(
-                data.clone(),
-                k,
-                |corpus| Arc::new(TokenDictionary::build(corpus)),
-                |dict, shard| {
-                    RingSetSim::build(
-                        Collection::with_dictionary(shard, Arc::clone(dict)),
-                        Threshold::jaccard(0.8),
-                        5,
-                    )
-                },
-            );
-            let (row, _) = sw.run(
-                "setsim",
-                "dblp",
-                &index,
-                &queries,
-                &params,
-                opts.batch,
-                opts.threads_for(k),
-            );
-            let base = *base_qps.get_or_insert(row.qps);
-            record(&mut rep, row, base);
-        }
-    }
-
-    // Edit distance / imdb (fig11's Ring configuration).
-    {
-        let data = StringConfig::imdb_like(scale.n(20_000)).generate();
-        let qids = sample_query_ids(data.len(), scale.queries(50), 5);
-        let queries: Vec<Vec<u8>> = qids.iter().map(|&i| data[i].clone()).collect();
-        let tau = 2usize;
-        let kappa = kappa_for("imdb", tau);
-        let params = EditParams { l: 3 };
-        let mut base_qps = None;
-        for &k in &shard_counts {
-            let index = ShardedIndex::build_global(
-                data.clone(),
-                k,
-                |corpus| Arc::new(GramDictionary::build(corpus, kappa, GramOrder::Frequency)),
-                |dict, shard| {
-                    RingEdit::build(
-                        QGramCollection::with_dictionary(shard, Arc::clone(dict)),
-                        tau,
-                    )
-                },
-            );
-            let (row, _) = sw.run(
-                "editdist",
-                "imdb",
-                &index,
-                &queries,
-                &params,
-                opts.batch,
-                opts.threads_for(k),
-            );
-            let base = *base_qps.get_or_insert(row.qps);
-            record(&mut rep, row, base);
-        }
-    }
-
-    // Graph edit distance / aids (fig12's Ring configuration).
-    {
-        let data = GraphConfig::aids_like(scale.n(2_000)).generate();
-        let qids = sample_query_ids(data.len(), scale.queries(30), 7);
-        let queries: Vec<Graph> = qids.iter().map(|&i| data[i].clone()).collect();
-        let tau = 4usize;
-        let params = GraphParams { l: tau };
-        let mut base_qps = None;
-        for &k in &shard_counts {
-            let index = ShardedIndex::build(data.clone(), k, |shard| RingGraph::build(shard, tau));
-            let (row, _) = sw.run(
-                "graph",
-                "aids",
-                &index,
-                &queries,
-                &params,
-                opts.batch,
-                opts.threads_for(k),
-            );
-            let base = *base_qps.get_or_insert(row.qps);
-            record(&mut rep, row, base);
-        }
-    }
-
-    rep.emit();
-    if let Err(e) = std::fs::create_dir_all("results") {
-        eprintln!("warning: cannot create results/: {e}");
-        return;
-    }
-    if let Err(e) = sw.write_json("results/BENCH_service.json") {
-        eprintln!("warning: cannot write results/BENCH_service.json: {e}");
-    } else {
-        println!("wrote results/BENCH_service.json ({} rows)", sw.rows.len());
-    }
-}
-
-/// Ablation: cost-model vs even threshold allocation (DESIGN.md §6).
+/// Ablation: cost-model vs even threshold allocation.
 fn ablate_alloc(scale: Scale) {
     let mut rep = Report::new(
         "ablate_allocation",

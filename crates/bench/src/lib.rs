@@ -1,10 +1,10 @@
-//! Shared harness for the figure-reproduction binary and the Criterion
-//! benches: reduced-scale dataset presets, timing helpers, and tabular /
-//! CSV reporting.
+//! Shared harness for the `repro` binary and the Criterion benches:
+//! reduced-scale dataset presets, the argument scanner, timing helpers,
+//! and tabular / CSV reporting.
 //!
-//! Scale note (DESIGN.md §4): dataset sizes are 10–100× smaller than the
-//! paper's so `repro all` finishes in minutes on one machine. `Scale`
-//! controls the reduction; `Scale::Quick` is used by the smoke tests.
+//! Scale note: dataset sizes are 10–100× smaller than the paper's so
+//! `repro all` finishes in minutes on one machine. `Scale` controls the
+//! reduction; `Scale::Quick` is used by the smoke tests.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -19,9 +19,8 @@ pub enum Scale {
     /// The default reproduction scale (minutes for `repro all`).
     Full,
     /// Paper-§8-scale dataset sizes (10× `Full`, i.e. the order of the
-    /// paper's real datasets); meant for the sharded service layer
-    /// (`repro sweep --paper`), where shard parallelism keeps the run
-    /// tractable.
+    /// paper's real datasets); `repro serve --paper` wants a real
+    /// multi-core host.
     Paper,
 }
 
@@ -57,80 +56,35 @@ impl Scale {
     }
 }
 
-/// Service-layer options shared by the `repro` experiments:
-/// `--shards K --batch B [--threads T]`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ServiceOpts {
-    /// Requested shard count (`None` when `--shards` was not given — the
-    /// experiments then use their classic unsharded path).
-    pub shards: Option<usize>,
-    /// Queries per batch fanned out to the worker pool.
-    pub batch: usize,
-    /// Worker threads (defaults to the shard count).
-    pub threads: Option<usize>,
-}
-
-impl ServiceOpts {
-    /// Default batch size when `--batch` is absent.
-    pub const DEFAULT_BATCH: usize = 16;
-
-    /// Parses `--shards K`, `--batch B`, and `--threads T` value flags,
-    /// reporting a missing or non-numeric value as an error so CLI
-    /// callers can print it and exit cleanly.
-    pub fn from_args(args: &[String]) -> Result<ServiceOpts, String> {
-        let value_of = |flag: &str| -> Result<Option<usize>, String> {
-            match args.iter().position(|a| a == flag) {
-                None => Ok(None),
-                Some(i) => args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v > 0)
-                    .map(Some)
-                    .ok_or_else(|| format!("{flag} requires a positive integer value")),
-            }
-        };
-        Ok(ServiceOpts {
-            shards: value_of("--shards")?,
-            batch: value_of("--batch")?.unwrap_or(Self::DEFAULT_BATCH),
-            threads: value_of("--threads")?,
-        })
-    }
-
-    /// Validates that every `--flag` in `args` is one the harness knows
-    /// (`--quick`, `--paper`, or a value flag), so a typo like `--shard 4`
-    /// or `--threads=2` fails loudly instead of silently running the
-    /// default configuration.
-    pub fn validate_flags(args: &[String]) -> Result<(), String> {
-        const BOOL_FLAGS: [&str; 2] = ["--quick", "--paper"];
-        const VALUE_FLAGS: [&str; 3] = ["--shards", "--batch", "--threads"];
-        let mut i = 0;
-        while i < args.len() {
-            let a = args[i].as_str();
-            if VALUE_FLAGS.contains(&a) {
-                i += 2; // flag + value (value checked by from_args)
-            } else if a.starts_with("--") && !BOOL_FLAGS.contains(&a) {
-                return Err(format!(
-                    "unknown flag {a:?}; known flags: --quick, --paper, \
-                     --shards K, --batch B, --threads T"
-                ));
+/// Checks `args` (everything after the subcommand) against the flags
+/// a command knows: every token must be one of `bool_flags`, or one of
+/// `value_flags` followed by its value (skipped here — the value's
+/// parser judges it). An unknown `--flag` or a stray positional token
+/// is an error, so a typo like `fig5 quick` or `--port=1` fails loudly
+/// instead of silently running the default configuration.
+pub fn validate_args(
+    args: &[String],
+    bool_flags: &[&str],
+    value_flags: &[&str],
+) -> Result<(), String> {
+    let mut tokens = args.iter().map(String::as_str);
+    while let Some(a) = tokens.next() {
+        if value_flags.contains(&a) {
+            tokens.next();
+        } else if !bool_flags.contains(&a) {
+            let what = if a.starts_with("--") {
+                "unknown flag"
             } else {
-                i += 1;
+                "unexpected argument"
+            };
+            let mut known = bool_flags.join(", ");
+            for flag in value_flags {
+                known.push_str(&format!(", {flag} VALUE"));
             }
+            return Err(format!("{what} {a:?}; known flags: {known}"));
         }
-        Ok(())
     }
-
-    /// Worker threads to use for `shards` shards: the explicit
-    /// `--threads` value, else `min(shards, hardware parallelism)` —
-    /// spawning more workers than cores only adds overhead (and this
-    /// repo's CI containers are often single-core). Core detection is
-    /// the same [`pigeonring_service::machine`] probe that the benchmark
-    /// artifacts record, so what ran and what was recorded agree.
-    pub fn threads_for(&self, shards: usize) -> usize {
-        self.threads
-            .unwrap_or_else(|| shards.min(pigeonring_service::cores()))
-            .max(1)
-    }
+    Ok(())
 }
 
 /// Measures average per-query wall time in milliseconds over a closure
@@ -266,38 +220,27 @@ mod tests {
     }
 
     #[test]
-    fn service_opts_parse() {
-        let args = |s: &[&str]| s.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        let o = ServiceOpts::from_args(&args(&["fig7"])).unwrap();
-        assert_eq!(o.shards, None);
-        assert_eq!(o.batch, ServiceOpts::DEFAULT_BATCH);
-        // Default thread count is capped by both the shard count and the
-        // machine's cores, and is always at least 1.
-        assert!((1..=4).contains(&o.threads_for(4)));
-        let o = ServiceOpts::from_args(&args(&["fig7", "--shards", "4", "--batch", "8"])).unwrap();
-        assert_eq!(o.shards, Some(4));
-        assert_eq!(o.batch, 8);
-        let o =
-            ServiceOpts::from_args(&args(&["sweep", "--threads", "2", "--shards", "8"])).unwrap();
-        assert_eq!(o.threads_for(8), 2);
-    }
-
-    #[test]
     fn unknown_flags_are_rejected() {
         let args = |s: &[&str]| s.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        assert!(ServiceOpts::validate_flags(&args(&["fig7", "--quick", "--shards", "2"])).is_ok());
-        assert!(ServiceOpts::validate_flags(&args(&["fig7", "--shard", "2"])).is_err());
-        assert!(ServiceOpts::validate_flags(&args(&["sweep", "--threads=2"])).is_err());
-        assert!(ServiceOpts::validate_flags(&args(&["all", "--paper"])).is_ok());
-    }
-
-    #[test]
-    fn service_opts_reject_bad_value() {
-        let args = |s: &[&str]| s.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        let err = ServiceOpts::from_args(&args(&["fig7", "--shards", "zero"])).unwrap_err();
-        assert!(err.contains("positive integer"), "{err}");
-        // Missing value (next arg is another flag) is also an error.
-        assert!(ServiceOpts::from_args(&args(&["fig7", "--shards", "--quick"])).is_err());
+        // The figure half: two scale flags, no value flags.
+        let figure = |s: &[&str]| validate_args(&args(s), &["--quick", "--paper"], &[]);
+        assert!(figure(&[]).is_ok());
+        assert!(figure(&["--quick", "--paper"]).is_ok());
+        let err = figure(&["--quik"]).unwrap_err();
+        assert!(err.contains("unknown flag \"--quik\""), "{err}");
+        assert!(err.contains("--quick, --paper"), "{err}");
+        let err = figure(&["--shards", "2"]).unwrap_err();
+        assert!(err.contains("unknown flag \"--shards\""), "{err}");
+        // `fig5 quick` must not silently run the full scale.
+        let err = figure(&["quick"]).unwrap_err();
+        assert!(err.contains("unexpected argument \"quick\""), "{err}");
+        // A value flag swallows exactly one token, whatever it looks like.
+        let valued = |s: &[&str]| validate_args(&args(s), &["--raw"], &["--port"]);
+        assert!(valued(&["--port", "7878", "--raw"]).is_ok());
+        assert!(valued(&["--port", "--raw"]).is_ok());
+        assert!(valued(&["--port"]).is_ok());
+        assert!(valued(&["--port=7878"]).is_err());
+        assert!(valued(&["--port", "7878", "7879"]).is_err());
     }
 
     #[test]

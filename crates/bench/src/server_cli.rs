@@ -1,6 +1,8 @@
-//! The `repro serve` / `repro query` / `repro loadgen` / `repro stats`
-//! / `repro trace` / `repro server-smoke` subcommands: the measurable
-//! end-to-end path of the `pigeonring-server` network frontend.
+//! The `repro serve` / `repro query` / `repro stats` / `repro trace` /
+//! `repro server-smoke` subcommands: the operator-facing front of the
+//! `pigeonring-server` network frontend and its hash gate. (Throughput
+//! and latency of the server are measured by `benchmark/`, workloads
+//! `tcp_solo` and `tcp_mixed`, not here.)
 //!
 //! * `serve` builds the four domain engines ([`EngineSpec`] is
 //!   deterministic per scale, so clients at the same scale hold the same
@@ -19,35 +21,25 @@
 //!   Perfetto. Arm sampling with `serve --trace-sample N`.
 //! * `query` drives one domain's (or every domain's) standard query set
 //!   through a running server and prints the `result_hash` fingerprint —
-//!   comparable across processes and against `repro sweep`-style
-//!   in-process runs.
-//! * `loadgen` opens `--conns` concurrent connections, each keeping
-//!   `--pipeline` requests in flight (wire-v2 pipelining, responses
-//!   matched by id), and reports per-domain throughput plus p50/p95/p99
-//!   latency into `results/BENCH_server.json`. With `--mix` it runs the
-//!   *fairness experiment*: one solo phase per domain (that domain
-//!   only) followed by a mixed round-robin phase, recording each
-//!   domain's `mixed_over_solo_p50` — the number that shows whether a
-//!   slow domain (graph GED) still inflates a fast domain's tail.
+//!   comparable across processes and against in-process runs.
 //! * `server-smoke` is the CI gate: in one process it starts a server on
 //!   an OS-assigned loopback port, diffs every domain's client-observed
 //!   `result_hash` against a direct in-process run on the *same*
-//!   engines, then runs the mixed-load fairness loadgen for the
-//!   artifact. Any hash mismatch is a hard failure.
+//!   engines (any mismatch is a hard failure), checks that EXPLAIN does
+//!   not change an answer, and writes the Stats snapshot and the
+//!   recent-trace export as schema-gated artifacts.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::time::Instant;
 
 use pigeonring_server::{
-    start, start_with_handler, Client, Domain, DomainQuery, EngineSet, EngineSpec, Outcome,
-    Response, ServerConfig,
+    start, Client, Domain, DomainQuery, EngineSet, EngineSpec, Outcome, Response, ServerConfig,
 };
-use pigeonring_service::{percentile, ResultHasher, WorkerPool};
+use pigeonring_service::{ResultHasher, WorkerPool};
 use pigeonring_telemetry::json as telemetry_json;
 use pigeonring_telemetry::{trace::chrome_trace, Snapshot};
 
-use crate::{f1, f3, Report, Scale};
+use crate::{validate_args, Report, Scale};
 
 /// Parsed flags shared by the server subcommands.
 #[derive(Clone, Debug)]
@@ -58,23 +50,13 @@ pub struct ServerCliOpts {
     pub shards: usize,
     /// Worker threads (defaults to `min(shards, cores)`).
     pub threads: Option<usize>,
-    /// TCP port (`serve`/`query`/`loadgen`; `server-smoke` uses an
-    /// OS-assigned port).
+    /// TCP port (`serve`/`query`/`stats`/`trace`; `server-smoke` uses
+    /// an OS-assigned port).
     pub port: u16,
     /// Admission-control depth `Q` of each per-domain lane.
     pub queue: usize,
     /// Micro-batch size `B` (max queued requests per pool dispatch).
     pub batch: usize,
-    /// Concurrent loadgen connections.
-    pub conns: usize,
-    /// Loadgen requests per connection (per phase).
-    pub requests: usize,
-    /// Requests each loadgen connection keeps in flight (wire-v2
-    /// pipelining; 1 = the v1-era one-at-a-time behavior).
-    pub pipeline: usize,
-    /// Run the solo-vs-mixed fairness experiment in `loadgen`
-    /// (`server-smoke` always does).
-    pub mix: bool,
     /// Restrict `query` to one domain (`None` = all four).
     pub domain: Option<Domain>,
     /// `stats`: print the raw snapshot JSON instead of pretty-printing.
@@ -107,16 +89,13 @@ impl ServerCliOpts {
     /// Parses and validates the server-subcommand flag set; unknown
     /// flags and malformed values are errors, not silent defaults.
     pub fn from_args(args: &[String]) -> Result<ServerCliOpts, String> {
-        const BOOL_FLAGS: [&str; 4] = ["--quick", "--paper", "--mix", "--raw"];
-        const VALUE_FLAGS: [&str; 17] = [
+        const BOOL_FLAGS: [&str; 3] = ["--quick", "--paper", "--raw"];
+        const VALUE_FLAGS: [&str; 14] = [
             "--shards",
             "--threads",
             "--port",
             "--queue",
             "--batch",
-            "--conns",
-            "--requests",
-            "--pipeline",
             "--domain",
             "--metrics-dump",
             "--metrics-interval-secs",
@@ -127,23 +106,7 @@ impl ServerCliOpts {
             "--watch",
             "--chrome",
         ];
-        let mut i = 0;
-        while i < args.len() {
-            let a = args[i].as_str();
-            if VALUE_FLAGS.contains(&a) {
-                i += 2;
-            } else if a.starts_with("--") && !BOOL_FLAGS.contains(&a) {
-                return Err(format!(
-                    "unknown flag {a:?}; known: --quick, --paper, --mix, --raw, \
-                     --shards K, --threads T, --port P, --queue Q, --batch B, --conns C, \
-                     --requests N, --pipeline P, --domain D, --metrics-dump PATH, \
-                     --metrics-interval-secs S, --slow-query-ms MS, --slow-query-ring N, \
-                     --trace-sample N, --trace-buffer M, --watch SECS, --chrome PATH"
-                ));
-            } else {
-                i += 1;
-            }
-        }
+        validate_args(args, &BOOL_FLAGS, &VALUE_FLAGS)?;
         let value_of = |flag: &str| -> Result<Option<usize>, String> {
             match args.iter().position(|a| a == flag) {
                 None => Ok(None),
@@ -196,10 +159,6 @@ impl ServerCliOpts {
             port: port as u16,
             queue: value_of("--queue")?.unwrap_or(64),
             batch: value_of("--batch")?.unwrap_or(16),
-            conns: value_of("--conns")?.unwrap_or(4),
-            requests: value_of("--requests")?.unwrap_or(64),
-            pipeline: value_of("--pipeline")?.unwrap_or(4),
-            mix: args.iter().any(|a| a == "--mix"),
             domain,
             raw: args.iter().any(|a| a == "--raw"),
             metrics_dump,
@@ -253,7 +212,6 @@ pub fn run(cmd: &str, args: &[String]) -> Result<(), String> {
     match cmd {
         "serve" => serve(&opts),
         "query" => query(&opts),
-        "loadgen" => loadgen(&opts),
         "stats" => stats(&opts),
         "trace" => trace(&opts),
         "server-smoke" => server_smoke(&opts),
@@ -474,537 +432,16 @@ fn run_query_set(
     Ok((hasher.finish(), results, busy))
 }
 
-/// One loadgen measurement for one domain under one load shape.
-struct LoadRow {
-    domain: &'static str,
-    /// `"solo"` (only this domain on the wire) or `"mixed"` (all four
-    /// round-robin).
-    mode: &'static str,
-    requests: usize,
-    busy: usize,
-    qps: f64,
-    p50_ms: f64,
-    p95_ms: f64,
-    p99_ms: f64,
-    /// On mixed rows when the solo baseline was also measured: this
-    /// domain's mixed-load p50 over its solo-load p50 — 1.0 means the
-    /// other domains add nothing to its latency; the old global-FIFO
-    /// server showed ≈ 3.5× for hamming/setsim.
-    mixed_over_solo_p50: Option<f64>,
-}
-
-/// The load shape one phase drives.
-#[derive(Clone, Copy)]
-enum Phase {
-    /// Every request targets the one domain (index into [`Domain::ALL`]).
-    Solo(usize),
-    /// Requests round-robin all four domains, staggered per connection
-    /// so every micro-batch the server forms is mixed.
-    Mixed,
-}
-
-/// `repro loadgen`: concurrent pipelined connections; reports
-/// per-domain throughput and tail latency, writes
-/// `results/BENCH_server.json`. With `--mix`, runs one solo phase per
-/// domain first so the mixed rows carry `mixed_over_solo_p50`.
-fn loadgen(opts: &ServerCliOpts) -> Result<(), String> {
-    let addr: SocketAddr = ([127, 0, 0, 1], opts.port).into();
-    let query_sets = sample_all_queries(opts);
-    // Snapshot the server's metrics around the run so the artifact
-    // carries the server-side delta (queue waits, stage survivor
-    // counts) next to the client-observed latencies. Best-effort: a
-    // server that can't answer Stats degrades the artifact, not the
-    // run.
-    let before = fetch_stats(addr);
-    let rows = if opts.mix {
-        run_fairness_loadgen(opts, addr, &query_sets)?
-    } else {
-        run_phase(opts, addr, &query_sets, Phase::Mixed)?
-    };
-    let server_metrics = match (&before, fetch_stats(addr)) {
-        (Some(b), Some(a)) => Some(metrics_delta_json(b, &a)?),
-        _ => None,
-    };
-    let idle = measure_idle_conns(opts)?;
-    emit_loadgen(&rows, opts, server_metrics.as_deref(), idle.as_ref())
-}
-
-/// Best-effort Stats fetch on a fresh connection; `None` when the
-/// server is unreachable or refuses the request.
-fn fetch_stats(addr: SocketAddr) -> Option<String> {
-    Client::connect(addr).ok()?.stats().ok()
-}
-
-/// After-minus-before deltas between two wire Stats snapshots, rendered
-/// as the `server_metrics` object for `BENCH_server.json`: every
-/// counter that moved (per-domain query counts, filter-stage survivor
-/// counts, lane admissions) plus per-histogram interval summaries —
-/// delta count/sum with nearest-rank percentiles recomputed over the
-/// delta buckets, so queue waits and latencies describe *this run's*
-/// requests, not cumulative server history.
-fn metrics_delta_json(before: &str, after: &str) -> Result<String, String> {
-    use telemetry_json::Value;
-    let before =
-        telemetry_json::parse(before).map_err(|e| format!("bad 'before' stats snapshot: {e}"))?;
-    let after =
-        telemetry_json::parse(after).map_err(|e| format!("bad 'after' stats snapshot: {e}"))?;
-    let counters = |doc: &Value| -> Vec<(String, u64)> {
-        doc.get("metrics")
-            .and_then(|m| m.get("counters"))
-            .and_then(Value::entries)
-            .map(|entries| {
-                entries
-                    .iter()
-                    .filter_map(|(k, v)| v.as_u64().map(|n| (k.clone(), n)))
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    // name → (sum, sparse buckets as (upper bound, count)).
-    type HistEntry = (String, u64, Vec<(u64, u64)>);
-    let histograms = |doc: &Value| -> Vec<HistEntry> {
-        doc.get("metrics")
-            .and_then(|m| m.get("histograms"))
-            .and_then(Value::entries)
-            .map(|entries| {
-                entries
-                    .iter()
-                    .map(|(k, h)| {
-                        let sum = h.get("sum").and_then(Value::as_u64).unwrap_or(0);
-                        let buckets = h
-                            .get("buckets")
-                            .and_then(Value::entries)
-                            .map(|b| {
-                                b.iter()
-                                    .filter_map(|(bound, c)| {
-                                        Some((bound.parse::<u64>().ok()?, c.as_u64()?))
-                                    })
-                                    .collect()
-                            })
-                            .unwrap_or_default();
-                        (k.clone(), sum, buckets)
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-
-    let mut out = String::from("{\n  \"counters\": {");
-    let before_counters = counters(&before);
-    let mut first = true;
-    for (name, now) in counters(&after) {
-        let was = before_counters
-            .iter()
-            .find(|(n, _)| n == &name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0);
-        let delta = now.saturating_sub(was);
-        if delta == 0 {
-            continue;
-        }
-        if !first {
-            out.push_str(", ");
-        }
-        first = false;
-        out.push_str(&format!("\"{name}\": {delta}"));
-    }
-    out.push_str("},\n  \"histograms\": {");
-    let before_hists = histograms(&before);
-    first = true;
-    for (name, sum_now, buckets_now) in histograms(&after) {
-        let (sum_was, buckets_was) = before_hists
-            .iter()
-            .find(|(n, _, _)| n == &name)
-            .map(|(_, s, b)| (*s, b.as_slice()))
-            .unwrap_or((0, &[][..]));
-        let mut delta: Vec<(u64, u64)> = buckets_now
-            .iter()
-            .map(|&(bound, c)| {
-                let was = buckets_was
-                    .iter()
-                    .find(|&&(b, _)| b == bound)
-                    .map(|&(_, c)| c)
-                    .unwrap_or(0);
-                (bound, c.saturating_sub(was))
-            })
-            .filter(|&(_, c)| c > 0)
-            .collect();
-        delta.sort_unstable();
-        let count: u64 = delta.iter().map(|&(_, c)| c).sum();
-        if count == 0 {
-            continue;
-        }
-        let pct = |p: f64| -> u64 {
-            let rank = ((p / 100.0) * count as f64).ceil().max(1.0) as u64;
-            let mut cum = 0u64;
-            for &(bound, c) in &delta {
-                cum += c;
-                if cum >= rank {
-                    return bound;
-                }
-            }
-            delta.last().map(|&(b, _)| b).unwrap_or(0)
-        };
-        if !first {
-            out.push_str(", ");
-        }
-        first = false;
-        out.push_str(&format!(
-            "\"{name}\": {{\"count\": {count}, \"sum\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-            sum_now.saturating_sub(sum_was),
-            pct(50.0),
-            pct(95.0),
-            pct(99.0)
-        ));
-    }
-    out.push_str("}\n}");
-    Ok(out)
-}
-
-/// The fairness experiment: one solo phase per domain, then the mixed
-/// phase, with each mixed row annotated with its solo-p50 ratio.
-fn run_fairness_loadgen(
-    opts: &ServerCliOpts,
-    addr: SocketAddr,
-    query_sets: &Arc<Vec<Vec<DomainQuery>>>,
-) -> Result<Vec<LoadRow>, String> {
-    let mut rows = Vec::new();
-    let mut solo_p50: Vec<(&'static str, f64)> = Vec::new();
-    for (di, domain) in Domain::ALL.iter().enumerate() {
-        let solo = run_phase(opts, addr, query_sets, Phase::Solo(di))?;
-        let row = solo
-            .into_iter()
-            .find(|r| r.domain == domain.as_str() && r.requests > 0)
-            .ok_or_else(|| format!("solo phase for {domain} measured nothing"))?;
-        solo_p50.push((row.domain, row.p50_ms));
-        rows.push(row);
-    }
-    let mixed = run_phase(opts, addr, query_sets, Phase::Mixed)?;
-    for mut row in mixed {
-        // Join baselines by domain, not by position: run_phase drops
-        // domains the phase never measured, and a busy-only row (p50 0)
-        // must not record a meaningless ratio.
-        let solo = solo_p50
-            .iter()
-            .find(|(d, _)| *d == row.domain)
-            .map(|&(_, p50)| p50);
-        if let Some(solo) = solo.filter(|&p50| p50 > 0.0 && row.requests > 0) {
-            row.mixed_over_solo_p50 = Some(row.p50_ms / solo);
-        }
-        rows.push(row);
-    }
-    Ok(rows)
-}
-
-/// Every domain's standard query set for this scale, in `Domain::ALL`
-/// order. Sampling regenerates each domain's dataset, so callers that
-/// need the sets more than once (e.g. `server-smoke`) sample once and
-/// share.
-fn sample_all_queries(opts: &ServerCliOpts) -> Arc<Vec<Vec<DomainQuery>>> {
-    let spec = opts.spec();
-    Arc::new(
-        Domain::ALL
-            .iter()
-            .map(|&d| spec.sample_queries(d))
-            .collect(),
-    )
-}
-
-/// Drives one load phase and aggregates per-domain latency samples.
-/// Each connection keeps `opts.pipeline` requests in flight and
-/// timestamps every request individually, matching responses by id
-/// (out-of-order completion is expected from the v2 server).
-fn run_phase(
-    opts: &ServerCliOpts,
-    addr: SocketAddr,
-    query_sets: &Arc<Vec<Vec<DomainQuery>>>,
-    phase: Phase,
-) -> Result<Vec<LoadRow>, String> {
-    let start = Instant::now();
-    let workers: Vec<_> = (0..opts.conns)
-        .map(|c| {
-            let query_sets = Arc::clone(query_sets);
-            let requests = opts.requests;
-            let window = opts.pipeline.max(1);
-            std::thread::spawn(move || -> Result<Vec<(usize, f64, bool)>, String> {
-                let mut client =
-                    Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-                // The connection's request sequence, fixed up front.
-                let seq: Vec<(usize, DomainQuery)> = (0..requests)
-                    .map(|i| {
-                        let di = match phase {
-                            Phase::Solo(di) => di,
-                            // Stagger domains across connections so
-                            // every micro-batch the server forms is
-                            // mixed.
-                            Phase::Mixed => (i + c) % query_sets.len(),
-                        };
-                        let q = &query_sets[di][(i / query_sets.len()) % query_sets[di].len()];
-                        (di, q.clone())
-                    })
-                    .collect();
-                let mut in_flight: std::collections::HashMap<u64, (usize, Instant)> =
-                    std::collections::HashMap::with_capacity(window);
-                let mut samples = Vec::with_capacity(requests);
-                let mut next = 0usize;
-                while samples.len() < seq.len() {
-                    while in_flight.len() < window && next < seq.len() {
-                        let (di, q) = &seq[next];
-                        let id = client
-                            .send_query(q.clone())
-                            .map_err(|e| format!("loadgen send failed: {e}"))?;
-                        in_flight.insert(id, (*di, Instant::now()));
-                        next += 1;
-                    }
-                    let (id, outcome) = client
-                        .recv_reply()
-                        .map_err(|e| format!("loadgen request failed: {e}"))?;
-                    let (di, t0) = in_flight
-                        .remove(&id)
-                        .ok_or("server answered an unknown request id")?;
-                    if let Outcome::Failed { code, message } = &outcome {
-                        return Err(format!("loadgen query failed ({code:?}): {message}"));
-                    }
-                    let ms = t0.elapsed().as_secs_f64() * 1e3;
-                    samples.push((di, ms, matches!(outcome, Outcome::Busy)));
-                }
-                Ok(samples)
-            })
-        })
-        .collect();
-    let mut samples: Vec<(usize, f64, bool)> = Vec::new();
-    for w in workers {
-        samples.extend(w.join().map_err(|_| "loadgen thread panicked")??);
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    let mode = match phase {
-        Phase::Solo(_) => "solo",
-        Phase::Mixed => "mixed",
-    };
-
-    Ok(Domain::ALL
-        .iter()
-        .enumerate()
-        .map(|(di, &d)| {
-            let mut lat: Vec<f64> = samples
-                .iter()
-                .filter(|(i, _, busy)| *i == di && !busy)
-                .map(|(_, ms, _)| *ms)
-                .collect();
-            lat.sort_by(f64::total_cmp);
-            let busy = samples.iter().filter(|(i, _, b)| *i == di && *b).count();
-            LoadRow {
-                domain: d.as_str(),
-                mode,
-                requests: lat.len(),
-                busy,
-                qps: if wall_s > 0.0 {
-                    lat.len() as f64 / wall_s
-                } else {
-                    0.0
-                },
-                p50_ms: percentile(&lat, 50.0),
-                p95_ms: percentile(&lat, 95.0),
-                p99_ms: percentile(&lat, 99.0),
-                mixed_over_solo_p50: None,
-            }
-        })
-        .filter(|row| row.requests > 0 || row.busy > 0)
-        .collect())
-}
-
-/// Idle connections for the thread-cost experiment: enough that any
-/// per-connection thread would be unmistakable in the census.
-const IDLE_PROBE_CONNS: usize = 256;
-
-/// The server's footprint while parking [`IDLE_PROBE_CONNS`] idle,
-/// fully negotiated connections.
-struct IdleRow {
-    conns: usize,
-    /// Total process threads while the connections were parked.
-    thread_count: u64,
-    /// Threads over the pre-start baseline — the per-server cost (one
-    /// event-loop thread + dispatchers, independent of `conns`).
-    threads_added: u64,
-    /// `VmRSS` while the connections were parked, in KiB.
-    rss_kb: u64,
-}
-
-/// `Threads:` and `VmRSS:` (KiB) from `/proc/self/status`; zeros where
-/// procfs is unavailable (non-Linux), which skips the experiment.
-fn proc_status() -> (u64, u64) {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    let field = |key: &str| -> u64 {
-        status
-            .lines()
-            .find(|l| l.starts_with(key))
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    };
-    (field("Threads:"), field("VmRSS:"))
-}
-
-/// What a connection costs, measured: an in-process server (trivial
-/// handler — the cost under test is *connection handling*, not query
-/// execution) parks [`IDLE_PROBE_CONNS`] negotiated-but-idle
-/// connections while the process thread census and RSS are read from
-/// `/proc/self/status`. The server is spawned in this process
-/// precisely so that census is attributable. `None` without procfs
-/// (non-Linux): skip rather than record garbage.
-fn measure_idle_conns(opts: &ServerCliOpts) -> Result<Option<IdleRow>, String> {
-    let (threads_before, _) = proc_status();
-    if threads_before == 0 {
-        return Ok(None);
-    }
-    let listener = TcpListener::bind("127.0.0.1:0")
-        .map_err(|e| format!("idle-conns probe cannot bind loopback: {e}"))?;
-    let handle = start_with_handler(listener, Arc::new(|_, _, _| {}), opts.server_config())
-        .map_err(|e| format!("idle-conns probe cannot start server: {e}"))?;
-    let clients = (0..IDLE_PROBE_CONNS)
-        .map(|_| Client::connect(handle.addr()))
-        .collect::<Result<Vec<Client>, _>>()
-        .map_err(|e| format!("idle-conns probe connect failed: {e}"))?;
-    let (thread_count, rss_kb) = proc_status();
-    let row = IdleRow {
-        conns: clients.len(),
-        thread_count,
-        threads_added: thread_count.saturating_sub(threads_before),
-        rss_kb,
-    };
-    println!(
-        "idle-conns probe: {} connections held with {} threads (+{} over baseline), rss {} KiB",
-        row.conns, row.thread_count, row.threads_added, row.rss_kb
-    );
-    drop(clients);
-    handle.shutdown();
-    Ok(Some(row))
-}
-
-/// Prints the loadgen table and writes `results/BENCH_server.json`
-/// (embedding the server-side metrics delta when one was captured),
-/// then prints the per-domain fairness ratios when both phases ran.
-fn emit_loadgen(
-    rows: &[LoadRow],
-    opts: &ServerCliOpts,
-    server_metrics: Option<&str>,
-    idle: Option<&IdleRow>,
-) -> Result<(), String> {
-    let mut rep = Report::new(
-        "server_loadgen",
-        &[
-            "domain",
-            "mode",
-            "conns",
-            "pipeline",
-            "requests",
-            "busy",
-            "qps",
-            "p50_ms",
-            "p95_ms",
-            "p99_ms",
-            "mixed_over_solo_p50",
-        ],
-    );
-    // BENCH_server.json schema: machine fingerprint + rows, mirroring
-    // BENCH_service.json — loadgen numbers without the machine are not
-    // comparable across runs.
-    let mut json = String::from("{\n\"machine\": ");
-    json.push_str(&pigeonring_service::MachineFingerprint::detect().to_json());
-    json.push_str(",\n\"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let ratio = row
-            .mixed_over_solo_p50
-            .map_or("-".to_string(), |r| format!("{r:.2}"));
-        rep.row(&[
-            row.domain.to_string(),
-            row.mode.to_string(),
-            opts.conns.to_string(),
-            opts.pipeline.to_string(),
-            row.requests.to_string(),
-            row.busy.to_string(),
-            f1(row.qps),
-            f3(row.p50_ms),
-            f3(row.p95_ms),
-            f3(row.p99_ms),
-            ratio,
-        ]);
-        let ratio_json = row.mixed_over_solo_p50.map_or(String::new(), |r| {
-            format!(", \"mixed_over_solo_p50\": {r:.3}")
-        });
-        json.push_str(&format!(
-            "  {{\"domain\": \"{}\", \"mode\": \"{}\", \"conns\": {}, \"pipeline\": {}, \
-             \"shards\": {}, \"lane_depth\": {}, \"micro_batch\": {}, \"requests\": {}, \
-             \"busy\": {}, \"qps\": {:.3}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \
-             \"p99_ms\": {:.3}{}}}{}\n",
-            row.domain,
-            row.mode,
-            opts.conns,
-            opts.pipeline,
-            opts.shards,
-            opts.queue,
-            opts.batch,
-            row.requests,
-            row.busy,
-            row.qps,
-            row.p50_ms,
-            row.p95_ms,
-            row.p99_ms,
-            ratio_json,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push(']');
-    if let Some(row) = idle {
-        json.push_str(&format!(
-            ",\n\"idle_conns\": [\n  {{\"conns\": {}, \"thread_count\": {}, \
-             \"threads_added\": {}, \"rss_kb\": {}}}\n]",
-            row.conns, row.thread_count, row.threads_added, row.rss_kb
-        ));
-    }
-    if let Some(delta) = server_metrics {
-        json.push_str(",\n\"server_metrics\": ");
-        json.push_str(delta);
-    }
-    json.push_str("\n}");
-    rep.emit();
-    std::fs::create_dir_all("results").map_err(|e| format!("cannot create results/: {e}"))?;
-    std::fs::write("results/BENCH_server.json", json)
-        .map_err(|e| format!("cannot write results/BENCH_server.json: {e}"))?;
-    println!(
-        "wrote results/BENCH_server.json ({} rows{})",
-        rows.len(),
-        if server_metrics.is_some() {
-            ", with server-side metrics delta"
-        } else {
-            ""
-        }
-    );
-    for row in rows {
-        if let Some(r) = row.mixed_over_solo_p50 {
-            println!(
-                "fairness: {} mixed/solo p50 = {:.2}x ({:.3} ms vs {:.3} ms)",
-                row.domain,
-                r,
-                row.p50_ms,
-                row.p50_ms / r
-            );
-        }
-    }
-    Ok(())
-}
-
 /// `repro server-smoke`: the CI gate. One process, an OS-assigned
 /// loopback port; every domain's client-observed result hash must equal
-/// a direct in-process run on the same engines, then a small loadgen
-/// writes the artifact.
+/// a direct in-process run on the same engines, then the Stats snapshot
+/// and the recent-trace export are written as artifacts.
 fn server_smoke(opts: &ServerCliOpts) -> Result<(), String> {
-    let spec = opts.spec();
     eprintln!(
         "server-smoke: building engines at {:?} scale...",
         opts.scale
     );
-    let engines = Arc::new(EngineSet::build(spec));
+    let engines = Arc::new(EngineSet::build(opts.spec()));
     let listener =
         TcpListener::bind("127.0.0.1:0").map_err(|e| format!("cannot bind loopback: {e}"))?;
     let handle = start(
@@ -1025,9 +462,12 @@ fn server_smoke(opts: &ServerCliOpts) -> Result<(), String> {
         &["domain", "queries", "server_hash", "inproc_hash", "match"],
     );
     let mut mismatches = Vec::new();
-    // Sample every domain's query set once; the smoke loop and the
-    // loadgen below share it (sampling regenerates whole datasets).
-    let query_sets = sample_all_queries(opts);
+    // Sample every domain's query set once; the hash loop and the
+    // EXPLAIN round below share it (sampling regenerates whole datasets).
+    let query_sets: Vec<Vec<DomainQuery>> = Domain::ALL
+        .iter()
+        .map(|&d| engines.spec().sample_queries(d))
+        .collect();
     for (domain, queries) in Domain::ALL.into_iter().zip(query_sets.iter()) {
         let mut client =
             Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
@@ -1054,36 +494,26 @@ fn server_smoke(opts: &ServerCliOpts) -> Result<(), String> {
     }
     rep.emit();
 
-    // The fairness experiment is part of the smoke artifact: solo
-    // baselines per domain, then mixed load, so BENCH_server.json
-    // records each domain's mixed_over_solo_p50 isolation ratio —
-    // bracketed by Stats fetches so the artifact also carries the
-    // server-side metrics delta for exactly this load.
-    let before = fetch_stats(addr).ok_or("server did not answer Stats before loadgen")?;
-    let rows = run_fairness_loadgen(opts, addr, &query_sets)?;
-    let after = fetch_stats(addr).ok_or("server did not answer Stats after loadgen")?;
-    let server_metrics = metrics_delta_json(&before, &after)?;
-    let idle = measure_idle_conns(opts)?;
-    emit_loadgen(&rows, opts, Some(&server_metrics), idle.as_ref())?;
-    // The raw post-load snapshot is its own CI-gated artifact: jq
-    // checks per-lane gauges, per-domain query counters, and the
+    // The Stats snapshot after the hash round is a CI-gated artifact:
+    // jq checks per-lane gauges, per-domain query counters, and the
     // embedded machine fingerprint.
-    std::fs::write("results/server_stats.json", &after)
+    let mut client = Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    let snapshot = client
+        .stats()
+        .map_err(|e| format!("server did not answer Stats: {e}"))?;
+    std::fs::write("results/server_stats.json", &snapshot)
         .map_err(|e| format!("cannot write results/server_stats.json: {e}"))?;
     println!("wrote results/server_stats.json");
     // EXPLAIN must not change the answer, and it forces tracing: one
-    // explained query per domain *after* loadgen (so its spans cannot
-    // be evicted by sampled loadgen traffic) both diffs the flagged
-    // path's ids against the plain path and guarantees every domain
-    // has a root span in the recent-trace artifact, whatever the
-    // sampling cadence did.
-    let mut explain_client =
-        Client::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    // explained query per domain, last (so its spans cannot be evicted
+    // by sampled traffic), both diffs the flagged path's ids against
+    // the plain path and guarantees every domain has a root span in the
+    // recent-trace artifact, whatever the sampling cadence did.
     for (domain, queries) in Domain::ALL.into_iter().zip(query_sets.iter()) {
-        let (explained_ids, span_tree) = explain_client
+        let (explained_ids, span_tree) = client
             .explain(queries[0].clone())
             .map_err(|e| format!("EXPLAIN failed for {domain}: {e}"))?;
-        match explain_client
+        match client
             .search(queries[0].clone())
             .map_err(|e| format!("query failed for {domain}: {e}"))?
         {
@@ -1099,11 +529,11 @@ fn server_smoke(opts: &ServerCliOpts) -> Result<(), String> {
         }
     }
     // The recent-trace export is the second jq-gated artifact: the
-    // EXPLAIN round traced one query per domain, and loadgen traffic
+    // EXPLAIN round traced one query per domain, and the hash round
     // adds sampled traces when --trace-sample is armed.
-    let traces = explain_client
+    let traces = client
         .trace()
-        .map_err(|e| format!("server did not answer Trace after loadgen: {e}"))?;
+        .map_err(|e| format!("server did not answer Trace: {e}"))?;
     std::fs::write("results/server_trace.json", &traces)
         .map_err(|e| format!("cannot write results/server_trace.json: {e}"))?;
     println!("wrote results/server_trace.json");
@@ -1132,27 +562,17 @@ mod tests {
         let o = ServerCliOpts::from_args(&args(&[])).expect("defaults parse");
         assert_eq!(o.port, 7878);
         assert_eq!(o.shards, 2);
-        assert_eq!(o.pipeline, 4);
-        assert!(!o.mix);
+        assert_eq!(o.queue, 64);
+        assert_eq!(o.batch, 16);
         assert!(o.domain.is_none());
         let o = ServerCliOpts::from_args(&args(&[
-            "--quick",
-            "--port",
-            "9000",
-            "--domain",
-            "graph",
-            "--conns",
-            "7",
-            "--pipeline",
-            "16",
-            "--mix",
+            "--quick", "--port", "9000", "--domain", "graph", "--queue", "7", "--batch", "3",
         ]))
         .expect("flags parse");
         assert_eq!(o.scale, Scale::Quick);
         assert_eq!(o.port, 9000);
-        assert_eq!(o.conns, 7);
-        assert_eq!(o.pipeline, 16);
-        assert!(o.mix);
+        assert_eq!(o.queue, 7);
+        assert_eq!(o.batch, 3);
         assert_eq!(o.domain, Some(Domain::Graph));
     }
 
@@ -1172,7 +592,15 @@ mod tests {
         assert!(err.contains("unknown flag \"--backend\""), "{err}");
         assert!(ServerCliOpts::from_args(&args(&["--domain", "sets"])).is_err());
         assert!(ServerCliOpts::from_args(&args(&["--domain", "all"])).is_ok());
-        assert!(ServerCliOpts::from_args(&args(&["--conns", "0"])).is_err());
+        assert!(ServerCliOpts::from_args(&args(&["--queue", "0"])).is_err());
+        // The load generator's knobs went with it.
+        for flag in ["--conns", "--requests", "--pipeline", "--mix"] {
+            let err = ServerCliOpts::from_args(&args(&[flag, "2"])).unwrap_err();
+            assert!(err.contains(&format!("unknown flag {flag:?}")), "{err}");
+        }
+        // `serve quick` must not silently build full-size engines.
+        let err = ServerCliOpts::from_args(&args(&["quick", "--port", "1"])).unwrap_err();
+        assert!(err.contains("unexpected argument \"quick\""), "{err}");
     }
 
     #[test]
@@ -1235,42 +663,5 @@ mod tests {
         // A missing or flag-shaped path is an error, not a silent skip.
         assert!(ServerCliOpts::from_args(&args(&["--chrome"])).is_err());
         assert!(ServerCliOpts::from_args(&args(&["--chrome", "--raw"])).is_err());
-    }
-
-    #[test]
-    fn metrics_delta_subtracts_and_recomputes_percentiles() {
-        let before = r#"{"metrics": {"counters": {"service.hamming.queries": 10, "server.errors": 2},
-            "gauges": {},
-            "histograms": {"server.hamming.latency_us": {"count": 4, "sum": 100,
-                "p50": 16, "p95": 64, "p99": 64,
-                "buckets": {"16": 3, "64": 1}}}}}"#;
-        let after = r#"{"metrics": {"counters": {"service.hamming.queries": 16, "server.errors": 2},
-            "gauges": {},
-            "histograms": {"server.hamming.latency_us": {"count": 10, "sum": 1300,
-                "p50": 16, "p95": 256, "p99": 256,
-                "buckets": {"16": 7, "64": 1, "256": 2}}}}}"#;
-        let delta = metrics_delta_json(before, after).expect("delta computes");
-        let doc = telemetry_json::parse(&delta).expect("delta is valid JSON");
-        let counters = doc.get("counters").expect("counters");
-        assert_eq!(
-            counters
-                .get("service.hamming.queries")
-                .and_then(telemetry_json::Value::as_u64),
-            Some(6)
-        );
-        // Unmoved counters are elided from the delta.
-        assert!(counters.get("server.errors").is_none());
-        let h = doc
-            .get("histograms")
-            .and_then(|h| h.get("server.hamming.latency_us"))
-            .expect("histogram delta");
-        let field = |k: &str| h.get(k).and_then(telemetry_json::Value::as_u64);
-        assert_eq!(field("count"), Some(6));
-        assert_eq!(field("sum"), Some(1200));
-        // Interval buckets: {16: 4, 256: 2} ⇒ p50 lands in 16, p95/p99
-        // in 256 — percentiles of the interval, not the cumulative run.
-        assert_eq!(field("p50"), Some(16));
-        assert_eq!(field("p95"), Some(256));
-        assert_eq!(field("p99"), Some(256));
     }
 }

@@ -37,8 +37,8 @@
 //!   `repro` harness uses, so a server and an in-process run built from
 //!   equal specs answer from bit-identical datasets (the CI smoke
 //!   check diffs their `result_hash`es).
-//! * [`client`] — a blocking client library; `repro query` and
-//!   `repro loadgen` are thin wrappers over it.
+//! * [`client`] — a blocking client library; `repro query`, `repro
+//!   stats` and `repro trace` are thin wrappers over it.
 //!
 //! Observability rides the same wire: `Request::Stats` returns the
 //! live metrics snapshot, `Request::Trace` the recent sampled span

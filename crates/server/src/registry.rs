@@ -7,7 +7,7 @@
 //! two processes constructing an [`EngineSet`] from equal specs hold
 //! bit-identical datasets — which is what lets `repro server-smoke` (and
 //! CI) diff a network round-trip's `result_hash` against a direct
-//! in-process [`ShardedIndex::search_batch`] run.
+//! in-process [`ShardedIndex::search_batch_on`] run.
 //!
 //! [`EngineSet::run_streaming`] is the server's execution core: it
 //! takes one micro-batch of mixed-domain queries, groups them by domain
@@ -75,8 +75,8 @@ pub struct EngineSpec {
 }
 
 impl EngineSpec {
-    /// The full-scale reproduction spec (the `repro sweep` datasets and
-    /// thresholds: gist/imdb/dblp/aids Ring configurations).
+    /// The full-scale reproduction spec (the `repro fig9`–`fig12` Ring
+    /// configurations: gist/imdb/dblp/aids datasets and thresholds).
     pub fn full() -> Self {
         EngineSpec {
             shards: 2,
@@ -126,8 +126,8 @@ impl EngineSpec {
 
     /// Deterministic per-domain query sets drawn from the served
     /// datasets, wrapped with this spec's default parameters. Clients
-    /// (`repro query` / `repro loadgen`) call this without building any
-    /// index: generation is pure in the spec.
+    /// (`repro query`) call this without building any index: generation
+    /// is pure in the spec.
     pub fn sample_queries(&self, domain: Domain) -> Vec<DomainQuery> {
         match domain {
             Domain::Hamming => {
@@ -685,35 +685,19 @@ mod tests {
                         tau: *tau,
                         l: *l as usize,
                     };
-                    engines
-                        .hamming_index()
-                        .search_batch(std::slice::from_ref(query), &params, 1)[0]
-                        .ids
-                        .clone()
+                    engines.hamming_index().search(query, &params).ids
                 }
                 DomainQuery::Edit { query, l } => {
                     let params = EditParams { l: *l as usize };
-                    engines
-                        .edit_index()
-                        .search_batch(std::slice::from_ref(query), &params, 1)[0]
-                        .ids
-                        .clone()
+                    engines.edit_index().search(query, &params).ids
                 }
                 DomainQuery::Set { tokens, l } => {
                     let params = SetParams { l: *l as usize };
-                    engines
-                        .set_index()
-                        .search_batch(std::slice::from_ref(tokens), &params, 1)[0]
-                        .ids
-                        .clone()
+                    engines.set_index().search(tokens, &params).ids
                 }
                 DomainQuery::Graph { query, l } => {
                     let params = GraphParams { l: *l as usize };
-                    engines
-                        .graph_index()
-                        .search_batch(std::slice::from_ref(query), &params, 1)[0]
-                        .ids
-                        .clone()
+                    engines.graph_index().search(query, &params).ids
                 }
             };
             assert_eq!(ids, &expect);

@@ -123,10 +123,11 @@ impl Default for ServerConfig {
             lane_depth: 64,
             micro_batch: 16,
             dispatchers: 4,
-            // Hamming/setsim answer in ~µs, editdist in ~100µs, graph
-            // GED in ~ms (see results/BENCH_server.json) — but instead
-            // of hard-coding that, derive each lane's share from the
-            // live cost EMA (cheap lanes large, expensive bounded).
+            // Editdist/setsim answer in tens of µs, hamming in
+            // hundreds, graph GED in ms (the `tcp_solo` table in
+            // benchmark/README.md) — but instead of hard-coding that,
+            // derive each lane's share from the live cost EMA (cheap
+            // lanes large, expensive bounded).
             lane_weights: LaneWeightPolicy::CostEma(CostEmaWeights::default()),
             conn_in_flight: 32,
             slow_query_ms: None,

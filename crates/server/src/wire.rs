@@ -135,7 +135,7 @@ impl Domain {
     /// All domains, in wire-tag order.
     pub const ALL: [Domain; 4] = [Domain::Hamming, Domain::Edit, Domain::Set, Domain::Graph];
 
-    /// CLI / artifact name (matches the `repro sweep` domain labels).
+    /// CLI / artifact / metric-name label of the domain.
     pub fn as_str(self) -> &'static str {
         match self {
             Domain::Hamming => "hamming",

@@ -1,5 +1,5 @@
 //! The in-process reference the over-TCP suites compare against: the
-//! batched `search_batch` API is the serving contract, so a server
+//! batched `search_batch_on` API is the serving contract, so a server
 //! round-trip must reproduce its result fingerprint exactly.
 
 use pigeonring_editdist::EditParams;
@@ -7,12 +7,14 @@ use pigeonring_graph::GraphParams;
 use pigeonring_hamming::HammingParams;
 use pigeonring_server::wire::{Domain, DomainQuery};
 use pigeonring_server::EngineSet;
-use pigeonring_service::ResultHasher;
+use pigeonring_service::{ResultHasher, WorkerPool};
 use pigeonring_setsim::SetParams;
 
-/// Fingerprint of a direct in-process `search_batch` run over the
-/// domain's standard query set.
+/// Fingerprint of a direct in-process `search_batch_on` run (its own
+/// two-worker pool: no wire, no lanes) over the domain's standard query
+/// set.
 pub fn in_process_hash(engines: &EngineSet, domain: Domain, queries: &[DomainQuery]) -> u64 {
+    let pool = WorkerPool::new(2);
     let mut hasher = ResultHasher::new();
     match domain {
         Domain::Hamming => {
@@ -32,7 +34,10 @@ pub fn in_process_hash(engines: &EngineSet, domain: Domain, queries: &[DomainQue
                 tau: *tau,
                 l: *l as usize,
             };
-            for r in engines.hamming_index().search_batch(&batch, &params, 2) {
+            for r in engines
+                .hamming_index()
+                .search_batch_on(&pool, &batch, &params)
+            {
                 hasher.push(&r.ids);
             }
         }
@@ -50,7 +55,7 @@ pub fn in_process_hash(engines: &EngineSet, domain: Domain, queries: &[DomainQue
                 panic!("mixed domain")
             };
             let params = EditParams { l: *l as usize };
-            for r in engines.edit_index().search_batch(&batch, &params, 2) {
+            for r in engines.edit_index().search_batch_on(&pool, &batch, &params) {
                 hasher.push(&r.ids);
             }
         }
@@ -68,7 +73,7 @@ pub fn in_process_hash(engines: &EngineSet, domain: Domain, queries: &[DomainQue
                 panic!("mixed domain")
             };
             let params = SetParams { l: *l as usize };
-            for r in engines.set_index().search_batch(&batch, &params, 2) {
+            for r in engines.set_index().search_batch_on(&pool, &batch, &params) {
                 hasher.push(&r.ids);
             }
         }
@@ -86,7 +91,10 @@ pub fn in_process_hash(engines: &EngineSet, domain: Domain, queries: &[DomainQue
                 panic!("mixed domain")
             };
             let params = GraphParams { l: *l as usize };
-            for r in engines.graph_index().search_batch(&batch, &params, 2) {
+            for r in engines
+                .graph_index()
+                .search_batch_on(&pool, &batch, &params)
+            {
                 hasher.push(&r.ids);
             }
         }

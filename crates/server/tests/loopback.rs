@@ -1,7 +1,7 @@
 //! The acceptance check, as a test: a loopback server round-trip must
 //! return byte-identical result-id sets (compared via the service
 //! layer's `result_hash` fingerprint) to a direct in-process
-//! [`ShardedIndex::search_batch`] run, for all four domains. Also
+//! [`ShardedIndex::search_batch_on`] run, for all four domains. Also
 //! covers version negotiation and fail-closed behavior on garbage
 //! bytes.
 
@@ -58,7 +58,7 @@ fn loopback_round_trip_matches_in_process_for_all_domains() {
         assert_eq!(
             server_hasher.finish(),
             expect,
-            "server round-trip differs from in-process search_batch for {domain}"
+            "server round-trip differs from in-process search_batch_on for {domain}"
         );
     }
     handle.shutdown();

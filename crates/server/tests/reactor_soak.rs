@@ -5,7 +5,7 @@
 //! (every frame split into tiny byte chunks across many writes, so the
 //! reactor's incremental decoder reassembles partial frames constantly)
 //! — and the answers must still be hash-identical to a direct
-//! in-process `search_batch` run.
+//! in-process `search_batch_on` run.
 
 #![cfg(unix)]
 
@@ -196,7 +196,7 @@ fn soak_idle_connections_and_fragmented_frames_match_in_process() {
         assert_eq!(
             hasher.finish(),
             common::in_process_hash(&engines, domain, &queries),
-            "fragmented-frame soak differs from in-process search_batch for {domain}"
+            "fragmented-frame soak differs from in-process search_batch_on for {domain}"
         );
     }
 

@@ -56,6 +56,7 @@ fn reference_run(
             })
             .collect()
     }
+    let pool = WorkerPool::new(2);
     match domain {
         Domain::Hamming => {
             let batch: Vec<_> = queries
@@ -74,7 +75,11 @@ fn reference_run(
                 tau: *tau,
                 l: *l as usize,
             };
-            collect(engines.hamming_index().search_batch(&batch, &params, 2))
+            collect(
+                engines
+                    .hamming_index()
+                    .search_batch_on(&pool, &batch, &params),
+            )
         }
         Domain::Edit => {
             let batch: Vec<_> = queries
@@ -90,7 +95,7 @@ fn reference_run(
                 panic!("mixed domain")
             };
             let params = EditParams { l: *l as usize };
-            collect(engines.edit_index().search_batch(&batch, &params, 2))
+            collect(engines.edit_index().search_batch_on(&pool, &batch, &params))
         }
         Domain::Set => {
             let batch: Vec<_> = queries
@@ -106,7 +111,7 @@ fn reference_run(
                 panic!("mixed domain")
             };
             let params = SetParams { l: *l as usize };
-            collect(engines.set_index().search_batch(&batch, &params, 2))
+            collect(engines.set_index().search_batch_on(&pool, &batch, &params))
         }
         Domain::Graph => {
             let batch: Vec<_> = queries
@@ -122,7 +127,11 @@ fn reference_run(
                 panic!("mixed domain")
             };
             let params = GraphParams { l: *l as usize };
-            collect(engines.graph_index().search_batch(&batch, &params, 2))
+            collect(
+                engines
+                    .graph_index()
+                    .search_batch_on(&pool, &batch, &params),
+            )
         }
     }
 }

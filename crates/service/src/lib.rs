@@ -34,9 +34,9 @@
 //!   every engine verifies candidates exactly, the merged result set is
 //!   *identical* to the unsharded engine's for any shard count
 //!   (property-tested across all four domains).
-//! * [`Sweep`] — a throughput-sweep driver used by the `repro` binary's
-//!   `--shards K --batch B` flags and `sweep` subcommand; emits the
-//!   `BENCH_service.json` artifact consumed by CI.
+//! * [`ResultHasher`] — the order-sensitive result-set fingerprint that
+//!   certifies identical answers across shard counts, processes and the
+//!   wire.
 //!
 //! The adapter impls for [`RingHamming`], [`RingEdit`], [`RingSetSim`]
 //! and [`RingGraph`] live in the respective domain crates, each in a
@@ -51,16 +51,16 @@
 //! [`RingGraph`]: https://docs.rs/pigeonring-graph
 
 pub mod engine;
+pub mod fingerprint;
 pub mod machine;
 pub mod pool;
 pub mod sharded;
-pub mod sweep;
 
 pub use engine::{MergeStats, SearchEngine};
-pub use machine::{cores, default_shard_counts, MachineFingerprint};
+pub use fingerprint::ResultHasher;
+pub use machine::{cores, MachineFingerprint};
 pub use pool::{JobRejected, PoolMetrics, ScratchStore, WorkerPool};
 pub use sharded::{shard_of, IndexMetrics, SearchResult, ShardedIndex};
-pub use sweep::{percentile, ResultHasher, Sweep, SweepRow};
 
 /// The telemetry crate, re-exported so downstream layers (server,
 /// bench CLI) share one metrics implementation without naming the

@@ -1,15 +1,15 @@
 //! Machine fingerprinting: core count, CPU features, and
 //! container-vs-host detection.
 //!
-//! Benchmark artifacts (`BENCH_service.json`, `BENCH_server.json`,
-//! `BENCH_kernels.json`) are only comparable across runs when the
-//! machine is known — a single-core CI container and an 8-core host
-//! produce very different shard/thread scaling, and the SIMD kernels
-//! only engage when the CPU reports AVX2. Every artifact therefore
-//! embeds a [`MachineFingerprint`], and the core-aware defaults
-//! ([`cores`], [`default_shard_counts`], [`WorkerPool::auto`]) derive
-//! from the same detection so "what ran" and "what was recorded" cannot
-//! drift apart.
+//! Recorded numbers (the repo benchmark's result documents,
+//! `BENCH_kernels.json`, the server's Stats snapshot) are only
+//! comparable across runs when the machine is known — a single-core CI
+//! container and an 8-core host produce very different shard/thread
+//! scaling, and the SIMD kernels only engage when the CPU reports AVX2.
+//! Each of them therefore embeds a [`MachineFingerprint`], and the
+//! core-aware defaults ([`cores`], [`WorkerPool::auto`]) derive from the
+//! same detection so "what ran" and "what was recorded" cannot drift
+//! apart.
 //!
 //! [`WorkerPool::auto`]: crate::pool::WorkerPool::auto
 
@@ -62,26 +62,9 @@ impl MachineFingerprint {
 }
 
 /// Cores visible to this process, clamped to at least 1. The default
-/// worker count for [`WorkerPool::auto`](crate::pool::WorkerPool::auto)
-/// and the service benchmarks.
+/// worker count for [`WorkerPool::auto`](crate::pool::WorkerPool::auto).
 pub fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Core-aware default shard counts for throughput sweeps: the paper-era
-/// `[1, 2, 4, 8]` ladder, extended by further powers of two up to the
-/// first one at or above the visible core count, so an N-core host's
-/// sweep actually exercises N-way sharding while a 1-core container
-/// keeps the (still meaningful: sharding overhead) 8-shard ceiling.
-pub fn default_shard_counts() -> Vec<usize> {
-    let mut counts = vec![1usize, 2, 4, 8];
-    let cores = cores();
-    let mut top = 8usize;
-    while top < cores {
-        top *= 2;
-        counts.push(top);
-    }
-    counts
 }
 
 /// SIMD feature levels relevant to the distance kernels, detected at
@@ -159,17 +142,6 @@ mod tests {
             container: false,
         };
         assert!(empty.to_json().contains("\"cpu_features\": []"));
-    }
-
-    #[test]
-    fn shard_ladder_covers_the_machine() {
-        let counts = default_shard_counts();
-        assert!(counts.starts_with(&[1, 2, 4, 8]));
-        assert!(*counts.last().expect("non-empty") >= cores());
-        // Strictly doubling powers of two.
-        for w in counts.windows(2) {
-            assert_eq!(w[1], w[0] * 2);
-        }
     }
 
     #[test]

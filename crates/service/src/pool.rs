@@ -1,10 +1,9 @@
 //! A persistent, channel-fed worker pool with per-worker long-lived
 //! scratch.
 //!
-//! [`ShardedIndex::search_batch`] used to spawn scoped threads for every
-//! batch — fine at batch ≥ 16, wasteful for the tiny batches a network
-//! frontend produces (the ROADMAP "persistent worker pool" item). A
-//! [`WorkerPool`] spawns its threads once; jobs are boxed closures fed
+//! Spawning threads per batch is fine at batch ≥ 16 and wasteful for
+//! the tiny batches a network frontend produces. A [`WorkerPool`]
+//! spawns its threads once; jobs are boxed closures fed
 //! through a bounded-by-nothing internal queue (admission control is the
 //! *caller's* concern — see `pigeonring-server`; a live pool never
 //! rejects work, only a [shut-down](WorkerPool::shutdown) one does, and
@@ -15,11 +14,9 @@
 //! type with [`ScratchStore::get_mut`]; the first job of that type on a
 //! worker allocates it, every later job — across batches, across
 //! [`ShardedIndex`] instances, across *domains* — reuses the warm
-//! buffers. This is exactly the property the scoped-thread version had
-//! within one batch, extended to the lifetime of the pool.
+//! buffers.
 //!
 //! [`ShardedIndex`]: crate::sharded::ShardedIndex
-//! [`ShardedIndex::search_batch`]: crate::sharded::ShardedIndex::search_batch
 
 use std::any::{Any, TypeId};
 use std::collections::{HashMap, VecDeque};

@@ -4,8 +4,8 @@
 //! hashing global record ids (deterministic: the same records and shard
 //! count always produce the same partition), builds one engine per
 //! non-empty shard, and remembers each shard's global ids. At query time
-//! [`ShardedIndex::search_batch`] fans the batch out over a worker pool —
-//! one job per shard, each worker reusing its long-lived
+//! [`ShardedIndex::search_batch_on`] fans the batch out over the caller's
+//! [`WorkerPool`] — one job per shard, each worker reusing its long-lived
 //! [`ScratchStore`](crate::pool::ScratchStore) scratch, so buffers stay
 //! warm across shards *and* batches — then merges per-shard result sets
 //! back into ascending *global* id order and aggregates statistics with
@@ -30,13 +30,12 @@
 //! [`ShardedIndex::build`] is its unit-dictionary case, for engines
 //! whose plans depend on the query alone.
 //!
-//! The pool is persistent (the ROADMAP "persistent worker pool" item):
-//! `search_batch` lazily spawns one sized to its `threads` argument and
-//! keeps it for later batches, while [`ShardedIndex::search_batch_on`]
-//! runs on a caller-owned [`WorkerPool`] — the path `pigeonring-server`
-//! uses so every index shares one pool behind the network boundary.
-//! Merging is by fixed shard order regardless of job completion order,
-//! so results are deterministic for any worker count.
+//! The pool is always the caller's: [`ShardedIndex::search_batch_on`] is
+//! the one batched entry point, so every index (and every domain — worker
+//! scratch is keyed by scratch type) can share one persistent
+//! [`WorkerPool`], as `pigeonring-server` does behind the network
+//! boundary. Merging is by fixed shard order regardless of job completion
+//! order, so results are deterministic for any worker count.
 //!
 //! Every domain engine verifies its candidates exactly, so sharding
 //! cannot change the result set: the union over shards of "records within
@@ -55,9 +54,8 @@ use pigeonring_telemetry::trace::{kind, ShardTrace};
 use pigeonring_telemetry::{Histogram, MetricsRegistry, SpanHandle};
 
 /// Telemetry handles for one [`ShardedIndex`], attached via
-/// [`ShardedIndex::attach_metrics`]. Recorded on the shared-pool query
-/// path ([`ShardedIndex::search_batch_on`] — the path the server uses)
-/// and in [`ShardedIndex::plan_batch`].
+/// [`ShardedIndex::attach_metrics`]. Recorded by
+/// [`ShardedIndex::search_batch_on`] and [`ShardedIndex::plan_batch`].
 #[derive(Clone)]
 pub struct IndexMetrics {
     /// µs spent planning a batch (one observation per `plan_batch`).
@@ -180,22 +178,14 @@ impl<E: SearchEngine> Shard<E> {
 /// index.
 pub struct ShardedIndex<E> {
     /// Shared so per-shard jobs on the persistent pool (which outlive
-    /// any one `search_batch` stack frame) can hold the shards alive.
+    /// any one `search_batch_on` stack frame) can hold the shards alive.
     shards: Arc<Vec<Shard<E>>>,
-    requested_shards: usize,
     total: usize,
-    /// Wall time spent building the shared dictionary.
-    dict_build_ms: f64,
     /// Long-lived planner scratch for [`ShardedIndex::plan_batch`]:
     /// plan-side buffers (gram/token scratch vectors) are reused across
     /// queries and batches instead of being allocated per query — the
     /// same [`ScratchStore`] mechanism the pool workers use.
     planner: Mutex<ScratchStore>,
-    /// Lazily-spawned interior pool for [`ShardedIndex::search_batch`];
-    /// resized (respawned) when a call asks for a different thread
-    /// count. Callers wanting to share one pool across indexes use
-    /// [`ShardedIndex::search_batch_on`] instead.
-    pool: Mutex<Option<WorkerPool>>,
     /// Optional telemetry (plan/search latency, batch sizes); attached
     /// once by the owning service, absent for bench/test builds.
     metrics: OnceLock<IndexMetrics>,
@@ -252,11 +242,8 @@ impl<E: SearchEngine> ShardedIndex<E> {
         build: impl Fn(&D, Vec<R>) -> E,
     ) -> Self {
         assert!(shards > 0, "need at least one shard");
-        let requested_shards = shards;
         let total = records.len();
-        let dict_start = Instant::now();
         let dict = dictionary(&records);
-        let dict_build_ms = dict_start.elapsed().as_secs_f64() * 1e3;
         let shards: Vec<Shard<E>> = partition(records, shards)
             .into_iter()
             .map(|(ids, records)| Shard {
@@ -276,17 +263,14 @@ impl<E: SearchEngine> ShardedIndex<E> {
         }
         ShardedIndex {
             shards: Arc::new(shards),
-            requested_shards,
             total,
-            dict_build_ms,
             planner: Mutex::new(ScratchStore::default()),
-            pool: Mutex::new(None),
             metrics: OnceLock::new(),
         }
     }
 
     /// Attaches telemetry to this index (first attach wins). Recorded
-    /// on the shared-pool query path and in
+    /// by [`ShardedIndex::search_batch_on`] and
     /// [`ShardedIndex::plan_batch`]; an un-instrumented index pays one
     /// `OnceLock` load per batch.
     pub fn attach_metrics(&self, metrics: IndexMetrics) {
@@ -298,20 +282,9 @@ impl<E: SearchEngine> ShardedIndex<E> {
         self.shards.len()
     }
 
-    /// The shard count requested at build time (≥ [`Self::num_shards`]).
-    pub fn requested_shards(&self) -> usize {
-        self.requested_shards
-    }
-
     /// Total number of records across all shards.
     pub fn num_records(&self) -> usize {
         self.total
-    }
-
-    /// Wall time spent building the shared dictionary, in milliseconds
-    /// (≈ 0 for [`ShardedIndex::build`]'s unit dictionary).
-    pub fn dictionary_build_ms(&self) -> f64 {
-        self.dict_build_ms
     }
 
     /// Computes every query's plan exactly once against the index's
@@ -350,8 +323,9 @@ impl<E: SearchEngine> ShardedIndex<E> {
     ///
     /// Convenience path: shards usually differ in record count, so the
     /// shared scratch re-sizes on every shard transition. Hot callers
-    /// should prefer [`ShardedIndex::search_batch`], which amortizes the
-    /// resize across the whole batch (each worker serves entire shards).
+    /// should prefer [`ShardedIndex::search_batch_on`], which amortizes
+    /// the resize across the whole batch (each worker serves entire
+    /// shards).
     pub fn search(&self, query: &E::Query, params: &E::Params) -> SearchResult<E::Stats> {
         let batch = std::slice::from_ref(query);
         let plans = self.plan_batch(batch).unwrap_or_default();
@@ -363,69 +337,16 @@ impl<E: SearchEngine> ShardedIndex<E> {
             .expect("one query in, one result out")
     }
 
-    /// Answers a batch of queries with up to `threads` worker threads
-    /// from the index's interior persistent pool.
-    ///
-    /// Every query is planned exactly once
-    /// ([`ShardedIndex::plan_batch`]) and the plan shared by all shard
-    /// jobs.
-    ///
-    /// The pool is spawned on the first parallel call and reused by
-    /// every later batch (respawned only when `threads` changes), so
-    /// steady-state batches pay zero thread-spawn cost and worker
-    /// scratch stays warm across batches. Results are merged in fixed
-    /// shard order and sorted, so the output is deterministic regardless
-    /// of thread scheduling: two runs of the same batch agree
-    /// bit-for-bit.
-    ///
-    /// Concurrent callers serialize on the interior pool; services
-    /// multiplexing many indexes should share one explicit pool via
-    /// [`ShardedIndex::search_batch_on`].
-    pub fn search_batch(
-        &self,
-        batch: &[E::Query],
-        params: &E::Params,
-        threads: usize,
-    ) -> Vec<SearchResult<E::Stats>> {
-        let plans = self.plan_batch(batch).unwrap_or_default();
-        self.search_batch_planned(batch, &plans, params, threads)
-    }
-
-    /// [`ShardedIndex::search_batch`] with caller-provided plans
-    /// (`plans[i]` belongs to `batch[i]`, from
-    /// [`ShardedIndex::plan_batch`]). Lets parameter sweeps reuse one
-    /// set of plans across several `params` values — plans are
-    /// parameter-independent by the [`SearchEngine::Plan`] contract.
-    ///
-    /// # Panics
-    /// Panics if `plans.len() != batch.len()`.
-    pub fn search_batch_planned(
-        &self,
-        batch: &[E::Query],
-        plans: &[Arc<E::Plan>],
-        params: &E::Params,
-        threads: usize,
-    ) -> Vec<SearchResult<E::Stats>> {
-        let ns = self.shards.len();
-        assert!(ns == 0 || batch.len() == plans.len(), "one plan per query");
-        let workers = threads.clamp(1, ns.max(1));
-        let per_shard = if workers <= 1 || ns <= 1 {
-            self.run_serial_planned(batch, plans, params, None)
-        } else {
-            self.with_interior_pool(workers, |pool| {
-                self.run_on_planned(pool, batch, plans, params, None)
-            })
-        };
-        self.merge_planned(batch.len(), per_shard, plans)
-    }
-
     /// Answers a batch of queries on a caller-owned [`WorkerPool`]
     /// (shared across indexes — and across *domains*, since worker
-    /// scratch is keyed by scratch type). Plans once per query, exactly
-    /// like [`ShardedIndex::search_batch`].
+    /// scratch is keyed by scratch type). Every query is planned exactly
+    /// once ([`ShardedIndex::plan_batch`]) and the plan shared by all
+    /// shard jobs; a one-worker pool or a one-shard index runs serially
+    /// on the calling thread.
     ///
-    /// Same determinism guarantee as [`ShardedIndex::search_batch`]:
-    /// per-shard results are merged in fixed shard order and sorted.
+    /// Per-shard results are merged in fixed shard order and sorted, so
+    /// the output is deterministic regardless of thread scheduling: two
+    /// runs of the same batch agree bit-for-bit.
     pub fn search_batch_on(
         &self,
         pool: &WorkerPool,
@@ -512,24 +433,6 @@ impl<E: SearchEngine> ShardedIndex<E> {
             m.search_us.record(elapsed_us(start));
         }
         merged
-    }
-
-    /// Ensures the interior pool has `workers` threads and runs `f` on
-    /// it.
-    fn with_interior_pool(
-        &self,
-        workers: usize,
-        f: impl FnOnce(&WorkerPool) -> Vec<ShardBatch<E::Stats>>,
-    ) -> Vec<ShardBatch<E::Stats>> {
-        // Poison recovery: the guarded Option<WorkerPool> is replaced
-        // wholesale, never half-updated, so a panicking holder leaves it
-        // consistent.
-        let mut guard = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        let pool = guard.get_or_insert_with(|| WorkerPool::new(workers));
-        if pool.workers() != workers {
-            *pool = WorkerPool::new(workers);
-        }
-        f(pool)
     }
 
     /// Serial fallback: every shard on the calling thread, one scratch,
@@ -825,7 +728,6 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, (0..257).collect::<Vec<u32>>());
         assert_eq!(index.num_records(), 257);
-        assert_eq!(index.requested_shards(), 5);
     }
 
     #[test]
@@ -861,8 +763,9 @@ mod tests {
         let batch: Vec<i64> = (0..23).map(|i| i * 9).collect();
         let serial: Vec<_> = batch.iter().map(|q| index.search(q, &7)).collect();
         for threads in [1usize, 2, 4, 8] {
-            let run1 = index.search_batch(&batch, &7, threads);
-            let run2 = index.search_batch(&batch, &7, threads);
+            let pool = WorkerPool::new(threads);
+            let run1 = index.search_batch_on(&pool, &batch, &7);
+            let run2 = index.search_batch_on(&pool, &batch, &7);
             for qi in 0..batch.len() {
                 assert_eq!(run1[qi].ids, serial[qi].ids, "threads={threads} qi={qi}");
                 assert_eq!(run1[qi].ids, run2[qi].ids, "threads={threads} qi={qi}");
@@ -878,7 +781,7 @@ mod tests {
             let (plans, index) = build_counting(300, k);
             for threads in [1usize, 4] {
                 plans.store(0, Ordering::SeqCst);
-                let _ = index.search_batch(&batch, &7, threads);
+                let _ = index.search_batch_on(&WorkerPool::new(threads), &batch, &7);
                 assert_eq!(
                     plans.load(Ordering::SeqCst),
                     batch.len(),
@@ -922,48 +825,11 @@ mod tests {
     }
 
     #[test]
-    fn precomputed_plans_are_reusable_across_params() {
-        let (_, index) = build_counting(200, 3);
-        let batch: Vec<i64> = (0..8).collect();
-        let plans = index.plan_batch(&batch).expect("non-empty index plans");
-        for params in [3i64, 7, 11] {
-            let via_plans = index.search_batch_planned(&batch, &plans, &params, 2);
-            let direct = index.search_batch(&batch, &params, 2);
-            for qi in 0..batch.len() {
-                assert_eq!(via_plans[qi].ids, direct[qi].ids, "params={params} qi={qi}");
-            }
-        }
-    }
-
-    #[test]
-    fn search_batch_on_shared_pool_matches_interior_pool() {
-        let (_, index_a) = build_sharded(300, 4);
-        let (_, index_b) = build_sharded(150, 3);
-        let batch: Vec<i64> = (0..17).map(|i| i * 11).collect();
-        let pool = WorkerPool::new(2);
-        // The same pool serves two different indexes, repeatedly; the
-        // results must match the interior-pool path every time.
-        for _ in 0..3 {
-            let via_pool = index_a.search_batch_on(&pool, &batch, &9);
-            let via_interior = index_a.search_batch(&batch, &9, 2);
-            for qi in 0..batch.len() {
-                assert_eq!(via_pool[qi].ids, via_interior[qi].ids, "qi={qi}");
-                assert_eq!(via_pool[qi].stats, via_interior[qi].stats, "qi={qi}");
-            }
-            let via_pool_b = index_b.search_batch_on(&pool, &batch, &9);
-            let via_interior_b = index_b.search_batch(&batch, &9, 2);
-            for qi in 0..batch.len() {
-                assert_eq!(via_pool_b[qi].ids, via_interior_b[qi].ids, "qi={qi}");
-            }
-        }
-    }
-
-    #[test]
     fn search_batch_on_plans_once_with_shared_pool() {
         let (plans, index) = build_counting(300, 4);
         let pool = WorkerPool::new(2);
         let batch: Vec<i64> = (0..9).collect();
-        let expect = index.search_batch(&batch, &5, 1);
+        let expect = index.search_batch_on(&WorkerPool::new(1), &batch, &5);
         plans.store(0, Ordering::SeqCst);
         let got = index.search_batch_on(&pool, &batch, &5);
         assert_eq!(plans.load(Ordering::SeqCst), batch.len());
@@ -1027,25 +893,6 @@ mod tests {
         for s in &spans {
             let parent = s.get("parent").and_then(Value::as_u64).unwrap();
             assert!(parent == 0 || ids.contains(&parent), "dangling parent");
-        }
-    }
-
-    #[test]
-    fn interior_pool_is_reused_and_resized() {
-        let (_, index) = build_sharded(200, 4);
-        let batch: Vec<i64> = (0..9).collect();
-        let expect: Vec<Vec<u32>> = index
-            .search_batch(&batch, &5, 1)
-            .into_iter()
-            .map(|r| r.ids)
-            .collect();
-        // Same thread count twice (pool reused), then a different one
-        // (pool respawned); answers never change.
-        for threads in [2usize, 2, 3] {
-            let got = index.search_batch(&batch, &5, threads);
-            for qi in 0..batch.len() {
-                assert_eq!(got[qi].ids, expect[qi], "threads={threads} qi={qi}");
-            }
         }
     }
 

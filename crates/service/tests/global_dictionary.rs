@@ -38,7 +38,7 @@ use pigeonring_hamming::{
     AllocationStrategy, BitVector, CostModel, HammingParams, HammingPlan, HammingScratch,
     Partitioning, RingHamming, SearchStats,
 };
-use pigeonring_service::{ResultHasher, SearchEngine, ShardedIndex};
+use pigeonring_service::{ResultHasher, SearchEngine, ShardedIndex, WorkerPool};
 use pigeonring_setsim::{Collection, RingSetSim, SetParams, SetStats, Threshold, TokenDictionary};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
@@ -96,7 +96,7 @@ fn batch_hash<E: pigeonring_service::SearchEngine>(
     threads: usize,
 ) -> u64 {
     let mut hasher = ResultHasher::new();
-    for res in index.search_batch(queries, params, threads) {
+    for res in index.search_batch_on(&WorkerPool::new(threads), queries, params) {
         hasher.push(&res.ids);
     }
     hasher.finish()
@@ -144,7 +144,7 @@ proptest! {
 /// Aggregate editdist filter statistics over a batch on `index`.
 fn edit_agg(index: &ShardedIndex<RingEdit>, queries: &[Vec<u8>]) -> EditStats {
     let mut agg = EditStats::default();
-    for res in index.search_batch(queries, &EditParams { l: 3 }, 2) {
+    for res in index.search_batch_on(&WorkerPool::new(2), queries, &EditParams { l: 3 }) {
         agg.merge(&res.stats);
     }
     agg
@@ -191,7 +191,7 @@ fn global_token_dictionary_makes_set_stats_resharding_invariant() {
         .collect();
     let agg = |index: &ShardedIndex<RingSetSim>| -> SetStats {
         let mut agg = SetStats::default();
-        for res in index.search_batch(&queries, &SetParams { l: 2 }, 2) {
+        for res in index.search_batch_on(&WorkerPool::new(2), &queries, &SetParams { l: 2 }) {
             agg.merge(&res.stats);
         }
         agg
@@ -249,7 +249,7 @@ fn corpus_cost_model_makes_hamming_stats_resharding_invariant() {
         );
         let mut agg = SearchStats::default();
         let mut hash = ResultHasher::new();
-        for res in index.search_batch(&queries, &params, 2) {
+        for res in index.search_batch_on(&WorkerPool::new(2), &queries, &params) {
             hash.push(&res.ids);
             agg.merge(&res.stats);
         }
@@ -321,7 +321,7 @@ fn hamming_histograms_are_computed_once_per_query() {
     let params = HammingParams { tau: 40, l: 4 };
     for threads in [1usize, 2] {
         histograms.store(0, Ordering::Relaxed);
-        let _ = index.search_batch(&queries, &params, threads);
+        let _ = index.search_batch_on(&WorkerPool::new(threads), &queries, &params);
         assert_eq!(
             histograms.load(Ordering::Relaxed),
             queries.len(),

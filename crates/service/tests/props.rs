@@ -17,7 +17,7 @@ use pigeonring_datagen::{sample_query_ids, GraphConfig, SetConfig, StringConfig,
 use pigeonring_editdist::{EditParams, GramDictionary, GramOrder, QGramCollection, RingEdit};
 use pigeonring_graph::{Graph, GraphParams, RingGraph};
 use pigeonring_hamming::{AllocationStrategy, BitVector, HammingParams, RingHamming};
-use pigeonring_service::ShardedIndex;
+use pigeonring_service::{ShardedIndex, WorkerPool};
 use pigeonring_setsim::{Collection, RingSetSim, SetParams, Threshold, TokenDictionary};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
@@ -46,7 +46,7 @@ proptest! {
             let index = ShardedIndex::build(data.clone(), k, |shard| {
                 RingHamming::build(shard, 16, AllocationStrategy::CostModel)
             });
-            let got = index.search_batch(&queries, &params, k);
+            let got = index.search_batch_on(&WorkerPool::new(k), &queries, &params);
             for (qi, q) in queries.iter().enumerate() {
                 let expect = reference.search(q, &params);
                 prop_assert_eq!(&got[qi].ids, &expect.ids, "k={} qi={}", k, qi);
@@ -79,7 +79,7 @@ proptest! {
         let reference = build(1);
         for k in SHARD_COUNTS {
             let index = build(k);
-            let got = index.search_batch(&queries, &params, k);
+            let got = index.search_batch_on(&WorkerPool::new(k), &queries, &params);
             for (qi, q) in queries.iter().enumerate() {
                 let expect = reference.search(q, &params);
                 prop_assert_eq!(&got[qi].ids, &expect.ids, "k={} qi={}", k, qi);
@@ -112,7 +112,7 @@ proptest! {
         let reference = build(1);
         for k in SHARD_COUNTS {
             let index = build(k);
-            let got = index.search_batch(&queries, &params, k);
+            let got = index.search_batch_on(&WorkerPool::new(k), &queries, &params);
             for (qi, q) in queries.iter().enumerate() {
                 let expect = reference.search(q, &params);
                 prop_assert_eq!(&got[qi].ids, &expect.ids, "k={} qi={}", k, qi);
@@ -136,7 +136,7 @@ proptest! {
         let reference = ShardedIndex::build(data.clone(), 1, build);
         for k in SHARD_COUNTS {
             let index = ShardedIndex::build(data.clone(), k, build);
-            let got = index.search_batch(&queries, &params, k);
+            let got = index.search_batch_on(&WorkerPool::new(k), &queries, &params);
             for (qi, q) in queries.iter().enumerate() {
                 let expect = reference.search(q, &params);
                 prop_assert_eq!(&got[qi].ids, &expect.ids, "k={} qi={}", k, qi);
@@ -161,8 +161,9 @@ proptest! {
         let index = ShardedIndex::build(data, 3, |shard| {
             RingHamming::build(shard, 32, AllocationStrategy::Even)
         });
-        let run1 = index.search_batch(&queries, &params, 3);
-        let run2 = index.search_batch(&queries, &params, 3);
+        let pool = WorkerPool::new(3);
+        let run1 = index.search_batch_on(&pool, &queries, &params);
+        let run2 = index.search_batch_on(&pool, &queries, &params);
         for qi in 0..queries.len() {
             prop_assert_eq!(&run1[qi].ids, &run2[qi].ids, "qi={}", qi);
             prop_assert_eq!(run1[qi].stats, run2[qi].stats, "qi={}", qi);

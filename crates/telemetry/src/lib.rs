@@ -24,11 +24,11 @@
 //!   ([`Snapshot::to_json`]) and Prometheus-style text exposition
 //!   ([`Snapshot::to_prometheus`]).
 //! * [`json`] — a minimal JSON parser/pretty-printer so clients (the
-//!   `repro stats` subcommand, the loadgen delta recorder) can read
-//!   snapshots back without serde.
-//! * [`percentile`] — the nearest-rank percentile helper shared with
-//!   the service-layer sweep driver (moved here so histograms and the
-//!   sweep use one tested implementation).
+//!   `repro stats` / `repro trace` subcommands) can read snapshots back
+//!   without serde.
+//! * [`percentile`] — nearest-rank percentile of sorted samples, the
+//!   definition the histograms' p50/p95/p99 follow; the repo benchmark
+//!   computes its latency columns with it.
 //! * [`trace`] — span-based per-request tracing: a [`TraceCollector`]
 //!   with 1/N head sampling and a bounded span ring, [`Span`] trees
 //!   with parent/child links, and Chrome trace-event export. Metrics
