@@ -192,7 +192,10 @@ fn bench_set_kernels(c: &mut Criterion) {
 }
 
 fn bench_graph_kernels(c: &mut Criterion) {
-    use pigeonring_graph::{ged_within, part_embeds, partition_graph, Graph};
+    use pigeonring_graph::{
+        embeds, ged_within, part_embeds, partition_graph, Graph, GraphPlan, Mask, MatchScratch,
+        PartArena,
+    };
     let mut r = rng();
     let mut mk = |n: usize, labels: u32| -> Graph {
         let mut g = Graph::new((0..n).map(|_| r.gen_range(0..labels)).collect());
@@ -210,6 +213,24 @@ fn bench_graph_kernels(c: &mut Criterion) {
             parts
                 .iter()
                 .filter(|p| part_embeds(black_box(p), black_box(&q)))
+                .count()
+        })
+    });
+    // The engine's form of the same test: parts compiled and the query
+    // planned once, every one-op mask of every part, one scratch.
+    let arena = PartArena::compile(&parts);
+    let plan = GraphPlan::new(&q);
+    let mut scratch = MatchScratch::default();
+    c.bench_function("graph/box_probe_1op_16v", |bch| {
+        bch.iter(|| {
+            (0..arena.len())
+                .map(|i| arena.part(i))
+                .flat_map(|part| {
+                    core::iter::once(Mask::None)
+                        .chain(part.masks())
+                        .map(move |mask| (part, mask))
+                })
+                .filter(|&(part, mask)| embeds(part, mask, black_box(&plan), &mut scratch))
                 .count()
         })
     });

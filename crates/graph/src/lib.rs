@@ -20,6 +20,12 @@
 //!   produced by at most `b` operations (delete an edge/stub, delete an
 //!   isolated vertex, wildcard a vertex label) embeds in `q`.
 //!
+//! Both engines share one build ([`PartIndex`]): every part is compiled
+//! once into a flat arena ([`subiso::PartArena`]), a variant is a part
+//! read through a one-element [`Mask`], and one allocation-free matcher
+//! ([`embeds`]) answers the intact test and every variant test against
+//! a per-query [`GraphPlan`].
+//!
 //! The filtering instance `⟨partition, min-GED-to-subgraph boxes,
 //! D(τ) = τ⟩` satisfies `‖B(x, q)‖₁ ≤ ged(x, q)` (each edit damages one
 //! part by at most one operation), hence is complete but not tight;
@@ -28,17 +34,21 @@
 
 pub mod ged;
 pub mod graph;
+pub mod index;
 pub mod neighborhood;
 pub mod pars;
 pub mod partition;
+pub mod plan;
 pub mod ring;
 pub mod service;
 pub mod subiso;
 
 pub use ged::{ged, ged_within};
 pub use graph::Graph;
+pub use index::PartIndex;
 pub use pars::{GraphStats, Pars};
 pub use partition::{partition_graph, Part};
+pub use plan::GraphPlan;
 pub use ring::RingGraph;
 pub use service::{GraphParams, GraphScratch};
-pub use subiso::part_embeds;
+pub use subiso::{embeds, part_embeds, CompiledPart, Mask, MatchScratch, PartArena};

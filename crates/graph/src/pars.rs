@@ -1,18 +1,19 @@
-//! The Pars baseline \[136\] and shared candidate generation.
+//! The Pars baseline \[136\].
 //!
-//! Each data graph is partitioned into `τ + 1` parts at build time. At
-//! query time a graph is a candidate iff some part embeds intact in `q`
-//! (the pigeonhole filter: `τ` edits damage at most `τ` parts). A cheap
+//! Each data graph is partitioned into `τ + 1` parts and compiled at
+//! build time ([`PartIndex`], shared with [`crate::RingGraph`]). At query
+//! time a graph is a candidate iff some part embeds intact in `q` (the
+//! pigeonhole filter: `τ` edits damage at most `τ` parts). A cheap
 //! label-multiset prefilter (part vertex labels ⊑ query vertex labels,
 //! part edge labels ⊑ query edge labels) stands in for Pars' feature
 //! index and skips most embedding tests, and the standard size filter
 //! `||V_x| − |V_q|| + ||E_x| − |E_q|| > τ` prunes whole graphs first.
 
 use crate::ged::ged_within;
-use crate::graph::{Graph, WILDCARD};
-use crate::partition::{partition_graph, Part};
-use crate::subiso::part_embeds;
-use pigeonring_core::fxhash::FxHashMap;
+use crate::graph::Graph;
+use crate::index::PartIndex;
+use crate::plan::GraphPlan;
+use crate::subiso::{search, Mask, MatchScratch};
 
 /// Per-query counters for the graph engines.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -43,121 +44,30 @@ impl GraphStats {
     }
 }
 
-/// Precomputed per-part filter data.
-pub(crate) struct PartMeta {
-    pub part: Part,
-    /// Sorted non-wildcard vertex labels.
-    pub vlabels_sorted: Vec<u32>,
-    /// Sorted edge labels (full + stubs).
-    pub elabels_sorted: Vec<u32>,
-}
-
-impl PartMeta {
-    pub(crate) fn new(part: Part) -> Self {
-        let mut vl: Vec<u32> = part
-            .vlabels
-            .iter()
-            .copied()
-            .filter(|&l| l != WILDCARD)
-            .collect();
-        vl.sort_unstable();
-        let mut el: Vec<u32> = part
-            .edges
-            .iter()
-            .map(|&(_, _, l)| l)
-            .chain(part.half.iter().map(|&(_, l)| l))
-            .collect();
-        el.sort_unstable();
-        PartMeta {
-            part,
-            vlabels_sorted: vl,
-            elabels_sorted: el,
-        }
-    }
-
-    /// Label-multiset prefilter: every label the part requires must be
-    /// available in the query in sufficient multiplicity.
-    pub(crate) fn label_feasible(
-        &self,
-        q_vcounts: &FxHashMap<u32, u32>,
-        q_ecounts: &FxHashMap<u32, u32>,
-    ) -> bool {
-        multiset_contained(&self.vlabels_sorted, q_vcounts)
-            && multiset_contained(&self.elabels_sorted, q_ecounts)
-    }
-}
-
-fn multiset_contained(sorted: &[u32], counts: &FxHashMap<u32, u32>) -> bool {
-    let mut i = 0;
-    while i < sorted.len() {
-        let l = sorted[i];
-        let mut need = 1u32;
-        while i + 1 < sorted.len() && sorted[i + 1] == l {
-            need += 1;
-            i += 1;
-        }
-        if counts.get(&l).copied().unwrap_or(0) < need {
-            return false;
-        }
-        i += 1;
-    }
-    true
-}
-
-pub(crate) fn query_label_counts(q: &Graph) -> (FxHashMap<u32, u32>, FxHashMap<u32, u32>) {
-    let mut vc: FxHashMap<u32, u32> = FxHashMap::default();
-    for &l in q.vlabels() {
-        *vc.entry(l).or_insert(0) += 1;
-    }
-    let mut ec: FxHashMap<u32, u32> = FxHashMap::default();
-    for (_, _, l) in q.edges() {
-        *ec.entry(l).or_insert(0) += 1;
-    }
-    (vc, ec)
-}
-
-/// Size filter: `ged ≥ ||V_x|−|V_q|| + ||E_x|−|E_q||`.
-pub(crate) fn size_compatible(x: &Graph, q: &Graph, tau: usize) -> bool {
-    x.num_vertices().abs_diff(q.num_vertices()) + x.num_edges().abs_diff(q.num_edges()) <= tau
-}
-
 /// The Pars baseline engine.
 pub struct Pars {
-    graphs: Vec<Graph>,
-    tau: usize,
-    parts: Vec<Vec<PartMeta>>,
+    index: PartIndex,
 }
 
 impl Pars {
-    /// Partitions every data graph into `τ + 1` parts and precomputes the
-    /// label prefilter data.
+    /// Partitions every data graph into `τ + 1` parts and compiles them.
     pub fn build(graphs: Vec<Graph>, tau: usize) -> Self {
-        let m = tau + 1;
-        let parts = graphs
-            .iter()
-            .map(|g| {
-                partition_graph(g, m)
-                    .into_iter()
-                    .map(PartMeta::new)
-                    .collect()
-            })
-            .collect();
-        Pars { graphs, tau, parts }
+        Pars {
+            index: PartIndex::build(graphs, tau),
+        }
     }
 
     /// The data graphs.
     pub fn graphs(&self) -> &[Graph] {
-        &self.graphs
+        self.index.graphs()
     }
 
     /// Searches for all graphs with `ged(x, q) ≤ τ`. Returns ascending
     /// ids and statistics.
     pub fn search(&self, q: &Graph) -> (Vec<u32>, GraphStats) {
         let (cands, mut stats) = self.candidates(q);
-        let results: Vec<u32> = cands
-            .into_iter()
-            .filter(|&id| ged_within(&self.graphs[id as usize], q, self.tau as u32).is_some())
-            .collect();
+        let mut results = Vec::new();
+        self.index.verify(&cands, q, &mut results);
         stats.results = results.len();
         (results, stats)
     }
@@ -166,23 +76,19 @@ impl Pars {
     /// filter separately (Figure 8's "Cand." series).
     pub fn candidates(&self, q: &Graph) -> (Vec<u32>, GraphStats) {
         let mut stats = GraphStats::default();
-        let (qv, qe) = query_label_counts(q);
+        let plan = GraphPlan::new(q);
+        let mut scratch = MatchScratch::default();
         let mut cands = Vec::new();
-        for (id, g) in self.graphs.iter().enumerate() {
-            if !size_compatible(g, q, self.tau) {
-                continue;
-            }
-            for pm in &self.parts[id] {
-                if !pm.label_feasible(&qv, &qe) {
-                    continue;
-                }
+        for &(_, _, id) in self.index.size_window(&plan).flatten() {
+            for (_, part) in self.index.starts(id, &plan) {
                 stats.subiso_calls += 1;
-                if part_embeds(&pm.part, q) {
-                    cands.push(id as u32);
+                if search(part, Mask::None, &plan, &mut scratch) {
+                    cands.push(id);
                     break;
                 }
             }
         }
+        cands.sort_unstable();
         stats.candidates = cands.len();
         (cands, stats)
     }

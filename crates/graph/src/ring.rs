@@ -1,67 +1,72 @@
 //! The pigeonring graph-edit-distance engine (§6.4).
 //!
-//! Same partition and embedding test as [`crate::pars::Pars`]; from each
-//! embedding part `i` (box value 0) the chain is extended clockwise with
+//! Same partition, compiled parts and embedding test as
+//! [`crate::pars::Pars`] (one [`PartIndex`]); from each embedding part
+//! `i` (box value 0) the chain is extended clockwise with
 //! deletion-neighborhood lower bounds under the uniform Theorem 3 quotas
-//! `‖c^{l'}‖₁ ≤ l'·τ/m` with `m = τ + 1`. Following Example 12, the box
-//! at ring position `j` is probed with the *remaining budget*
-//! `⌊l'·τ/m⌋ − Σ(previous boxes)` (capped at `NEIGHBORHOOD_CAP = 1`
-//! operation, see the constant's comment): if no variant of part `j` within
-//! that many deletion-neighborhood operations embeds in `q`, the prefix
-//! is non-viable.
+//! `‖c^{l'}‖₁ ≤ ⌊l'·τ/m⌋` with `m = τ + 1`.
+//!
+//! **A box is two bits.** Following Example 12, the box at ring position
+//! `j` is probed with the remaining budget `⌊l'·τ/m⌋ − Σ(previous
+//! boxes)`, capped at `NEIGHBORHOOD_CAP = 1` operation. For every
+//! `l' ≤ m` the quota `⌊l'·τ/(τ + 1)⌋` is exactly `l' − 1`, and a prefix
+//! that survived step `l' − 1` has sum `≤ l' − 2`, so the remaining
+//! budget is always at least 1 and the capped probe is *always exactly
+//! one operation*: a box is 0 (the part embeds), 1 (a one-op variant
+//! embeds) or 2 ("at least two" — all a failed one-op probe certifies,
+//! still a valid lower bound), and the chain is viable while the running
+//! sum of those values stays within `l' − 1`. That value depends on the
+//! graph and the ring position only, never on the path that reached it,
+//! so [`crate::GraphScratch`] memoizes it per graph: each (graph, ring
+//! position) is matched at most once per query however many chain
+//! starts reach it ([`crate::neighborhood::box_value`] on the compiled
+//! part, no allocation). `subiso_calls` and `boxes_checked` keep their
+//! logical meaning — label-feasible chain starts tested, chain steps
+//! probed — whether or not the memo answered.
 //!
 //! Using lower bounds can only keep chains viable longer than the true
 //! box values would, so completeness is preserved; the tests assert
 //! equality with linear scan and candidate-set inclusion w.r.t. Pars.
 //!
 //! Unlike the other three engines, the Corollary-2 start-skipping
-//! optimization is **not** applied here: with budget-dependent probes the
-//! effective box values are path-dependent (a box probed under a small
-//! remaining budget reports a weaker bound than under a large one), so a
-//! failure along one chain does not imply failure of the overlapping
-//! chains Corollary 2 would skip. Each embedding part gets an
-//! independent chain check instead — there are at most `τ + 1` per graph,
-//! so the loss is negligible.
+//! optimization is **not** applied here: each label-feasible embedding
+//! part gets its own chain check — there are at most `τ + 1` per graph,
+//! and with the memo a second chain over the same boxes costs additions.
 
-use crate::ged::ged_within;
 use crate::graph::Graph;
-use crate::neighborhood::min_ops_to_match;
-use crate::pars::{query_label_counts, size_compatible, GraphStats, PartMeta};
-use crate::partition::partition_graph;
-use crate::subiso::part_embeds;
+use crate::index::PartIndex;
+use crate::neighborhood::{box_value, one_op_embeds};
+use crate::pars::GraphStats;
+use crate::plan::GraphPlan;
+use crate::service::GraphScratch;
+use crate::subiso::{search, Mask, MatchScratch};
+
+// The two-bit boxes, the memo and `box_value` are this cap being 1.
+const _: () = assert!(RingGraph::NEIGHBORHOOD_CAP == 1);
+
+/// Memo of one ring position within the current graph: `UNKNOWN`,
+/// `NOT_INTACT` (the level-0 test failed, one-op variants not tried
+/// yet), or the two-bit box value plus one.
+const UNKNOWN: u8 = 0;
+const NOT_INTACT: u8 = u8::MAX;
+const EMBEDS: u8 = 1;
 
 /// The pigeonring graph search engine. `l = 1` is exactly Pars.
 pub struct RingGraph {
-    graphs: Vec<Graph>,
-    tau: usize,
-    parts: Vec<Vec<PartMeta>>,
+    index: PartIndex,
 }
 
 impl RingGraph {
-    /// Partitions every data graph into `τ + 1` parts.
+    /// Partitions every data graph into `τ + 1` parts and compiles them.
     pub fn build(graphs: Vec<Graph>, tau: usize) -> Self {
-        let m = tau + 1;
-        let parts = graphs
-            .iter()
-            .map(|g| {
-                partition_graph(g, m)
-                    .into_iter()
-                    .map(PartMeta::new)
-                    .collect()
-            })
-            .collect();
-        RingGraph { graphs, tau, parts }
+        RingGraph {
+            index: PartIndex::build(graphs, tau),
+        }
     }
 
     /// The data graphs.
     pub fn graphs(&self) -> &[Graph] {
-        &self.graphs
-    }
-
-    /// Exact integer quota `⌊l'·τ/m⌋` of the uniform scheme.
-    #[inline]
-    fn quota(&self, l_prime: usize) -> i64 {
-        (l_prime as i64 * self.tau as i64) / (self.tau as i64 + 1)
+        self.index.graphs()
     }
 
     /// Deletion-neighborhood probes are capped at this many operations
@@ -73,80 +78,128 @@ impl RingGraph {
     /// completeness is preserved.
     const NEIGHBORHOOD_CAP: i64 = 1;
 
+    /// Heap bytes of the filter index (compiled-part arena, offsets,
+    /// size buckets).
+    pub fn index_bytes(&self) -> usize {
+        self.index.index_bytes()
+    }
+
     /// Searches for all graphs with `ged(x, q) ≤ τ` using chain length
     /// `l` (clamped to `[1..τ+1]`). Returns ascending ids and statistics.
     pub fn search(&self, q: &Graph, l: usize) -> (Vec<u32>, GraphStats) {
-        let (cands, mut stats) = self.candidates(q, l);
-        let results: Vec<u32> = cands
-            .into_iter()
-            .filter(|&id| ged_within(&self.graphs[id as usize], q, self.tau as u32).is_some())
-            .collect();
-        stats.results = results.len();
+        let mut results = Vec::new();
+        let stats = self.search_with(
+            &mut GraphScratch::default(),
+            &GraphPlan::new(q),
+            q,
+            l,
+            &mut results,
+        );
         (results, stats)
+    }
+
+    /// [`RingGraph::search`] against a caller-owned scratch and plan,
+    /// appending the ascending result ids to `out`.
+    pub fn search_with(
+        &self,
+        scratch: &mut GraphScratch,
+        plan: &GraphPlan,
+        q: &Graph,
+        l: usize,
+        out: &mut Vec<u32>,
+    ) -> GraphStats {
+        let GraphScratch {
+            matcher,
+            memo,
+            cands,
+        } = scratch;
+        cands.clear();
+        let mut stats = self.filter(matcher, memo, plan, l, cands);
+        let before = out.len();
+        self.index.verify(cands, q, out);
+        stats.results = out.len() - before;
+        stats
     }
 
     /// Candidate generation only (no GED verification), for timing the
     /// filter separately (Figure 8's "Cand." series).
     pub fn candidates(&self, q: &Graph, l: usize) -> (Vec<u32>, GraphStats) {
-        let m = self.tau + 1;
+        let mut cands = Vec::new();
+        let stats = self.candidates_with(
+            &mut GraphScratch::default(),
+            &GraphPlan::new(q),
+            l,
+            &mut cands,
+        );
+        (cands, stats)
+    }
+
+    /// [`RingGraph::candidates`] against a caller-owned scratch and
+    /// plan, appending the ascending candidate ids to `out`. Performs no
+    /// heap allocation once `scratch` and `out` have grown.
+    pub fn candidates_with(
+        &self,
+        scratch: &mut GraphScratch,
+        plan: &GraphPlan,
+        l: usize,
+        out: &mut Vec<u32>,
+    ) -> GraphStats {
+        self.filter(&mut scratch.matcher, &mut scratch.memo, plan, l, out)
+    }
+
+    /// The chain check over the size window (module docs).
+    fn filter(
+        &self,
+        matcher: &mut MatchScratch,
+        memo: &mut Vec<u8>,
+        plan: &GraphPlan,
+        l: usize,
+        out: &mut Vec<u32>,
+    ) -> GraphStats {
+        let m = self.index.parts_per_graph();
         let l = l.clamp(1, m);
         let mut stats = GraphStats::default();
-        let (qv, qe) = query_label_counts(q);
-        let mut cands = Vec::new();
+        memo.resize(m, UNKNOWN);
+        let first = out.len();
 
-        for (id, g) in self.graphs.iter().enumerate() {
-            if !size_compatible(g, q, self.tau) {
-                continue;
-            }
-            let parts = &self.parts[id];
-            let mut is_candidate = false;
-            for (i, pm) in parts.iter().enumerate() {
-                if !pm.label_feasible(&qv, &qe) {
-                    continue;
-                }
+        for &(_, _, id) in self.index.size_window(plan).flatten() {
+            memo.fill(UNKNOWN);
+            for (i, part) in self.index.starts(id, plan) {
                 stats.subiso_calls += 1;
-                if !part_embeds(&pm.part, q) {
+                if memo[i] == UNKNOWN {
+                    memo[i] = if search(part, Mask::None, plan, matcher) {
+                        EMBEDS
+                    } else {
+                        NOT_INTACT
+                    };
+                }
+                if memo[i] != EMBEDS {
                     continue;
                 }
                 // Viable box (b_i = 0); extend the chain to length l.
-                let mut sum = 0i64;
-                let mut fail_at = None;
-                for l_prime in 2..=l {
+                let mut sum = 0;
+                let viable = (2..=l).all(|l_prime| {
                     let j = (i + l_prime - 1) % m;
-                    let budget = self.quota(l_prime) - sum;
-                    if budget < 0 {
-                        fail_at = Some(l_prime);
-                        break;
-                    }
-                    let probe = budget.min(Self::NEIGHBORHOOD_CAP);
                     stats.boxes_checked += 1;
-                    match min_ops_to_match(&parts[j].part, q, probe as u32) {
-                        Some(b) => sum += b as i64,
-                        None if probe < budget => {
-                            // Capped probe: we only know b_j ≥ probe + 1.
-                            sum += probe + 1;
-                            if sum > self.quota(l_prime) {
-                                fail_at = Some(l_prime);
-                                break;
-                            }
-                        }
-                        None => {
-                            fail_at = Some(l_prime);
-                            break;
-                        }
-                    }
-                }
-                if fail_at.is_none() {
-                    is_candidate = true;
+                    let part = self.index.part(id, j);
+                    memo[j] = match memo[j] {
+                        UNKNOWN => 1 + box_value(part, plan, matcher),
+                        NOT_INTACT => 2 + u8::from(!one_op_embeds(part, plan, matcher)),
+                        known => known,
+                    };
+                    sum += usize::from(memo[j] - 1);
+                    // The uniform quota ⌊l'·τ/m⌋, which is l' − 1.
+                    sum <= l_prime * (m - 1) / m
+                });
+                if viable {
+                    out.push(id);
                     break;
                 }
             }
-            if is_candidate {
-                cands.push(id as u32);
-            }
         }
-        stats.candidates = cands.len();
-        (cands, stats)
+        out[first..].sort_unstable();
+        stats.candidates = out.len() - first;
+        stats
     }
 }
 

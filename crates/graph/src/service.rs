@@ -1,13 +1,19 @@
 //! [`SearchEngine`] adapter: plugs [`RingGraph`] into the
 //! `pigeonring-service` sharded query layer.
 //!
-//! [`RingGraph`] keeps no interior per-query buffers (its Corollary-2
-//! optimization is intentionally disabled, see the engine docs), so its
-//! scratch is the empty [`GraphScratch`].
+//! The plan is a [`GraphPlan`] — label histograms, label-grouped
+//! vertices, incident-label counts and a flat adjacency copy of the
+//! query — a pure function of the query, so one plan serves every shard
+//! and every chain length. The per-thread [`GraphScratch`] holds the
+//! matcher's mapping/used buffers, the per-graph box memo of the chain
+//! check (see [`crate::ring`]) and the candidate list between filter
+//! and verification; with it warm, filtering allocates nothing.
 
 use crate::graph::Graph;
 use crate::pars::GraphStats;
+use crate::plan::GraphPlan;
 use crate::ring::RingGraph;
+use crate::subiso::MatchScratch;
 use pigeonring_service::{MergeStats, SearchEngine};
 
 /// Per-batch parameters for graph-edit-distance search through the
@@ -18,9 +24,15 @@ pub struct GraphParams {
     pub l: usize,
 }
 
-/// Empty per-thread scratch: the graph engine is stateless per query.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GraphScratch;
+/// Per-thread scratch of the graph engine (module docs). `Default` is
+/// empty; buffers grow to the largest part, query and `τ + 1` seen.
+#[derive(Clone, Debug, Default)]
+pub struct GraphScratch {
+    pub(crate) matcher: MatchScratch,
+    /// Box memo of the graph being filtered, one state per ring position.
+    pub(crate) memo: Vec<u8>,
+    pub(crate) cands: Vec<u32>,
+}
 
 impl MergeStats for GraphStats {
     fn merge(&mut self, other: &Self) {
@@ -41,27 +53,24 @@ impl SearchEngine for RingGraph {
     type Params = GraphParams;
     type Stats = GraphStats;
     type Scratch = GraphScratch;
-    /// Graph queries decompose against each record's partitions, not a
-    /// shared dictionary, so there is no shard-independent query-side
-    /// work to hoist: the plan is empty.
-    type Plan = ();
+    type Plan = GraphPlan;
 
     fn num_records(&self) -> usize {
         self.graphs().len()
     }
 
-    fn plan(&self, _scratch: &mut GraphScratch, _query: &Graph) {}
+    fn plan(&self, _scratch: &mut GraphScratch, query: &Graph) -> GraphPlan {
+        GraphPlan::new(query)
+    }
 
     fn search_planned(
         &self,
-        _scratch: &mut GraphScratch,
-        _plan: &(),
+        scratch: &mut GraphScratch,
+        plan: &GraphPlan,
         query: &Graph,
         params: &GraphParams,
         out: &mut Vec<u32>,
     ) -> GraphStats {
-        let (ids, stats) = self.search(query, params.l);
-        out.extend(ids);
-        stats
+        self.search_with(scratch, plan, query, params.l, out)
     }
 }
