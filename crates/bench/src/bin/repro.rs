@@ -22,10 +22,10 @@
 use pigeonring_bench::{f1, f3, time_per_query, validate_args, Report, Scale};
 use pigeonring_core::analysis::{DiscreteDist, FilterAnalysis};
 use pigeonring_datagen::{sample_query_ids, GraphConfig, SetConfig, StringConfig, VectorConfig};
-use pigeonring_editdist::{GramOrder, Pivotal, QGramCollection, RingEdit};
+use pigeonring_editdist::{EditScratch, GramOrder, Pivotal, QGramCollection, RingEdit};
 use pigeonring_graph::{Graph, Pars, RingGraph};
-use pigeonring_hamming::{AllocationStrategy, BitVector, RingHamming};
-use pigeonring_setsim::{AdaptSearch, Collection, PartAlloc, RingSetSim, Threshold};
+use pigeonring_hamming::{AllocationStrategy, BitVector, HammingScratch, RingHamming};
+use pigeonring_setsim::{AdaptSearch, Collection, PartAlloc, RingSetSim, SetScratch, Threshold};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -171,17 +171,16 @@ fn fig5(scale: Scale) {
         } else {
             [96, 128]
         };
-        let mut eng =
-            RingHamming::build(setup.data.clone(), setup.m, AllocationStrategy::CostModel);
+        let eng = RingHamming::build(setup.data.clone(), setup.m, AllocationStrategy::CostModel);
+        let mut scratch = HammingScratch::default();
         for tau in taus {
             for l in 1..=8usize {
                 let (cand_ms, _cstats) = time_per_query(&setup.queries, |qid| {
-                    let q = setup.data[qid].clone();
-                    eng.candidates(&q, tau, l).1
+                    eng.candidates_with(&mut scratch, &setup.data[qid], tau, l)
+                        .1
                 });
                 let (total_ms, full) = time_per_query(&setup.queries, |qid| {
-                    let q = setup.data[qid].clone();
-                    eng.search(&q, tau, l).1
+                    eng.search_with(&mut scratch, &setup.data[qid], tau, l).1
                 });
                 let nq = setup.queries.len() as f64;
                 // Cand and res columns both come from the full-search
@@ -217,13 +216,12 @@ fn fig9(scale: Scale) {
         } else {
             (1..=8).map(|k| k * 16).collect()
         };
-        let mut eng =
-            RingHamming::build(setup.data.clone(), setup.m, AllocationStrategy::CostModel);
+        let eng = RingHamming::build(setup.data.clone(), setup.m, AllocationStrategy::CostModel);
+        let mut scratch = HammingScratch::default();
         for tau in taus {
             for (engine, l) in [("GPH", 1usize), ("Ring", 5)] {
                 let (total_ms, stats) = time_per_query(&setup.queries, |qid| {
-                    let q = setup.data[qid].clone();
-                    eng.search(&q, tau, l).1
+                    eng.search_with(&mut scratch, &setup.data[qid], tau, l).1
                 });
                 let nq = setup.queries.len() as f64;
                 rep.row(&[
@@ -277,15 +275,16 @@ fn fig6(scale: Scale) {
     );
     for setup in set_setup(scale) {
         for tau in [0.7f64, 0.8] {
-            let mut eng = RingSetSim::build(setup.collection.clone(), Threshold::jaccard(tau), 5);
+            let eng = RingSetSim::build(setup.collection.clone(), Threshold::jaccard(tau), 5);
+            let mut scratch = SetScratch::default();
             for l in 1..=3usize {
                 let (cand_ms, _cstats) = time_per_query(&setup.queries, |qid| {
-                    let q = setup.collection.record(qid).to_vec();
-                    eng.candidates(&q, l).1
+                    eng.candidates_with(&mut scratch, setup.collection.record(qid), l)
+                        .1
                 });
                 let (total_ms, stats) = time_per_query(&setup.queries, |qid| {
-                    let q = setup.collection.record(qid).to_vec();
-                    eng.search(&q, l).1
+                    eng.search_with(&mut scratch, setup.collection.record(qid), l)
+                        .1
                 });
                 let nq = setup.queries.len() as f64;
                 rep.row(&[
@@ -322,11 +321,12 @@ fn fig10(scale: Scale) {
             let t = Threshold::jaccard(tau);
             let nq = setup.queries.len() as f64;
             // Ring (l = 2) and pkwise (l = 1) share an engine.
-            let mut ring = RingSetSim::build(setup.collection.clone(), t, 5);
+            let ring = RingSetSim::build(setup.collection.clone(), t, 5);
+            let mut scratch = SetScratch::default();
             for (engine, l) in [("pkwise", 1usize), ("Ring", 2)] {
                 let (ms, stats) = time_per_query(&setup.queries, |qid| {
-                    let q = setup.collection.record(qid).to_vec();
-                    ring.search(&q, l).1
+                    ring.search_with(&mut scratch, setup.collection.record(qid), l)
+                        .1
                 });
                 rep.row(&[
                     setup.name.into(),
@@ -344,8 +344,7 @@ fn fig10(scale: Scale) {
             }
             let mut adapt = AdaptSearch::build(setup.collection.clone(), t);
             let (ms, stats) = time_per_query(&setup.queries, |qid| {
-                let q = setup.collection.record(qid).to_vec();
-                adapt.search(&q).1
+                adapt.search(setup.collection.record(qid)).1
             });
             rep.row(&[
                 setup.name.into(),
@@ -358,8 +357,7 @@ fn fig10(scale: Scale) {
             ]);
             let mut part = PartAlloc::build(setup.collection.clone(), t);
             let (ms, stats) = time_per_query(&setup.queries, |qid| {
-                let q = setup.collection.record(qid).to_vec();
-                part.search(&q).1
+                part.search(setup.collection.record(qid)).1
             });
             rep.row(&[
                 setup.name.into(),
@@ -431,13 +429,14 @@ fn fig7(scale: Scale) {
         for tau in taus {
             let kappa = kappa_for(setup.name, tau);
             let coll = QGramCollection::build(setup.strings.clone(), kappa, GramOrder::Frequency);
-            let mut eng = RingEdit::build(coll, tau);
+            let eng = RingEdit::build(coll, tau);
+            let mut scratch = EditScratch::default();
             for l in 1..=4usize.min(tau + 1) {
                 let (cand_ms, _cstats) = time_per_query(&setup.queries, |qid| {
-                    eng.candidates(&setup.strings[qid].clone(), l).1
+                    eng.candidates_with(&mut scratch, &setup.strings[qid], l).1
                 });
                 let (total_ms, stats) = time_per_query(&setup.queries, |qid| {
-                    eng.search(&setup.strings[qid].clone(), l).1
+                    eng.search_with(&mut scratch, &setup.strings[qid], l).1
                 });
                 let nq = setup.queries.len() as f64;
                 // Both the cand and res columns come from the same (full
@@ -484,9 +483,8 @@ fn fig11(scale: Scale) {
             let nq = setup.queries.len() as f64;
             let coll = QGramCollection::build(setup.strings.clone(), kappa, GramOrder::Frequency);
             let mut piv = Pivotal::build(coll, tau);
-            let (ms, stats) = time_per_query(&setup.queries, |qid| {
-                piv.search(&setup.strings[qid].clone()).1
-            });
+            let (ms, stats) =
+                time_per_query(&setup.queries, |qid| piv.search(&setup.strings[qid]).1);
             rep.row(&[
                 setup.name.into(),
                 tau.to_string(),
@@ -497,10 +495,11 @@ fn fig11(scale: Scale) {
                 f3(ms),
             ]);
             let coll = QGramCollection::build(setup.strings.clone(), kappa, GramOrder::Frequency);
-            let mut ring = RingEdit::build(coll, tau);
+            let ring = RingEdit::build(coll, tau);
+            let mut scratch = EditScratch::default();
             let l = 3.min(tau + 1);
             let (ms, stats) = time_per_query(&setup.queries, |qid| {
-                ring.search(&setup.strings[qid].clone(), l).1
+                ring.search_with(&mut scratch, &setup.strings[qid], l).1
             });
             rep.row(&[
                 setup.name.into(),
@@ -629,10 +628,10 @@ fn ablate_skip(scale: Scale) {
             let mut eng =
                 RingHamming::build(setup.data.clone(), setup.m, AllocationStrategy::CostModel);
             eng.set_corollary2_skip(skip);
+            let mut scratch = HammingScratch::default();
             for l in [4usize, 8] {
                 let (ms, stats) = time_per_query(&setup.queries, |qid| {
-                    let q = setup.data[qid].clone();
-                    eng.search(&q, tau, l).1
+                    eng.search_with(&mut scratch, &setup.data[qid], tau, l).1
                 });
                 let nq = setup.queries.len() as f64;
                 rep.row(&[
@@ -661,10 +660,10 @@ fn ablate_alloc(scale: Scale) {
             ("cost-model", AllocationStrategy::CostModel),
             ("even", AllocationStrategy::Even),
         ] {
-            let mut eng = RingHamming::build(setup.data.clone(), setup.m, strat);
+            let eng = RingHamming::build(setup.data.clone(), setup.m, strat);
+            let mut scratch = HammingScratch::default();
             let (ms, stats) = time_per_query(&setup.queries, |qid| {
-                let q = setup.data[qid].clone();
-                eng.search(&q, tau, 5).1
+                eng.search_with(&mut scratch, &setup.data[qid], tau, 5).1
             });
             let nq = setup.queries.len() as f64;
             rep.row(&[

@@ -120,11 +120,6 @@ impl Report {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: formats mixed cells.
-    pub fn rowf(&mut self, cells: &[&dyn std::fmt::Display]) {
-        self.row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
-    }
-
     /// Renders the aligned console table.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();

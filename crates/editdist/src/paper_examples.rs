@@ -100,8 +100,8 @@ fn example_11_end_to_end() {
     // even verify x.
     let near = b"llabghijkx".to_vec(); // ed(near, q) = 1
     let c = QGramCollection::build(vec![X.to_vec(), near.clone()], 2, GramOrder::Lexicographic);
-    let mut ring = crate::ring::RingEdit::build(c, 2);
-    let (res, stats) = ring.search(Q, 2);
+    let ring = crate::ring::RingEdit::build(c, 2);
+    let (res, stats) = ring.search_with(&mut crate::ring::EditScratch::default(), Q, 2);
     assert_eq!(res, vec![1]);
     assert_eq!(stats.results, 1);
     // x (id 0) was filtered before verification.

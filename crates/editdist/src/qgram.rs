@@ -87,11 +87,6 @@ impl GramDictionary {
         self.kappa
     }
 
-    /// Number of distinct interned grams.
-    pub fn num_grams(&self) -> usize {
-        self.intern.len()
-    }
-
     /// The interned id of `gram`, if the corpus contains it.
     pub fn id(&self, gram: &[u8]) -> Option<u32> {
         self.intern.get(gram).copied()

@@ -60,17 +60,15 @@ pub struct EditPlan {
     q_piv_masks: Vec<u64>,
 }
 
-/// The pigeonring edit-distance search engine. `l = 1` keeps only the
-/// pivotal prefix filter (Cand-1); the paper's best setting is
-/// `l = min(3, τ + 1)`.
+/// The pigeonring edit-distance search engine. `l = 1` *is* Pivotal's
+/// prefix filter alone (its Cand-1, without the alignment filter); the
+/// paper's best setting is `l = min(3, τ + 1)`.
 ///
-/// The index is immutable at query time: [`RingEdit::search_with`] takes
-/// `&self` plus an external [`EditScratch`], so shards can serve
-/// concurrent worker threads. The `&mut self` methods wrap an
-/// engine-owned scratch.
+/// The index is immutable at query time: every query method takes
+/// `&self` plus a caller-owned [`EditScratch`], so shards can serve
+/// concurrent worker threads.
 pub struct RingEdit {
     index: PivotalIndex,
-    scratch: EditScratch,
 }
 
 impl RingEdit {
@@ -82,7 +80,6 @@ impl RingEdit {
         assert!(tau <= 63, "ruled-start bitmask supports τ ≤ 63");
         RingEdit {
             index: PivotalIndex::build(collection, tau),
-            scratch: EditScratch::default(),
         }
     }
 
@@ -119,15 +116,7 @@ impl RingEdit {
 
     /// Searches for all strings with `ed(x, q) ≤ τ` using chain length
     /// `l` (clamped to `[1..τ+1]`). Returns ascending ids and statistics.
-    pub fn search(&mut self, q: &[u8], l: usize) -> (Vec<u32>, EditStats) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let out = self.search_with(&mut scratch, q, l);
-        self.scratch = scratch;
-        out
-    }
-
-    /// [`RingEdit::search`] against a caller-owned scratch; takes
-    /// `&self`, so any number of threads can search one engine
+    /// Takes `&self`, so any number of threads can search one engine
     /// concurrently, each with its own [`EditScratch`].
     pub fn search_with(
         &self,
@@ -164,15 +153,6 @@ impl RingEdit {
 
     /// Candidate generation only (no verification), for timing the
     /// filter separately (Figure 7's "Cand." series).
-    pub fn candidates(&mut self, q: &[u8], l: usize) -> (Vec<u32>, EditStats) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let out = self.candidates_with(&mut scratch, q, l);
-        self.scratch = scratch;
-        out
-    }
-
-    /// [`RingEdit::candidates`] against a caller-owned scratch (`&self`;
-    /// see [`RingEdit::search_with`]).
     pub fn candidates_with(
         &self,
         scratch: &mut EditScratch,
@@ -394,11 +374,12 @@ mod tests {
         let strings = pseudo_random_strings(80, 12, 42);
         for tau in 1..=3usize {
             let c = QGramCollection::build(strings.clone(), 2, GramOrder::Frequency);
-            let mut eng = RingEdit::build(c, tau);
+            let eng = RingEdit::build(c, tau);
+            let mut scratch = EditScratch::default();
             for (qid, q) in strings.iter().enumerate().step_by(5) {
                 let expect = linear_scan(&strings, q, tau as u32);
                 for l in 1..=(tau + 1) {
-                    let (got, _) = eng.search(q, l);
+                    let (got, _) = eng.search_with(&mut scratch, q, l);
                     assert_eq!(got, expect, "tau={tau} qid={qid} l={l}");
                 }
             }
@@ -428,11 +409,12 @@ mod tests {
     fn candidates_shrink_with_l() {
         let strings = pseudo_random_strings(150, 16, 7);
         let c = QGramCollection::build(strings.clone(), 2, GramOrder::Frequency);
-        let mut eng = RingEdit::build(c, 3);
+        let eng = RingEdit::build(c, 3);
+        let mut scratch = EditScratch::default();
         for (qid, q) in strings.iter().enumerate().step_by(17) {
             let mut prev = usize::MAX;
             for l in 1..=4usize {
-                let (_, stats) = eng.search(q, l);
+                let (_, stats) = eng.search_with(&mut scratch, q, l);
                 assert!(stats.candidates <= prev, "qid={qid} l={l}");
                 prev = stats.candidates;
             }
@@ -445,10 +427,11 @@ mod tests {
         let strings = pseudo_random_strings(100, 14, 13);
         let c1 = QGramCollection::build(strings.clone(), 2, GramOrder::Frequency);
         let c2 = QGramCollection::build(strings.clone(), 2, GramOrder::Frequency);
-        let mut ring = RingEdit::build(c1, 2);
+        let ring = RingEdit::build(c1, 2);
+        let mut scratch = EditScratch::default();
         let mut piv = Pivotal::build(c2, 2);
         for q in strings.iter().step_by(9) {
-            let (_, rs) = ring.search(q, 3);
+            let (_, rs) = ring.search_with(&mut scratch, q, 3);
             let (_, ps) = piv.search(q);
             assert!(rs.candidates <= ps.cand1, "ring must not exceed Cand-1");
         }
@@ -458,10 +441,11 @@ mod tests {
     fn longer_kappa_matches_too() {
         let strings = pseudo_random_strings(60, 30, 77);
         let c = QGramCollection::build(strings.clone(), 4, GramOrder::Frequency);
-        let mut eng = RingEdit::build(c, 4);
+        let eng = RingEdit::build(c, 4);
+        let mut scratch = EditScratch::default();
         for (qid, q) in strings.iter().enumerate().step_by(7) {
             let expect = linear_scan(&strings, q, 4);
-            let (got, _) = eng.search(q, 3);
+            let (got, _) = eng.search_with(&mut scratch, q, 3);
             assert_eq!(got, expect, "qid={qid}");
         }
     }
@@ -470,8 +454,9 @@ mod tests {
     fn identical_strings_found_at_tau_zero_equivalent() {
         let strings = strs(&["hello world", "hello worlds", "help world"]);
         let c = QGramCollection::build(strings.clone(), 2, GramOrder::Frequency);
-        let mut eng = RingEdit::build(c, 1);
-        let (res, _) = eng.search(b"hello world", 2);
+        let eng = RingEdit::build(c, 1);
+        let mut scratch = EditScratch::default();
+        let (res, _) = eng.search_with(&mut scratch, b"hello world", 2);
         assert_eq!(res, vec![0, 1]);
     }
 }

@@ -4,7 +4,7 @@
 
 use pigeonring_editdist::content::{char_mask, mask_lower_bound, window_masks};
 use pigeonring_editdist::verify::{edit_distance, edit_distance_within};
-use pigeonring_editdist::{GramOrder, Pivotal, QGramCollection, RingEdit};
+use pigeonring_editdist::{EditScratch, GramOrder, Pivotal, QGramCollection, RingEdit};
 use proptest::prelude::*;
 
 fn word() -> impl Strategy<Value = Vec<u8>> {
@@ -66,9 +66,10 @@ proptest! {
             .map(|(id, _)| id as u32)
             .collect();
         let coll = QGramCollection::build(strings.clone(), 2, GramOrder::Frequency);
-        let mut ring = RingEdit::build(coll, tau);
+        let ring = RingEdit::build(coll, tau);
+        let mut scratch = EditScratch::default();
         for l in 1..=(tau + 1) {
-            prop_assert_eq!(ring.search(&q, l).0, expect.clone(), "l={}", l);
+            prop_assert_eq!(ring.search_with(&mut scratch, &q, l).0, expect.clone(), "l={}", l);
         }
         let coll = QGramCollection::build(strings.clone(), 2, GramOrder::Frequency);
         let mut piv = Pivotal::build(coll, tau);

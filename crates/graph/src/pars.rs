@@ -26,8 +26,6 @@ pub struct GraphStats {
     pub subiso_calls: usize,
     /// Ring box evaluations (deletion-neighborhood probes).
     pub boxes_checked: usize,
-    /// Chain checks skipped via Corollary 2.
-    pub skipped_by_corollary2: usize,
 }
 
 impl GraphStats {
@@ -38,9 +36,6 @@ impl GraphStats {
         self.results = self.results.saturating_add(other.results);
         self.subiso_calls = self.subiso_calls.saturating_add(other.subiso_calls);
         self.boxes_checked = self.boxes_checked.saturating_add(other.boxes_checked);
-        self.skipped_by_corollary2 = self
-            .skipped_by_corollary2
-            .saturating_add(other.skipped_by_corollary2);
     }
 }
 

@@ -44,7 +44,6 @@ impl MergeStats for GraphStats {
         emit("results", self.results as u64);
         emit("subiso_calls", self.subiso_calls as u64);
         emit("boxes_checked", self.boxes_checked as u64);
-        emit("skipped_by_corollary2", self.skipped_by_corollary2 as u64);
     }
 }
 

@@ -1,5 +1,5 @@
-//! Search engines: GPH (pigeonhole) and Ring (pigeonring) over a shared
-//! index, plus a linear-scan reference.
+//! The Ring (pigeonring) search engine — GPH (pigeonhole) at `l = 1` —
+//! plus a linear-scan reference.
 //!
 //! Candidate generation follows §7 exactly:
 //!
@@ -105,13 +105,13 @@ impl HammingPlan {
     }
 }
 
-/// The pigeonring Hamming-distance search engine (§6.1). With `l = 1` it
-/// degenerates to GPH exactly; [`Gph`] is that fixed configuration.
+/// The pigeonring Hamming-distance search engine (§6.1). `l = 1` *is* the
+/// GPH baseline \[72\]: pigeonhole filtering with variable threshold
+/// allocation and integer reduction.
 ///
-/// The index is immutable at query time: [`RingHamming::search_with`]
-/// takes `&self` plus an external [`HammingScratch`], so shards can serve
-/// concurrent worker threads. The `&mut self` methods are convenience
-/// wrappers around an engine-owned scratch.
+/// The index is immutable at query time: every query method takes
+/// `&self` plus a caller-owned [`HammingScratch`], so shards can serve
+/// concurrent worker threads.
 pub struct RingHamming {
     data: Vec<BitVector>,
     /// The same vectors, flat: what the chain check and verification read.
@@ -122,7 +122,6 @@ pub struct RingHamming {
     /// shards of a [`RingHamming::with_cost_model`] build.
     cost: Option<Arc<CostModel>>,
     corollary2_skip: bool,
-    scratch: HammingScratch,
 }
 
 impl RingHamming {
@@ -195,7 +194,6 @@ impl RingHamming {
             index,
             cost,
             corollary2_skip: true,
-            scratch: HammingScratch::default(),
         }
     }
 
@@ -252,12 +250,6 @@ impl RingHamming {
 
     /// Allocates the per-part thresholds for this query
     /// (`Σ t_i = τ − m + 1`).
-    pub fn allocate(&self, q: &BitVector, tau: i64) -> Vec<i64> {
-        let (mut t, mut marginal) = (Vec::new(), Vec::new());
-        self.allocate_into(&self.plan_query(q), tau, &mut t, &mut marginal);
-        t
-    }
-
     fn allocate_into(
         &self,
         plan: &HammingPlan,
@@ -273,18 +265,10 @@ impl RingHamming {
 
     /// Searches for all vectors within Hamming distance `tau` of `q`,
     /// using chain length `l` (clamped to `[1..m]`). Returns the result
-    /// ids (ascending) and the per-query statistics.
-    pub fn search(&mut self, q: &BitVector, tau: u32, l: usize) -> (Vec<u32>, SearchStats) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let out = self.search_with(&mut scratch, q, tau, l);
-        self.scratch = scratch;
-        out
-    }
-
-    /// [`RingHamming::search`] against a caller-owned scratch; takes
-    /// `&self`, so any number of threads can search one engine
-    /// concurrently, each with its own [`HammingScratch`]. Plans the
-    /// query, then executes the plan.
+    /// ids (ascending) and the per-query statistics. Takes `&self`, so
+    /// any number of threads can search one engine concurrently, each
+    /// with its own [`HammingScratch`]. Plans the query, then executes
+    /// the plan.
     pub fn search_with(
         &self,
         scratch: &mut HammingScratch,
@@ -333,15 +317,6 @@ impl RingHamming {
     /// Candidate generation only (both steps of §7, no verification) —
     /// lets the harness time the filter separately, as Figure 5 plots
     /// "Cand." vs "Total".
-    pub fn candidates(&mut self, q: &BitVector, tau: u32, l: usize) -> (Vec<u32>, SearchStats) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let out = self.candidates_with(&mut scratch, q, tau, l);
-        self.scratch = scratch;
-        out
-    }
-
-    /// [`RingHamming::candidates`] against a caller-owned scratch
-    /// (`&self`; see [`RingHamming::search_with`]).
     pub fn candidates_with(
         &self,
         scratch: &mut HammingScratch,
@@ -481,27 +456,6 @@ impl RingHamming {
     }
 }
 
-/// The GPH baseline \[72\]: pigeonhole filtering with variable threshold
-/// allocation and integer reduction — exactly [`RingHamming`] at `l = 1`.
-pub struct Gph(RingHamming);
-
-impl Gph {
-    /// Builds GPH over `data` with `m` parts.
-    pub fn build(data: Vec<BitVector>, m: usize, strategy: AllocationStrategy) -> Self {
-        Gph(RingHamming::build(data, m, strategy))
-    }
-
-    /// Searches for all vectors within Hamming distance `tau` of `q`.
-    pub fn search(&mut self, q: &BitVector, tau: u32) -> (Vec<u32>, SearchStats) {
-        self.0.search(q, tau, 1)
-    }
-
-    /// The underlying shared engine.
-    pub fn inner(&mut self) -> &mut RingHamming {
-        &mut self.0
-    }
-}
-
 /// Exhaustive reference: verifies every vector. Ground truth for tests and
 /// the verification-cost floor for benchmarks.
 pub struct LinearScan<'a> {
@@ -546,12 +500,13 @@ mod tests {
     fn gph_matches_linear_scan() {
         let data = tiny_dataset();
         let scan = LinearScan::new(&data);
-        let mut gph = Gph::build(data.clone(), 4, AllocationStrategy::Even);
+        let gph = RingHamming::build(data.clone(), 4, AllocationStrategy::Even);
+        let mut scratch = HammingScratch::default();
         for tau in [0u32, 1, 3, 7, 15] {
             for qid in [0usize, 5, 17, 31] {
                 let q = &data[qid];
                 let expect = scan.search(q, tau);
-                let (got, _) = gph.search(q, tau);
+                let (got, _) = gph.search_with(&mut scratch, q, tau, 1);
                 assert_eq!(got, expect, "tau={tau} qid={qid}");
             }
         }
@@ -561,12 +516,13 @@ mod tests {
     fn ring_matches_linear_scan_for_all_l() {
         let data = tiny_dataset();
         let scan = LinearScan::new(&data);
-        let mut ring = RingHamming::build(data.clone(), 4, AllocationStrategy::Even);
+        let ring = RingHamming::build(data.clone(), 4, AllocationStrategy::Even);
+        let mut scratch = HammingScratch::default();
         for tau in [0u32, 2, 5, 11] {
             for l in 1..=4usize {
                 let q = &data[9];
                 let expect = scan.search(q, tau);
-                let (got, _) = ring.search(q, tau, l);
+                let (got, _) = ring.search_with(&mut scratch, q, tau, l);
                 assert_eq!(got, expect, "tau={tau} l={l}");
             }
         }
@@ -576,12 +532,13 @@ mod tests {
     fn ring_with_cost_model_matches_linear_scan() {
         let data = tiny_dataset();
         let scan = LinearScan::new(&data);
-        let mut ring = RingHamming::build(data.clone(), 4, AllocationStrategy::CostModel);
+        let ring = RingHamming::build(data.clone(), 4, AllocationStrategy::CostModel);
+        let mut scratch = HammingScratch::default();
         for tau in [1u32, 4, 9] {
             for l in [1usize, 2, 4] {
                 let q = &data[20];
                 assert_eq!(
-                    ring.search(q, tau, l).0,
+                    ring.search_with(&mut scratch, q, tau, l).0,
                     scan.search(q, tau),
                     "tau={tau} l={l}"
                 );
@@ -666,11 +623,12 @@ mod tests {
     fn candidates_shrink_with_l() {
         // Lemma 4 at engine level: candidates non-increasing in l.
         let data = tiny_dataset();
-        let mut ring = RingHamming::build(data.clone(), 4, AllocationStrategy::Even);
+        let ring = RingHamming::build(data.clone(), 4, AllocationStrategy::Even);
+        let mut scratch = HammingScratch::default();
         let q = BitVector::zeros(64);
         let mut prev = usize::MAX;
         for l in 1..=4usize {
-            let (_, stats) = ring.search(&q, 9, l);
+            let (_, stats) = ring.search_with(&mut scratch, &q, 9, l);
             assert!(
                 stats.candidates <= prev,
                 "l={l}: {} > {prev}",
@@ -685,9 +643,10 @@ mod tests {
         // §3: when ‖B‖₁ = f(x,q) and l = m, candidate generation subsumes
         // verification.
         let data = tiny_dataset();
-        let mut ring = RingHamming::build(data, 4, AllocationStrategy::Even);
+        let ring = RingHamming::build(data, 4, AllocationStrategy::Even);
+        let mut scratch = HammingScratch::default();
         let q = BitVector::zeros(64);
-        let (results, stats) = ring.search(&q, 9, 4);
+        let (results, stats) = ring.search_with(&mut scratch, &q, 9, 4);
         assert_eq!(stats.candidates, results.len());
         assert_eq!(stats.candidates, stats.results);
     }
@@ -696,13 +655,14 @@ mod tests {
     fn corollary2_skip_does_not_change_results() {
         let data = tiny_dataset();
         let q = data[13].clone();
-        let mut with = RingHamming::build(data.clone(), 8, AllocationStrategy::Even);
+        let with = RingHamming::build(data.clone(), 8, AllocationStrategy::Even);
+        let mut scratch = HammingScratch::default();
         let mut without = RingHamming::build(data, 8, AllocationStrategy::Even);
         without.set_corollary2_skip(false);
         for tau in [3u32, 9, 15] {
             for l in [2usize, 3, 8] {
-                let (r1, s1) = with.search(&q, tau, l);
-                let (r2, s2) = without.search(&q, tau, l);
+                let (r1, s1) = with.search_with(&mut scratch, &q, tau, l);
+                let (r2, s2) = without.search_with(&mut scratch, &q, tau, l);
                 assert_eq!(r1, r2);
                 assert_eq!(s1.candidates, s2.candidates);
                 // The skip can only reduce box checks.
@@ -714,9 +674,10 @@ mod tests {
     #[test]
     fn stats_are_consistent() {
         let data = tiny_dataset();
-        let mut ring = RingHamming::build(data, 4, AllocationStrategy::Even);
+        let ring = RingHamming::build(data, 4, AllocationStrategy::Even);
+        let mut scratch = HammingScratch::default();
         let q = BitVector::zeros(64);
-        let (results, stats) = ring.search(&q, 7, 2);
+        let (results, stats) = ring.search_with(&mut scratch, &q, 7, 2);
         assert_eq!(stats.results, results.len());
         assert!(stats.results <= stats.candidates);
         assert!(stats.candidates <= stats.viable_boxes);
@@ -726,8 +687,9 @@ mod tests {
     fn tau_zero_finds_exact_duplicates() {
         let mut data = tiny_dataset();
         data.push(data[4].clone()); // duplicate of id 4
-        let mut ring = RingHamming::build(data.clone(), 4, AllocationStrategy::Even);
-        let (res, _) = ring.search(&data[4].clone(), 0, 2);
+        let ring = RingHamming::build(data.clone(), 4, AllocationStrategy::Even);
+        let mut scratch = HammingScratch::default();
+        let (res, _) = ring.search_with(&mut scratch, &data[4], 0, 2);
         assert_eq!(res, vec![4, 32]);
     }
 
@@ -735,8 +697,9 @@ mod tests {
     fn large_tau_returns_everything() {
         let data = tiny_dataset();
         let n = data.len();
-        let mut ring = RingHamming::build(data, 4, AllocationStrategy::Even);
-        let (res, _) = ring.search(&BitVector::zeros(64), 64, 3);
+        let ring = RingHamming::build(data, 4, AllocationStrategy::Even);
+        let mut scratch = HammingScratch::default();
+        let (res, _) = ring.search_with(&mut scratch, &BitVector::zeros(64), 64, 3);
         assert_eq!(res.len(), n);
     }
 }

@@ -4,17 +4,17 @@
 //! `d`-dimensional binary vectors and a query `q`, find all `x` with
 //! `H(x, q) ≤ τ`.
 //!
-//! Two engines share one index:
+//! One engine, [`RingHamming`], one parameter `l`:
 //!
-//! * [`Gph`] — the GPH baseline \[72\]: dimensions are split into `m`
+//! * `l = 1` is the GPH baseline \[72\]: dimensions are split into `m`
 //!   disjoint equi-width parts; a per-part signature index finds every
 //!   vector whose part lies within that part's threshold `t_i` of the
 //!   query's part (variable threshold allocation + integer reduction,
 //!   `‖T‖₁ = τ − m + 1`), and survivors are verified.
-//! * [`RingHamming`] — the same first step, then the §6.1 pigeonring
-//!   second step: starting from each viable box, extend the chain
-//!   clockwise with popcount part distances and keep the object only if
-//!   some chain of length `l` is prefix-viable under Theorem 7 quotas.
+//! * `l > 1` adds the §6.1 pigeonring second step: starting from each
+//!   viable box, extend the chain clockwise with popcount part distances
+//!   and keep the object only if some chain of length `l` is
+//!   prefix-viable under Theorem 7 quotas.
 //!
 //! The filtering instance is `⟨partition, part Hamming distances, D(τ)=τ⟩`;
 //! since the parts are disjoint, `‖B(x,q)‖₁ = H(x,q)` exactly, so the
@@ -26,15 +26,13 @@ pub mod arena;
 pub mod bitvec;
 pub mod engine;
 pub mod index;
-pub mod join;
 pub mod kernels;
 pub mod partition;
 pub mod service;
 
 pub use alloc::{AllocationStrategy, CostModel};
 pub use bitvec::BitVector;
-pub use engine::{Gph, HammingPlan, HammingScratch, LinearScan, RingHamming, SearchStats};
-pub use join::self_join;
+pub use engine::{HammingPlan, HammingScratch, LinearScan, RingHamming, SearchStats};
 pub use partition::Partitioning;
 pub use service::HammingParams;
 

@@ -3,7 +3,7 @@
 
 use crate::alloc::AllocationStrategy;
 use crate::bitvec::BitVector;
-use crate::engine::RingHamming;
+use crate::engine::{HammingScratch, RingHamming};
 use crate::partition::Partitioning;
 use pigeonring_core::viability::{
     check_prefix_viable, find_prefix_viable, Direction, ThresholdScheme,
@@ -123,9 +123,10 @@ fn end_to_end_on_table2() {
     // Index the four Table 2 vectors and run both engines; the result set
     // must be {x²} at τ = 5 for every chain length.
     let (data, q) = table2();
-    let mut ring = RingHamming::build(data, 5, AllocationStrategy::Even);
+    let ring = RingHamming::build(data, 5, AllocationStrategy::Even);
+    let mut scratch = HammingScratch::default();
     for l in 1..=5 {
-        let (res, stats) = ring.search(&q, 5, l);
+        let (res, stats) = ring.search_with(&mut scratch, &q, 5, l);
         assert_eq!(res, vec![1], "l={l}");
         assert_eq!(stats.results, 1);
     }

@@ -3,7 +3,9 @@
 //! on random vectors (beyond the seeded-generator integration tests).
 
 use pigeonring_hamming::index::{enumerate_within, enumeration_count};
-use pigeonring_hamming::{AllocationStrategy, BitVector, LinearScan, Partitioning, RingHamming};
+use pigeonring_hamming::{
+    AllocationStrategy, BitVector, HammingScratch, LinearScan, Partitioning, RingHamming,
+};
 use proptest::prelude::*;
 
 fn bitvec_strategy(d: usize) -> impl Strategy<Value = BitVector> {
@@ -74,7 +76,8 @@ proptest! {
             .collect();
         let q = data[qsel % data.len()].clone();
         let expect = LinearScan::new(&data).search(&q, tau);
-        let mut eng = RingHamming::build(data.clone(), 4, AllocationStrategy::Even);
-        prop_assert_eq!(eng.search(&q, tau, l).0, expect);
+        let eng = RingHamming::build(data.clone(), 4, AllocationStrategy::Even);
+        let got = eng.search_with(&mut HammingScratch::default(), &q, tau, l).0;
+        prop_assert_eq!(got, expect);
     }
 }

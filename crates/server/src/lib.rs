@@ -26,8 +26,7 @@
 //!   coalesce up to `B` queued queries per fan-out so the network path
 //!   inherits the service layer's batch amortization on the shared
 //!   persistent [`WorkerPool`](pigeonring_service::WorkerPool). Lane
-//!   weights come from a validated [`LaneWeightPolicy`] — derived live
-//!   from the measured per-domain cost EMA by default.
+//!   weights are derived live from the measured per-domain cost EMA.
 //! * [`sys`] — dependency-free readiness syscalls: hand-rolled
 //!   `extern "C"` epoll bindings with a portable `poll(2)` fallback,
 //!   and the UDP-pair waker that lets dispatchers interrupt a blocked
@@ -54,7 +53,7 @@ pub mod registry;
 pub mod server;
 #[cfg(unix)]
 pub mod sys;
-pub mod weights;
+mod weights;
 pub mod wire;
 
 pub use client::{Client, ClientError, Outcome};
@@ -63,7 +62,6 @@ pub use registry::{EngineSet, EngineSpec};
 pub use server::{
     start, start_with_handler, Handler, ServerConfig, ServerHandle, ServerMetrics, SlowQuery,
 };
-pub use weights::{CostEmaWeights, LaneWeightPolicy, WeightConfigError, DEFAULT_STATIC_WEIGHTS};
 pub use wire::{
     Domain, DomainQuery, ErrorCode, Request, Response, WireError, CONNECTION_REQUEST_ID,
     MAX_FRAME_LEN, PROTOCOL_VERSION,

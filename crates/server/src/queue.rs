@@ -117,7 +117,7 @@ impl<T> FairQueue<T> {
     /// Replaces the per-lane weights (each clamped to ≥ 1). Safe to
     /// call while consumers are popping: the next sweep step over a
     /// lane observes its new share. This is the cost-EMA tuner's entry
-    /// point; static configurations simply never call it.
+    /// point; a server without a cost signal simply never calls it.
     pub fn set_weights(&self, weights: [usize; NUM_LANES]) {
         for (slot, w) in self.weights.iter().zip(weights) {
             slot.store(w.max(1), Ordering::Relaxed);

@@ -253,7 +253,8 @@ impl EngineSet {
     /// one [`TokenDictionary`]. The service layer plans each query once
     /// and every shard executes the same plan — batched mixed-domain
     /// dispatches through the TCP frontend inherit plan sharing for
-    /// free. Graph plans are empty, so it uses the unit dictionary.
+    /// free. Graph plans depend on the query alone, so graph shards
+    /// share the unit dictionary.
     pub fn build(spec: EngineSpec) -> Self {
         let vectors = VectorConfig::gist_like(spec.hamming_n).generate();
         let hamming_dims = vectors.first().map_or(0, |v| v.dims());

@@ -34,9 +34,8 @@
 //!   full lane answers [`Response::Busy`] for *that domain only*, so a
 //!   graph burst can't consume Hamming's admission budget, and
 //!   [`FairQueue::pop_batch`] assembles every micro-batch by weighted
-//!   round-robin so no backlog starves another lane. Lane weights come
-//!   from a validated [`LaneWeightPolicy`] — by default derived live
-//!   from the engines' measured per-domain cost EMA.
+//!   round-robin so no backlog starves another lane. Lane weights are
+//!   derived live from the engines' measured per-domain cost EMA.
 //! * **Streamed replies**: the handler answers each domain *group* of a
 //!   micro-batch as it completes, cheapest measured group first — see
 //!   [`EngineSet::run_streaming`](crate::registry::EngineSet::run_streaming) —
@@ -63,7 +62,7 @@ use pigeonring_telemetry::{
 
 use crate::queue::{lane_of, lock_recover, FairQueue, PushError, NUM_LANES};
 use crate::registry::EngineSet;
-use crate::weights::{CostEmaWeights, LaneWeightPolicy};
+use crate::weights;
 use crate::wire::{
     decode_request, encode_response, Domain, DomainQuery, ErrorCode, Request, Response, WireError,
     CONNECTION_REQUEST_ID, MAX_FRAME_LEN, PROTOCOL_VERSION,
@@ -85,15 +84,6 @@ pub struct ServerConfig {
     /// batch dispatch while a slow batch is still executing — combined
     /// with streamed replies this is what decouples per-domain tails.
     pub dispatchers: usize,
-    /// How each lane's weighted-round-robin share is chosen (in
-    /// [`Domain::ALL`] order: Hamming, edit, set, graph). The default
-    /// [`LaneWeightPolicy::CostEma`] sizes shares inversely to the
-    /// measured per-domain cost EMA, retuned live, so one micro-batch
-    /// never carries a long slow-domain run no matter which domains
-    /// are slow *on this dataset*; [`LaneWeightPolicy::Static`] pins
-    /// explicit shares instead. Validated at startup — an out-of-range
-    /// configuration fails [`start`] with `InvalidInput`.
-    pub lane_weights: LaneWeightPolicy,
     /// Per-connection reply budget: the maximum responses a connection
     /// may have admitted-or-unwritten at once. Beyond it the reactor
     /// stops reading the socket (real TCP backpressure) until replies
@@ -123,12 +113,6 @@ impl Default for ServerConfig {
             lane_depth: 64,
             micro_batch: 16,
             dispatchers: 4,
-            // Editdist/setsim answer in tens of µs, hamming in
-            // hundreds, graph GED in ms (the `tcp_solo` table in
-            // benchmark/README.md) — but instead of hard-coding that,
-            // derive each lane's share from the live cost EMA (cheap
-            // lanes large, expensive bounded).
-            lane_weights: LaneWeightPolicy::CostEma(CostEmaWeights::default()),
             conn_in_flight: 32,
             slow_query_ms: None,
             slow_query_ring: 64,
@@ -387,33 +371,34 @@ impl ServerMetrics {
 }
 
 /// Retunes the [`FairQueue`] lane weights from a live per-domain cost
-/// signal, once every [`CostEmaWeights::refresh_batches`] dispatched
-/// batches. Shared by all dispatcher threads; the counter is atomic
+/// signal, once every [`weights::REFRESH_BATCHES`] dispatched batches,
+/// so one micro-batch never carries a long slow-domain run no matter
+/// which domains are slow *on this dataset*. Until the first retune the
+/// lanes run on [`weights::INITIAL_WEIGHTS`]. Shared by all dispatcher
+/// threads; the counter is atomic
 /// and a retune is a handful of relaxed stores, so the dispatch hot
 /// path pays one `fetch_add` per batch.
 pub(crate) struct WeightTuner {
     /// Reads the current per-lane cost estimate (ns/query, 0 = no
     /// sample) — in production, [`EngineSet::cost_ema_ns`].
     source: Arc<dyn Fn() -> [u64; NUM_LANES] + Send + Sync>,
-    cfg: CostEmaWeights,
     batches: AtomicU32,
 }
 
 impl WeightTuner {
-    fn new(source: Arc<dyn Fn() -> [u64; NUM_LANES] + Send + Sync>, cfg: CostEmaWeights) -> Self {
+    fn new(source: Arc<dyn Fn() -> [u64; NUM_LANES] + Send + Sync>) -> Self {
         WeightTuner {
             source,
-            cfg,
             batches: AtomicU32::new(0),
         }
     }
 
     /// Called once per popped batch; applies freshly derived weights on
-    /// the configured cadence.
+    /// the retune cadence.
     fn batch_dispatched(&self, queue: &FairQueue<Job>) {
         let n = self.batches.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
-        if n % self.cfg.refresh_batches == 0 {
-            queue.set_weights(self.cfg.derive((self.source)()));
+        if n % weights::REFRESH_BATCHES == 0 {
+            queue.set_weights(weights::derive((self.source)()));
         }
     }
 }
@@ -458,22 +443,16 @@ pub fn start(
     let metrics = Arc::new(ServerMetrics::new(&config));
     engines.attach_metrics(metrics.registry());
     pool.attach_metrics(PoolMetrics::register(metrics.registry()));
-    // The cost-EMA lane-weight tuner reads the same per-domain EMA the
+    // The lane-weight tuner reads the same per-domain EMA the
     // streaming executor maintains for shortest-job-first ordering.
-    let tuner = match config.lane_weights {
-        LaneWeightPolicy::CostEma(cfg) => {
-            let engines = Arc::clone(&engines);
-            Some(Arc::new(WeightTuner::new(
-                Arc::new(move || engines.cost_ema_ns()),
-                cfg,
-            )))
-        }
-        LaneWeightPolicy::Static(_) => None,
+    let tuner = {
+        let engines = Arc::clone(&engines);
+        Arc::new(WeightTuner::new(Arc::new(move || engines.cost_ema_ns())))
     };
     let handler: Handler = Arc::new(move |queries, traces, emit| {
         engines.run_streaming(&pool, queries, traces, emit);
     });
-    start_inner(listener, handler, config, metrics, tuner)
+    start_inner(listener, handler, config, metrics, Some(tuner))
 }
 
 /// [`start`], but with an arbitrary batch handler (test seam: inject a
@@ -487,8 +466,8 @@ pub fn start_with_handler(
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
     let metrics = Arc::new(ServerMetrics::new(&config));
-    // No engine set here, so a CostEma policy has no cost signal: it
-    // simply serves on its initial (static fallback) weights.
+    // No engine set here, so there is no cost signal: the lanes simply
+    // stay on their initial weights.
     start_inner(listener, handler, config, metrics, None)
 }
 
@@ -499,19 +478,10 @@ fn start_inner(
     metrics: Arc<ServerMetrics>,
     tuner: Option<Arc<WeightTuner>>,
 ) -> std::io::Result<ServerHandle> {
-    // Reject an out-of-range weight configuration before any thread
-    // spawns: startup is the only place the error has a caller to
-    // reach.
-    if let Err(e) = config.lane_weights.validate() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            e.to_string(),
-        ));
-    }
     let addr = listener.local_addr()?;
     let queue = Arc::new(FairQueue::<Job>::new(
         config.lane_depth,
-        config.lane_weights.initial_weights(),
+        weights::INITIAL_WEIGHTS,
     ));
     queue.attach_depth_gauges(Domain::ALL.map(|domain| {
         metrics
@@ -959,5 +929,24 @@ pub(crate) fn error_response(e: &WireError) -> Response {
         request_id: CONNECTION_REQUEST_ID,
         code,
         message: e.to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tuner_retunes_on_its_cadence() {
+        let cost_ns = [10_000, 20_000, 40_000, 1_000_000];
+        let tuner = WeightTuner::new(Arc::new(move || cost_ns));
+        let queue = FairQueue::<Job>::new(4, weights::INITIAL_WEIGHTS);
+        for batch in 1..weights::REFRESH_BATCHES {
+            tuner.batch_dispatched(&queue);
+            assert_eq!(queue.weights(), weights::INITIAL_WEIGHTS, "batch {batch}");
+        }
+        tuner.batch_dispatched(&queue);
+        assert_eq!(queue.weights(), weights::derive(cost_ns));
+        assert_ne!(weights::derive(cost_ns), weights::INITIAL_WEIGHTS);
     }
 }

@@ -1,304 +1,70 @@
-//! Lane-weight policy: how the [`FairQueue`](crate::queue::FairQueue)
-//! decides each domain's share of a dispatch micro-batch.
+//! The lane-weight policy: how the [`FairQueue`](crate::queue::FairQueue)
+//! sizes each domain's share of a dispatch micro-batch.
 //!
-//! PR 4 hard-coded static weights in `ServerConfig::lane_weights`;
-//! this module replaces that with a typed, range-validated policy.
-//! The default derives weights from the per-domain cost EMA the engine
-//! set already measures (`EngineSet::run_streaming`): cheap domains
-//! earn larger shares, expensive domains smaller ones, so a batch
-//! costs roughly the same wall-clock no matter which lanes are
-//! backlogged. Static weights remain available as an explicit
-//! override, and every configuration is validated up front with typed
-//! errors (the threshold-validation idiom from SNIPPETS.md) instead of
-//! being silently clamped at runtime.
-
-use std::fmt;
+//! Shares are derived from the per-domain cost EMA the engine set
+//! already measures (`EngineSet::run_streaming`): cheap domains earn
+//! larger shares, expensive domains smaller ones, so a batch costs
+//! roughly the same wall-clock no matter which lanes are backlogged.
+//! There is one policy and nothing to configure.
 
 use crate::queue::NUM_LANES;
 
-/// Static fallback used while no lane has a cost sample yet, and by
-/// [`ServerConfig::default`](crate::server::ServerConfig): the PR 4
-/// hand-tuned shares ([`Domain::ALL`](crate::wire::Domain::ALL) order
-/// — hamming, editdist, setsim, graph).
-pub const DEFAULT_STATIC_WEIGHTS: [usize; NUM_LANES] = [8, 4, 8, 2];
+/// Smallest share a lane may receive: even the most expensive domain
+/// keeps making progress every sweep.
+const FLOOR: usize = 1;
+/// Largest share a lane may receive; the cheapest sampled lane is pinned
+/// here and the others scale down from it.
+const CEIL: usize = 8;
+/// Retune cadence, in dispatched batches. Derivation is a handful of
+/// atomic loads, so this mostly bounds how fast the mix can oscillate
+/// under a shifting workload.
+pub(crate) const REFRESH_BATCHES: u32 = 32;
 
-/// How [`FairQueue`](crate::queue::FairQueue) lane weights are chosen.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LaneWeightPolicy {
-    /// Fixed per-lane shares, set once at startup. Every weight must
-    /// be ≥ 1 (a zero share would starve that lane's domain).
-    Static([usize; NUM_LANES]),
-    /// Derive shares from the measured per-domain cost EMA, retuned
-    /// periodically while the server runs.
-    CostEma(CostEmaWeights),
+/// The weights in force until the first retune (and for as long as a
+/// server has no cost signal), in [`Domain::ALL`](crate::wire::Domain::ALL)
+/// order — hamming, editdist, setsim, graph.
+pub(crate) const INITIAL_WEIGHTS: [usize; NUM_LANES] = [8, 4, 8, 2];
+
+/// Derives per-lane weights from per-lane cost estimates in nanoseconds
+/// (`0` = no sample yet for that lane).
+///
+/// The cheapest sampled lane gets `CEIL`; every other lane gets
+/// `CEIL · cheapest / cost`, clamped to `[FLOOR, CEIL]` — i.e. shares
+/// are inversely proportional to measured cost, so a sweep admits
+/// roughly equal *work* from every backlogged lane. Unsampled lanes
+/// optimistically get `CEIL` until their first completion reprices them.
+pub(crate) fn derive(cost_ns: [u64; NUM_LANES]) -> [usize; NUM_LANES] {
+    let Some(cheapest) = cost_ns.iter().copied().filter(|&c| c > 0).min() else {
+        return [CEIL; NUM_LANES];
+    };
+    cost_ns.map(|c| {
+        // `None` is an unsampled lane (cost 0).
+        (CEIL as u64)
+            .saturating_mul(cheapest)
+            .checked_div(c)
+            .map_or(CEIL, |scaled| (scaled as usize).clamp(FLOOR, CEIL))
+    })
 }
-
-impl LaneWeightPolicy {
-    /// Checks every range invariant, returning the first violation as
-    /// a typed error. Called by the server before any thread spawns,
-    /// so a bad config fails startup instead of misbehaving live.
-    pub fn validate(&self) -> Result<(), WeightConfigError> {
-        match self {
-            LaneWeightPolicy::Static(weights) => {
-                if let Some(lane) = weights.iter().position(|&w| w == 0) {
-                    return Err(WeightConfigError::ZeroStaticWeight { lane });
-                }
-                Ok(())
-            }
-            LaneWeightPolicy::CostEma(cfg) => cfg.validate(),
-        }
-    }
-
-    /// The weights to install before any cost sample exists.
-    pub fn initial_weights(&self) -> [usize; NUM_LANES] {
-        match self {
-            LaneWeightPolicy::Static(weights) => *weights,
-            LaneWeightPolicy::CostEma(_) => DEFAULT_STATIC_WEIGHTS,
-        }
-    }
-}
-
-impl Default for LaneWeightPolicy {
-    fn default() -> Self {
-        LaneWeightPolicy::CostEma(CostEmaWeights::default())
-    }
-}
-
-/// Parameters for cost-EMA-derived lane weights.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CostEmaWeights {
-    /// Smallest share any lane may receive (≥ 1): even the most
-    /// expensive domain keeps making progress every sweep.
-    pub floor: usize,
-    /// Largest share any lane may receive; the cheapest sampled lane
-    /// is pinned here and the others scale down from it. Must satisfy
-    /// `floor ≤ ceil ≤ MAX_CEIL`.
-    pub ceil: usize,
-    /// Retune cadence, in dispatcher batches (> 0). Weight derivation
-    /// is a handful of atomic loads, so this mostly bounds how fast
-    /// the mix can oscillate under a shifting workload.
-    pub refresh_batches: u32,
-}
-
-impl CostEmaWeights {
-    /// Upper bound on `ceil`: shares beyond this cannot matter because
-    /// a micro-batch is at most `micro_batch` (default 16) items.
-    pub const MAX_CEIL: usize = 64;
-
-    /// Range-checks the configuration (threshold-validation idiom:
-    /// every violated invariant is its own typed error).
-    pub fn validate(&self) -> Result<(), WeightConfigError> {
-        if self.floor == 0 {
-            return Err(WeightConfigError::ZeroFloor);
-        }
-        if self.ceil < self.floor {
-            return Err(WeightConfigError::CeilBelowFloor {
-                floor: self.floor,
-                ceil: self.ceil,
-            });
-        }
-        if self.ceil > Self::MAX_CEIL {
-            return Err(WeightConfigError::CeilTooLarge {
-                ceil: self.ceil,
-                max: Self::MAX_CEIL,
-            });
-        }
-        if self.refresh_batches == 0 {
-            return Err(WeightConfigError::ZeroRefresh);
-        }
-        Ok(())
-    }
-
-    /// Derives per-lane weights from per-lane cost estimates in
-    /// nanoseconds (`0` = no sample yet for that lane).
-    ///
-    /// The cheapest sampled lane gets `ceil`; every other lane gets
-    /// `ceil · cheapest / cost`, clamped to `[floor, ceil]` — i.e.
-    /// shares are inversely proportional to measured cost, so a sweep
-    /// admits roughly equal *work* from every backlogged lane.
-    /// Unsampled lanes optimistically get `ceil` until their first
-    /// completion reprices them.
-    pub fn derive(&self, cost_ns: [u64; NUM_LANES]) -> [usize; NUM_LANES] {
-        let cheapest = cost_ns.iter().copied().filter(|&c| c > 0).min();
-        let cheapest = match cheapest {
-            Some(c) => c,
-            None => return [self.ceil; NUM_LANES],
-        };
-        cost_ns.map(|c| {
-            if c == 0 {
-                self.ceil
-            } else {
-                let scaled = (self.ceil as u64).saturating_mul(cheapest) / c.max(1);
-                (scaled as usize).clamp(self.floor, self.ceil)
-            }
-        })
-    }
-}
-
-impl Default for CostEmaWeights {
-    fn default() -> Self {
-        CostEmaWeights {
-            floor: 1,
-            ceil: 8,
-            refresh_batches: 32,
-        }
-    }
-}
-
-/// Why a [`LaneWeightPolicy`] failed validation.
-#[derive(Debug, PartialEq, Eq)]
-pub enum WeightConfigError {
-    /// A static weight of 0 would starve that lane's domain forever.
-    ZeroStaticWeight {
-        /// Offending lane index ([`Domain::ALL`](crate::wire::Domain::ALL) order).
-        lane: usize,
-    },
-    /// `floor` must be ≥ 1 for the same reason.
-    ZeroFloor,
-    /// `ceil < floor` makes the clamp range empty.
-    CeilBelowFloor {
-        /// Configured floor.
-        floor: usize,
-        /// Configured (smaller) ceiling.
-        ceil: usize,
-    },
-    /// `ceil` beyond [`CostEmaWeights::MAX_CEIL`] cannot change batch
-    /// composition and indicates a units mistake.
-    CeilTooLarge {
-        /// Configured ceiling.
-        ceil: usize,
-        /// The allowed maximum.
-        max: usize,
-    },
-    /// `refresh_batches` of 0 would retune on a modulo-zero cadence.
-    ZeroRefresh,
-}
-
-impl fmt::Display for WeightConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WeightConfigError::ZeroStaticWeight { lane } => {
-                write!(
-                    f,
-                    "static lane weight for lane {lane} is 0; every lane needs a share ≥ 1"
-                )
-            }
-            WeightConfigError::ZeroFloor => {
-                write!(f, "cost-EMA weight floor is 0; the floor must be ≥ 1")
-            }
-            WeightConfigError::CeilBelowFloor { floor, ceil } => {
-                write!(f, "cost-EMA weight ceil {ceil} is below floor {floor}")
-            }
-            WeightConfigError::CeilTooLarge { ceil, max } => {
-                write!(f, "cost-EMA weight ceil {ceil} exceeds the maximum {max}")
-            }
-            WeightConfigError::ZeroRefresh => {
-                write!(
-                    f,
-                    "cost-EMA refresh_batches is 0; retune cadence must be ≥ 1 batch"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for WeightConfigError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn default_policy_validates() {
-        assert_eq!(LaneWeightPolicy::default().validate(), Ok(()));
-        assert_eq!(
-            LaneWeightPolicy::Static(DEFAULT_STATIC_WEIGHTS).validate(),
-            Ok(())
-        );
-    }
-
-    #[test]
-    fn zero_static_weight_is_refused_with_the_lane_index() {
-        let err = LaneWeightPolicy::Static([2, 0, 1, 1])
-            .validate()
-            .expect_err("zero weight");
-        assert_eq!(err, WeightConfigError::ZeroStaticWeight { lane: 1 });
-        assert!(err.to_string().contains("lane 1"));
-    }
-
-    #[test]
-    fn range_violations_each_get_a_typed_error() {
-        let bad_floor = CostEmaWeights {
-            floor: 0,
-            ..CostEmaWeights::default()
-        };
-        assert_eq!(bad_floor.validate(), Err(WeightConfigError::ZeroFloor));
-
-        let inverted = CostEmaWeights {
-            floor: 8,
-            ceil: 2,
-            refresh_batches: 32,
-        };
-        assert_eq!(
-            inverted.validate(),
-            Err(WeightConfigError::CeilBelowFloor { floor: 8, ceil: 2 })
-        );
-
-        let huge = CostEmaWeights {
-            ceil: CostEmaWeights::MAX_CEIL + 1,
-            ..CostEmaWeights::default()
-        };
-        assert_eq!(
-            huge.validate(),
-            Err(WeightConfigError::CeilTooLarge {
-                ceil: CostEmaWeights::MAX_CEIL + 1,
-                max: CostEmaWeights::MAX_CEIL,
-            })
-        );
-
-        let never = CostEmaWeights {
-            refresh_batches: 0,
-            ..CostEmaWeights::default()
-        };
-        assert_eq!(never.validate(), Err(WeightConfigError::ZeroRefresh));
-    }
-
-    #[test]
     fn derive_is_inverse_to_cost_and_clamped() {
-        let cfg = CostEmaWeights {
-            floor: 1,
-            ceil: 8,
-            refresh_batches: 1,
-        };
         // Costs 1×, 2×, 4×, 100× the cheapest → shares 8, 4, 2, floor.
         assert_eq!(
-            cfg.derive([10_000, 20_000, 40_000, 1_000_000]),
-            [8, 4, 2, 1]
+            derive([10_000, 20_000, 40_000, 1_000_000]),
+            [CEIL, 4, 2, FLOOR]
         );
     }
 
     #[test]
     fn derive_treats_unsampled_lanes_optimistically() {
-        let cfg = CostEmaWeights::default();
-        assert_eq!(cfg.derive([0, 0, 0, 0]), [cfg.ceil; NUM_LANES]);
+        assert_eq!(derive([0, 0, 0, 0]), [CEIL; NUM_LANES]);
         // One sampled lane: it is the cheapest, others stay at ceil.
-        assert_eq!(
-            cfg.derive([0, 5_000, 0, 0]),
-            [cfg.ceil, cfg.ceil, cfg.ceil, cfg.ceil]
-        );
+        assert_eq!(derive([0, 5_000, 0, 0]), [CEIL; NUM_LANES]);
         // An unsampled lane among sampled ones still gets ceil.
-        assert_eq!(cfg.derive([1_000, 0, 2_000, 8_000]), [8, 8, 4, 1]);
-    }
-
-    #[test]
-    fn initial_weights_fall_back_to_the_static_defaults() {
-        assert_eq!(
-            LaneWeightPolicy::default().initial_weights(),
-            DEFAULT_STATIC_WEIGHTS
-        );
-        assert_eq!(
-            LaneWeightPolicy::Static([1, 2, 3, 4]).initial_weights(),
-            [1, 2, 3, 4]
-        );
+        assert_eq!(derive([1_000, 0, 2_000, 8_000]), [8, 8, 4, 1]);
     }
 }

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use pigeonring_hamming::BitVector;
 use pigeonring_server::server::{start_with_handler, Handler, ServerConfig};
 use pigeonring_server::wire::{Domain, DomainQuery, Response, CONNECTION_REQUEST_ID};
-use pigeonring_server::{Client, LaneWeightPolicy, Outcome};
+use pigeonring_server::{Client, Outcome};
 
 fn set_query(tag: u32) -> DomainQuery {
     DomainQuery::Set {
@@ -284,7 +284,6 @@ fn hamming_answered_while_graph_lane_is_saturated() {
             lane_depth: LANE,
             micro_batch: 2,
             dispatchers: 1,
-            lane_weights: LaneWeightPolicy::Static([1, 1, 1, 1]),
             ..ServerConfig::default()
         },
     )

@@ -31,15 +31,16 @@ pub trait MergeStats: Default + Send + 'static {
 /// [`SearchEngine::plan`] computes the query-side work (gram interning
 /// and prefix/pivotal selection for edit distance, token ranking and
 /// k-wise signature enumeration for set similarity, part signatures and
-/// the allocation histogram for Hamming) into a [`SearchEngine::Plan`],
+/// the allocation histogram for Hamming, flat adjacency and label
+/// histograms for graphs) into a [`SearchEngine::Plan`],
 /// and [`SearchEngine::search_planned`] executes it against this
 /// engine's postings. [`ShardedIndex`](crate::sharded::ShardedIndex)
 /// plans each query exactly once — on its first shard — and hands
 /// `&Plan` to every shard worker, so a plan must be valid for every
 /// shard: engines whose plans depend on a build-time dictionary say so
 /// through [`SearchEngine::plans_portable_to`], and construction
-/// rejects shards that disagree. Engines without query-side work use
-/// `type Plan = ()`.
+/// rejects shards that disagree. A plan that depends on the query alone
+/// (graph) is portable everywhere.
 ///
 /// Everything is `'static` (and queries are `Clone`) so batches can be
 /// shipped to the persistent [`WorkerPool`](crate::pool::WorkerPool),

@@ -7,14 +7,14 @@
 //!
 //! Engines:
 //!
-//! * [`Pkwise`] — the pkwise baseline \[103\]: the token universe is split
-//!   into `m − 1` classes; every record indexes the k-combinations
-//!   (k-wise signatures) of its class-`k` prefix tokens, and a candidate
-//!   must share a signature with the query in some class.
-//! * [`RingSetSim`] — pkwise plus the §6.2 pigeonring second step: from a
-//!   matched class `k`, extend the chain over the class-overlap boxes
-//!   `b_i = |x_i ∩ q_i|` and keep the object only if the chain is
-//!   prefix-viable under the `≥`-direction Theorem 7 quotas
+//! * [`RingSetSim`] at `l = 1` — the pkwise baseline \[103\]: the token
+//!   universe is split into `m − 1` classes; every record indexes the
+//!   k-combinations (k-wise signatures) of its class-`k` prefix tokens,
+//!   and a candidate must share a signature with the query in some class.
+//! * [`RingSetSim`] at `l > 1` — pkwise plus the §6.2 pigeonring second
+//!   step: from a matched class `k`, extend the chain over the
+//!   class-overlap boxes `b_i = |x_i ∩ q_i|` and keep the object only if
+//!   the chain is prefix-viable under the `≥`-direction Theorem 7 quotas
 //!   (`‖c^{l'}‖₁ ≥ 1 − l' + Σ t_j`). Chains that would touch the suffix
 //!   box `b₀` verify directly (the paper's implementation remark).
 //! * [`AdaptSearch`] — prefix-filter baseline configured as in the paper's
@@ -28,7 +28,6 @@
 //! linear scan on every input — this is asserted by the test suite.
 
 pub mod adapt;
-pub mod join;
 pub mod partalloc;
 pub mod pkwise;
 pub mod ring;
@@ -36,10 +35,9 @@ pub mod service;
 pub mod types;
 
 pub use adapt::AdaptSearch;
-pub use join::self_join;
 pub use partalloc::PartAlloc;
 pub use pkwise::{ClassMap, PkwiseIndex};
-pub use ring::{Pkwise, RingSetSim, SetPlan, SetScratch, SetStats};
+pub use ring::{RingSetSim, SetPlan, SetScratch, SetStats};
 pub use service::SetParams;
 pub use types::{Collection, LinearScanSets, Threshold, TokenDictionary};
 

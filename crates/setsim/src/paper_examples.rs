@@ -1,7 +1,7 @@
 //! Number-for-number reproduction of Example 10 / Figure 3 (§6.2).
 
 use crate::pkwise::{compute_prefix, ClassMap};
-use crate::ring::RingSetSim;
+use crate::ring::{RingSetSim, SetScratch};
 use crate::types::{overlap, Collection, Threshold};
 use pigeonring_core::viability::{check_prefix_viable, Direction, ThresholdScheme};
 
@@ -92,7 +92,7 @@ fn example_10_end_to_end() {
     // relative alphabetical order, so the explicit class map still
     // matches token ranks 0..15 only if the rank permutation preserves
     // classes. Verify the assumption instead of assuming it:
-    let mut ring = RingSetSim::with_class_map(
+    let ring = RingSetSim::with_class_map(
         Collection::new(vec![x.clone(), exact.clone()]),
         Threshold::Overlap(9),
         ClassMap::explicit(5, {
@@ -137,9 +137,10 @@ fn example_10_end_to_end() {
         r
     };
 
-    let (res_l1, stats_l1) = ring.search(&q_ranked, 1);
+    let mut scratch = SetScratch::default();
+    let (res_l1, stats_l1) = ring.search_with(&mut scratch, &q_ranked, 1);
     assert_eq!(res_l1, vec![1], "only the exact record is a true result");
-    let (res_l2, stats_l2) = ring.search(&q_ranked, 2);
+    let (res_l2, stats_l2) = ring.search_with(&mut scratch, &q_ranked, 2);
     assert_eq!(res_l2, vec![1]);
     assert!(
         stats_l2.candidates <= stats_l1.candidates,

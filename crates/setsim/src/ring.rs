@@ -1,4 +1,4 @@
-//! The pigeonring set-similarity engine (§6.2) and the pkwise baseline.
+//! The pigeonring set-similarity engine (§6.2); pkwise at `l = 1`.
 //!
 //! Filtering instance: boxes `b₀ = ` suffix overlap, `b_i = |x_i ∩ q_i|`
 //! (class-`i` tokens in the two prefixes), `D(τ) = τ`; `‖B‖₁` equals the
@@ -141,17 +141,16 @@ impl SetScratch {
     }
 }
 
-/// The pigeonring set-similarity search engine. `l = 1` is exactly pkwise.
+/// The pigeonring set-similarity search engine. `l = 1` *is* the pkwise
+/// baseline \[103\]: the plain k-wise signature filter.
 ///
-/// The index is immutable at query time: [`RingSetSim::search_with`]
-/// takes `&self` plus an external [`SetScratch`], so shards can serve
-/// concurrent worker threads. The `&mut self` methods wrap an
-/// engine-owned scratch.
+/// The index is immutable at query time: every query method takes
+/// `&self` plus a caller-owned [`SetScratch`], so shards can serve
+/// concurrent worker threads.
 pub struct RingSetSim {
     collection: Collection,
     threshold: Threshold,
     index: PkwiseIndex,
-    scratch: SetScratch,
 }
 
 impl RingSetSim {
@@ -169,7 +168,6 @@ impl RingSetSim {
             collection,
             threshold,
             index,
-            scratch: SetScratch::default(),
         }
     }
 
@@ -185,17 +183,9 @@ impl RingSetSim {
 
     /// Searches for all records with `sim(x, q) ≥ τ` using chain length
     /// `l`. `q` is a sorted rank array (normally a record of this
-    /// collection). Returns ascending ids and statistics.
-    pub fn search(&mut self, q: &[u32], l: usize) -> (Vec<u32>, SetStats) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let out = self.search_with(&mut scratch, q, l);
-        self.scratch = scratch;
-        out
-    }
-
-    /// [`RingSetSim::search`] against a caller-owned scratch; takes
-    /// `&self`, so any number of threads can search one engine
-    /// concurrently, each with its own [`SetScratch`].
+    /// collection). Returns ascending ids and statistics. Takes `&self`,
+    /// so any number of threads can search one engine concurrently, each
+    /// with its own [`SetScratch`].
     pub fn search_with(
         &self,
         scratch: &mut SetScratch,
@@ -313,17 +303,9 @@ impl RingSetSim {
     }
 
     /// Candidate generation only (no verification), for timing the
-    /// filter separately (Figure 6's "Cand." series).
-    pub fn candidates(&mut self, q: &[u32], l: usize) -> (Vec<u32>, SetStats) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let out = self.candidates_with(&mut scratch, q, l);
-        self.scratch = scratch;
-        out
-    }
-
-    /// [`RingSetSim::candidates`] against a caller-owned scratch
-    /// (`&self`; see [`RingSetSim::search_with`]). Plan-time statistics
-    /// (`sig_probes`) are included, as before the plan/execute split.
+    /// filter separately (Figure 6's "Cand." series). Plan-time
+    /// statistics (`sig_probes`) are included, as before the
+    /// plan/execute split.
     ///
     /// This plan-and-discard path materializes the signature enumeration
     /// into one per-query `Vec` (the pre-split code streamed each
@@ -565,26 +547,6 @@ fn cached_class_overlap(
     v
 }
 
-/// The pkwise baseline \[103\]: the ring engine fixed at `l = 1`.
-pub struct Pkwise(RingSetSim);
-
-impl Pkwise {
-    /// Builds pkwise over a collection.
-    pub fn build(collection: Collection, threshold: Threshold, m: usize) -> Self {
-        Pkwise(RingSetSim::build(collection, threshold, m))
-    }
-
-    /// Searches with the plain k-wise signature filter.
-    pub fn search(&mut self, q: &[u32]) -> (Vec<u32>, SetStats) {
-        self.0.search(q, 1)
-    }
-
-    /// The shared engine.
-    pub fn inner(&mut self) -> &mut RingSetSim {
-        &mut self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,10 +594,11 @@ mod tests {
                 .map(|qid| scan.search(c.record(qid), Threshold::jaccard(0.7)))
                 .collect()
         };
-        let mut ring = RingSetSim::build(c.clone(), Threshold::jaccard(0.7), 5);
+        let ring = RingSetSim::build(c.clone(), Threshold::jaccard(0.7), 5);
+        let mut scratch = SetScratch::default();
         for l in 1..=3usize {
             for (qid, expect) in scan_results.iter().enumerate() {
-                let (got, _) = ring.search(c.record(qid), l);
+                let (got, _) = ring.search_with(&mut scratch, c.record(qid), l);
                 assert_eq!(&got, expect, "qid={qid} l={l}");
             }
         }
@@ -649,10 +612,11 @@ mod tests {
         let expected: Vec<Vec<u32>> = (0..c.len())
             .map(|qid| scan.search(c.record(qid), t))
             .collect();
-        let mut ring = RingSetSim::build(c.clone(), t, 5);
+        let ring = RingSetSim::build(c.clone(), t, 5);
+        let mut scratch = SetScratch::default();
         for l in [1usize, 2, 3, 5] {
             for qid in (0..c.len()).step_by(7) {
-                let (got, _) = ring.search(c.record(qid), l);
+                let (got, _) = ring.search_with(&mut scratch, c.record(qid), l);
                 assert_eq!(got, expected[qid], "qid={qid} l={l}");
             }
         }
@@ -661,27 +625,15 @@ mod tests {
     #[test]
     fn candidates_shrink_with_l() {
         let c = zipfish_collection(200, 14, 3);
-        let mut ring = RingSetSim::build(c.clone(), Threshold::jaccard(0.7), 5);
+        let ring = RingSetSim::build(c.clone(), Threshold::jaccard(0.7), 5);
+        let mut scratch = SetScratch::default();
         for qid in (0..c.len()).step_by(11) {
             let mut prev = usize::MAX;
             for l in 1..=3usize {
-                let (_, stats) = ring.search(c.record(qid), l);
+                let (_, stats) = ring.search_with(&mut scratch, c.record(qid), l);
                 assert!(stats.candidates <= prev, "qid={qid} l={l}");
                 prev = stats.candidates;
             }
-        }
-    }
-
-    #[test]
-    fn pkwise_equals_ring_l1() {
-        let c = zipfish_collection(150, 12, 99);
-        let mut pk = Pkwise::build(c.clone(), Threshold::jaccard(0.8), 5);
-        let mut ring = RingSetSim::build(c.clone(), Threshold::jaccard(0.8), 5);
-        for qid in (0..c.len()).step_by(13) {
-            let (r1, s1) = pk.search(c.record(qid));
-            let (r2, s2) = ring.search(c.record(qid), 1);
-            assert_eq!(r1, r2);
-            assert_eq!(s1.candidates, s2.candidates);
         }
     }
 
@@ -707,11 +659,16 @@ mod tests {
             vec![3, 4, 4, 1, 1, 1, 3, 4, 2, 3, 4, 3, 1, 1, 1, 2, 1, 1],
         );
         let scan = LinearScanSets::new(&c);
-        let mut ring = RingSetSim::with_class_map(c.clone(), t, classes);
+        let ring = RingSetSim::with_class_map(c.clone(), t, classes);
+        let mut scratch = SetScratch::default();
         for qid in 0..c.len() {
             let expect = scan.search(c.record(qid), t);
             for l in 1..=5usize {
-                assert_eq!(ring.search(c.record(qid), l).0, expect, "qid={qid} l={l}");
+                assert_eq!(
+                    ring.search_with(&mut scratch, c.record(qid), l).0,
+                    expect,
+                    "qid={qid} l={l}"
+                );
             }
         }
     }
@@ -719,8 +676,9 @@ mod tests {
     #[test]
     fn empty_query_returns_nothing() {
         let c = zipfish_collection(50, 8, 5);
-        let mut ring = RingSetSim::build(c, Threshold::jaccard(0.7), 5);
-        let (res, _) = ring.search(&[], 2);
+        let ring = RingSetSim::build(c, Threshold::jaccard(0.7), 5);
+        let mut scratch = SetScratch::default();
+        let (res, _) = ring.search_with(&mut scratch, &[], 2);
         assert!(res.is_empty());
     }
 
@@ -734,9 +692,14 @@ mod tests {
         let expected: Vec<Vec<u32>> = (0..c.len())
             .map(|qid| scan.search(c.record(qid), t))
             .collect();
-        let mut ring = RingSetSim::build(c.clone(), t, 2);
+        let ring = RingSetSim::build(c.clone(), t, 2);
+        let mut scratch = SetScratch::default();
         for (qid, expect) in expected.iter().enumerate() {
-            assert_eq!(&ring.search(c.record(qid), 1).0, expect, "qid={qid}");
+            assert_eq!(
+                &ring.search_with(&mut scratch, c.record(qid), 1).0,
+                expect,
+                "qid={qid}"
+            );
         }
     }
 }

@@ -4,7 +4,7 @@
 
 use pigeonring_setsim::types::{overlap, overlap_at_least};
 use pigeonring_setsim::{
-    AdaptSearch, Collection, LinearScanSets, PartAlloc, RingSetSim, Threshold,
+    AdaptSearch, Collection, LinearScanSets, PartAlloc, RingSetSim, SetScratch, Threshold,
 };
 use proptest::prelude::*;
 
@@ -64,14 +64,15 @@ proptest! {
         prop_assume!(!coll.is_empty());
         let t = Threshold::jaccard(tau_pct as f64 / 10.0);
         let scan = LinearScanSets::new(&coll);
-        let mut ring = RingSetSim::build(coll.clone(), t, 4);
+        let ring = RingSetSim::build(coll.clone(), t, 4);
+        let mut scratch = SetScratch::default();
         let mut adapt = AdaptSearch::build(coll.clone(), t);
         let mut part = PartAlloc::build(coll.clone(), t);
         for qid in 0..coll.len().min(6) {
             let q = coll.record(qid).to_vec();
             let expect = scan.search(&q, t);
             for l in 1..=3usize {
-                prop_assert_eq!(ring.search(&q, l).0, expect.clone(), "ring qid={} l={}", qid, l);
+                prop_assert_eq!(ring.search_with(&mut scratch, &q, l).0, expect.clone(), "ring qid={} l={}", qid, l);
             }
             prop_assert_eq!(adapt.search(&q).0, expect.clone(), "adapt qid={}", qid);
             prop_assert_eq!(part.search(&q).0, expect, "partalloc qid={}", qid);
@@ -84,12 +85,13 @@ proptest! {
         prop_assume!(!coll.is_empty());
         let t = Threshold::Overlap(o);
         let scan = LinearScanSets::new(&coll);
-        let mut ring = RingSetSim::build(coll.clone(), t, 5);
+        let ring = RingSetSim::build(coll.clone(), t, 5);
+        let mut scratch = SetScratch::default();
         for qid in 0..coll.len().min(4) {
             let q = coll.record(qid).to_vec();
             let expect = scan.search(&q, t);
             for l in [1usize, 2, 5] {
-                prop_assert_eq!(ring.search(&q, l).0, expect.clone(), "qid={} l={}", qid, l);
+                prop_assert_eq!(ring.search_with(&mut scratch, &q, l).0, expect.clone(), "qid={} l={}", qid, l);
             }
         }
     }

@@ -20,9 +20,8 @@
 //!   `Arc` handles. Instrumented code resolves its handles once and
 //!   then touches only atomics.
 //! * [`Snapshot`] — a point-in-time copy with [`Snapshot::delta`]
-//!   (for before/after accounting around a load run), JSON exposition
-//!   ([`Snapshot::to_json`]) and Prometheus-style text exposition
-//!   ([`Snapshot::to_prometheus`]).
+//!   (for before/after accounting around a load run) and JSON
+//!   exposition ([`Snapshot::to_json`]).
 //! * [`json`] — a minimal JSON parser/pretty-printer so clients (the
 //!   `repro stats` / `repro trace` subcommands) can read snapshots back
 //!   without serde.

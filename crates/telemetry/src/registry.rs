@@ -21,10 +21,9 @@ struct Inner {
 
 /// A registry of named metrics handing out shared handles.
 ///
-/// Metric names are dotted paths (`server.lane.hamming.depth`); the
-/// Prometheus exposition rewrites dots to underscores. Registering the
-/// same name twice returns the same underlying metric, so independent
-/// layers can share a series without coordination.
+/// Metric names are dotted paths (`server.lane.hamming.depth`).
+/// Registering the same name twice returns the same underlying metric,
+/// so independent layers can share a series without coordination.
 #[derive(Default)]
 pub struct MetricsRegistry {
     inner: Mutex<Inner>,
@@ -281,42 +280,6 @@ impl Snapshot {
         }
         Some(snap)
     }
-
-    /// Prometheus-style text exposition: dots in names become
-    /// underscores; histograms expand to `_bucket{le="..."}`
-    /// cumulative series plus `_sum` and `_count`.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let n = promname(name);
-            out.push_str(&format!("# TYPE {n} counter\n{n} {v}\n"));
-        }
-        for (name, v) in &self.gauges {
-            let n = promname(name);
-            out.push_str(&format!("# TYPE {n} gauge\n{n} {v}\n"));
-        }
-        for (name, h) in &self.histograms {
-            let n = promname(name);
-            out.push_str(&format!("# TYPE {n} histogram\n"));
-            let mut cum = 0u64;
-            for (i, &c) in h.buckets.iter().enumerate() {
-                if c == 0 {
-                    continue;
-                }
-                cum += c;
-                out.push_str(&format!("{n}_bucket{{le=\"{}\"}} {cum}\n", bucket_bound(i)));
-            }
-            out.push_str(&format!("{n}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-            out.push_str(&format!("{n}_sum {}\n{n}_count {}\n", h.sum, h.count));
-        }
-        out
-    }
-}
-
-fn promname(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
 }
 
 fn push_map<'a>(out: &mut String, entries: impl Iterator<Item = (&'a String, String)>) {
@@ -495,16 +458,5 @@ mod tests {
         let h = v.get("histograms").and_then(|c| c.get("h")).unwrap();
         assert_eq!(h.get("count").and_then(|x| x.as_u64()), Some(1));
         assert_eq!(h.get("p50").and_then(|x| x.as_u64()), Some(127));
-    }
-
-    #[test]
-    fn prometheus_exposition_is_well_formed() {
-        let reg = MetricsRegistry::new();
-        reg.counter("server.errors").inc();
-        reg.histogram("lat.us").record(5);
-        let text = reg.snapshot().to_prometheus();
-        assert!(text.contains("# TYPE server_errors counter\nserver_errors 1\n"));
-        assert!(text.contains("lat_us_bucket{le=\"7\"} 1\n"));
-        assert!(text.contains("lat_us_count 1\n"));
     }
 }

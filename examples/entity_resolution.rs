@@ -9,7 +9,7 @@
 //! ```
 
 use pigeonring::datagen::{sample_query_ids, StringConfig};
-use pigeonring::editdist::{GramOrder, Pivotal, QGramCollection, RingEdit};
+use pigeonring::editdist::{EditScratch, GramOrder, Pivotal, QGramCollection, RingEdit};
 
 fn main() {
     // A registry of names with planted spelling variants.
@@ -20,7 +20,8 @@ fn main() {
     let kappa = 2usize;
 
     let coll = QGramCollection::build(names.clone(), kappa, GramOrder::Frequency);
-    let mut ring = RingEdit::build(coll, tau);
+    let ring = RingEdit::build(coll, tau);
+    let mut scratch = EditScratch::default();
     let coll = QGramCollection::build(names.clone(), kappa, GramOrder::Frequency);
     let mut pivotal = Pivotal::build(coll, tau);
 
@@ -29,7 +30,7 @@ fn main() {
     for &qid in &queries {
         let q = &names[qid];
         let (res_p, sp) = pivotal.search(q);
-        let (res_r, sr) = ring.search(q, 3); // l = min(3, τ+1)
+        let (res_r, sr) = ring.search_with(&mut scratch, q, 3); // l = min(3, τ+1)
         assert_eq!(res_p, res_r, "both engines are exact");
         c1 += sp.cand1;
         c2 += sp.cand2;

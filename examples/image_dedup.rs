@@ -14,7 +14,7 @@
 //! filtering-power difference.
 
 use pigeonring::datagen::{sample_query_ids, VectorConfig};
-use pigeonring::hamming::{AllocationStrategy, LinearScan, RingHamming};
+use pigeonring::hamming::{AllocationStrategy, HammingScratch, LinearScan, RingHamming};
 
 fn main() {
     // A "photo library": clustered signatures = burst shots / re-encodes.
@@ -31,13 +31,14 @@ fn main() {
 
     let tau = 16u32; // the paper's image-retrieval threshold
     let queries = sample_query_ids(library.len(), 200, 99);
-    let mut engine = RingHamming::build(library.clone(), 16, AllocationStrategy::CostModel);
+    let engine = RingHamming::build(library.clone(), 16, AllocationStrategy::CostModel);
+    let mut scratch = HammingScratch::default();
 
     let mut totals = [(0usize, 0usize); 2]; // (candidates, results) per engine
     for &qid in &queries {
-        let q = library[qid].clone();
-        let (res_hole, s_hole) = engine.search(&q, tau, 1); // GPH
-        let (res_ring, s_ring) = engine.search(&q, tau, 5); // Ring, best l
+        let q = &library[qid];
+        let (res_hole, s_hole) = engine.search_with(&mut scratch, q, tau, 1); // GPH
+        let (res_ring, s_ring) = engine.search_with(&mut scratch, q, tau, 5); // Ring, best l
         assert_eq!(res_hole, res_ring, "both engines are exact");
         totals[0].0 += s_hole.candidates;
         totals[0].1 += s_hole.results;
@@ -57,10 +58,10 @@ fn main() {
     );
 
     // Sanity: the index answers exactly what a full scan answers.
-    let q = library[queries[0]].clone();
+    let q = &library[queries[0]];
     assert_eq!(
-        engine.search(&q, tau, 5).0,
-        LinearScan::new(engine.data()).search(&q, tau)
+        engine.search_with(&mut scratch, q, tau, 5).0,
+        LinearScan::new(engine.data()).search(q, tau)
     );
     println!("verified against linear scan ✓");
 }

@@ -11,7 +11,7 @@
 //! AdaptSearch (AllPairs/PPJoin search version), and PartAlloc.
 
 use pigeonring::datagen::{sample_query_ids, SetConfig};
-use pigeonring::setsim::{AdaptSearch, Collection, PartAlloc, RingSetSim, Threshold};
+use pigeonring::setsim::{AdaptSearch, Collection, PartAlloc, RingSetSim, SetScratch, Threshold};
 use std::time::Instant;
 
 fn report(name: &str, cands: usize, res: usize, ms: f64, nq: usize) {
@@ -35,7 +35,8 @@ fn main() {
     let nq = queries.len();
     println!("J ≥ 0.8, {nq} queries:");
 
-    let mut ring = RingSetSim::build(docs.clone(), t, 5);
+    let ring = RingSetSim::build(docs.clone(), t, 5);
+    let mut scratch = SetScratch::default();
     let mut adapt = AdaptSearch::build(docs.clone(), t);
     let mut part = PartAlloc::build(docs.clone(), t);
 
@@ -53,18 +54,18 @@ fn main() {
         let (mut cands, mut res) = (0usize, 0usize);
         let mut first: Vec<u32> = Vec::new();
         for &qid in &queries {
-            let q = docs.record(qid).to_vec();
+            let q = docs.record(qid);
             let (r, c) = match engine_idx {
                 0 => {
-                    let (r, s) = ring.search(&q, l);
+                    let (r, s) = ring.search_with(&mut scratch, q, l);
                     (r, s.candidates)
                 }
                 1 => {
-                    let (r, s) = adapt.search(&q);
+                    let (r, s) = adapt.search(q);
                     (r, s.candidates)
                 }
                 _ => {
-                    let (r, s) = part.search(&q);
+                    let (r, s) = part.search(q);
                     (r, s.candidates)
                 }
             };

@@ -6,14 +6,15 @@
 //!
 //! Builds a small seeded dataset for each problem, runs the pigeonhole
 //! baseline (`l = 1`) and the pigeonring engine (`l > 1`) on the same
-//! index, and prints the candidate reduction.
+//! index, and prints the candidate reduction. Engines are immutable;
+//! each caller (thread) holds one `*Scratch` and passes it to every query.
 
 use pigeonring::core::viability::{find_prefix_viable, Direction, ThresholdScheme};
 use pigeonring::datagen::{GraphConfig, SetConfig, StringConfig, VectorConfig};
-use pigeonring::editdist::{GramOrder, QGramCollection, RingEdit};
+use pigeonring::editdist::{EditScratch, GramOrder, QGramCollection, RingEdit};
 use pigeonring::graph::RingGraph;
-use pigeonring::hamming::{AllocationStrategy, RingHamming};
-use pigeonring::setsim::{Collection, RingSetSim, Threshold};
+use pigeonring::hamming::{AllocationStrategy, HammingScratch, RingHamming};
+use pigeonring::setsim::{Collection, RingSetSim, SetScratch, Threshold};
 
 fn main() {
     principle_demo();
@@ -40,10 +41,11 @@ fn hamming_demo() {
     println!("— Hamming distance search (GPH vs Ring) —");
     let data = VectorConfig::gist_like(3000).generate();
     let q = data[42].clone();
-    let mut eng = RingHamming::build(data, 16, AllocationStrategy::CostModel);
+    let eng = RingHamming::build(data, 16, AllocationStrategy::CostModel);
+    let mut scratch = HammingScratch::default();
     let (tau, best_l) = (48u32, 5usize);
-    let (res_hole, s_hole) = eng.search(&q, tau, 1);
-    let (res_ring, s_ring) = eng.search(&q, tau, best_l);
+    let (res_hole, s_hole) = eng.search_with(&mut scratch, &q, tau, 1);
+    let (res_ring, s_ring) = eng.search_with(&mut scratch, &q, tau, best_l);
     assert_eq!(res_hole, res_ring, "both engines are exact");
     println!(
         "  τ={tau}: {} results; candidates {} (pigeonhole) → {} (pigeonring l={best_l})",
@@ -55,9 +57,10 @@ fn setsim_demo() {
     println!("— set similarity search (pkwise vs Ring) —");
     let coll = Collection::new(SetConfig::dblp_like(3000).generate());
     let q = coll.record(17).to_vec();
-    let mut eng = RingSetSim::build(coll, Threshold::jaccard(0.8), 5);
-    let (res_hole, s_hole) = eng.search(&q, 1);
-    let (res_ring, s_ring) = eng.search(&q, 2);
+    let eng = RingSetSim::build(coll, Threshold::jaccard(0.8), 5);
+    let mut scratch = SetScratch::default();
+    let (res_hole, s_hole) = eng.search_with(&mut scratch, &q, 1);
+    let (res_ring, s_ring) = eng.search_with(&mut scratch, &q, 2);
     assert_eq!(res_hole, res_ring);
     println!(
         "  J ≥ 0.8: {} results; candidates {} (pkwise) → {} (Ring l=2)",
@@ -70,9 +73,10 @@ fn editdist_demo() {
     let strings = StringConfig::imdb_like(3000).generate();
     let q = strings[7].clone();
     let coll = QGramCollection::build(strings, 2, GramOrder::Frequency);
-    let mut eng = RingEdit::build(coll, 2);
-    let (res_hole, s_hole) = eng.search(&q, 1);
-    let (res_ring, s_ring) = eng.search(&q, 3);
+    let eng = RingEdit::build(coll, 2);
+    let mut scratch = EditScratch::default();
+    let (res_hole, s_hole) = eng.search_with(&mut scratch, &q, 1);
+    let (res_ring, s_ring) = eng.search_with(&mut scratch, &q, 3);
     assert_eq!(res_hole, res_ring);
     println!(
         "  ed ≤ 2: {} results; candidates {} (pivotal prefix) → {} (Ring l=3)",

@@ -5,22 +5,23 @@
 //! non-increasing in the chain length `l`.
 
 use pigeonring::datagen::{sample_query_ids, GraphConfig, SetConfig, StringConfig, VectorConfig};
-use pigeonring::editdist::{GramOrder, QGramCollection, RingEdit};
+use pigeonring::editdist::{EditScratch, GramOrder, QGramCollection, RingEdit};
 use pigeonring::graph::RingGraph;
-use pigeonring::hamming::{AllocationStrategy, RingHamming};
-use pigeonring::setsim::{Collection, RingSetSim, Threshold};
+use pigeonring::hamming::{AllocationStrategy, HammingScratch, RingHamming};
+use pigeonring::setsim::{Collection, RingSetSim, SetScratch, Threshold};
 
 #[test]
 fn hamming_candidates_monotone() {
     let data = VectorConfig::gist_like(1500).generate();
     let queries = sample_query_ids(data.len(), 8, 31);
-    let mut ring = RingHamming::build(data.clone(), 16, AllocationStrategy::CostModel);
+    let ring = RingHamming::build(data.clone(), 16, AllocationStrategy::CostModel);
+    let mut scratch = HammingScratch::default();
     for &qid in &queries {
-        let q = data[qid].clone();
+        let q = &data[qid];
         for tau in [24u32, 48] {
             let mut prev = usize::MAX;
             for l in 1..=8usize {
-                let (_, stats) = ring.search(&q, tau, l);
+                let (_, stats) = ring.search_with(&mut scratch, q, tau, l);
                 assert!(
                     stats.candidates <= prev,
                     "qid={qid} tau={tau} l={l}: {} > {prev}",
@@ -36,10 +37,11 @@ fn hamming_candidates_monotone() {
 fn hamming_l_equals_m_candidates_are_results() {
     let data = VectorConfig::gist_like(800).generate();
     let queries = sample_query_ids(data.len(), 5, 37);
-    let mut ring = RingHamming::build(data.clone(), 16, AllocationStrategy::Even);
+    let ring = RingHamming::build(data.clone(), 16, AllocationStrategy::Even);
+    let mut scratch = HammingScratch::default();
     for &qid in &queries {
-        let q = data[qid].clone();
-        let (_, stats) = ring.search(&q, 48, 16);
+        let q = &data[qid];
+        let (_, stats) = ring.search_with(&mut scratch, q, 48, 16);
         assert_eq!(stats.candidates, stats.results, "qid={qid}");
     }
 }
@@ -48,12 +50,13 @@ fn hamming_l_equals_m_candidates_are_results() {
 fn setsim_candidates_monotone() {
     let coll = Collection::new(SetConfig::enron_like(400).generate());
     let queries = sample_query_ids(coll.len(), 8, 41);
-    let mut ring = RingSetSim::build(coll.clone(), Threshold::jaccard(0.7), 5);
+    let ring = RingSetSim::build(coll.clone(), Threshold::jaccard(0.7), 5);
+    let mut scratch = SetScratch::default();
     for &qid in &queries {
-        let q = coll.record(qid).to_vec();
+        let q = coll.record(qid);
         let mut prev = usize::MAX;
         for l in 1..=3usize {
-            let (_, stats) = ring.search(&q, l);
+            let (_, stats) = ring.search_with(&mut scratch, q, l);
             assert!(stats.candidates <= prev, "qid={qid} l={l}");
             prev = stats.candidates;
         }
@@ -65,11 +68,12 @@ fn editdist_candidates_monotone() {
     let strings = StringConfig::pubmed_like(300).generate();
     let queries = sample_query_ids(strings.len(), 6, 43);
     let coll = QGramCollection::build(strings.clone(), 4, GramOrder::Frequency);
-    let mut ring = RingEdit::build(coll, 6);
+    let ring = RingEdit::build(coll, 6);
+    let mut scratch = EditScratch::default();
     for &qid in &queries {
         let mut prev = usize::MAX;
         for l in 1..=5usize {
-            let (_, stats) = ring.search(&strings[qid], l);
+            let (_, stats) = ring.search_with(&mut scratch, &strings[qid], l);
             assert!(stats.candidates <= prev, "qid={qid} l={l}");
             prev = stats.candidates;
         }
@@ -95,19 +99,22 @@ fn graph_candidates_monotone() {
 fn stats_invariants_hold_everywhere() {
     // results ≤ candidates for every engine and setting.
     let data = VectorConfig::sift_like(500).generate();
-    let mut hamming = RingHamming::build(data.clone(), 32, AllocationStrategy::CostModel);
-    let (_, s) = hamming.search(&data[0].clone(), 64, 5);
+    let hamming = RingHamming::build(data.clone(), 32, AllocationStrategy::CostModel);
+    let mut scratch = HammingScratch::default();
+    let (_, s) = hamming.search_with(&mut scratch, &data[0], 64, 5);
     assert!(s.results <= s.candidates);
 
     let coll = Collection::new(SetConfig::dblp_like(400).generate());
-    let mut sets = RingSetSim::build(coll.clone(), Threshold::jaccard(0.8), 5);
-    let (_, s) = sets.search(coll.record(0), 2);
+    let sets = RingSetSim::build(coll.clone(), Threshold::jaccard(0.8), 5);
+    let mut scratch = SetScratch::default();
+    let (_, s) = sets.search_with(&mut scratch, coll.record(0), 2);
     assert!(s.results <= s.candidates);
 
     let strings = StringConfig::imdb_like(400).generate();
     let qcoll = QGramCollection::build(strings.clone(), 2, GramOrder::Frequency);
-    let mut edit = RingEdit::build(qcoll, 2);
-    let (_, s) = edit.search(&strings[0], 3);
+    let edit = RingEdit::build(qcoll, 2);
+    let mut scratch = EditScratch::default();
+    let (_, s) = edit.search_with(&mut scratch, &strings[0], 3);
     assert!(s.results <= s.candidates);
 
     let graphs = GraphConfig::protein_like(80).generate();
