@@ -402,29 +402,31 @@ fn write_kernels_json(c: &Criterion, quick: bool) {
     // The overhead guard: instrumented-over-bare for the banded verify
     // kernel, computed from each variant's fastest sample across its
     // interleaved rounds (minimum-of-samples is robust to scheduling
-    // noise on a busy host) and clamped at 0. CI gates this below 2%.
+    // noise on a busy host). Signed, so noise shows as noise; a missing
+    // row is a hard error, never a silent 0. CI gates this below 2%.
     let min_low = |prefix: &str| {
-        c.summaries()
+        let low = c
+            .summaries()
             .iter()
             .filter(|s| s.id.starts_with(prefix))
             .map(|s| s.low_ns)
-            .fold(f64::INFINITY, f64::min)
+            .fold(f64::INFINITY, f64::min);
+        assert!(
+            low.is_finite() && low > 0.0,
+            "overhead guard: no timed row {prefix}*"
+        );
+        low
     };
-    let overhead_pct_of = |bare: f64, instrumented: f64| {
-        if bare.is_finite() && instrumented.is_finite() && bare > 0.0 {
-            ((instrumented - bare) / bare * 100.0).max(0.0)
-        } else {
-            0.0
-        }
-    };
+    let overhead_pct_of =
+        |bare: &str, instrumented: &str| (min_low(instrumented) / min_low(bare) - 1.0) * 100.0;
     let overhead_pct = overhead_pct_of(
-        min_low("telemetry/edit_within_bare/"),
-        min_low("telemetry/edit_within_instrumented/"),
+        "telemetry/edit_within_bare/",
+        "telemetry/edit_within_instrumented/",
     );
     // The sampling-disabled tracing hot path; CI gates this below 1%.
     let tracing_pct = overhead_pct_of(
-        min_low("tracing/edit_within_bare/"),
-        min_low("tracing/edit_within_sampling_off/"),
+        "tracing/edit_within_bare/",
+        "tracing/edit_within_sampling_off/",
     );
     let mut out = String::from("{\n\"machine\": ");
     out.push_str(&MachineFingerprint::detect().to_json());

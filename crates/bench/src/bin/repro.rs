@@ -6,8 +6,8 @@
 //! repro <fig2|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|ablate-skip|ablate-alloc|all>
 //!       [--quick | --paper]
 //! repro <serve|query|stats|trace|server-smoke>
-//!       [--quick | --paper] [--shards K] [--threads T] [--port P] [--queue Q]
-//!       [--batch B] [--domain D] [--raw] [--slow-query-ms MS]
+//!       [--quick | --paper] [--shards K] [--threads T] [--port P]
+//!       [--domain D] [--raw] [--slow-query-ms MS]
 //!       [--slow-query-ring N] [--metrics-dump PATH] [--metrics-interval-secs S]
 //!       [--trace-sample N] [--trace-buffer M] [--watch SECS] [--chrome PATH]
 //! ```
@@ -31,7 +31,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     let flags = &args[args.len().min(1)..];
-    // The server subcommands own their flag set (ports, queue depth,
+    // The server subcommands own their flag set (ports, shards,
     // telemetry) and are parsed by the server CLI module.
     if matches!(cmd, "serve" | "query" | "stats" | "trace" | "server-smoke") {
         if let Err(e) = pigeonring_bench::server_cli::run(cmd, flags) {

@@ -53,10 +53,6 @@ pub struct ServerCliOpts {
     /// TCP port (`serve`/`query`/`stats`/`trace`; `server-smoke` uses
     /// an OS-assigned port).
     pub port: u16,
-    /// Admission-control depth `Q` of each per-domain lane.
-    pub queue: usize,
-    /// Micro-batch size `B` (max queued requests per pool dispatch).
-    pub batch: usize,
     /// Restrict `query` to one domain (`None` = all four).
     pub domain: Option<Domain>,
     /// `stats`: print the raw snapshot JSON instead of pretty-printing.
@@ -90,12 +86,10 @@ impl ServerCliOpts {
     /// flags and malformed values are errors, not silent defaults.
     pub fn from_args(args: &[String]) -> Result<ServerCliOpts, String> {
         const BOOL_FLAGS: [&str; 3] = ["--quick", "--paper", "--raw"];
-        const VALUE_FLAGS: [&str; 14] = [
+        const VALUE_FLAGS: [&str; 12] = [
             "--shards",
             "--threads",
             "--port",
-            "--queue",
-            "--batch",
             "--domain",
             "--metrics-dump",
             "--metrics-interval-secs",
@@ -157,8 +151,6 @@ impl ServerCliOpts {
             shards: value_of("--shards")?.unwrap_or(2),
             threads: value_of("--threads")?,
             port: port as u16,
-            queue: value_of("--queue")?.unwrap_or(64),
-            batch: value_of("--batch")?.unwrap_or(16),
             domain,
             raw: args.iter().any(|a| a == "--raw"),
             metrics_dump,
@@ -194,8 +186,6 @@ impl ServerCliOpts {
     fn server_config(&self) -> ServerConfig {
         let defaults = ServerConfig::default();
         ServerConfig {
-            lane_depth: self.queue,
-            micro_batch: self.batch,
             slow_query_ms: self.slow_query_ms,
             slow_query_ring: self.slow_query_ring.unwrap_or(defaults.slow_query_ring),
             trace_sample: self.trace_sample.unwrap_or(defaults.trace_sample),
@@ -230,13 +220,14 @@ fn serve(opts: &ServerCliOpts) -> Result<(), String> {
     let listener = TcpListener::bind(("127.0.0.1", opts.port))
         .map_err(|e| format!("cannot bind 127.0.0.1:{}: {e}", opts.port))?;
     let pool = WorkerPool::new(opts.worker_threads());
-    let handle = start(listener, engines, pool, opts.server_config())
-        .map_err(|e| format!("cannot start server: {e}"))?;
+    let config = opts.server_config();
+    let handle =
+        start(listener, engines, pool, config).map_err(|e| format!("cannot start server: {e}"))?;
     println!(
         "pigeonring-server listening on {} (lane depth {}, micro-batch {}, {} workers)",
         handle.addr(),
-        opts.queue,
-        opts.batch,
+        config.lane_depth,
+        config.micro_batch,
         opts.worker_threads()
     );
     if let Some(path) = &opts.metrics_dump {
@@ -562,17 +553,18 @@ mod tests {
         let o = ServerCliOpts::from_args(&args(&[])).expect("defaults parse");
         assert_eq!(o.port, 7878);
         assert_eq!(o.shards, 2);
-        assert_eq!(o.queue, 64);
-        assert_eq!(o.batch, 16);
         assert!(o.domain.is_none());
-        let o = ServerCliOpts::from_args(&args(&[
-            "--quick", "--port", "9000", "--domain", "graph", "--queue", "7", "--batch", "3",
-        ]))
-        .expect("flags parse");
+        let config = o.server_config();
+        let defaults = ServerConfig::default();
+        assert_eq!(
+            (config.lane_depth, config.micro_batch),
+            (defaults.lane_depth, defaults.micro_batch)
+        );
+        let o =
+            ServerCliOpts::from_args(&args(&["--quick", "--port", "9000", "--domain", "graph"]))
+                .expect("flags parse");
         assert_eq!(o.scale, Scale::Quick);
         assert_eq!(o.port, 9000);
-        assert_eq!(o.queue, 7);
-        assert_eq!(o.batch, 3);
         assert_eq!(o.domain, Some(Domain::Graph));
     }
 
@@ -592,9 +584,16 @@ mod tests {
         assert!(err.contains("unknown flag \"--backend\""), "{err}");
         assert!(ServerCliOpts::from_args(&args(&["--domain", "sets"])).is_err());
         assert!(ServerCliOpts::from_args(&args(&["--domain", "all"])).is_ok());
-        assert!(ServerCliOpts::from_args(&args(&["--queue", "0"])).is_err());
-        // The load generator's knobs went with it.
-        for flag in ["--conns", "--requests", "--pipeline", "--mix"] {
+        // The load generator's knobs went with it; lane depth and
+        // micro-batch size are `ServerConfig::default()`'s.
+        for flag in [
+            "--conns",
+            "--requests",
+            "--pipeline",
+            "--mix",
+            "--queue",
+            "--batch",
+        ] {
             let err = ServerCliOpts::from_args(&args(&[flag, "2"])).unwrap_err();
             assert!(err.contains(&format!("unknown flag {flag:?}")), "{err}");
         }

@@ -17,16 +17,18 @@
 //!   server.
 //! * [`queue`] — the bounded request queue. Admission control lives
 //!   here: the [`FairQueue`] keeps one bounded lane per domain, so a
-//!   full lane answers `Busy` for *that domain only* and weighted
-//!   round-robin batch formation stops a slow-domain burst from
-//!   inflating every domain's tail.
+//!   full lane answers `Busy` for *that domain only*, and weighted
+//!   round-robin batch formation on fixed lane shares stops a
+//!   slow-domain backlog of more than `B` requests from crowding the
+//!   other domains out of a batch.
 //! * [`server`] — connection handling (one nonblocking [`sys`]-backed
 //!   reactor thread, so connection count costs file descriptors
 //!   instead of threads) and the weighted-fair dispatchers that
 //!   coalesce up to `B` queued queries per fan-out so the network path
 //!   inherits the service layer's batch amortization on the shared
-//!   persistent [`WorkerPool`](pigeonring_service::WorkerPool). Lane
-//!   weights are derived live from the measured per-domain cost EMA.
+//!   persistent [`WorkerPool`](pigeonring_service::WorkerPool). The
+//!   one cost-driven decision is [`registry`]'s shortest-job-first
+//!   order of a batch's domain groups.
 //! * [`sys`] — dependency-free readiness syscalls: hand-rolled
 //!   `extern "C"` epoll bindings with a portable `poll(2)` fallback,
 //!   and the UDP-pair waker that lets dispatchers interrupt a blocked
@@ -53,7 +55,6 @@ pub mod registry;
 pub mod server;
 #[cfg(unix)]
 pub mod sys;
-mod weights;
 pub mod wire;
 
 pub use client::{Client, ClientError, Outcome};

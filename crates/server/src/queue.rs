@@ -12,12 +12,14 @@
 //! [`FairQueue`] keeps one bounded lane per [`Domain`] with
 //! weighted-round-robin batch formation. A burst of slow-domain
 //! queries (graph GED) fills *its own* lane and draws per-lane `Busy`
-//! while the other domains' lanes keep admitting, and every popped
-//! micro-batch contains each backlogged domain in proportion to its
-//! weight — no head-of-line blocking behind a global FIFO.
+//! while the other domains' lanes keep admitting. The lane shares are
+//! fixed at construction and only decide anything when more than `max`
+//! items are queued: then every popped micro-batch contains each
+//! backlogged domain in proportion to its share — no head-of-line
+//! blocking behind a global FIFO. With at most `max` queued, a pop
+//! takes everything.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 use pigeonring_telemetry::Gauge;
@@ -85,11 +87,8 @@ pub struct FairQueue<T> {
     state: Mutex<FairState<T>>,
     not_empty: Condvar,
     lane_capacity: usize,
-    /// Per-sweep lane shares. Atomics so the cost-EMA weight tuner can
-    /// retune a live queue without touching the queue mutex; each
-    /// weight is read independently per sweep step, so a mid-sweep
-    /// retune simply takes effect lane by lane.
-    weights: [AtomicUsize; NUM_LANES],
+    /// Per-sweep lane shares, each ≥ 1.
+    weights: [usize; NUM_LANES],
     /// Optional per-lane depth gauges, maintained at push/pop so depth
     /// can be read without taking the queue mutex.
     depth_gauges: OnceLock<[Arc<Gauge>; NUM_LANES]>,
@@ -99,7 +98,8 @@ impl<T> FairQueue<T> {
     /// A queue admitting at most `lane_capacity.max(1)` buffered items
     /// *per lane*. `weights[i]` (clamped to ≥ 1) is how many items lane
     /// `i` — indexed in [`Domain::ALL`] order — contributes per
-    /// round-robin sweep of [`FairQueue::pop_batch`].
+    /// round-robin sweep of [`FairQueue::pop_batch`], for the queue's
+    /// whole life.
     pub fn new(lane_capacity: usize, weights: [usize; NUM_LANES]) -> Self {
         FairQueue {
             state: Mutex::new(FairState {
@@ -109,27 +109,9 @@ impl<T> FairQueue<T> {
             }),
             not_empty: Condvar::new(),
             lane_capacity: lane_capacity.max(1),
-            weights: weights.map(|w| AtomicUsize::new(w.max(1))),
+            weights: weights.map(|w| w.max(1)),
             depth_gauges: OnceLock::new(),
         }
-    }
-
-    /// Replaces the per-lane weights (each clamped to ≥ 1). Safe to
-    /// call while consumers are popping: the next sweep step over a
-    /// lane observes its new share. This is the cost-EMA tuner's entry
-    /// point; a server without a cost signal simply never calls it.
-    pub fn set_weights(&self, weights: [usize; NUM_LANES]) {
-        for (slot, w) in self.weights.iter().zip(weights) {
-            slot.store(w.max(1), Ordering::Relaxed);
-        }
-    }
-
-    /// The current per-lane weights ([`Domain::ALL`] order).
-    pub fn weights(&self) -> [usize; NUM_LANES] {
-        std::array::from_fn(|i| {
-            // lint: allow(panic) — from_fn indexes 0..NUM_LANES, the array length
-            self.weights[i].load(Ordering::Relaxed)
-        })
     }
 
     /// Attaches one depth gauge per lane ([`Domain::ALL`] order);
@@ -209,9 +191,7 @@ impl<T> FairQueue<T> {
                     let li = state.cursor % NUM_LANES;
                     state.cursor = state.cursor.wrapping_add(1);
                     // lint: allow(panic) — li is cursor % NUM_LANES, in bounds for all three arrays
-                    let quota = self.weights[li]
-                        .load(Ordering::Relaxed)
-                        .min(max - out.len());
+                    let quota = self.weights[li].min(max - out.len());
                     // lint: allow(panic) — li is cursor % NUM_LANES, in bounds
                     let lane = &mut state.lanes[li];
                     let take = quota.min(lane.len());
@@ -355,28 +335,21 @@ mod tests {
         let hamming = out.iter().filter(|(d, _)| *d == Domain::Hamming).count();
         let graph = out.iter().filter(|(d, _)| *d == Domain::Graph).count();
         assert_eq!((hamming, graph), (3, 1), "weighted shares: {out:?}");
-    }
 
-    #[test]
-    fn fair_weights_can_be_retuned_live() {
-        let q: FairQueue<(Domain, u32)> = FairQueue::new(16, [1, 1, 1, 1]);
-        assert_eq!(q.weights(), [1, 1, 1, 1]);
-        q.set_weights([3, 1, 1, 0]); // zero clamps to 1 — no lane starves
-        assert_eq!(q.weights(), [3, 1, 1, 1]);
-        for i in 0..6 {
-            q.try_push(Domain::Hamming, (Domain::Hamming, i))
-                .expect("room");
-            q.try_push(Domain::Graph, (Domain::Graph, i)).expect("room");
+        // With at most `max` items queued the shares decide nothing: a
+        // pop takes everything, whatever the weights (zero clamps to 1).
+        for weights in [[1, 1, 1, 1], [8, 4, 8, 2], [0, 1, 0, 9]] {
+            for max in [10, 16] {
+                let q: FairQueue<(Domain, u32)> = FairQueue::new(16, weights);
+                for (i, d) in Domain::ALL.into_iter().cycle().take(10).enumerate() {
+                    q.try_push(d, (d, i as u32)).expect("room");
+                }
+                let mut out = Vec::new();
+                assert!(q.pop_batch(max, &mut out));
+                assert_eq!(out.len(), 10, "weights {weights:?}, max {max}: {out:?}");
+                assert!(q.is_empty());
+            }
         }
-        let mut out = Vec::new();
-        assert!(q.pop_batch(4, &mut out));
-        let hamming = out.iter().filter(|(d, _)| *d == Domain::Hamming).count();
-        let graph = out.iter().filter(|(d, _)| *d == Domain::Graph).count();
-        assert_eq!(
-            (hamming, graph),
-            (3, 1),
-            "retuned weights drive the mix: {out:?}"
-        );
     }
 
     #[test]

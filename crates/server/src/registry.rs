@@ -15,13 +15,13 @@
 //! [`ShardedIndex::search_batch_on`] on the shared persistent
 //! [`WorkerPool`], and emits each group's answers as it completes —
 //! cheapest group first (shortest-job-first by a measured per-query
-//! cost EMA, with heavy groups serialized across dispatchers), so a
-//! mixed batch's cheap replies never wait for its GED share.
+//! cost EMA, the server's one cost-driven decision), so a mixed batch's
+//! cheap replies never wait for its GED share.
 //! [`EngineSet::run`] is the collect-everything wrapper used by
 //! in-process reference runs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use pigeonring_datagen::{sample_query_ids, GraphConfig, SetConfig, StringConfig, VectorConfig};
 use pigeonring_editdist::{EditParams, GramDictionary, GramOrder, QGramCollection, RingEdit};
@@ -196,17 +196,9 @@ pub struct EngineSet {
     /// mixed batch's domain groups shortest-job-first, so whichever
     /// domains are cheap *on this dataset and scale* answer before the
     /// expensive ones — the ordering adapts instead of hard-coding
-    /// "graph is slow".
+    /// "graph is slow". The time is wall-clock around the group's
+    /// execution, so under load it includes pool queueing.
     cost_ema_ns: [AtomicU64; 4],
-    /// Serializes *heavy* group executions (estimated over
-    /// [`HEAVY_GROUP_NS`]) across dispatcher threads: expensive compute
-    /// queues behind this lock instead of timeslicing against other
-    /// expensive compute, so a dispatcher running a cheap group always
-    /// has the core to itself long enough to answer in ~its solo
-    /// latency. Cheap groups never touch the lock, and SJF ordering
-    /// guarantees a batch's cheap replies are already out before its
-    /// heavy share blocks here.
-    heavy: Mutex<()>,
     /// Per-domain service-layer counters ([`Domain::ALL`] order),
     /// populated by [`EngineSet::attach_metrics`]. Absent ⇒ queries run
     /// with zero accounting overhead.
@@ -236,10 +228,6 @@ fn domain_counters<S: MergeStats>(registry: &MetricsRegistry, domain: Domain) ->
     });
     DomainCounters { queries, stages }
 }
-
-/// Estimated group execution time above which the group takes the
-/// [`EngineSet::heavy`] lock (6 ms — several scheduler quanta, so only long graph/bulk runs qualify and a millisecond-scale group never queues behind them).
-const HEAVY_GROUP_NS: u128 = 6_000_000;
 
 impl EngineSet {
     /// Builds all four domain indexes from `spec` (deterministic:
@@ -317,7 +305,6 @@ impl EngineSet {
             graph,
             hamming_dims,
             cost_ema_ns: Default::default(),
-            heavy: Mutex::new(()),
             metrics: OnceLock::new(),
         }
     }
@@ -349,17 +336,6 @@ impl EngineSet {
     /// The spec this set was built from.
     pub fn spec(&self) -> &EngineSpec {
         &self.spec
-    }
-
-    /// Current per-domain cost EMA in nanoseconds per query
-    /// ([`Domain::ALL`] order, `0` = not sampled yet) — the signal the
-    /// server's cost-EMA lane-weight tuner reads to size each domain's
-    /// share of a dispatch micro-batch.
-    pub fn cost_ema_ns(&self) -> [u64; 4] {
-        std::array::from_fn(|i| {
-            // lint: allow(panic) — from_fn indexes 0..4, the array length
-            self.cost_ema_ns[i].load(Ordering::Relaxed)
-        })
     }
 
     /// The sharded Hamming index (for direct in-process comparison).
@@ -483,17 +459,6 @@ impl EngineSet {
             if sizes[di] == 0 {
                 continue;
             }
-            // Heavy groups serialize across dispatchers (cheap groups
-            // already answered above in SJF order, so blocking here
-            // delays no cheap reply of this batch).
-            // The lock guards no data — only execution overlap — so a
-            // poisoned lock (a panicking engine on another dispatcher)
-            // is safe to keep using.
-            let _heavy_guard = if estimate(di) > HEAVY_GROUP_NS {
-                Some(self.heavy.lock().unwrap_or_else(|e| e.into_inner()))
-            } else {
-                None
-            };
             let start = std::time::Instant::now();
             // lint: allow(panic) — di ranges over the four fixed domain indices
             let counters = self.metrics.get().map(|m| &m[di]);

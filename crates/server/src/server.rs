@@ -34,12 +34,15 @@
 //!   full lane answers [`Response::Busy`] for *that domain only*, so a
 //!   graph burst can't consume Hamming's admission budget, and
 //!   [`FairQueue::pop_batch`] assembles every micro-batch by weighted
-//!   round-robin so no backlog starves another lane. Lane weights are
-//!   derived live from the engines' measured per-domain cost EMA.
+//!   round-robin so no backlog starves another lane. The lane shares
+//!   are fixed (`LANE_SHARES`) and only matter when more than `B`
+//!   requests are queued; below that a pop takes everything.
 //! * **Streamed replies**: the handler answers each domain *group* of a
 //!   micro-batch as it completes, cheapest measured group first — see
 //!   [`EngineSet::run_streaming`](crate::registry::EngineSet::run_streaming) —
 //!   so a cheap reply never waits for the GED share of its own batch.
+//!   This shortest-job-first order is the one scheduling decision the
+//!   measured per-domain cost drives.
 //! * **Fail closed**: any frame that does not decode draws a typed
 //!   connection-scoped [`Response::Error`] and the connection winds
 //!   down; a handler panic answers that batch's unanswered requests
@@ -50,7 +53,7 @@
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -62,7 +65,6 @@ use pigeonring_telemetry::{
 
 use crate::queue::{lane_of, lock_recover, FairQueue, PushError, NUM_LANES};
 use crate::registry::EngineSet;
-use crate::weights;
 use crate::wire::{
     decode_request, encode_response, Domain, DomainQuery, ErrorCode, Request, Response, WireError,
     CONNECTION_REQUEST_ID, MAX_FRAME_LEN, PROTOCOL_VERSION,
@@ -126,6 +128,12 @@ impl Default for ServerConfig {
 /// before the reactor declares the client wedged and tears it down
 /// (which frees its buffered replies).
 pub(crate) const WRITER_STALL_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
+
+/// Items each lane contributes per round-robin sweep of a dispatch
+/// micro-batch, in [`Domain::ALL`] order — hamming, editdist, setsim,
+/// graph. Fixed: they only decide a batch's mix when more than
+/// [`ServerConfig::micro_batch`] requests are queued.
+const LANE_SHARES: [usize; NUM_LANES] = [8, 4, 8, 2];
 
 /// Where a finished response goes: the owning connection's reactor
 /// token plus the mailbox the reactor drains when woken. Dispatchers
@@ -370,39 +378,6 @@ impl ServerMetrics {
     }
 }
 
-/// Retunes the [`FairQueue`] lane weights from a live per-domain cost
-/// signal, once every [`weights::REFRESH_BATCHES`] dispatched batches,
-/// so one micro-batch never carries a long slow-domain run no matter
-/// which domains are slow *on this dataset*. Until the first retune the
-/// lanes run on [`weights::INITIAL_WEIGHTS`]. Shared by all dispatcher
-/// threads; the counter is atomic
-/// and a retune is a handful of relaxed stores, so the dispatch hot
-/// path pays one `fetch_add` per batch.
-pub(crate) struct WeightTuner {
-    /// Reads the current per-lane cost estimate (ns/query, 0 = no
-    /// sample) — in production, [`EngineSet::cost_ema_ns`].
-    source: Arc<dyn Fn() -> [u64; NUM_LANES] + Send + Sync>,
-    batches: AtomicU32,
-}
-
-impl WeightTuner {
-    fn new(source: Arc<dyn Fn() -> [u64; NUM_LANES] + Send + Sync>) -> Self {
-        WeightTuner {
-            source,
-            batches: AtomicU32::new(0),
-        }
-    }
-
-    /// Called once per popped batch; applies freshly derived weights on
-    /// the retune cadence.
-    fn batch_dispatched(&self, queue: &FairQueue<Job>) {
-        let n = self.batches.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
-        if n % weights::REFRESH_BATCHES == 0 {
-            queue.set_weights(weights::derive((self.source)()));
-        }
-    }
-}
-
 /// A batch handler: answers one micro-batch of queries by calling
 /// `emit(slot, response)` once per query, in whatever order it
 /// completes them (the dispatcher stamps request ids on). The
@@ -443,16 +418,10 @@ pub fn start(
     let metrics = Arc::new(ServerMetrics::new(&config));
     engines.attach_metrics(metrics.registry());
     pool.attach_metrics(PoolMetrics::register(metrics.registry()));
-    // The lane-weight tuner reads the same per-domain EMA the
-    // streaming executor maintains for shortest-job-first ordering.
-    let tuner = {
-        let engines = Arc::clone(&engines);
-        Arc::new(WeightTuner::new(Arc::new(move || engines.cost_ema_ns())))
-    };
     let handler: Handler = Arc::new(move |queries, traces, emit| {
         engines.run_streaming(&pool, queries, traces, emit);
     });
-    start_inner(listener, handler, config, metrics, Some(tuner))
+    start_inner(listener, handler, config, metrics)
 }
 
 /// [`start`], but with an arbitrary batch handler (test seam: inject a
@@ -466,9 +435,7 @@ pub fn start_with_handler(
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
     let metrics = Arc::new(ServerMetrics::new(&config));
-    // No engine set here, so there is no cost signal: the lanes simply
-    // stay on their initial weights.
-    start_inner(listener, handler, config, metrics, None)
+    start_inner(listener, handler, config, metrics)
 }
 
 fn start_inner(
@@ -476,13 +443,9 @@ fn start_inner(
     handler: Handler,
     config: ServerConfig,
     metrics: Arc<ServerMetrics>,
-    tuner: Option<Arc<WeightTuner>>,
 ) -> std::io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
-    let queue = Arc::new(FairQueue::<Job>::new(
-        config.lane_depth,
-        weights::INITIAL_WEIGHTS,
-    ));
+    let queue = Arc::new(FairQueue::<Job>::new(config.lane_depth, LANE_SHARES));
     queue.attach_depth_gauges(Domain::ALL.map(|domain| {
         metrics
             .registry
@@ -495,18 +458,9 @@ fn start_inner(
             let queue = Arc::clone(&queue);
             let handler = Arc::clone(&handler);
             let metrics = Arc::clone(&metrics);
-            let tuner = tuner.clone();
             std::thread::Builder::new()
                 .name(format!("pigeonring-dispatch-{i}"))
-                .spawn(move || {
-                    dispatch_loop(
-                        &queue,
-                        &handler,
-                        config.micro_batch,
-                        &metrics,
-                        tuner.as_deref(),
-                    )
-                })
+                .spawn(move || dispatch_loop(&queue, &handler, config.micro_batch, &metrics))
         })
         .collect::<std::io::Result<Vec<_>>>()?;
 
@@ -624,13 +578,9 @@ fn dispatch_loop(
     handler: &Handler,
     micro_batch: usize,
     metrics: &ServerMetrics,
-    tuner: Option<&WeightTuner>,
 ) {
     let mut jobs: Vec<Job> = Vec::new();
     while queue.pop_batch(micro_batch, &mut jobs) {
-        if let Some(tuner) = tuner {
-            tuner.batch_dispatched(queue);
-        }
         metrics.dispatch_batch.record(jobs.len() as u64);
         let mut queries = Vec::with_capacity(jobs.len());
         let mut slots: Vec<SlotState> = Vec::with_capacity(jobs.len());
@@ -929,24 +879,5 @@ pub(crate) fn error_response(e: &WireError) -> Response {
         request_id: CONNECTION_REQUEST_ID,
         code,
         message: e.to_string(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tuner_retunes_on_its_cadence() {
-        let cost_ns = [10_000, 20_000, 40_000, 1_000_000];
-        let tuner = WeightTuner::new(Arc::new(move || cost_ns));
-        let queue = FairQueue::<Job>::new(4, weights::INITIAL_WEIGHTS);
-        for batch in 1..weights::REFRESH_BATCHES {
-            tuner.batch_dispatched(&queue);
-            assert_eq!(queue.weights(), weights::INITIAL_WEIGHTS, "batch {batch}");
-        }
-        tuner.batch_dispatched(&queue);
-        assert_eq!(queue.weights(), weights::derive(cost_ns));
-        assert_ne!(weights::derive(cost_ns), weights::INITIAL_WEIGHTS);
     }
 }
