@@ -1,25 +1,27 @@
 //! Edit distance computation: full DP (reference), the original
 //! cell-at-a-time banded verification (kept as the differential-testing
-//! reference), and the vectorized banded kernel (Ukkonen's `O(τ·n)`
-//! band restructured into branchless u32-lane batches).
+//! reference), and the production banded kernel (Ukkonen's `O(τ·n)`
+//! band restructured into branchless u32-lane passes).
 //!
-//! The vectorized kernel splits each band row into two passes:
+//! The production kernel splits each band row into two passes:
 //!
 //! 1. a **lane pass** computing `tmp[k] = min(sub, del)` — substitution
 //!    and deletion read only the *previous* row, so the whole band row
-//!    is elementwise and batches over u32 lanes (8 at a time; with the
-//!    `simd` cargo feature an explicit AVX2 path runs it in one
-//!    `vpminud` chain per 8 lanes, runtime-gated behind
-//!    `is_x86_feature_detected!`);
+//!    is one flat elementwise loop over u32 lanes, which LLVM batches
+//!    on the SSE2 baseline (4 lanes per step);
 //! 2. a sequential **insert scan** `cur[k] = min(tmp[k], cur[k−1] + 1)`
 //!    — the only loop-carried dependency, a cheap min-plus prefix scan.
 //!
 //! Per-cell `j`-range branches are hoisted into one `[klo, khi]` clamp
-//! per row, so the inner loops are branch-free. All three
-//! implementations return bit-identical `Option<u32>` values (the CI
-//! `kernel-differential` job proves it on random inputs), and the
+//! per row, so the inner loops are branch-free. Kernel and reference
+//! return bit-identical `Option<u32>` values
+//! (`tests/kernel_differential.rs` checks it on random inputs), and the
 //! early-abandon contract — `None` as soon as an entire band row
 //! exceeds `τ` — is preserved row-for-row.
+//!
+//! A served query (τ = 2) has a 5-lane band, so a wider explicit SIMD
+//! lane pass would never fill one 8-lane vector; there is none, and
+//! nothing in this crate is `unsafe`.
 
 /// Full dynamic-programming edit distance (Levenshtein). `O(|a|·|b|)`;
 /// reference implementation for tests and tiny inputs.
@@ -48,27 +50,87 @@ const BIG: u32 = u32::MAX / 4;
 /// visiting only the `2τ + 1` diagonal band and abandoning as soon as
 /// the entire band row exceeds `tau`.
 ///
-/// This is the vectorized kernel (see the module docs); the original
-/// cell-at-a-time loop survives as
-/// [`edit_distance_within_reference`] and the always-compiled scalar
-/// lane pass as [`edit_distance_within_banded`].
+/// This is the lane-pass kernel (see the module docs); the original
+/// cell-at-a-time loop survives as [`edit_distance_within_reference`].
+/// Values stored in the band never exceed `BIG + i`, so plain `+`
+/// replaces the reference's `saturating_add` without changing any
+/// value.
 pub fn edit_distance_within(a: &[u8], b: &[u8], tau: u32) -> Option<u32> {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if lanes_avx2::available() {
-        return banded_impl(a, b, tau, lanes_avx2::lane_pass);
+    let (n, m) = (a.len(), b.len());
+    if n.abs_diff(m) > tau as usize {
+        return None;
     }
-    banded_impl(a, b, tau, lane_pass_scalar)
-}
-
-/// The vectorized band kernel restricted to the always-compiled scalar
-/// u32-lane pass (no AVX2 even when the `simd` feature is on) — the
-/// "batched" tier of the scalar/batched/AVX2 differential gate.
-pub fn edit_distance_within_banded(a: &[u8], b: &[u8], tau: u32) -> Option<u32> {
-    banded_impl(a, b, tau, lane_pass_scalar)
+    if n == 0 {
+        return Some(m as u32); // m ≤ τ from the length check
+    }
+    if m == 0 {
+        return Some(n as u32);
+    }
+    let t = tau as i64;
+    let width = (2 * t + 1) as usize;
+    // Offset-by-one storage exactly as the reference: storage index
+    // k + 1 holds band cell k (cell k of row i is column j = i + k − τ).
+    let mut prev = vec![BIG; width + 2];
+    let mut cur = vec![BIG; width + 2];
+    let mut tmp = vec![0u32; width];
+    for k in 0..width {
+        let j = k as i64 - t;
+        if (0..=m as i64).contains(&j) {
+            prev[k + 1] = j as u32;
+        }
+    }
+    for i in 1..=n {
+        cur.fill(BIG);
+        // Hoist the per-cell j-range branch: valid cells have
+        // j = i + k − τ ∈ [0, m] ⇒ k ∈ [max(0, τ−i), min(width−1, m+τ−i)].
+        let klo = (t - i as i64).max(0) as usize;
+        // Non-empty: m + τ − i ≥ m + τ − n ≥ 0 by the length check.
+        let khi = ((m as i64 + t - i as i64).min(width as i64 - 1)) as usize;
+        let mut row_min = BIG;
+        let mut kstart = klo;
+        if t >= i as i64 {
+            // The band still touches column j = 0: dp[i][0] = i.
+            cur[klo + 1] = i as u32;
+            row_min = i as u32;
+            kstart = klo + 1;
+        }
+        if kstart <= khi {
+            let lanes = khi - kstart + 1;
+            // Column of the first lane: j0 = i + kstart − τ ≥ 1.
+            let j0 = (i as i64 + kstart as i64 - t) as usize;
+            // Lane pass: p1 / p2 are the previous row at diagonal
+            // offsets 0 and +1, i.e. dp[i−1][j−1] and dp[i−1][j].
+            let ca = a[i - 1];
+            let brow = &b[j0 - 1..j0 - 1 + lanes];
+            let p1 = &prev[kstart + 1..kstart + 1 + lanes];
+            let p2 = &prev[kstart + 2..kstart + 2 + lanes];
+            for (((tm, &cb), &q1), &q2) in tmp[..lanes].iter_mut().zip(brow).zip(p1).zip(p2) {
+                *tm = (q1 + u32::from(ca != cb)).min(q2 + 1);
+            }
+            // Sequential insert scan — the only loop-carried dependency.
+            // `left` starts at cur[kstart]: BIG when cell kstart−1 is
+            // outside the band, dp[i][0] = i when it was just written.
+            let mut left = cur[kstart];
+            for (c, &tm) in cur[kstart + 1..khi + 2].iter_mut().zip(&tmp[..lanes]) {
+                let v = tm.min(left + 1);
+                *c = v;
+                row_min = row_min.min(v);
+                left = v;
+            }
+        }
+        if row_min > tau {
+            return None; // every band cell exceeds τ: abandon
+        }
+        core::mem::swap(&mut prev, &mut cur);
+    }
+    let k = m as i64 - n as i64 + t;
+    debug_assert!((0..width as i64).contains(&k));
+    let ed = prev[k as usize + 1];
+    (ed <= tau).then_some(ed)
 }
 
 /// The original cell-at-a-time banded loop, kept verbatim as the
-/// differential-testing reference for the vectorized kernel.
+/// differential-testing reference for [`edit_distance_within`].
 pub fn edit_distance_within_reference(a: &[u8], b: &[u8], tau: u32) -> Option<u32> {
     let (n, m) = (a.len(), b.len());
     if n.abs_diff(m) > tau as usize {
@@ -127,156 +189,6 @@ pub fn edit_distance_within_reference(a: &[u8], b: &[u8], tau: u32) -> Option<u3
     (ed <= tau).then_some(ed)
 }
 
-/// One band row's elementwise pass: `tmp[x] = min(p1[x] + (ca != brow[x]),
-/// p2[x] + 1)` for every lane `x`. `p1`/`p2` are the previous row at
-/// diagonal offsets 0 and +1; all slices share `brow.len()` live lanes.
-type LanePass = fn(tmp: &mut [u32], brow: &[u8], p1: &[u32], p2: &[u32], ca: u8);
-
-/// Scalar u32-lane pass, written as a flat elementwise loop over the
-/// zipped lanes so LLVM batches it (SSE2 baseline: 4 lanes per step).
-fn lane_pass_scalar(tmp: &mut [u32], brow: &[u8], p1: &[u32], p2: &[u32], ca: u8) {
-    for (((t, &cb), &q1), &q2) in tmp.iter_mut().zip(brow).zip(p1).zip(p2) {
-        let sub = q1 + u32::from(ca != cb);
-        let del = q2 + 1;
-        *t = sub.min(del);
-    }
-}
-
-/// Shared band-row driver for every lane-pass backend. Values stored in
-/// the band never exceed `BIG + i`, so plain `+` replaces the
-/// reference's `saturating_add` without changing any value.
-fn banded_impl(a: &[u8], b: &[u8], tau: u32, lane_pass: LanePass) -> Option<u32> {
-    let (n, m) = (a.len(), b.len());
-    if n.abs_diff(m) > tau as usize {
-        return None;
-    }
-    if n == 0 {
-        return Some(m as u32); // m ≤ τ from the length check
-    }
-    if m == 0 {
-        return Some(n as u32);
-    }
-    let t = tau as i64;
-    let width = (2 * t + 1) as usize;
-    // Offset-by-one storage exactly as the reference: storage index
-    // k + 1 holds band cell k (cell k of row i is column j = i + k − τ).
-    let mut prev = vec![BIG; width + 2];
-    let mut cur = vec![BIG; width + 2];
-    let mut tmp = vec![0u32; width];
-    for k in 0..width {
-        let j = k as i64 - t;
-        if (0..=m as i64).contains(&j) {
-            prev[k + 1] = j as u32;
-        }
-    }
-    for i in 1..=n {
-        cur.fill(BIG);
-        // Hoist the per-cell j-range branch: valid cells have
-        // j = i + k − τ ∈ [0, m] ⇒ k ∈ [max(0, τ−i), min(width−1, m+τ−i)].
-        let klo = (t - i as i64).max(0) as usize;
-        // Non-empty: m + τ − i ≥ m + τ − n ≥ 0 by the length check.
-        let khi = ((m as i64 + t - i as i64).min(width as i64 - 1)) as usize;
-        let mut row_min = BIG;
-        let mut kstart = klo;
-        if t >= i as i64 {
-            // The band still touches column j = 0: dp[i][0] = i.
-            cur[klo + 1] = i as u32;
-            row_min = i as u32;
-            kstart = klo + 1;
-        }
-        if kstart <= khi {
-            let lanes = khi - kstart + 1;
-            // Column of the first lane: j0 = i + kstart − τ ≥ 1.
-            let j0 = (i as i64 + kstart as i64 - t) as usize;
-            lane_pass(
-                &mut tmp[..lanes],
-                &b[j0 - 1..j0 - 1 + lanes],
-                &prev[kstart + 1..kstart + 1 + lanes],
-                &prev[kstart + 2..kstart + 2 + lanes],
-                a[i - 1],
-            );
-            // Sequential insert scan — the only loop-carried dependency.
-            // `left` starts at cur[kstart]: BIG when cell kstart−1 is
-            // outside the band, dp[i][0] = i when it was just written.
-            let mut left = cur[kstart];
-            for (c, &tm) in cur[kstart + 1..khi + 2].iter_mut().zip(&tmp[..lanes]) {
-                let v = tm.min(left + 1);
-                *c = v;
-                row_min = row_min.min(v);
-                left = v;
-            }
-        }
-        if row_min > tau {
-            return None; // every band cell exceeds τ: abandon
-        }
-        core::mem::swap(&mut prev, &mut cur);
-    }
-    let k = m as i64 - n as i64 + t;
-    debug_assert!((0..width as i64).contains(&k));
-    let ed = prev[k as usize + 1];
-    (ed <= tau).then_some(ed)
-}
-
-/// Explicit AVX2 lane pass (`vpminud` over 8 u32 lanes), compiled only
-/// with `--features simd` on x86-64 and dispatched after a runtime
-/// `is_x86_feature_detected!` check. The workspace denies `unsafe_code`;
-/// this module is a scoped exception with every unsafe block documented,
-/// and its results are gated bit-identical to the scalar lane pass by
-/// `tests/kernel_differential.rs`.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-mod lanes_avx2 {
-    use std::arch::x86_64::{
-        __m128i, _mm256_add_epi32, _mm256_cmpeq_epi32, _mm256_cvtepu8_epi32, _mm256_loadu_si256,
-        _mm256_min_epu32, _mm256_set1_epi32, _mm256_storeu_si256, _mm_loadl_epi64,
-    };
-
-    /// Whether this CPU can run the AVX2 lane pass (cached by std).
-    pub fn available() -> bool {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-
-    /// AVX2 [`LanePass`](super::LanePass): full 8-lane chunks in vector
-    /// registers, scalar remainder.
-    pub fn lane_pass(tmp: &mut [u32], brow: &[u8], p1: &[u32], p2: &[u32], ca: u8) {
-        debug_assert!(available(), "AVX2 lane pass on a non-AVX2 CPU");
-        // SAFETY: `edit_distance_within` only routes here after
-        // `available()` returned true, satisfying the `avx2` target
-        // feature required by `lane_pass_impl`.
-        unsafe { lane_pass_impl(tmp, brow, p1, p2, ca) }
-    }
-
-    // SAFETY: callers must have verified the `avx2` target feature at
-    // runtime (`available()`); `#[target_feature]` makes calling this
-    // on a CPU without it undefined behavior. Slices `brow`/`p1`/`p2`
-    // must be at least `tmp.len()` long (debug-asserted below).
-    #[target_feature(enable = "avx2")]
-    unsafe fn lane_pass_impl(tmp: &mut [u32], brow: &[u8], p1: &[u32], p2: &[u32], ca: u8) {
-        let lanes = tmp.len();
-        debug_assert!(brow.len() >= lanes && p1.len() >= lanes && p2.len() >= lanes);
-        let ca_splat = _mm256_set1_epi32(ca as i32);
-        let ones = _mm256_set1_epi32(1);
-        let mut x = 0usize;
-        while x + 8 <= lanes {
-            // SAFETY: x + 8 ≤ lanes ≤ len of every slice, so the 8-byte
-            // load from `brow`, the two 32-byte loads from `p1`/`p2`,
-            // and the 32-byte store to `tmp` are all in bounds
-            // (unaligned forms tolerate any alignment).
-            unsafe {
-                let bw =
-                    _mm256_cvtepu8_epi32(_mm_loadl_epi64(brow.as_ptr().add(x).cast::<__m128i>()));
-                // eq lane = −1 where ca == b[x] ⇒ cost = 1 + eq ∈ {0, 1}.
-                let cost = _mm256_add_epi32(ones, _mm256_cmpeq_epi32(bw, ca_splat));
-                let sub = _mm256_add_epi32(_mm256_loadu_si256(p1.as_ptr().add(x).cast()), cost);
-                let del = _mm256_add_epi32(_mm256_loadu_si256(p2.as_ptr().add(x).cast()), ones);
-                _mm256_storeu_si256(tmp.as_mut_ptr().add(x).cast(), _mm256_min_epu32(sub, del));
-            }
-            x += 8;
-        }
-        super::lane_pass_scalar(&mut tmp[x..], &brow[x..], &p1[x..lanes], &p2[x..lanes], ca);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,9 +222,8 @@ mod tests {
                     } else {
                         assert_eq!(got, None, "{a:?} {b:?} tau={tau}");
                     }
-                    // All three tiers agree bit-for-bit.
+                    // Kernel and reference agree bit-for-bit.
                     assert_eq!(got, edit_distance_within_reference(a, b, tau));
-                    assert_eq!(got, edit_distance_within_banded(a, b, tau));
                 }
             }
         }
@@ -347,8 +258,8 @@ mod tests {
 
     #[test]
     fn long_strings_exercise_full_lane_chunks() {
-        // τ = 12 ⇒ band width 25: three full 8-lane AVX2 chunks plus a
-        // remainder, on strings long enough for interior rows.
+        // τ = 12 ⇒ band width 25: a lane pass of many vector steps plus
+        // a remainder, on strings long enough for interior rows.
         let mut s = 0x77777u64;
         let mut next = move || {
             s ^= s << 13;
@@ -365,11 +276,6 @@ mod tests {
         for tau in [6u32, 9, 12, 20] {
             assert_eq!(
                 edit_distance_within(&a, &b, tau),
-                edit_distance_within_reference(&a, &b, tau),
-                "tau={tau}"
-            );
-            assert_eq!(
-                edit_distance_within_banded(&a, &b, tau),
                 edit_distance_within_reference(&a, &b, tau),
                 "tau={tau}"
             );

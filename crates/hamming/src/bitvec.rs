@@ -135,9 +135,9 @@ impl BitVector {
 
     /// Hamming distance with early abandon: returns `None` as soon as
     /// the running distance exceeds `tau` (verification fast path).
-    /// Runs on the batched (and, with the `simd` feature on an AVX2
-    /// host, vectorized) kernel from [`crate::kernels`]; the abandon
-    /// check fires at batch granularity, which never changes the result.
+    /// Runs the batched kernel [`crate::kernels::distance_within`]; the
+    /// abandon check fires at batch granularity, which never changes the
+    /// result.
     pub fn distance_within(&self, other: &BitVector, tau: u32) -> Option<u32> {
         assert_eq!(self.dims, other.dims, "dimension mismatch");
         crate::kernels::distance_within(&self.words, &other.words, tau)
@@ -145,8 +145,8 @@ impl BitVector {
 
     /// Hamming distance restricted to dimensions `[lo, hi)` — one box
     /// value `b_i(x, q) = H(x^i, q^i)` for a part `[lo, hi)`. Boundary
-    /// words are masked; interior words run the batched/vectorized
-    /// kernel from [`crate::kernels`].
+    /// words are masked; interior words run the batched kernel
+    /// [`crate::kernels::part_distance`].
     ///
     /// # Panics
     /// Panics if the range is invalid or out of bounds.
@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn part_distance_mask_edges_pinned() {
         // Pinned regression cases for the mask edge cases the
-        // vectorized kernels must reproduce exactly (ISSUE 6).
+        // batched kernel must reproduce exactly (ISSUE 6).
         let dims = 200; // not a multiple of 64 (tail word has 8 live bits)
         let mut x = BitVector::zeros(dims);
         let q = BitVector::zeros(dims);

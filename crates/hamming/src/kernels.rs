@@ -1,58 +1,59 @@
-//! Vectorized XOR+popcount distance kernels over packed `u64` words.
+//! XOR+popcount distance kernels over packed `u64` words.
 //!
-//! Three tiers, all bit-identical in their results (the CI
-//! `kernel-differential` job proves it on random inputs):
+//! One production kernel per job, plus the original one-word-at-a-time
+//! loop kept as the differential-testing reference
+//! (`tests/kernel_differential.rs` checks them bit-for-bit):
 //!
-//! 1. **scalar** — one word per iteration, threshold checked per word.
-//!    The original [`BitVector::distance_within`] loop, kept as the
-//!    differential-testing reference.
-//! 2. **batched** — [`BATCH_WORDS`] words per iteration with four
-//!    independent popcount accumulator lanes (ILP: the popcounts have no
-//!    data dependency), threshold checked once per batch. Early abandon
-//!    is preserved at batch granularity: a batch that pushes the running
-//!    distance past `τ` still returns `None`, it just detects it up to
-//!    seven words later — the *returned value* is identical because a
-//!    pass (total ≤ τ) never triggers either exit.
-//! 3. **avx2** — compiled only with the `simd` cargo feature on x86-64
-//!    and selected at runtime via `is_x86_feature_detected!`: the
-//!    Muła/Kurz/Lemire nibble-lookup popcount (`vpshufb` + `vpsadbw`,
-//!    the register-resident design Faiss uses for billion-scale distance
-//!    kernels), 8 words (two 256-bit vectors) per iteration.
+//! * [`distance_within`] / [`part_distance`] — [`BATCH_WORDS`] words per
+//!   iteration as four independent popcount accumulator lanes (ILP: the
+//!   popcounts have no data dependency), threshold checked once per
+//!   batch. Early abandon is preserved at batch granularity: a batch
+//!   that pushes the running distance past `τ` still returns `None`, it
+//!   just detects it up to seven words later — the *returned value* is
+//!   identical because a pass (total ≤ τ) never triggers either exit.
+//! * [`distance_within_scalar`] / [`part_distance_scalar`] — the
+//!   reference loops.
 //!
-//! The public [`distance_within`]/[`part_distance`] entry points
-//! dispatch: AVX2 when compiled in *and* detected, else batched scalar.
-//! The scalar fallback is always compiled, so a `--features simd` build
-//! still runs correctly on a non-AVX2 host.
+//! A served 256-d vector is 4 words, so there the batch loop runs zero
+//! iterations and the remainder loop does the work: a `direct` query
+//! verifies ≈ 26 candidates at ≈ 16 ns each, against a ≈ 170 µs p50
+//! end to end. That is why there is no wider SIMD tier — the budget
+//! says this layer does not dominate.
 //!
-//! [`BitVector::distance_within`]: crate::BitVector::distance_within
+//! Nothing here is `unsafe`; the only `unsafe` in `crates/*/src` is the
+//! server's readiness-syscall FFI (`crates/server/src/sys.rs`).
 
 /// Words per batched-kernel iteration (512 bits).
 pub const BATCH_WORDS: usize = 8;
 
-/// The kernel backend [`distance_within`]/[`part_distance`] will use on
-/// this machine: `"avx2"` when the `simd` feature is compiled in and the
-/// CPU supports it, else `"batched-scalar"`. Recorded into
-/// `BENCH_kernels.json` so benchmark rows are attributable to a backend.
+/// The kernel backend [`distance_within`]/[`part_distance`] run on —
+/// there is one. The repo benchmark records it in its environment
+/// block.
 pub fn backend() -> &'static str {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx2::available() {
-        return "avx2";
-    }
     "batched-scalar"
 }
 
 /// Early-abandoning Hamming distance over packed words: `Some(d)` iff
-/// `d ≤ tau`. Runtime-dispatched (see module docs).
+/// `d ≤ tau`. [`BATCH_WORDS`]-word iterations, four accumulator lanes,
+/// threshold checked once per batch (see module docs).
 ///
 /// # Panics
 /// Panics if the slices differ in length.
 pub fn distance_within(a: &[u64], b: &[u64], tau: u32) -> Option<u32> {
     assert_eq!(a.len(), b.len(), "word-count mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx2::available() {
-        return avx2::distance_within(a, b, tau);
+    let mut acc = 0u32;
+    let mut chunks_a = a.chunks_exact(BATCH_WORDS);
+    let mut chunks_b = b.chunks_exact(BATCH_WORDS);
+    for (ca, cb) in chunks_a.by_ref().zip(chunks_b.by_ref()) {
+        acc += batch_popcount(ca, cb);
+        if acc > tau {
+            return None;
+        }
     }
-    distance_within_batched(a, b, tau)
+    for (x, y) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
+        acc += (x ^ y).count_ones();
+    }
+    (acc <= tau).then_some(acc)
 }
 
 /// Reference kernel: one word at a time, threshold checked per word.
@@ -71,45 +72,33 @@ pub fn distance_within_scalar(a: &[u64], b: &[u64], tau: u32) -> Option<u32> {
     Some(acc)
 }
 
-/// Batched kernel: [`BATCH_WORDS`]-word iterations, four accumulator
-/// lanes, threshold checked once per batch.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-pub fn distance_within_batched(a: &[u64], b: &[u64], tau: u32) -> Option<u32> {
-    assert_eq!(a.len(), b.len(), "word-count mismatch");
-    let mut acc = 0u32;
-    let mut chunks_a = a.chunks_exact(BATCH_WORDS);
-    let mut chunks_b = b.chunks_exact(BATCH_WORDS);
-    for (ca, cb) in chunks_a.by_ref().zip(chunks_b.by_ref()) {
-        // Four independent lanes: the popcounts carry no dependency, so
-        // the CPU overlaps them; one chained accumulator would serialize.
-        let l0 = (ca[0] ^ cb[0]).count_ones() + (ca[4] ^ cb[4]).count_ones();
-        let l1 = (ca[1] ^ cb[1]).count_ones() + (ca[5] ^ cb[5]).count_ones();
-        let l2 = (ca[2] ^ cb[2]).count_ones() + (ca[6] ^ cb[6]).count_ones();
-        let l3 = (ca[3] ^ cb[3]).count_ones() + (ca[7] ^ cb[7]).count_ones();
-        acc += (l0 + l1) + (l2 + l3);
-        if acc > tau {
-            return None;
-        }
-    }
-    for (x, y) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
-        acc += (x ^ y).count_ones();
-    }
-    (acc <= tau).then_some(acc)
-}
-
-/// Popcount of `a ^ b` restricted to dimensions `[lo, hi)` —
-/// runtime-dispatched (see module docs).
+/// Popcount of `a ^ b` restricted to dimensions `[lo, hi)`: only the
+/// boundary words are masked; the interior whole words run the
+/// unmasked batched popcount.
 ///
 /// # Panics
 /// Panics if the slices differ in length or the range exceeds them.
 pub fn part_distance(a: &[u64], b: &[u64], lo: usize, hi: usize) -> u32 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx2::available() {
-        return avx2::part_distance(a, b, lo, hi);
+    assert_eq!(a.len(), b.len(), "word-count mismatch");
+    assert!(lo <= hi && hi <= a.len() * 64, "invalid part range");
+    if lo == hi {
+        return 0;
     }
-    part_distance_batched(a, b, lo, hi)
+    let wlo = lo / 64;
+    let whi = (hi - 1) / 64; // inclusive index of the last touched word
+    let lo_mask = !0u64 << (lo % 64);
+    let hi_bits = hi - whi * 64; // 1..=64 live bits in the last word
+    let hi_mask = if hi_bits == 64 {
+        !0u64
+    } else {
+        (1u64 << hi_bits) - 1
+    };
+    if wlo == whi {
+        return ((a[wlo] ^ b[wlo]) & lo_mask & hi_mask).count_ones();
+    }
+    let head = ((a[wlo] ^ b[wlo]) & lo_mask).count_ones();
+    let tail = ((a[whi] ^ b[whi]) & hi_mask).count_ones();
+    head + tail + unmasked_popcount(&a[wlo + 1..whi], &b[wlo + 1..whi])
 }
 
 /// Reference part kernel: every word in the range is masked and counted
@@ -139,67 +128,14 @@ pub fn part_distance_scalar(a: &[u64], b: &[u64], lo: usize, hi: usize) -> u32 {
     acc
 }
 
-/// Batched part kernel: only the boundary words are masked; the interior
-/// whole words run through the unmasked batched popcount.
-///
-/// # Panics
-/// Panics if the slices differ in length or the range exceeds them.
-pub fn part_distance_batched(a: &[u64], b: &[u64], lo: usize, hi: usize) -> u32 {
-    let (head, interior, tail) = split_part_range(a, b, lo, hi);
-    head + tail + unmasked_popcount_batched(interior.0, interior.1)
-}
-
-/// Shared boundary handling for the part kernels: counts the (masked)
-/// head and tail words and returns the interior whole-word subslices.
-///
-/// # Panics
-/// Panics if the slices differ in length or the range exceeds them.
-#[allow(clippy::type_complexity)]
-fn split_part_range<'s>(
-    a: &'s [u64],
-    b: &'s [u64],
-    lo: usize,
-    hi: usize,
-) -> (u32, (&'s [u64], &'s [u64]), u32) {
-    assert_eq!(a.len(), b.len(), "word-count mismatch");
-    assert!(lo <= hi && hi <= a.len() * 64, "invalid part range");
-    if lo == hi {
-        return (0, (&[], &[]), 0);
-    }
-    let wlo = lo / 64;
-    let whi = (hi - 1) / 64; // inclusive index of the last touched word
-    let lo_mask = !0u64 << (lo % 64);
-    let hi_bits = hi - whi * 64; // 1..=64 live bits in the last word
-    let hi_mask = if hi_bits == 64 {
-        !0u64
-    } else {
-        (1u64 << hi_bits) - 1
-    };
-    if wlo == whi {
-        return (
-            ((a[wlo] ^ b[wlo]) & lo_mask & hi_mask).count_ones(),
-            (&[], &[]),
-            0,
-        );
-    }
-    let head = ((a[wlo] ^ b[wlo]) & lo_mask).count_ones();
-    let tail = ((a[whi] ^ b[whi]) & hi_mask).count_ones();
-    (head, (&a[wlo + 1..whi], &b[wlo + 1..whi]), tail)
-}
-
 /// Unmasked XOR+popcount over whole words, [`BATCH_WORDS`] per
-/// iteration with independent lanes (no threshold — used by the part
-/// kernels' interiors).
-fn unmasked_popcount_batched(a: &[u64], b: &[u64]) -> u32 {
+/// iteration (no threshold — the part kernel's interior).
+fn unmasked_popcount(a: &[u64], b: &[u64]) -> u32 {
     let mut acc = 0u32;
     let mut chunks_a = a.chunks_exact(BATCH_WORDS);
     let mut chunks_b = b.chunks_exact(BATCH_WORDS);
     for (ca, cb) in chunks_a.by_ref().zip(chunks_b.by_ref()) {
-        let l0 = (ca[0] ^ cb[0]).count_ones() + (ca[4] ^ cb[4]).count_ones();
-        let l1 = (ca[1] ^ cb[1]).count_ones() + (ca[5] ^ cb[5]).count_ones();
-        let l2 = (ca[2] ^ cb[2]).count_ones() + (ca[6] ^ cb[6]).count_ones();
-        let l3 = (ca[3] ^ cb[3]).count_ones() + (ca[7] ^ cb[7]).count_ones();
-        acc += (l0 + l1) + (l2 + l3);
+        acc += batch_popcount(ca, cb);
     }
     for (x, y) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
         acc += (x ^ y).count_ones();
@@ -207,154 +143,16 @@ fn unmasked_popcount_batched(a: &[u64], b: &[u64]) -> u32 {
     acc
 }
 
-/// Explicit AVX2 kernels (`vpshufb` nibble-LUT popcount), compiled only
-/// with `--features simd` on x86-64 and entered only after a runtime
-/// `is_x86_feature_detected!("avx2")` check.
-///
-/// The workspace denies `unsafe_code`; this module is the one scoped
-/// exception — every unsafe block is a `std::arch` intrinsic call whose
-/// safety argument (target-feature availability + in-bounds unaligned
-/// loads) is documented inline, and the module's results are gated
-/// bit-identical to the safe kernels by `tests/kernel_differential.rs`.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-pub mod avx2 {
-    use std::arch::x86_64::{
-        __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_extracti128_si256,
-        _mm256_loadu_si256, _mm256_sad_epu8, _mm256_set1_epi8, _mm256_setzero_si256,
-        _mm256_shuffle_epi8, _mm256_srli_epi16, _mm256_xor_si256, _mm_add_epi64, _mm_cvtsi128_si64,
-        _mm_shuffle_epi32,
-    };
-
-    /// Words per AVX2 iteration: two 256-bit vectors.
-    pub const AVX2_BATCH_WORDS: usize = 8;
-
-    /// Whether this CPU can run the AVX2 kernels (cached by std).
-    pub fn available() -> bool {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-
-    /// AVX2 [`distance_within`](super::distance_within): 8-word batches,
-    /// threshold checked once per batch.
-    ///
-    /// # Panics
-    /// Panics if the slices differ in length or AVX2 is unavailable.
-    pub fn distance_within(a: &[u64], b: &[u64], tau: u32) -> Option<u32> {
-        assert_eq!(a.len(), b.len(), "word-count mismatch");
-        assert!(available(), "AVX2 kernel on a non-AVX2 CPU");
-        // SAFETY: `available()` just confirmed the `avx2` target
-        // feature at runtime, which is the only requirement of
-        // `distance_within_impl`'s `#[target_feature]`.
-        unsafe { distance_within_impl(a, b, tau) }
-    }
-
-    /// AVX2 [`part_distance`](super::part_distance): masked boundary
-    /// words in scalar, unmasked AVX2 popcount over the interior.
-    ///
-    /// # Panics
-    /// Panics if the slices differ in length, the range exceeds them, or
-    /// AVX2 is unavailable.
-    pub fn part_distance(a: &[u64], b: &[u64], lo: usize, hi: usize) -> u32 {
-        assert!(available(), "AVX2 kernel on a non-AVX2 CPU");
-        let (head, (ia, ib), tail) = super::split_part_range(a, b, lo, hi);
-        // SAFETY: `available()` confirmed the `avx2` target feature,
-        // the only requirement of `popcount_xor_impl`.
-        head + tail + unsafe { popcount_xor_impl(ia, ib) }
-    }
-
-    // SAFETY: callers must have verified the `avx2` target feature at
-    // runtime (`available()`); `#[target_feature]` makes calling this
-    // on a CPU without it undefined behavior.
-    #[target_feature(enable = "avx2")]
-    unsafe fn distance_within_impl(a: &[u64], b: &[u64], tau: u32) -> Option<u32> {
-        let mut acc = 0u32;
-        let mut chunks_a = a.chunks_exact(AVX2_BATCH_WORDS);
-        let mut chunks_b = b.chunks_exact(AVX2_BATCH_WORDS);
-        for (ca, cb) in chunks_a.by_ref().zip(chunks_b.by_ref()) {
-            // SAFETY: `ca`/`cb` are exactly 8 u64s = two 32-byte
-            // vectors; `loadu` tolerates any alignment, and both loads
-            // below read entirely within the chunk.
-            let batch = unsafe {
-                let va0 = _mm256_loadu_si256(ca.as_ptr().cast());
-                let vb0 = _mm256_loadu_si256(cb.as_ptr().cast());
-                let va1 = _mm256_loadu_si256(ca.as_ptr().add(4).cast());
-                let vb1 = _mm256_loadu_si256(cb.as_ptr().add(4).cast());
-                let sums = _mm256_add_epi64(
-                    popcount256(_mm256_xor_si256(va0, vb0)),
-                    popcount256(_mm256_xor_si256(va1, vb1)),
-                );
-                horizontal_sum(sums)
-            };
-            acc += batch;
-            if acc > tau {
-                return None;
-            }
-        }
-        for (x, y) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
-            acc += (x ^ y).count_ones();
-        }
-        (acc <= tau).then_some(acc)
-    }
-
-    // SAFETY: callers must have verified the `avx2` target feature at
-    // runtime (`available()`); `#[target_feature]` makes calling this
-    // on a CPU without it undefined behavior.
-    #[target_feature(enable = "avx2")]
-    unsafe fn popcount_xor_impl(a: &[u64], b: &[u64]) -> u32 {
-        debug_assert_eq!(a.len(), b.len());
-        let mut acc = _mm256_setzero_si256();
-        let mut chunks_a = a.chunks_exact(AVX2_BATCH_WORDS);
-        let mut chunks_b = b.chunks_exact(AVX2_BATCH_WORDS);
-        for (ca, cb) in chunks_a.by_ref().zip(chunks_b.by_ref()) {
-            // SAFETY: same in-bounds unaligned-load argument as in
-            // `distance_within_impl` — 8 u64s = two full vectors.
-            unsafe {
-                let va0 = _mm256_loadu_si256(ca.as_ptr().cast());
-                let vb0 = _mm256_loadu_si256(cb.as_ptr().cast());
-                let va1 = _mm256_loadu_si256(ca.as_ptr().add(4).cast());
-                let vb1 = _mm256_loadu_si256(cb.as_ptr().add(4).cast());
-                acc = _mm256_add_epi64(acc, popcount256(_mm256_xor_si256(va0, vb0)));
-                acc = _mm256_add_epi64(acc, popcount256(_mm256_xor_si256(va1, vb1)));
-            }
-        }
-        let mut total = horizontal_sum(acc);
-        for (x, y) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
-            total += (x ^ y).count_ones();
-        }
-        total
-    }
-
-    /// Per-64-bit-lane popcount of a 256-bit vector via the nibble
-    /// lookup table (`vpshufb`) and byte-sum (`vpsadbw`).
-    #[target_feature(enable = "avx2")]
-    fn popcount256(v: __m256i) -> __m256i {
-        // Bit counts of the nibble values 0x0..=0xF, replicated across
-        // both 128-bit lanes (vpshufb shuffles within lanes).
-        #[rustfmt::skip]
-        const NIBBLE_LUT: [i8; 32] = [
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        ];
-        // SAFETY: the LUT is a 32-byte static, exactly one vector load.
-        let lut = unsafe { _mm256_loadu_si256(NIBBLE_LUT.as_ptr().cast()) };
-        let low_mask = _mm256_set1_epi8(0x0f);
-        let lo = _mm256_and_si256(v, low_mask);
-        let hi = _mm256_and_si256(_mm256_srli_epi16::<4>(v), low_mask);
-        let counts = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
-        // Sum the 32 byte-counts into four u64 lanes.
-        _mm256_sad_epu8(counts, _mm256_setzero_si256())
-    }
-
-    /// Sums the four u64 lanes of a `vpsadbw` accumulator.
-    #[target_feature(enable = "avx2")]
-    fn horizontal_sum(v: __m256i) -> u32 {
-        let lo = _mm256_extracti128_si256::<0>(v);
-        let hi = _mm256_extracti128_si256::<1>(v);
-        let sum2 = _mm_add_epi64(lo, hi);
-        let shifted = _mm_shuffle_epi32::<0b0100_1110>(sum2);
-        let total = _mm_add_epi64(sum2, shifted);
-        _mm_cvtsi128_si64(total) as u32
-    }
+/// XOR+popcount of one [`BATCH_WORDS`]-word batch as four independent
+/// lanes: the popcounts carry no dependency, so the CPU overlaps them;
+/// one chained accumulator would serialize.
+#[inline]
+fn batch_popcount(ca: &[u64], cb: &[u64]) -> u32 {
+    let l0 = (ca[0] ^ cb[0]).count_ones() + (ca[4] ^ cb[4]).count_ones();
+    let l1 = (ca[1] ^ cb[1]).count_ones() + (ca[5] ^ cb[5]).count_ones();
+    let l2 = (ca[2] ^ cb[2]).count_ones() + (ca[6] ^ cb[6]).count_ones();
+    let l3 = (ca[3] ^ cb[3]).count_ones() + (ca[7] ^ cb[7]).count_ones();
+    (l0 + l1) + (l2 + l3)
 }
 
 #[cfg(test)]
@@ -383,11 +181,6 @@ mod tests {
             let full: u32 = a.iter().zip(&b).map(|(x, y)| (x ^ y).count_ones()).sum();
             for tau in [0, full.saturating_sub(1), full, full + 1, full + 100] {
                 let want = distance_within_scalar(&a, &b, tau);
-                assert_eq!(
-                    distance_within_batched(&a, &b, tau),
-                    want,
-                    "n={n} tau={tau}"
-                );
                 assert_eq!(distance_within(&a, &b, tau), want, "n={n} tau={tau}");
             }
         }
@@ -413,42 +206,12 @@ mod tests {
         ];
         for (lo, hi) in ranges {
             let want = part_distance_scalar(&a, &b, lo, hi);
-            assert_eq!(part_distance_batched(&a, &b, lo, hi), want, "[{lo},{hi})");
             assert_eq!(part_distance(&a, &b, lo, hi), want, "[{lo},{hi})");
-        }
-    }
-
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[test]
-    fn avx2_matches_scalar_when_available() {
-        if !avx2::available() {
-            return; // nothing to test on this host; CI runs both ways
-        }
-        for n in [1usize, 4, 7, 8, 9, 16, 23, 64] {
-            let a = words(n, 0x1234);
-            let b = words(n, 0x9876);
-            let full: u32 = a.iter().zip(&b).map(|(x, y)| (x ^ y).count_ones()).sum();
-            for tau in [0, full.saturating_sub(1), full, full + 7] {
-                assert_eq!(
-                    avx2::distance_within(&a, &b, tau),
-                    distance_within_scalar(&a, &b, tau),
-                    "n={n} tau={tau}"
-                );
-            }
-            let dims = n * 64;
-            for (lo, hi) in [(0, dims), (1, dims - 1), (0, 0), (dims / 2, dims)] {
-                assert_eq!(
-                    avx2::part_distance(&a, &b, lo, hi),
-                    part_distance_scalar(&a, &b, lo, hi),
-                    "n={n} [{lo},{hi})"
-                );
-            }
         }
     }
 
     #[test]
     fn backend_names_are_stable() {
-        let b = backend();
-        assert!(b == "avx2" || b == "batched-scalar", "{b}");
+        assert_eq!(backend(), "batched-scalar");
     }
 }

@@ -1,12 +1,13 @@
-//! Differential gate for the vectorized Hamming kernels (the CI
-//! `kernel-differential` job): the scalar reference, the unrolled
-//! batched kernel, the production dispatch entry point, and — when
-//! compiled with `--features simd` on an AVX2 host — the explicit AVX2
-//! kernel must agree bit-for-bit on random inputs. Dimensions are drawn
-//! to straddle the 64-bit word and 8-word batch boundaries (not
-//! multiples of 64 or 256 bits included), and τ is exercised right at
-//! the early-abandon boundary (`d − 1`, `d`, `d + 1`), where a kernel
-//! that abandons at the wrong granularity would diverge.
+//! Differential gate for the Hamming kernels: the one-word-at-a-time
+//! reference and the production batched kernel must agree bit-for-bit
+//! on random inputs. Dimensions are drawn to straddle the 64-bit word
+//! and 8-word batch boundaries (not multiples of 64 or 256 bits
+//! included, and ≥ 512 so the batch loop itself runs), and τ is
+//! exercised right at the early-abandon boundary (`d − 1`, `d`,
+//! `d + 1`), where a kernel that abandons at the wrong granularity
+//! would diverge. The served shape is among the inputs: 256-d (4
+//! words) near-duplicate pairs and the 16 parts of 16 bits the chain
+//! check measures.
 
 use pigeonring_hamming::kernels;
 use pigeonring_hamming::BitVector;
@@ -33,34 +34,31 @@ fn truncate(bits: &[bool], dims: usize) -> BitVector {
     BitVector::from_bits(bits[..dims].iter().copied())
 }
 
-/// Every compiled tier's `distance_within` on one input.
-fn distance_tiers(a: &[u64], b: &[u64], tau: u32) -> Vec<(&'static str, Option<u32>)> {
-    #[cfg_attr(not(all(feature = "simd", target_arch = "x86_64")), allow(unused_mut))]
-    let mut tiers = vec![
-        ("scalar", kernels::distance_within_scalar(a, b, tau)),
-        ("batched", kernels::distance_within_batched(a, b, tau)),
-        ("dispatch", kernels::distance_within(a, b, tau)),
-    ];
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if kernels::avx2::available() {
-        tiers.push(("avx2", kernels::avx2::distance_within(a, b, tau)));
-    }
-    tiers
+/// Reference and production `distance_within` on one input.
+fn distance_tiers(a: &[u64], b: &[u64], tau: u32) -> [(&'static str, Option<u32>); 2] {
+    [
+        ("reference", kernels::distance_within_scalar(a, b, tau)),
+        ("production", kernels::distance_within(a, b, tau)),
+    ]
 }
 
-/// Every compiled tier's `part_distance` on one input.
-fn part_tiers(a: &[u64], b: &[u64], lo: usize, hi: usize) -> Vec<(&'static str, u32)> {
-    #[cfg_attr(not(all(feature = "simd", target_arch = "x86_64")), allow(unused_mut))]
-    let mut tiers = vec![
-        ("scalar", kernels::part_distance_scalar(a, b, lo, hi)),
-        ("batched", kernels::part_distance_batched(a, b, lo, hi)),
-        ("dispatch", kernels::part_distance(a, b, lo, hi)),
-    ];
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if kernels::avx2::available() {
-        tiers.push(("avx2", kernels::avx2::part_distance(a, b, lo, hi)));
+/// Reference and production `part_distance` on one input.
+fn part_tiers(a: &[u64], b: &[u64], lo: usize, hi: usize) -> [(&'static str, u32); 2] {
+    [
+        ("reference", kernels::part_distance_scalar(a, b, lo, hi)),
+        ("production", kernels::part_distance(a, b, lo, hi)),
+    ]
+}
+
+/// Deterministic xorshift stream for the pinned cases.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut s = seed;
+    move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
     }
-    tiers
 }
 
 proptest! {
@@ -73,19 +71,26 @@ proptest! {
         bits_b in bits_strategy(),
         extra_tau in 0u32..700,
     ) {
-        let (a, b) = (truncate(&bits_a, dims), truncate(&bits_b, dims));
-        let (aw, bw) = (a.words(), b.words());
-        let d = a.distance(&b);
-        // τ at and around the early-abandon boundary plus a random one:
-        // the exact place where batch-granularity abandon could diverge.
-        for tau in [d.saturating_sub(1), d, d + 1, extra_tau] {
-            let tiers = distance_tiers(aw, bw, tau);
-            let expected = if d <= tau { Some(d) } else { None };
-            for (name, got) in &tiers {
-                prop_assert_eq!(
-                    *got, expected,
-                    "tier {} diverged at dims={} tau={} d={}", name, a.dims(), tau, d
-                );
+        let a = truncate(&bits_a, dims);
+        // Two partners: an unrelated vector (d ≈ dims / 2) and a
+        // near-duplicate of `a` (≈ dims / 16 flipped bits), the kind of
+        // pair a served candidate is.
+        let near = BitVector::from_bits(
+            (0..dims).map(|i| bits_a[i] != (bits_b[i] && i % 8 == 0)),
+        );
+        for b in [truncate(&bits_b, dims), near] {
+            let (aw, bw) = (a.words(), b.words());
+            let d = a.distance(&b);
+            // τ at and around the early-abandon boundary plus a random
+            // one: where batch-granularity abandon could diverge.
+            for tau in [d.saturating_sub(1), d, d + 1, extra_tau] {
+                let expected = if d <= tau { Some(d) } else { None };
+                for (name, got) in distance_tiers(aw, bw, tau) {
+                    prop_assert_eq!(
+                        got, expected,
+                        "tier {} diverged at dims={} tau={} d={}", name, dims, tau, d
+                    );
+                }
             }
         }
     }
@@ -115,22 +120,13 @@ proptest! {
 
 #[test]
 fn part_distance_tiers_agree_on_pinned_boundaries() {
-    // Deterministic sweep of the mask edge cases: lo/hi in one word,
-    // word-aligned lo/hi, hi == dims on a ragged tail, zero width.
-    let dims = 519; // 8 words + 7 live tail bits: not a multiple of 64 or 256
-    let mut s = 0xD1FFu64;
-    let mut next = move || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s
-    };
-    let a = BitVector::from_bits((0..dims).map(|_| next() % 2 == 0));
-    let b = BitVector::from_bits((0..dims).map(|_| next() % 3 == 0));
-    let (aw, bw) = (a.words(), b.words());
-    let ranges = [
+    // Deterministic sweep of the mask edge cases on a ragged shape —
+    // lo/hi in one word, word-aligned lo/hi, hi == dims on a ragged
+    // tail, zero width — and the served shape's 16 × 16-bit parts.
+    let ragged = 519; // 8 words + 7 live tail bits: not a multiple of 64 or 256
+    let ragged_ranges = vec![
         (0, 0),
-        (0, dims),
+        (0, ragged),
         (1, 31),
         (1, 32),
         (30, 31),
@@ -139,14 +135,24 @@ fn part_distance_tiers_agree_on_pinned_boundaries() {
         (64, 65),
         (64, 512),
         (67, 517),
-        (512, dims),
-        (518, dims),
-        (dims, dims),
+        (512, ragged),
+        (518, ragged),
+        (ragged, ragged),
     ];
-    for (lo, hi) in ranges {
-        let naive: u32 = (lo..hi).map(|i| (a.get(i) != b.get(i)) as u32).sum();
-        for (name, got) in part_tiers(aw, bw, lo, hi) {
-            assert_eq!(got, naive, "tier {name} diverged at [{lo}, {hi})");
+    let served_parts = (0..16).map(|p| (p * 16, p * 16 + 16)).collect();
+    let mut next = xorshift(0xD1FF);
+    for (dims, ranges) in [(ragged, ragged_ranges), (256, served_parts)] {
+        let a = BitVector::from_bits((0..dims).map(|_| next() % 2 == 0));
+        let b = BitVector::from_bits((0..dims).map(|_| next() % 3 == 0));
+        let (aw, bw) = (a.words(), b.words());
+        for (lo, hi) in ranges {
+            let naive: u32 = (lo..hi).map(|i| (a.get(i) != b.get(i)) as u32).sum();
+            for (name, got) in part_tiers(aw, bw, lo, hi) {
+                assert_eq!(
+                    got, naive,
+                    "tier {name} diverged at dims={dims} [{lo}, {hi})"
+                );
+            }
         }
     }
 }

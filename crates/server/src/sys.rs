@@ -16,8 +16,8 @@
 #![cfg(unix)]
 // The workspace denies `unsafe_code`; this module is the scoped
 // exception for the readiness-syscall FFI — the `extern "C"`
-// declarations and each call site are the only unsafe in the crate,
-// every one carries an inline `// SAFETY:` argument (enforced by
+// declarations and each call site are the only unsafe in the crate
+// (and in all of `crates/*/src`), every one carries an inline `// SAFETY:` argument (enforced by
 // `pigeonring-lint`'s safety-comment rule), and the two pollers are
 // differentially exercised against each other by the module tests and
 // the reactor's `PIGEONRING_FORCE_POLL` seam.

@@ -5,7 +5,7 @@
 //! `BENCH_kernels.json`, the server's Stats snapshot) are only
 //! comparable across runs when the machine is known — a single-core CI
 //! container and an 8-core host produce very different shard/thread
-//! scaling, and the SIMD kernels only engage when the CPU reports AVX2.
+//! scaling, and a kernel timing means little without the CPU it ran on.
 //! Each of them therefore embeds a [`MachineFingerprint`], and the
 //! core-aware defaults ([`cores`], [`WorkerPool::auto`]) derive from the
 //! same detection so "what ran" and "what was recorded" cannot drift
@@ -22,9 +22,8 @@ pub struct MachineFingerprint {
     /// Cores visible to this process
     /// ([`std::thread::available_parallelism`]; 1 when undetectable).
     pub cores: usize,
-    /// Runtime-detected SIMD feature levels relevant to the distance
-    /// kernels (subset of `sse4.2`, `avx2`, `avx512f`; empty on
-    /// non-x86-64 targets).
+    /// Runtime-detected SIMD feature levels of the CPU (subset of
+    /// `sse4.2`, `avx2`, `avx512f`; empty on non-x86-64 targets).
     pub cpu_features: Vec<&'static str>,
     /// Whether the process appears to run inside a container
     /// (`/.dockerenv`, `/run/.containerenv`, or container runtimes named
@@ -67,10 +66,9 @@ pub fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// SIMD feature levels relevant to the distance kernels, detected at
-/// runtime (not compile-time): a binary built without `--features simd`
-/// on an AVX2 host still *reports* `avx2`, which is what makes a
-/// recorded scalar baseline interpretable.
+/// SIMD feature levels of the CPU, detected at runtime (not
+/// compile-time): the kernels are portable Rust, so this records what
+/// the host offers, which is what makes a recorded timing comparable.
 fn cpu_features() -> Vec<&'static str> {
     #[cfg(target_arch = "x86_64")]
     {
