@@ -21,18 +21,18 @@
 //!   round-robin batch formation on fixed lane shares stops a
 //!   slow-domain backlog of more than `B` requests from crowding the
 //!   other domains out of a batch.
-//! * [`server`] — connection handling (one nonblocking [`sys`]-backed
-//!   reactor thread, so connection count costs file descriptors
-//!   instead of threads) and the weighted-fair dispatchers that
+//! * [`server`] — connection handling (one nonblocking epoll reactor
+//!   thread, so connection count costs file descriptors instead of
+//!   threads) and the weighted-fair dispatchers that
 //!   coalesce up to `B` queued queries per fan-out so the network path
 //!   inherits the service layer's batch amortization on the shared
 //!   persistent [`WorkerPool`](pigeonring_service::WorkerPool). The
 //!   one cost-driven decision is [`registry`]'s shortest-job-first
 //!   order of a batch's domain groups.
-//! * [`sys`] — dependency-free readiness syscalls: hand-rolled
-//!   `extern "C"` epoll bindings with a portable `poll(2)` fallback,
-//!   and the UDP-pair waker that lets dispatchers interrupt a blocked
-//!   poll wait.
+//! * `sys` (crate-private, Linux only) — dependency-free readiness
+//!   syscalls: hand-rolled `extern "C"` epoll bindings and the UDP-pair
+//!   waker that lets dispatchers interrupt a blocked `epoll_wait`. Off
+//!   Linux there is no reactor and [`start`] answers `Unsupported`.
 //! * [`registry`] — deterministic engine construction
 //!   ([`EngineSpec`] → [`EngineSet`]) from the same data loaders the
 //!   `repro` harness uses, so a server and an in-process run built from
@@ -49,12 +49,12 @@
 
 pub mod client;
 pub mod queue;
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 pub(crate) mod reactor;
 pub mod registry;
 pub mod server;
-#[cfg(unix)]
-pub mod sys;
+#[cfg(target_os = "linux")]
+pub(crate) mod sys;
 pub mod wire;
 
 pub use client::{Client, ClientError, Outcome};

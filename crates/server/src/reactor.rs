@@ -1,6 +1,7 @@
 //! The nonblocking reactor: one thread multiplexes every connection
-//! over [`sys::Poller`] readiness events — the only path between
-//! sockets and the lanes.
+//! over [`sys::Poller`] (epoll) readiness events — the only path
+//! between sockets and the lanes. Linux only: the crate root gates
+//! this module on `target_os = "linux"`.
 //!
 //! Per connection the reactor keeps a small state machine — an
 //! incremental [`FrameDecoder`] on the read side, a queue of encoded
@@ -30,8 +31,6 @@
 //! mailbox plus a [`sys::Waker`] kick that interrupts a blocked
 //! [`sys::Poller::wait`]. Stall deadlines are folded into the wait
 //! timeout.
-
-#![cfg(unix)]
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -119,10 +118,8 @@ impl ReactorControl {
     }
 }
 
-/// Starts the reactor thread serving `listener`. The poller backend is
-/// epoll on Linux unless the `PIGEONRING_FORCE_POLL` environment
-/// variable is set (the differential-test seam for the portable
-/// `poll(2)` path).
+/// Starts the reactor thread serving `listener`; a failing
+/// `epoll_create1` is this call's error.
 pub(crate) fn spawn(
     listener: TcpListener,
     queue: Arc<FairQueue<Job>>,
@@ -137,11 +134,7 @@ pub(crate) fn spawn(
         waker,
     });
     let listener_closed = Arc::new(AtomicBool::new(false));
-    let mut poller = if std::env::var_os("PIGEONRING_FORCE_POLL").is_some() {
-        sys::Poller::new_poll_fallback()
-    } else {
-        sys::Poller::new()?
-    };
+    let mut poller = sys::Poller::new()?;
     poller.register(listener.as_raw_fd(), LISTENER, sys::Interest::READ)?;
     poller.register(wake_rx.raw_fd(), WAKER, sys::Interest::READ)?;
 
@@ -374,7 +367,7 @@ impl Reactor {
                 Err(_) => {
                     // Hard socket error: the peer is unreachable, so
                     // buffered replies have nowhere to go.
-                    self.drop_conn(token);
+                    self.close_conn(token);
                     return;
                 }
             }
@@ -457,7 +450,7 @@ impl Reactor {
             let rest = &front[conn.front_pos..];
             match conn.stream.write(rest) {
                 Ok(0) => {
-                    self.drop_conn(token);
+                    self.close_conn(token);
                     return;
                 }
                 Ok(n) => {
@@ -487,7 +480,7 @@ impl Reactor {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    self.drop_conn(token);
+                    self.close_conn(token);
                     return;
                 }
             }
@@ -543,7 +536,7 @@ impl Reactor {
                 .reregister(conn.stream.as_raw_fd(), token, desired)
                 .is_err()
             {
-                self.drop_conn(token);
+                self.close_conn(token);
                 return;
             }
             conn.registered = desired;
@@ -599,22 +592,18 @@ impl Reactor {
                     }
                 }
             }
-            self.drop_conn(token);
+            self.close_conn(token);
         }
     }
 
-    /// Graceful close of a fully drained connection.
+    /// Closes a connection: a graceful close once fully drained, or an
+    /// abrupt teardown (peer unreachable or wedged) that discards its
+    /// buffered state with it.
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
             self.metrics.conns.dec();
         }
-    }
-
-    /// Abrupt teardown (peer unreachable or wedged): buffered state is
-    /// discarded with the connection.
-    fn drop_conn(&mut self, token: u64) {
-        self.close_conn(token);
     }
 }
 

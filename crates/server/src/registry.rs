@@ -187,8 +187,9 @@ pub struct EngineSet {
     set: ShardedIndex<RingSetSim>,
     graph: ShardedIndex<RingGraph>,
     /// Dimensionality of the Hamming dataset; queries with any other
-    /// dimensionality are rejected with a typed `InvalidQuery` error
-    /// (the engine itself would panic on a mismatch).
+    /// dimensionality, or with `τ` above it, are rejected with a typed
+    /// `InvalidQuery` error (the engine itself would panic on a
+    /// dimension mismatch).
     hamming_dims: usize,
     /// Exponential moving average of measured per-query execution
     /// nanos, one slot per domain in [`Domain::ALL`] order (`0` = not
@@ -388,9 +389,10 @@ impl EngineSet {
     ///
     /// Queries are grouped by domain *and* by equal per-request
     /// parameters, so each group inherits the batched shard fan-out of
-    /// [`ShardedIndex::search_batch_on`]; invalid queries (e.g. a
-    /// Hamming vector of the wrong dimensionality) get a typed error
-    /// without disturbing the rest of the batch.
+    /// [`ShardedIndex::search_batch_on`]; invalid queries (a Hamming
+    /// vector of the wrong dimensionality or `τ > d`, a chain length
+    /// outside `1..=m`) get a typed `InvalidQuery` error without
+    /// disturbing the rest of the batch.
     ///
     /// `traces` names the traced slots: each traced query gets a
     /// `dispatch` span for its param-group's execution (with `plan` /
@@ -410,24 +412,20 @@ impl EngineSet {
         let mut set: Vec<(usize, Vec<u32>, SetParams)> = Vec::new();
         let mut graph: Vec<(usize, pigeonring_graph::Graph, GraphParams)> = Vec::new();
         for (i, q) in queries.into_iter().enumerate() {
+            if let Some(message) = self.rejection(&q) {
+                emit(
+                    i,
+                    Response::Error {
+                        request_id: CONNECTION_REQUEST_ID,
+                        code: ErrorCode::InvalidQuery,
+                        message,
+                    },
+                );
+                continue;
+            }
             match q {
                 DomainQuery::Hamming { query, tau, l } => {
-                    if query.dims() != self.hamming_dims {
-                        emit(
-                            i,
-                            Response::Error {
-                                request_id: CONNECTION_REQUEST_ID,
-                                code: ErrorCode::InvalidQuery,
-                                message: format!(
-                                    "query has {} dims, dataset has {}",
-                                    query.dims(),
-                                    self.hamming_dims
-                                ),
-                            },
-                        );
-                    } else {
-                        hamming.push((i, query, HammingParams { tau, l: l as usize }));
-                    }
+                    hamming.push((i, query, HammingParams { tau, l: l as usize }));
                 }
                 DomainQuery::Edit { query, l } => {
                     edit.push((i, query, EditParams { l: l as usize }));
@@ -512,6 +510,30 @@ impl EngineSet {
                     })
                 });
         }
+    }
+
+    /// Why `query` cannot be served, or `None` when it can. The engines
+    /// would panic on a Hamming vector of the wrong dimensionality and
+    /// silently clamp a chain length outside `1..=m` (m = the box count
+    /// the engine was built with) or a Hamming `τ > d`, so these draw a
+    /// typed `InvalidQuery` instead.
+    fn rejection(&self, query: &DomainQuery) -> Option<String> {
+        let (l, m) = match query {
+            DomainQuery::Hamming { query, tau, l } => {
+                let d = self.hamming_dims;
+                if query.dims() != d {
+                    return Some(format!("query has {} dims, dataset has {d}", query.dims()));
+                }
+                if *tau as usize > d {
+                    return Some(format!("tau = {tau} exceeds the {d} dims"));
+                }
+                (*l, self.spec.hamming_m)
+            }
+            DomainQuery::Edit { l, .. } => (*l, self.spec.edit_tau + 1),
+            DomainQuery::Set { l, .. } => (*l, self.spec.set_m),
+            DomainQuery::Graph { l, .. } => (*l, self.spec.graph_tau + 1),
+        };
+        (l == 0 || l as usize > m).then(|| format!("chain length l = {l} is outside 1..={m}"))
     }
 }
 

@@ -5,7 +5,7 @@
 //! Data path of one request (wire v2):
 //!
 //! ```text
-//! client ══frames══▶ reactor (1 thread, epoll/poll) ──try_push──▶ FairQueue
+//! client ══frames══▶ reactor (1 thread, epoll) ──try_push──▶ FairQueue
 //!   ║          readable: FrameDecoder ▶ handle_payload  (4 lanes, ≤ Q each)
 //!   ║               │ lane full? ▶ Busy{id} ─┐     │
 //!   ║          dispatchers (D threads) ◀──WRR pop_batch(≤ B)──┘
@@ -70,7 +70,7 @@ use crate::wire::{
     CONNECTION_REQUEST_ID, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 use crate::reactor;
 
 /// Server tuning knobs.
@@ -142,7 +142,7 @@ const LANE_SHARES: [usize; NUM_LANES] = [8, 4, 8, 2];
 #[derive(Clone)]
 pub(crate) struct ReplySink {
     pub(crate) conn: u64,
-    #[cfg(unix)]
+    #[cfg(target_os = "linux")]
     pub(crate) shared: Arc<reactor::ReactorShared>,
 }
 
@@ -151,10 +151,10 @@ impl ReplySink {
     /// a connection that already went away is silently dropped, like a
     /// send on a closed channel.
     pub(crate) fn send(&self, response: Response) {
-        #[cfg(unix)]
+        #[cfg(target_os = "linux")]
         self.shared.send(self.conn, response);
-        // No reactor exists off unix (`start` fails), so no sink does.
-        #[cfg(not(unix))]
+        // No reactor exists off Linux (`start` fails), so no sink does.
+        #[cfg(not(target_os = "linux"))]
         let _ = (self.conn, response);
     }
 }
@@ -397,7 +397,7 @@ pub struct ServerHandle {
     stop: Arc<AtomicBool>,
     metrics: Arc<ServerMetrics>,
     /// The event loop's thread + wake handle.
-    #[cfg(unix)]
+    #[cfg(target_os = "linux")]
     reactor: reactor::ReactorControl,
     dispatch_threads: Vec<std::thread::JoinHandle<()>>,
 }
@@ -405,7 +405,7 @@ pub struct ServerHandle {
 /// Starts a server answering from `engines` with `pool` as the
 /// execution backend. The listener should already be bound (use port 0
 /// for tests); the reactor and dispatcher threads are spawned here (on
-/// a non-unix target there is no reactor and this returns
+/// a target other than Linux there is no reactor and this returns
 /// `Unsupported`). The engine set's stage counters and the worker
 /// pool's utilization metrics are attached to the server's registry, so
 /// the Stats snapshot covers every layer.
@@ -464,7 +464,7 @@ fn start_inner(
         })
         .collect::<std::io::Result<Vec<_>>>()?;
 
-    #[cfg(unix)]
+    #[cfg(target_os = "linux")]
     {
         let reactor = reactor::spawn(
             listener,
@@ -482,12 +482,12 @@ fn start_inner(
             dispatch_threads,
         })
     }
-    #[cfg(not(unix))]
+    #[cfg(not(target_os = "linux"))]
     {
         queue.close(); // the dispatchers just spawned exit
         Err(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
-            "the reactor requires a unix platform (epoll or poll(2))",
+            "the reactor requires Linux (epoll)",
         ))
     }
 }
@@ -539,7 +539,7 @@ impl Drop for ServerHandle {
         // Wake the reactor so it observes the stop flag and closes the
         // listener; wait for that edge so no connection is accepted
         // after shutdown() returns.
-        #[cfg(unix)]
+        #[cfg(target_os = "linux")]
         self.reactor.wait_listener_closed();
         self.queue.close();
         for t in self.dispatch_threads.drain(..) {
@@ -550,7 +550,7 @@ impl Drop for ServerHandle {
         // error from the closed queue) and exits once the last one
         // closes — join promptly when they are already gone, otherwise
         // detach and let it wind down.
-        #[cfg(unix)]
+        #[cfg(target_os = "linux")]
         self.reactor.join_or_detach();
     }
 }

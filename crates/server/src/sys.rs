@@ -1,8 +1,8 @@
 //! Readiness syscalls for the nonblocking reactor, with no
 //! dependency on `libc`: hand-rolled `extern "C"` bindings for
-//! `epoll_create1` / `epoll_ctl` / `epoll_wait` on Linux plus a
-//! portable `poll(2)` fallback that works on any Unix (and doubles as
-//! the differential test partner for the epoll path on Linux).
+//! `epoll_create1` / `epoll_ctl` / `epoll_wait`. Linux only — the
+//! crate root gates this module (and the reactor) on
+//! `target_os = "linux"`; elsewhere `start` answers `Unsupported`.
 //!
 //! Everything here returns typed [`io::Error`]s — a failed syscall is
 //! an ordinary error on the connection or the reactor, never a panic —
@@ -10,39 +10,26 @@
 //! `pigeonring-lint` enforces.
 //!
 //! The [`Waker`] deliberately avoids `pipe2`/`eventfd`: a connected
-//! loopback UDP socket pair is readiness-compatible with both pollers,
+//! loopback UDP socket pair is readiness-compatible with epoll,
 //! allocation-free on the wake path, and needs no unsafe at all.
 
-#![cfg(unix)]
 // The workspace denies `unsafe_code`; this module is the scoped
 // exception for the readiness-syscall FFI — the `extern "C"`
-// declarations and each call site are the only unsafe in the crate
-// (and in all of `crates/*/src`), every one carries an inline `// SAFETY:` argument (enforced by
-// `pigeonring-lint`'s safety-comment rule), and the two pollers are
-// differentially exercised against each other by the module tests and
-// the reactor's `PIGEONRING_FORCE_POLL` seam.
+// declarations and the four call sites (`epoll_create1`, `epoll_ctl`,
+// `epoll_wait`, `close`) are the only unsafe in the crate (and in all
+// of `crates/*/src`), and every one carries an inline `// SAFETY:`
+// argument (enforced by `pigeonring-lint`'s safety-comment rule).
 #![allow(unsafe_code)]
 
+use std::ffi::c_int;
 use std::io;
 use std::net::UdpSocket;
 use std::os::fd::{AsRawFd, RawFd};
 use std::time::Duration;
 
-use std::ffi::{c_int, c_short};
-
-// Linux `nfds_t` is `unsigned long`; the other Unixes declare
-// `poll(2)` with `unsigned int`.
-#[cfg(target_os = "linux")]
-type NfdsT = std::ffi::c_ulong;
-#[cfg(not(target_os = "linux"))]
-type NfdsT = std::ffi::c_uint;
-
 // ---------------------------------------------------------- constants
 //
-// Values are the Linux UAPI / POSIX ABI constants; `poll` and `epoll`
-// deliberately share the low event bits (IN=0x1, OUT=0x4, ERR=0x8,
-// HUP=0x10), which is why [`Event`] can decode either poller's mask
-// with one helper.
+// Values are the Linux UAPI ABI constants.
 
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EPOLL_CTL_ADD: c_int = 1;
@@ -52,11 +39,6 @@ const EPOLLIN: u32 = 0x1;
 const EPOLLOUT: u32 = 0x4;
 const EPOLLERR: u32 = 0x8;
 const EPOLLHUP: u32 = 0x10;
-
-const POLLIN: c_short = 0x1;
-const POLLOUT: c_short = 0x4;
-const POLLERR: c_short = 0x8;
-const POLLHUP: c_short = 0x10;
 
 // ------------------------------------------------------- FFI bindings
 
@@ -71,24 +53,10 @@ struct EpollEvent {
     data: u64,
 }
 
-/// Mirror of POSIX `struct pollfd`.
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct PollFd {
-    fd: c_int,
-    events: c_short,
-    revents: c_short,
-}
-
-#[cfg(target_os = "linux")]
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
-}
-
-extern "C" {
-    fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
 }
 
@@ -110,24 +78,13 @@ impl Interest {
         write: false,
     };
 
-    fn epoll_mask(self) -> u32 {
+    fn events(self) -> u32 {
         let mut m = 0;
         if self.read {
             m |= EPOLLIN;
         }
         if self.write {
             m |= EPOLLOUT;
-        }
-        m
-    }
-
-    fn poll_mask(self) -> c_short {
-        let mut m = 0;
-        if self.read {
-            m |= POLLIN;
-        }
-        if self.write {
-            m |= POLLOUT;
         }
         m
     }
@@ -148,7 +105,7 @@ pub struct Event {
 }
 
 impl Event {
-    /// Decodes a readiness mask (epoll and poll share these bits).
+    /// Decodes an epoll readiness mask.
     fn from_mask(token: u64, mask: u32) -> Event {
         Event {
             token,
@@ -159,76 +116,59 @@ impl Event {
     }
 }
 
-/// The readiness backend: level-triggered epoll on Linux, portable
-/// `poll(2)` everywhere (selectable for differential testing).
-pub enum Poller {
-    /// `epoll` instance (Linux only).
-    #[cfg(target_os = "linux")]
-    Epoll(EpollPoller),
-    /// `poll(2)` over an explicit registration table.
-    Poll(PollPoller),
+/// The readiness backend: a level-triggered epoll instance. The fd is
+/// owned: closed on drop.
+pub struct Poller {
+    epfd: RawFd,
+    buf: Vec<EpollEvent>,
 }
 
 impl Poller {
-    /// The platform's best poller: epoll on Linux (falling back to
-    /// `poll` if `epoll_create1` is unavailable), `poll` elsewhere.
+    /// Creates the epoll instance; a failing `epoll_create1` is the
+    /// caller's `io::Error`.
     pub fn new() -> io::Result<Poller> {
-        #[cfg(target_os = "linux")]
-        {
-            match EpollPoller::new() {
-                Ok(ep) => Ok(Poller::Epoll(ep)),
-                Err(_) => Ok(Poller::Poll(PollPoller::new())),
-            }
+        // SAFETY: epoll_create1 takes no pointers; any flag value is
+        // safe to pass and an invalid one reports EINVAL via errno.
+        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(io::Error::last_os_error());
         }
-        #[cfg(not(target_os = "linux"))]
-        Ok(Poller::Poll(PollPoller::new()))
-    }
-
-    /// The portable fallback, explicitly — used by tests to run the
-    /// same reactor over both readiness backends on one host.
-    pub fn new_poll_fallback() -> Poller {
-        Poller::Poll(PollPoller::new())
-    }
-
-    /// A short static name for logs and artifacts.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(_) => "epoll",
-            Poller::Poll(_) => "poll",
-        }
+        Ok(Poller {
+            epfd,
+            buf: vec![EpollEvent { events: 0, data: 0 }; 256],
+        })
     }
 
     /// Starts watching `fd` under `token`.
     pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(ep) => ep.ctl(EPOLL_CTL_ADD, fd, token, interest),
-            Poller::Poll(pp) => pp.register(fd, token, interest),
-        }
+        self.ctl(EPOLL_CTL_ADD, fd, token, interest)
     }
 
     /// Replaces `fd`'s interest set (re-arming `EPOLLOUT`, dropping
     /// read interest under backpressure).
     pub fn reregister(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(ep) => ep.ctl(EPOLL_CTL_MOD, fd, token, interest),
-            Poller::Poll(pp) => pp.register(fd, token, interest),
-        }
+        self.ctl(EPOLL_CTL_MOD, fd, token, interest)
     }
 
     /// Stops watching `fd`. Must be called before the fd closes so the
-    /// poll table (and the epoll interest list) stays accurate.
+    /// epoll interest list stays accurate.
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(ep) => ep.ctl(EPOLL_CTL_DEL, fd, 0, Interest::READ),
-            Poller::Poll(pp) => {
-                pp.deregister(fd);
-                Ok(())
-            }
+        self.ctl(EPOLL_CTL_DEL, fd, 0, Interest::READ)
+    }
+
+    fn ctl(&mut self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        let mut ev = EpollEvent {
+            events: interest.events(),
+            data: token,
+        };
+        // SAFETY: `ev` is a live, properly initialized EpollEvent for
+        // the duration of the call; the kernel copies it and keeps no
+        // reference past return (EPOLL_CTL_DEL ignores it entirely).
+        let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
         }
+        Ok(())
     }
 
     /// Blocks until at least one registered fd is ready (or `timeout`
@@ -250,52 +190,6 @@ impl Poller {
                 .min(c_int::MAX as u128) as c_int,
             None => -1,
         };
-        match self {
-            #[cfg(target_os = "linux")]
-            Poller::Epoll(ep) => ep.wait(events, timeout_ms),
-            Poller::Poll(pp) => pp.wait(events, timeout_ms),
-        }
-    }
-}
-
-/// A level-triggered epoll instance. The fd is owned: closed on drop.
-#[cfg(target_os = "linux")]
-pub struct EpollPoller {
-    epfd: RawFd,
-    buf: Vec<EpollEvent>,
-}
-
-#[cfg(target_os = "linux")]
-impl EpollPoller {
-    fn new() -> io::Result<EpollPoller> {
-        // SAFETY: epoll_create1 takes no pointers; any flag value is
-        // safe to pass and an invalid one reports EINVAL via errno.
-        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-        if epfd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(EpollPoller {
-            epfd,
-            buf: vec![EpollEvent { events: 0, data: 0 }; 256],
-        })
-    }
-
-    fn ctl(&mut self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        let mut ev = EpollEvent {
-            events: interest.epoll_mask(),
-            data: token,
-        };
-        // SAFETY: `ev` is a live, properly initialized EpollEvent for
-        // the duration of the call; the kernel copies it and keeps no
-        // reference past return (EPOLL_CTL_DEL ignores it entirely).
-        let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
-
-    fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: c_int) -> io::Result<usize> {
         loop {
             // SAFETY: the buffer outlives the call and `maxevents` is
             // its exact length, so the kernel writes only within it.
@@ -331,8 +225,7 @@ impl EpollPoller {
     }
 }
 
-#[cfg(target_os = "linux")]
-impl Drop for EpollPoller {
+impl Drop for Poller {
     fn drop(&mut self) {
         // SAFETY: epfd came from a successful epoll_create1 and is
         // closed exactly once, here.
@@ -342,73 +235,13 @@ impl Drop for EpollPoller {
     }
 }
 
-/// The portable fallback: an explicit registration table handed to
-/// `poll(2)` on every wait. O(registered fds) per wait — fine for the
-/// fallback role; Linux production uses epoll.
-pub struct PollPoller {
-    table: Vec<(RawFd, u64, Interest)>,
-    buf: Vec<PollFd>,
-}
-
-impl PollPoller {
-    fn new() -> PollPoller {
-        PollPoller {
-            table: Vec::new(),
-            buf: Vec::new(),
-        }
-    }
-
-    fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match self.table.iter_mut().find(|(f, _, _)| *f == fd) {
-            Some(entry) => *entry = (fd, token, interest),
-            None => self.table.push((fd, token, interest)),
-        }
-        Ok(())
-    }
-
-    fn deregister(&mut self, fd: RawFd) {
-        self.table.retain(|(f, _, _)| *f != fd);
-    }
-
-    fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: c_int) -> io::Result<usize> {
-        self.buf.clear();
-        self.buf
-            .extend(self.table.iter().map(|&(fd, _, interest)| PollFd {
-                fd,
-                events: interest.poll_mask(),
-                revents: 0,
-            }));
-        loop {
-            // SAFETY: the pollfd buffer outlives the call and `nfds`
-            // is its exact length; the kernel only writes the
-            // `revents` fields within it.
-            let n = unsafe { poll(self.buf.as_mut_ptr(), self.buf.len() as NfdsT, timeout_ms) };
-            if n < 0 {
-                let e = io::Error::last_os_error();
-                if e.kind() == io::ErrorKind::Interrupted {
-                    continue;
-                }
-                return Err(e);
-            }
-            for (pfd, &(_, token, _)) in self.buf.iter().zip(self.table.iter()) {
-                // POLLERR/POLLHUP are delivered even when unrequested.
-                let mask = pfd.revents & (POLLIN | POLLOUT | POLLERR | POLLHUP);
-                if mask != 0 {
-                    events.push(Event::from_mask(token, mask as u32));
-                }
-            }
-            return Ok(events.len());
-        }
-    }
-}
-
 // --------------------------------------------------------------- waker
 
 /// The cross-thread wake mechanism: dispatchers finishing a reply (and
 /// shutdown) must interrupt a reactor blocked in [`Poller::wait`]. A
-/// connected loopback UDP socket pair gives readiness semantics both
-/// pollers understand with no extra syscall bindings: `wake` sends one
-/// datagram, the reactor's poller reports the receive side readable.
+/// connected loopback UDP socket pair gives readiness semantics epoll
+/// understands with no extra syscall bindings: `wake` sends one
+/// datagram, the poller reports the receive side readable.
 pub struct Waker {
     tx: UdpSocket,
 }
@@ -423,7 +256,7 @@ impl Waker {
 
 /// The reactor-side half of the wake pair: register
 /// [`WakeReceiver::raw_fd`] for read interest and [`drain`] it on
-/// every readiness report so level-triggered pollers quiesce.
+/// every readiness report so the level-triggered poller quiesces.
 ///
 /// [`drain`]: WakeReceiver::drain
 pub struct WakeReceiver {
@@ -462,14 +295,23 @@ mod tests {
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
 
-    /// Both pollers must report the same readiness story for a simple
-    /// TCP exchange: nothing before data, readable after, quiet after
-    /// the data is consumed.
-    fn exercise(mut poller: Poller) {
+    /// Socket pair over loopback: the client end and the nonblocking
+    /// server end the reactor would register.
+    fn tcp_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
-        let (mut serverside, _) = listener.accept().expect("accept");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("dial");
+        let (serverside, _) = listener.accept().expect("accept");
         serverside.set_nonblocking(true).expect("nonblocking");
+        (client, serverside)
+    }
+
+    /// The readiness story of a simple TCP exchange: nothing before
+    /// data, readable after, writable on request, quiet once
+    /// deregistered.
+    #[test]
+    fn default_poller_reports_readiness() {
+        let mut poller = Poller::new().expect("poller");
+        let (mut client, mut serverside) = tcp_pair();
 
         poller
             .register(serverside.as_raw_fd(), 7, Interest::READ)
@@ -518,14 +360,28 @@ mod tests {
         assert_eq!(n, 0, "deregistered fd no longer reports");
     }
 
+    /// A peer hang-up wakes read interest, and the read then sees EOF:
+    /// the reactor's clean-close path (`conn_readable`'s `Ok(0)` arm)
+    /// depends on both halves.
     #[test]
-    fn default_poller_reports_readiness() {
-        exercise(Poller::new().expect("poller"));
-    }
+    fn hangup_reports_readable_then_eof() {
+        let mut poller = Poller::new().expect("poller");
+        let (client, mut serverside) = tcp_pair();
+        poller
+            .register(serverside.as_raw_fd(), 9, Interest::READ)
+            .expect("register");
 
-    #[test]
-    fn poll_fallback_reports_readiness() {
-        exercise(Poller::new_poll_fallback());
+        drop(client);
+        let mut events = Vec::new();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .expect("wait");
+        assert_eq!(n, 1, "the hang-up is reported");
+        assert_eq!(events[0].token, 9);
+        assert!(events[0].readable || events[0].error, "{:?}", events[0]);
+
+        let mut buf = [0u8; 16];
+        assert_eq!(serverside.read(&mut buf).expect("read at EOF"), 0);
     }
 
     #[test]

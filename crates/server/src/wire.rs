@@ -260,7 +260,8 @@ pub enum ErrorCode {
     /// The request frame failed to decode.
     Malformed,
     /// The query decoded but cannot run against the loaded dataset
-    /// (e.g. wrong vector dimensionality).
+    /// (wrong vector dimensionality, Hamming `τ > d`, or a chain
+    /// length outside `1..=m`).
     InvalidQuery,
     /// The requested domain has no engine loaded.
     Unavailable,

@@ -207,3 +207,106 @@ fn old_client_version_is_refused_in_negotiation() {
     }
     handle.shutdown();
 }
+
+/// `query` with its chain length replaced.
+fn with_l(query: &DomainQuery, new_l: u32) -> DomainQuery {
+    let mut q = query.clone();
+    match &mut q {
+        DomainQuery::Hamming { l, .. }
+        | DomainQuery::Edit { l, .. }
+        | DomainQuery::Set { l, .. }
+        | DomainQuery::Graph { l, .. } => *l = new_l,
+    }
+    q
+}
+
+/// Pipelines one window over TCP: a valid query of `domain` at the
+/// largest chain length its engine accepts (`l = m`, the box count it
+/// was built with), between the same query at `l = 0` and `l = m + 1`,
+/// plus whatever `extra` builds from it. Every bad query draws
+/// `InvalidQuery`; the valid one still gets its in-process answer.
+fn out_of_range_params_draw_invalid_query(
+    domain: Domain,
+    m: usize,
+    extra: impl FnOnce(&DomainQuery) -> Vec<DomainQuery>,
+) {
+    let engines = Arc::new(EngineSet::build(tiny_spec()));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let handle = start(
+        listener,
+        Arc::clone(&engines),
+        WorkerPool::new(1),
+        ServerConfig::default(),
+    )
+    .expect("server starts");
+    let sample = engines.spec().sample_queries(domain).swap_remove(0);
+    let valid = with_l(&sample, m as u32);
+    let mut window = vec![
+        with_l(&sample, 0),
+        valid.clone(),
+        with_l(&sample, m as u32 + 1),
+    ];
+    window.extend(extra(&sample));
+
+    let mut client = Client::connect(handle.addr()).expect("connect + negotiate");
+    let outcomes = client
+        .search_pipelined(&window, window.len())
+        .expect("one pipelined window");
+    for (i, outcome) in outcomes.into_iter().enumerate() {
+        if i == 1 {
+            let Outcome::Results(ids) = outcome else {
+                panic!("{domain}: the valid query must answer results, got {outcome:?}");
+            };
+            let mut hasher = ResultHasher::new();
+            hasher.push(&ids);
+            assert_eq!(
+                hasher.finish(),
+                common::in_process_hash(&engines, domain, std::slice::from_ref(&valid)),
+                "{domain}: valid query beside invalid ones"
+            );
+        } else {
+            assert!(
+                matches!(
+                    outcome,
+                    Outcome::Failed {
+                        code: ErrorCode::InvalidQuery,
+                        ..
+                    }
+                ),
+                "{domain}: {:?} must draw InvalidQuery, got {outcome:?}",
+                window[i]
+            );
+        }
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn hamming_l_and_tau_out_of_range_draw_invalid_query() {
+    out_of_range_params_draw_invalid_query(Domain::Hamming, tiny_spec().hamming_m, |sample| {
+        let DomainQuery::Hamming { query, l, .. } = sample else {
+            unreachable!("hamming sample")
+        };
+        let tau_above_d = DomainQuery::Hamming {
+            query: query.clone(),
+            tau: query.dims() as u32 + 1,
+            l: *l,
+        };
+        vec![tau_above_d]
+    });
+}
+
+#[test]
+fn editdist_l_out_of_range_draws_invalid_query() {
+    out_of_range_params_draw_invalid_query(Domain::Edit, tiny_spec().edit_tau + 1, |_| vec![]);
+}
+
+#[test]
+fn setsim_l_out_of_range_draws_invalid_query() {
+    out_of_range_params_draw_invalid_query(Domain::Set, tiny_spec().set_m, |_| vec![]);
+}
+
+#[test]
+fn graph_l_out_of_range_draws_invalid_query() {
+    out_of_range_params_draw_invalid_query(Domain::Graph, tiny_spec().graph_tau + 1, |_| vec![]);
+}

@@ -7,7 +7,7 @@
 //! — and the answers must still be hash-identical to a direct
 //! in-process `search_batch_on` run.
 
-#![cfg(unix)]
+#![cfg(target_os = "linux")]
 
 mod common;
 

@@ -7,11 +7,8 @@
 //! container and an 8-core host produce very different shard/thread
 //! scaling, and a kernel timing means little without the CPU it ran on.
 //! Each of them therefore embeds a [`MachineFingerprint`], and the
-//! core-aware defaults ([`cores`], [`WorkerPool::auto`]) derive from the
-//! same detection so "what ran" and "what was recorded" cannot drift
-//! apart.
-//!
-//! [`WorkerPool::auto`]: crate::pool::WorkerPool::auto
+//! core-aware default ([`cores`]) derives from the same detection so
+//! "what ran" and "what was recorded" cannot drift apart.
 
 /// What the current machine looks like, as recorded into benchmark
 /// artifacts.
@@ -60,8 +57,7 @@ impl MachineFingerprint {
     }
 }
 
-/// Cores visible to this process, clamped to at least 1. The default
-/// worker count for [`WorkerPool::auto`](crate::pool::WorkerPool::auto).
+/// Cores visible to this process, clamped to at least 1.
 pub fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }

@@ -173,13 +173,6 @@ impl WorkerPool {
         }
     }
 
-    /// Spawns one worker per core visible to this process
-    /// ([`crate::machine::cores`]) — the core-aware default for servers
-    /// and benchmarks that did not pass an explicit thread count.
-    pub fn auto() -> Self {
-        WorkerPool::new(crate::machine::cores())
-    }
-
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.workers.len()
