@@ -3,7 +3,8 @@
 //! distances, signature enumeration, CSR part probes and arena chain
 //! extension, k-combination signatures, content
 //! filter bounds, banded edit-distance verification, set-overlap merges,
-//! subgraph embedding, and threshold-pruned GED — plus each verify
+//! the set-similarity candidate filter, subgraph embedding, and
+//! threshold-pruned GED — plus each verify
 //! kernel beside the reference loop it replaced.
 //!
 //! This binary has a custom `main` (not `criterion_main!`): it accepts
@@ -185,6 +186,35 @@ fn bench_set_kernels(c: &mut Criterion) {
                 acc ^= signature_hash(combo);
             });
             acc
+        })
+    });
+}
+
+/// The set-similarity filter at the benchmark's `setsim` shape
+/// (dblp-like, 20 000 records, Jaccard τ = 0.8, `m = 5`): candidate
+/// generation at `l = 2` for 64 pre-planned queries per iteration —
+/// signature probes, then chain checks over the record arena.
+fn bench_setsim_filter(c: &mut Criterion) {
+    use pigeonring_datagen::{sample_query_ids, SetConfig};
+    use pigeonring_setsim::{Collection, RingSetSim, SetScratch, Threshold};
+    let coll = Collection::new(SetConfig::dblp_like(20_000).generate());
+    let queries = sample_query_ids(coll.len(), 64, 9);
+    let eng = RingSetSim::build(coll, Threshold::jaccard(0.8), 5);
+    let plans: Vec<_> = queries
+        .into_iter()
+        .map(|q| eng.plan_query(eng.collection().record(q)))
+        .collect();
+    let mut scratch = SetScratch::default();
+    c.bench_function("setsim/candidates_l2_dblp20k", |b| {
+        b.iter(|| {
+            plans
+                .iter()
+                .map(|plan| {
+                    eng.candidates_with_plan(&mut scratch, black_box(plan), 2)
+                        .0
+                        .len()
+                })
+                .sum::<usize>()
         })
     });
 }
@@ -454,6 +484,7 @@ fn main() {
     bench_content_filter(&mut c);
     bench_verify(&mut c);
     bench_set_kernels(&mut c);
+    bench_setsim_filter(&mut c);
     bench_graph_kernels(&mut c);
     bench_kernel_tiers(&mut c);
     bench_telemetry_overhead(&mut c);

@@ -19,13 +19,15 @@
 //! numbers of the service and server layers come from `benchmark/`, not
 //! from this binary.
 
-use pigeonring_bench::{f1, f3, time_per_query, validate_args, Report, Scale};
+use pigeonring_bench::{
+    f1, f3, fig6_rows, set_setup, time_per_query, validate_args, Report, Scale,
+};
 use pigeonring_core::analysis::{DiscreteDist, FilterAnalysis};
-use pigeonring_datagen::{sample_query_ids, GraphConfig, SetConfig, StringConfig, VectorConfig};
+use pigeonring_datagen::{sample_query_ids, GraphConfig, StringConfig, VectorConfig};
 use pigeonring_editdist::{EditScratch, GramOrder, Pivotal, QGramCollection, RingEdit};
 use pigeonring_graph::{Graph, Pars, RingGraph};
 use pigeonring_hamming::{AllocationStrategy, BitVector, HammingScratch, RingHamming};
-use pigeonring_setsim::{AdaptSearch, Collection, PartAlloc, RingSetSim, SetScratch, Threshold};
+use pigeonring_setsim::{AdaptSearch, PartAlloc, RingSetSim, SetScratch, Threshold};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -240,31 +242,6 @@ fn fig9(scale: Scale) {
 
 // ----------------------------------------------------------- fig 6 / 10
 
-struct SetSetup {
-    name: &'static str,
-    collection: Collection,
-    queries: Vec<usize>,
-}
-
-fn set_setup(scale: Scale) -> Vec<SetSetup> {
-    let enron = Collection::new(SetConfig::enron_like(scale.n(5_000)).generate());
-    let dblp = Collection::new(SetConfig::dblp_like(scale.n(20_000)).generate());
-    let eq = sample_query_ids(enron.len(), scale.queries(50), 3);
-    let dq = sample_query_ids(dblp.len(), scale.queries(50), 4);
-    vec![
-        SetSetup {
-            name: "enron",
-            collection: enron,
-            queries: eq,
-        },
-        SetSetup {
-            name: "dblp",
-            collection: dblp,
-            queries: dq,
-        },
-    ]
-}
-
 /// Figure 6: effect of chain length on set similarity search.
 fn fig6(scale: Scale) {
     let mut rep = Report::new(
@@ -273,31 +250,16 @@ fn fig6(scale: Scale) {
             "dataset", "tau", "l", "avg_cand", "avg_res", "cand_ms", "total_ms",
         ],
     );
-    for setup in set_setup(scale) {
-        for tau in [0.7f64, 0.8] {
-            let eng = RingSetSim::build(setup.collection.clone(), Threshold::jaccard(tau), 5);
-            let mut scratch = SetScratch::default();
-            for l in 1..=3usize {
-                let (cand_ms, _cstats) = time_per_query(&setup.queries, |qid| {
-                    eng.candidates_with(&mut scratch, setup.collection.record(qid), l)
-                        .1
-                });
-                let (total_ms, stats) = time_per_query(&setup.queries, |qid| {
-                    eng.search_with(&mut scratch, setup.collection.record(qid), l)
-                        .1
-                });
-                let nq = setup.queries.len() as f64;
-                rep.row(&[
-                    setup.name.into(),
-                    tau.to_string(),
-                    l.to_string(),
-                    f1(stats.iter().map(|s| s.candidates as f64).sum::<f64>() / nq),
-                    f1(stats.iter().map(|s| s.results as f64).sum::<f64>() / nq),
-                    f3(cand_ms),
-                    f3(total_ms),
-                ]);
-            }
-        }
+    for row in fig6_rows(scale) {
+        rep.row(&[
+            row.dataset.into(),
+            row.tau.to_string(),
+            row.l.to_string(),
+            f1(row.avg_cand),
+            f1(row.avg_res),
+            f3(row.cand_ms),
+            f3(row.total_ms),
+        ]);
     }
     rep.emit();
 }

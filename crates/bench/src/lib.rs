@@ -1,11 +1,14 @@
 //! Shared harness for the `repro` binary and the Criterion benches:
 //! reduced-scale dataset presets, the argument scanner, timing helpers,
-//! and tabular / CSV reporting.
+//! tabular / CSV reporting, and the figure rows whose claims are tested
+//! here (Figure 6).
 //!
 //! Scale note: dataset sizes are 10–100× smaller than the paper's so
 //! `repro all` finishes in minutes on one machine. `Scale` controls the
 //! reduction; `Scale::Quick` is used by the smoke tests.
 
+use pigeonring_datagen::{sample_query_ids, SetConfig};
+use pigeonring_setsim::{Collection, RingSetSim, SetScratch, Threshold};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -182,6 +185,91 @@ pub fn f1(x: f64) -> String {
     format!("{x:.1}")
 }
 
+/// A set-similarity dataset of Figures 6 and 10 with its sampled query
+/// ids (queries are records of the collection).
+pub struct SetSetup {
+    /// Dataset name (`enron`, `dblp`).
+    pub name: &'static str,
+    /// The ranked collection.
+    pub collection: Collection,
+    /// Query record ids.
+    pub queries: Vec<usize>,
+}
+
+/// The enron-like and dblp-like collections at `scale`.
+pub fn set_setup(scale: Scale) -> Vec<SetSetup> {
+    let enron = Collection::new(SetConfig::enron_like(scale.n(5_000)).generate());
+    let dblp = Collection::new(SetConfig::dblp_like(scale.n(20_000)).generate());
+    let eq = sample_query_ids(enron.len(), scale.queries(50), 3);
+    let dq = sample_query_ids(dblp.len(), scale.queries(50), 4);
+    vec![
+        SetSetup {
+            name: "enron",
+            collection: enron,
+            queries: eq,
+        },
+        SetSetup {
+            name: "dblp",
+            collection: dblp,
+            queries: dq,
+        },
+    ]
+}
+
+/// One row of Figure 6: averages per query at one (dataset, τ, l).
+#[derive(Clone, Debug)]
+pub struct ChainRow {
+    /// Dataset name.
+    pub dataset: &'static str,
+    /// Jaccard threshold.
+    pub tau: f64,
+    /// Chain length.
+    pub l: usize,
+    /// Candidates verified per query.
+    pub avg_cand: f64,
+    /// Results per query.
+    pub avg_res: f64,
+    /// Candidate generation alone, ms per query.
+    pub cand_ms: f64,
+    /// Whole search, ms per query.
+    pub total_ms: f64,
+}
+
+/// Figure 6 (effect of chain length on set similarity search): `RingSetSim`
+/// with `m = 5` at Jaccard τ ∈ {0.7, 0.8} and `l` ∈ 1..=3 on both
+/// datasets. The count columns are deterministic; the paper's claim on
+/// them — candidates fall as `l` grows, results do not move — is a test.
+pub fn fig6_rows(scale: Scale) -> Vec<ChainRow> {
+    let mut rows = Vec::new();
+    for setup in set_setup(scale) {
+        for tau in [0.7f64, 0.8] {
+            let eng = RingSetSim::build(setup.collection.clone(), Threshold::jaccard(tau), 5);
+            let mut scratch = SetScratch::default();
+            for l in 1..=3usize {
+                let (cand_ms, _) = time_per_query(&setup.queries, |qid| {
+                    eng.candidates_with(&mut scratch, setup.collection.record(qid), l)
+                        .1
+                });
+                let (total_ms, stats) = time_per_query(&setup.queries, |qid| {
+                    eng.search_with(&mut scratch, setup.collection.record(qid), l)
+                        .1
+                });
+                let nq = setup.queries.len() as f64;
+                rows.push(ChainRow {
+                    dataset: setup.name,
+                    tau,
+                    l,
+                    avg_cand: stats.iter().map(|s| s.candidates as f64).sum::<f64>() / nq,
+                    avg_res: stats.iter().map(|s| s.results as f64).sum::<f64>() / nq,
+                    cand_ms,
+                    total_ms,
+                });
+            }
+        }
+    }
+    rows
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,6 +324,32 @@ mod tests {
         assert!(valued(&["--port"]).is_ok());
         assert!(valued(&["--port=7878"]).is_err());
         assert!(valued(&["--port", "7878", "7879"]).is_err());
+    }
+
+    #[test]
+    fn fig6_candidates_fall_with_l_and_results_hold() {
+        // Paper Fig 6: per (dataset, τ), avg_cand is non-increasing in l
+        // and strictly lower at l = 2 than at l = 1; avg_res is equal
+        // across l (the filter is exact). Times are not asserted.
+        let rows = fig6_rows(Scale::Quick);
+        assert_eq!(rows.len(), 12);
+        for group in rows.chunks(3) {
+            let at = |l: usize| &group[l - 1];
+            let what = format!("{} τ={}", at(1).dataset, at(1).tau);
+            assert!(
+                group
+                    .iter()
+                    .zip(1..)
+                    .all(|(r, l)| r.l == l && r.dataset == at(1).dataset && r.tau == at(1).tau),
+                "{what}: {group:?}"
+            );
+            assert!(at(2).avg_cand < at(1).avg_cand, "{what}: {group:?}");
+            assert!(at(3).avg_cand <= at(2).avg_cand, "{what}: {group:?}");
+            assert!(
+                group.iter().all(|r| r.avg_res == at(1).avg_res),
+                "{what}: {group:?}"
+            );
+        }
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   step: from a matched class `k`, extend the chain over the
 //!   class-overlap boxes `b_i = |x_i ∩ q_i|` and keep the object only if
 //!   the chain is prefix-viable under the `≥`-direction Theorem 7 quotas
-//!   (`‖c^{l'}‖₁ ≥ 1 − l' + Σ t_j`). Chains that would touch the suffix
-//!   box `b₀` verify directly (the paper's implementation remark).
+//!   (`‖c^{l'}‖₁ ≥ 1 − l' + Σ t_j`). Chains run their full length around
+//!   the ring, reading the suffix box `b₀` as a positional upper bound
+//!   (proved in the [`ring`] module docs).
 //! * [`AdaptSearch`] — prefix-filter baseline configured as in the paper's
 //!   experiments (§8.1): the AllPairs/PPJoin search version (inverted
 //!   prefix lists + length and position filters).

@@ -57,7 +57,7 @@ fn example_10_boxes_thresholds_and_filtering() {
                 // worked example only needs b1..b4; b0 = |{L,M,N} ∩ q| = 3.
                 3
             } else {
-                overlap(&xp.grouped[i - 1], &qp.grouped[i - 1]) as i64
+                overlap(xp.class(i), qp.class(i)) as i64
             }
         })
         .collect();

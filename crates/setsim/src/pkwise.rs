@@ -87,22 +87,30 @@ impl ClassMap {
     }
 }
 
-/// A record's (or query's) prefix, with its tokens grouped by class.
+/// A query's (or record's) prefix, its tokens grouped by class — the
+/// same layout one record occupies in [`PkwiseIndex`]'s arena.
 #[derive(Clone, Debug)]
 pub struct Prefix {
     /// Prefix length `p_x`.
     pub len: usize,
-    /// `grouped[c − 1]` = the class-`c` tokens of the prefix, ascending.
-    pub grouped: Vec<Vec<u32>>,
+    /// The prefix tokens grouped by class, ascending within a class.
+    tokens: Vec<u32>,
+    /// Class `c`'s tokens are `tokens[bounds[c − 1]..bounds[c]]`.
+    bounds: Vec<u32>,
     /// Whether the capacity target was never reached (no signature
     /// guarantee; the record must always be a candidate).
     pub degenerate: bool,
 }
 
 impl Prefix {
+    /// The class-`c` prefix tokens, ascending.
+    pub fn class(&self, c: usize) -> &[u32] {
+        &self.tokens[self.bounds[c - 1] as usize..self.bounds[c] as usize]
+    }
+
     /// `cnt(x, p_x, k)`.
     pub fn count(&self, class: usize) -> usize {
-        self.grouped[class - 1].len()
+        self.class(class).len()
     }
 }
 
@@ -110,49 +118,64 @@ impl Prefix {
 /// Returns `None` when `o > |r|` (the record can never satisfy the
 /// threshold and need not be indexed at all).
 pub fn compute_prefix(r: &[u32], classes: &ClassMap, o: u32) -> Option<Prefix> {
-    if o as usize > r.len() || o == 0 {
-        // o == 0 admits everything; treat as degenerate full prefix.
-        if o == 0 {
-            return Some(group_all(r, classes, true));
-        }
-        return None;
-    }
-    let needed = r.len() - o as usize + 1;
-    let m = classes.m();
-    let mut grouped: Vec<Vec<u32>> = vec![Vec::new(); m - 1];
-    let mut capacity = 0usize;
-    for (idx, &t) in r.iter().enumerate() {
-        let c = classes.class_of(t);
-        grouped[c - 1].push(t);
-        if grouped[c - 1].len() >= c {
-            capacity += 1;
-        }
-        if capacity >= needed {
-            return Some(Prefix {
-                len: idx + 1,
-                grouped,
-                degenerate: false,
-            });
-        }
-    }
+    let mut tokens = Vec::new();
+    let mut bounds = vec![0];
+    let (len, degenerate) = push_prefix(r, classes, o, &mut tokens, &mut bounds)?;
     Some(Prefix {
-        len: r.len(),
-        grouped,
-        degenerate: true,
+        len,
+        tokens,
+        bounds,
+        degenerate,
     })
 }
 
-fn group_all(r: &[u32], classes: &ClassMap, degenerate: bool) -> Prefix {
-    let m = classes.m();
-    let mut grouped: Vec<Vec<u32>> = vec![Vec::new(); m - 1];
-    for &t in r {
-        grouped[classes.class_of(t) - 1].push(t);
+/// Finds the prefix of sorted rank array `r` for minimum overlap `o`,
+/// appends its tokens grouped by class to `tokens` and the end offset of
+/// each class `1..m` to `ends` (so class `c` of this prefix starts where
+/// class `c − 1` — or the previous prefix — ended). Returns the prefix
+/// length and whether it is degenerate; `None` (nothing appended) when
+/// `o > |r|`. `o = 0` admits everything: the whole set, degenerate.
+fn push_prefix(
+    r: &[u32],
+    classes: &ClassMap,
+    o: u32,
+    tokens: &mut Vec<u32>,
+    ends: &mut Vec<u32>,
+) -> Option<(usize, bool)> {
+    if o as usize > r.len() {
+        return None;
     }
-    Prefix {
-        len: r.len(),
-        grouped,
-        degenerate,
+    // m ≤ 64, so classes index a fixed array.
+    let mut counts = [0usize; 64];
+    let needed = r.len() + 1 - o as usize;
+    let mut capacity = 0usize;
+    let (mut len, mut degenerate) = (r.len(), true);
+    for (idx, &t) in r.iter().enumerate() {
+        let c = classes.class_of(t);
+        counts[c] += 1;
+        if counts[c] >= c {
+            capacity += 1;
+        }
+        if o > 0 && capacity >= needed {
+            (len, degenerate) = (idx + 1, false);
+            break;
+        }
     }
+    let base = tokens.len();
+    tokens.resize(base + len, 0);
+    let mut next = [0usize; 64];
+    let mut end = base;
+    for c in 1..classes.m() {
+        next[c] = end;
+        end += counts[c];
+        ends.push(u32::try_from(end).expect("prefix arena exceeds u32 offsets"));
+    }
+    for &t in &r[..len] {
+        let c = classes.class_of(t);
+        tokens[next[c]] = t;
+        next[c] += 1;
+    }
+    Some((len, degenerate))
 }
 
 /// Calls `f` once per `k`-combination of `tokens` (ascending index
@@ -201,22 +224,53 @@ pub fn signature_hash(combo: &[u32]) -> u64 {
     h.finish()
 }
 
-/// The k-wise signature index: per class `k`, a map from signature hash to
-/// the posting list of record ids. Hash collisions can only add
-/// candidates, never lose results.
+/// One record's fixed-size entry in [`PkwiseIndex`].
+#[derive(Clone, Copy, Debug)]
+struct RecordHead {
+    /// `|x|`.
+    len: u32,
+    /// Prefix length `p_x` of an indexed record; 0 for a record that is
+    /// never probed (it cannot match, or it is on the always-candidate
+    /// list), whose arena block is empty.
+    prefix_len: u32,
+    /// Rank of the last prefix token, `x[p_x − 1]` (indexed records).
+    last_rank: u32,
+    /// Start of the record's prefix tokens in the arena.
+    offset: u32,
+}
+
+/// The k-wise signature index over flat arrays: what a probe and a chain
+/// check read, with no per-record or per-signature heap block.
+///
+/// * **Record headers**: one fixed 16-byte header per record (length,
+///   prefix length, last prefix rank, arena offset).
+/// * **Prefix arena**: every indexed record's prefix tokens, record
+///   after record, grouped by class within a record (ascending within a
+///   class), with CSR offsets over (record, class): class `c` of record
+///   `x` is `tokens[offsets[x(m−1) + c − 1]..offsets[x(m−1) + c]]`.
+/// * **Postings**: one id arena; per class `k` a map from signature hash
+///   to that signature's `[start, end)` range in it (ids ascending).
+///   Built in one pass: collect `(signature, id)` pairs, sort, group;
+///   lists sit in the arena in order of their smallest id.
+///
+/// Hash collisions can only add candidates, never lose results.
 pub struct PkwiseIndex {
     classes: ClassMap,
     threshold: Threshold,
-    /// `maps[k − 1]`: class-`k` signature postings.
-    maps: Vec<FxHashMap<u64, Vec<u32>>>,
+    heads: Vec<RecordHead>,
+    /// Class-grouped prefix tokens of every indexed record.
+    tokens: Vec<u32>,
+    /// `n(m − 1) + 1` CSR offsets into `tokens` over (record, class).
+    offsets: Vec<u32>,
+    /// `postings[k − 1]`: class-`k` signature → range of `ids`.
+    postings: Vec<FxHashMap<u64, (u32, u32)>>,
+    /// Every posting list, in order of their smallest id.
+    ids: Vec<u32>,
     /// Ids with no signature guarantee (tiny/degenerate records); always
     /// candidates, subject to the length filter.
     degenerate: Vec<u32>,
-    /// Per-record prefixes (box values are computed from these).
-    prefixes: Vec<Option<Prefix>>,
-    /// Records whose class enumeration exceeded the internal combo cap fall
-    /// back to the degenerate list for that class only if they have no
-    /// other signatures; tracked for stats.
+    /// Records demoted to the always-candidate list because one class's
+    /// enumeration exceeded the internal combo cap.
     pub capped_records: usize,
 }
 
@@ -228,55 +282,100 @@ impl PkwiseIndex {
     /// Builds the index over sorted rank records.
     pub fn build(records: &[Vec<u32>], classes: ClassMap, threshold: Threshold) -> Self {
         let m = classes.m();
-        let mut maps: Vec<FxHashMap<u64, Vec<u32>>> =
-            (0..m - 1).map(|_| FxHashMap::default()).collect();
+        let mut heads = Vec::with_capacity(records.len());
+        let mut tokens = Vec::new();
+        let mut offsets = Vec::with_capacity(records.len() * (m - 1) + 1);
+        offsets.push(0u32);
+        let mut pairs: Vec<Vec<(u64, u32)>> = vec![Vec::new(); m - 1];
         let mut degenerate = Vec::new();
-        let mut prefixes = Vec::with_capacity(records.len());
         let mut capped_records = 0usize;
         for (id, r) in records.iter().enumerate() {
+            let id = u32::try_from(id).expect("record ids fit in u32");
+            let (base, row) = (tokens.len(), offsets.len());
             let o = threshold.min_overlap_single(r.len());
-            let Some(p) = compute_prefix(r, &classes, o) else {
-                prefixes.push(None);
-                continue;
-            };
-            let id = id as u32;
-            if p.degenerate {
-                degenerate.push(id);
-                prefixes.push(Some(p));
-                continue;
-            }
-            let mut too_big = false;
-            for k in 1..m {
-                if combination_count(p.count(k), k) > Self::COMBO_CAP {
-                    too_big = true;
-                    break;
+            let prefix = push_prefix(r, &classes, o, &mut tokens, &mut offsets);
+            // Class k of this record: tokens[offsets[row + k − 2]..offsets[row + k − 1]].
+            let class = |k: usize| offsets[row + k - 2] as usize..offsets[row + k - 1] as usize;
+            let indexed = match prefix {
+                None => false,
+                Some((_, true)) => {
+                    degenerate.push(id);
+                    false
                 }
-            }
-            if too_big {
-                capped_records += 1;
-                degenerate.push(id);
-                prefixes.push(Some(p));
-                continue;
-            }
-            for k in 1..m {
-                let toks = &p.grouped[k - 1];
-                if toks.len() >= k {
-                    for_each_combination(toks, k, &mut |combo| {
-                        maps[k - 1]
-                            .entry(signature_hash(combo))
-                            .or_default()
-                            .push(id);
+                Some(_) => {
+                    let capped =
+                        (1..m).any(|k| combination_count(class(k).len(), k) > Self::COMBO_CAP);
+                    if capped {
+                        capped_records += 1;
+                        degenerate.push(id);
+                    }
+                    !capped
+                }
+            };
+            if indexed {
+                for (k, class_pairs) in (1..m).zip(pairs.iter_mut()) {
+                    for_each_combination(&tokens[class(k)], k, &mut |combo| {
+                        class_pairs.push((signature_hash(combo), id));
                     });
                 }
+            } else {
+                // Never probed: keep the header, drop the prefix.
+                tokens.truncate(base);
+                offsets.truncate(row);
+                offsets.resize(row + m - 1, base as u32);
             }
-            prefixes.push(Some(p));
+            let prefix_len = tokens.len() - base;
+            heads.push(RecordHead {
+                len: u32::try_from(r.len()).expect("record length fits in u32"),
+                prefix_len: prefix_len as u32,
+                last_rank: if indexed { r[prefix_len - 1] } else { 0 },
+                offset: base as u32,
+            });
         }
+        // (signature, id) order: each signature's ids ascending.
+        for class_pairs in &mut pairs {
+            class_pairs.sort_unstable();
+        }
+        fn runs(class_pairs: &[(u64, u32)]) -> impl Iterator<Item = &[(u64, u32)]> + '_ {
+            class_pairs.chunk_by(|a, b| a.0 == b.0)
+        }
+        // Lists are laid out by their smallest id, every class together:
+        // a query resembling record x reads the lists x posted first side
+        // by side (a counting sort of the runs by first id).
+        let mut next = vec![0u32; records.len() + 1];
+        for run in pairs.iter().flat_map(|p| runs(p)) {
+            next[run[0].1 as usize + 1] += run.len() as u32;
+        }
+        for i in 1..next.len() {
+            next[i] += next[i - 1];
+        }
+        let mut ids = vec![0u32; next[records.len()] as usize];
+        let postings = pairs
+            .iter()
+            .map(|class_pairs| {
+                let mut map = FxHashMap::default();
+                map.reserve(runs(class_pairs).count());
+                for run in runs(class_pairs) {
+                    let start = &mut next[run[0].1 as usize];
+                    let range = *start as usize..*start as usize + run.len();
+                    for (slot, &(_, id)) in ids[range.clone()].iter_mut().zip(run) {
+                        *slot = id;
+                    }
+                    *start += run.len() as u32;
+                    map.insert(run[0].0, (range.start as u32, range.end as u32));
+                }
+                map
+            })
+            .collect();
         PkwiseIndex {
             classes,
             threshold,
-            maps,
+            heads,
+            tokens,
+            offsets,
+            postings,
+            ids,
             degenerate,
-            prefixes,
             capped_records,
         }
     }
@@ -296,14 +395,53 @@ impl PkwiseIndex {
         &self.degenerate
     }
 
-    /// Record `id`'s prefix (`None` when the record can never match).
-    pub fn prefix(&self, id: u32) -> Option<&Prefix> {
-        self.prefixes[id as usize].as_ref()
+    /// Record `id`'s header.
+    #[inline]
+    fn head(&self, id: u32) -> RecordHead {
+        self.heads[id as usize]
     }
 
-    /// Probes class `k` with a signature hash.
-    pub fn lookup(&self, k: usize, sig: u64) -> Option<&[u32]> {
-        self.maps[k - 1].get(&sig).map(|v| v.as_slice())
+    /// The class-`c` prefix tokens of record `id`, ascending (empty for
+    /// a record that is never probed).
+    #[inline]
+    pub(crate) fn class_tokens(&self, id: u32, c: usize) -> &[u32] {
+        let row = id as usize * (self.classes.m() - 1) + c;
+        &self.tokens[self.offsets[row - 1] as usize..self.offsets[row] as usize]
+    }
+
+    /// Probes class `k` with a signature hash: the ascending ids posted
+    /// under it (empty when none).
+    #[inline]
+    pub fn lookup(&self, k: usize, sig: u64) -> &[u32] {
+        match self.postings[k - 1].get(&sig) {
+            Some(&(start, end)) => &self.ids[start as usize..end as usize],
+            None => &[],
+        }
+    }
+
+    /// The upper bound `b̂₀ ≥ b₀` on the suffix box of indexed record
+    /// `id` against a query of `q_len` tokens whose sorted prefix is
+    /// `q_prefix` (non-empty). Proved in the `ring` module docs:
+    ///
+    /// * `r_x ≤ r_q`: `min(|x_suf|, |q_suf| + #{t ∈ q_pre : t > r_x})`;
+    /// * `r_x > r_q`: `min(|q_suf|, |x_suf| + #{t ∈ x_pre : t > r_q})`,
+    ///   below `t₀ = |q_suf| + 1`.
+    pub fn suffix_box_bound(&self, id: u32, q_len: usize, q_prefix: &[u32]) -> u32 {
+        let head = self.head(id);
+        let xs = head.len - head.prefix_len;
+        let qs = (q_len - q_prefix.len()) as u32;
+        let r_q = q_prefix[q_prefix.len() - 1];
+        if head.last_rank <= r_q {
+            let cross = q_prefix.len() - q_prefix.partition_point(|&t| t <= head.last_rank);
+            xs.min(qs + cross as u32)
+        } else if xs >= qs {
+            qs
+        } else {
+            let start = head.offset as usize;
+            let x_prefix = &self.tokens[start..start + head.prefix_len as usize];
+            let cross = x_prefix.iter().filter(|&&t| t > r_q).count();
+            qs.min(xs + cross as u32)
+        }
     }
 }
 
@@ -361,6 +499,12 @@ mod tests {
         assert_eq!(cap, 3);
         // Minimality: one token fewer must be below target.
         assert!(p.len >= 3);
+        // The grouping holds exactly the prefix tokens, by class.
+        for c in 1..3 {
+            assert!(p.class(c).iter().all(|&t| classes.class_of(t) == c));
+            assert!(p.class(c).windows(2).all(|w| w[0] < w[1]));
+        }
+        assert_eq!(p.count(1) + p.count(2), p.len);
     }
 
     #[test]
@@ -374,6 +518,10 @@ mod tests {
         let classes = ClassMap::explicit(5, vec![4, 4]);
         let p = compute_prefix(&[0, 1], &classes, 1).unwrap();
         assert!(p.degenerate);
+        assert_eq!((p.len, p.class(4)), (2, &[0, 1][..]));
+        // o = 0 admits everything: the whole set, degenerate.
+        let p = compute_prefix(&[0, 1], &classes, 0).unwrap();
+        assert!(p.degenerate && p.len == 2);
     }
 
     #[test]
@@ -408,18 +556,27 @@ mod tests {
         let classes = ClassMap::hashed(3);
         let records = vec![
             (0..10u32).collect::<Vec<_>>(),
+            vec![0, 1],
             (5..15u32).collect::<Vec<_>>(),
         ];
-        let idx = PkwiseIndex::build(&records, classes, Threshold::Overlap(8));
-        // Both records must carry prefixes.
-        assert!(idx.prefix(0).is_some());
-        assert!(idx.prefix(1).is_some());
-        // A signature of record 0's class-1 prefix token must hit.
-        let p0 = idx.prefix(0).unwrap();
-        let c1 = &p0.grouped[0];
-        if !c1.is_empty() {
-            let sig = signature_hash(&c1[..1]);
-            assert!(idx.lookup(1, sig).is_some_and(|ids| ids.contains(&0)));
+        let idx = PkwiseIndex::build(&records, classes.clone(), Threshold::Overlap(8));
+        // Record 1 can never reach overlap 8: header only, empty block.
+        assert_eq!((idx.head(1).len, idx.head(1).prefix_len), (2, 0));
+        assert!(idx.class_tokens(1, 1).is_empty() && idx.class_tokens(1, 2).is_empty());
+        for id in [0u32, 2] {
+            let r = &records[id as usize];
+            let p = compute_prefix(r, &classes, 8).unwrap();
+            let head = idx.head(id);
+            assert_eq!(head.prefix_len as usize, p.len);
+            assert_eq!(head.last_rank, r[p.len - 1]);
+            for c in 1..3 {
+                assert_eq!(idx.class_tokens(id, c), p.class(c), "id={id} c={c}");
+            }
+            // Every class-1 prefix token is a 1-wise signature hitting id.
+            for &t in p.class(1) {
+                assert!(idx.lookup(1, signature_hash(&[t])).contains(&id));
+            }
         }
+        assert!(idx.lookup(1, signature_hash(&[99])).is_empty());
     }
 }

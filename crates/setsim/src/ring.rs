@@ -1,30 +1,63 @@
 //! The pigeonring set-similarity engine (§6.2); pkwise at `l = 1`.
 //!
-//! Filtering instance: boxes `b₀ = ` suffix overlap, `b_i = |x_i ∩ q_i|`
-//! (class-`i` tokens in the two prefixes), `D(τ) = τ`; `‖B‖₁` equals the
-//! overlap exactly, so the instance is complete and tight — except that,
-//! per the paper's implementation remark, a chain that would need `b₀` is
-//! short-circuited to direct verification (trading tightness for speed).
+//! Filtering instance: `m` boxes on a ring. For a class `c ≥ 1`,
+//! `b_c = |x_c ∩ q_c|` is the overlap of the class-`c` prefix tokens; the
+//! suffix box `b₀ = |x ∩ q| − Σ_c b_c` is the overlap the two prefixes do
+//! not both hold. `‖B‖₁ = |x ∩ q|` exactly and `D(τ) = τ`.
 //!
 //! Thresholds (variable allocation + integer reduction, `≥` direction,
 //! `‖T‖₁ = o(q) + m − 1`):
 //!
-//! * `t₀ = |q| − p_q + 1` — above the largest *pure suffix* overlap, but
-//!   NOT above `b₀` in general: `b₀` also absorbs cross overlap (tokens in
-//!   one side's prefix and the other's suffix), so a witness chain *can*
-//!   start at the suffix box. Signature probes reach only class starts, so
-//!   after a failed class-start chain the engine re-checks the start-0
-//!   chain with an upper bound for `b₀` (conservative in the `≥`
-//!   direction) before ruling a record out;
+//! * `t₀ = |q| − p_q + 1`, one more than the query's suffix;
 //! * `t_k = k` when `cnt(q, p_q, k) ≥ k`, else `cnt(q, p_q, k) + 1` —
 //!   unreachable in the second case, so a viable class box is exactly a
 //!   shared k-wise signature and every viable class start is enumerated.
+//!
+//! # The suffix box is bounded, not computed
+//!
+//! `b₀` would need the whole overlap, so the chain check reads an upper
+//! bound `b̂₀ ≥ b₀` from the positions of the two prefix ends. Let `r_x`,
+//! `r_q` be the ranks of the last prefix tokens of `x` and `q`; `x_pre`
+//! is the tokens of `x` up to `r_x` and `x_suf` the tokens after it
+//! (likewise for `q`). A common token lies outside `x_pre ∩ q_pre` iff it
+//! is in `x_suf` or in `q_suf`, so `b₀ = |x_suf ∩ q| + |x_pre ∩ q_suf|`.
+//!
+//! * `r_x ≤ r_q`: every `x_pre` token is `≤ r_q`, so `x_pre ∩ q_suf = ∅`
+//!   and `b₀ = |x_suf ∩ q|`. Tokens of `x_suf` exceed `r_x`, so they can
+//!   meet only `q_suf` or the `q_pre` tokens above `r_x`:
+//!   `b₀ ≤ min(|x_suf|, |q_suf| + #{t ∈ q_pre : t > r_x})`.
+//! * `r_x > r_q`: every `x_suf` token exceeds `r_q`, so both terms lie in
+//!   `q_suf`: `b₀ = |x ∩ q_suf| ≤ min(|q_suf|, |x_suf| + #{t ∈ x_pre :
+//!   t > r_q})`. This is below `t₀ = |q_suf| + 1`: no chain starts at
+//!   `b₀`.
+//!
+//! ([`PkwiseIndex::suffix_box_bound`] computes it; the property tests
+//! pin `b̂₀ ≥ b₀` on adversarial pairs.)
+//!
+//! # Chains, and why they stay complete
+//!
+//! Every chain runs its full length `l` around the ring — through ring
+//! position 0, reading `b̂₀`, when it wraps. A signature hit on class `k`
+//! starts the chain at `k`; when it fails at prefix length `l'`,
+//! Corollary 2 rules out starts `k … k + l' − 1` (mod `m`) for that
+//! record. After a failed class-start chain the start-0 chain is checked
+//! too, since signature probes reach only class starts.
+//!
+//! Raising a box can only make a `≥` chain more viable, so with
+//! `B̂ = (b̂₀, b₁, …)` ≥ `B` every chain prefix-viable under `B` is
+//! prefix-viable under `B̂`. A result has one under `B` (Theorem 7). Its
+//! start box is viable on its own: a class start `k` shares `t_k = k`
+//! class-`k` prefix tokens with the query, i.e. a k-wise signature the
+//! probe finds; start 0 is checked for every probed record; and by the
+//! pkwise guarantee every result is probed. Corollary 2 holds for any
+//! box values, `B̂` included, so skipped starts lose nothing.
 
 use crate::pkwise::{
     combination_count, compute_prefix, for_each_combination, signature_hash, ClassMap, PkwiseIndex,
     Prefix,
 };
 use crate::types::{overlap, overlap_at_least, Collection, Threshold};
+use pigeonring_core::scratch::EpochScratch;
 use pigeonring_core::viability::{check_prefix_viable_lazy, Direction, ThresholdScheme};
 
 /// Per-query counters for the set-similarity engines.
@@ -38,8 +71,9 @@ pub struct SetStats {
     pub sig_probes: usize,
     /// Signature hits (viable boxes, `|V|`).
     pub viable_boxes: usize,
-    /// Box evaluations in the second step (`C_C2` proxy; cache hits in
-    /// the [`SetScratch`] box-value cache do not count).
+    /// Box evaluations in the second step (`C_C2` proxy): class
+    /// overlaps merged and suffix-box bounds computed. Cache hits in the
+    /// [`SetScratch`] box-value cache do not count.
     pub boxes_checked: usize,
     /// Chain checks skipped via Corollary 2.
     pub skipped_by_corollary2: usize,
@@ -98,44 +132,47 @@ impl SetPlan {
     }
 }
 
-/// Per-thread mutable query state for [`RingSetSim`]: the epoch-stamped
-/// candidate dedup array, the Corollary-2 ruled-start bitmasks, and the
-/// per-record *box-value cache*.
+/// Per-thread mutable query state for [`RingSetSim`], epoch-stamped so
+/// nothing is cleared between queries:
 ///
-/// The cache memoizes class overlaps `b_c = |x_c ∩ q_c|` per `(record,
-/// class)` within one query: a record reached by several signature
-/// probes — and in particular the start-0 suffix-box fallback chain that
-/// re-checks a record after a failed signature-start chain — reuses the
-/// overlaps already computed instead of re-merging the class lists.
-/// `Default` yields an empty scratch that lazily sizes itself on first
-/// use.
+/// * `accepted` (in the core [`EpochScratch`]) — the candidate dedup
+///   stamps, the only per-record state the `l = 1` path reads;
+/// * one *slot* of `m + 3` words per record, which a chain check reads
+///   and writes as one block: the epoch stamp that validates the rest,
+///   the record's Corollary-2 ruled-start bits (two words), and its
+///   *box-value cache* — box `j` (the class overlap `b_j`, or `b̂₀` for
+///   `j = 0`) is computed at most once per query, however many chains
+///   (signature starts, the start-0 check) read it.
+///
+/// The core's own ruled-start arrays go unused: the bits live in the
+/// slot, beside the box values. `Default` yields an empty scratch that
+/// lazily sizes itself on first use.
 #[derive(Clone, Debug, Default)]
 pub struct SetScratch {
-    /// The shared epoch-stamped dedup/ruled-start core.
-    inner: pigeonring_core::scratch::EpochScratch,
-    /// Epoch stamp of each record's cached box values.
-    box_epoch: Vec<u32>,
-    /// Bit `c` set ⇔ class `c`'s overlap is cached for this record.
-    box_mask: Vec<u64>,
-    /// Flattened `n × (m − 1)` cache of class overlaps.
-    box_vals: Vec<u32>,
-    /// Box count the cache was sized for.
-    m: usize,
+    /// The epoch and the `accepted` stamps.
+    inner: EpochScratch,
+    /// `n` slots of `SLOT_HEAD + m` words.
+    slots: Vec<u32>,
     /// Reused dedup buffer for raw-query ranking in the planning path.
     pub(crate) rank_buf: Vec<u32>,
 }
+
+/// Words of a slot before its box values: the epoch stamp, then the low
+/// and high halves of the ruled-start bits.
+const SLOT_HEAD: usize = 3;
+
+/// A cached box value not yet computed this query (box values are at most
+/// `|x| < u32::MAX`).
+const UNSET: u32 = u32::MAX;
 
 impl SetScratch {
     fn next_epoch(&mut self, n: usize, m: usize) -> u32 {
         let epoch = self.inner.next_epoch(n);
         // `next_epoch` returns 1 exactly when the core stamps were
-        // (re)initialized (first use, resize, wrap-around); mirror that
-        // reset — and any `m` change — in the box cache.
-        if epoch == 1 || self.m != m {
-            self.box_epoch = vec![0; n];
-            self.box_mask = vec![0; n];
-            self.box_vals = vec![0; n * m.saturating_sub(1)];
-            self.m = m;
+        // (re)initialized (first use, resize, wrap-around): the slot
+        // stamps restart with them.
+        if epoch == 1 || self.slots.len() != n * (SLOT_HEAD + m) {
+            self.slots = vec![0; n * (SLOT_HEAD + m)];
         }
         epoch
     }
@@ -273,7 +310,7 @@ impl RingSetSim {
         let mut sigs: Vec<(u8, u64)> = Vec::new();
         let mut sig_probes = 0usize;
         for k in 1..m {
-            let toks = &qp.grouped[k - 1];
+            let toks = qp.class(k);
             if toks.len() < k {
                 continue;
             }
@@ -343,6 +380,10 @@ impl RingSetSim {
         let epoch = scratch.next_epoch(self.collection.len(), m);
         let threshold = self.threshold;
         let q = plan.ranked();
+        let index = &self.index;
+        // The length filter reads the collection, not the index header:
+        // verification reads the same line next.
+        let records = self.collection.records();
 
         let Some(qp) = &plan.prefix else {
             return (Vec::new(), stats); // no record can reach the overlap
@@ -351,150 +392,80 @@ impl RingSetSim {
         if qp.degenerate {
             // No signature guarantee from the query side: every
             // size-compatible record is a candidate (rare tiny-set path).
-            for (id, x) in self.collection.records().iter().enumerate() {
+            for (id, x) in records.iter().enumerate() {
                 if threshold.size_compatible(x.len(), q.len()) {
                     cands.push(id as u32);
                 }
             }
-        } else {
-            let scheme = plan
-                .scheme
-                .as_ref()
-                .expect("non-degenerate plan carries a threshold scheme");
-
-            let collection = &self.collection;
-            let index = &self.index;
-            let SetScratch {
-                ref mut inner,
-                ref mut box_epoch,
-                ref mut box_mask,
-                ref mut box_vals,
-                ..
-            } = *scratch;
-            let pigeonring_core::scratch::EpochScratch {
-                ref mut accepted,
-                ref mut ruled_epoch,
-                ref mut ruled_mask,
-                ..
-            } = *inner;
-
-            for &(k8, sig) in &plan.sigs {
-                let k = k8 as usize;
+            stats.candidates = cands.len();
+            return (cands, stats);
+        }
+        let scheme = plan
+            .scheme
+            .as_ref()
+            .expect("non-degenerate plan carries a threshold scheme");
+        let q_prefix = &q[..qp.len];
+        let SetScratch {
+            ref mut inner,
+            ref mut slots,
+            ..
+        } = *scratch;
+        let accepted = &mut inner.accepted;
+        let stride = SLOT_HEAD + m;
+        for &(k8, sig) in &plan.sigs {
+            let k = k8 as usize;
+            for &id in index.lookup(k, sig) {
+                stats.viable_boxes += 1;
+                let idu = id as usize;
+                if accepted[idu] == epoch || !threshold.size_compatible(records[idu].len(), q.len())
                 {
-                    let Some(ids) = index.lookup(k, sig) else {
+                    continue;
+                }
+                if l > 1 {
+                    let slot = &mut slots[idu * stride..(idu + 1) * stride];
+                    if slot[0] != epoch {
+                        slot[..SLOT_HEAD].copy_from_slice(&[epoch, 0, 0]);
+                        slot[SLOT_HEAD..].fill(UNSET);
+                    }
+                    let (state, vals) = slot.split_at_mut(SLOT_HEAD);
+                    let mut ruled = u64::from(state[1]) | u64::from(state[2]) << 32;
+                    if (ruled >> k) & 1 == 1 {
+                        stats.skipped_by_corollary2 += 1;
                         continue;
+                    }
+                    let mut box_value = |c: usize| {
+                        if vals[c] == UNSET {
+                            stats.boxes_checked += 1;
+                            vals[c] = if c == 0 {
+                                index.suffix_box_bound(id, q.len(), q_prefix)
+                            } else {
+                                overlap(index.class_tokens(id, c), qp.class(c))
+                            };
+                        }
+                        i64::from(vals[c])
                     };
-                    for &id in ids {
-                        stats.viable_boxes += 1;
-                        let idu = id as usize;
-                        if accepted[idu] == epoch {
-                            continue;
-                        }
-                        let x = &collection.records()[idu];
-                        if !threshold.size_compatible(x.len(), q.len()) {
-                            continue;
-                        }
-                        if ruled_epoch[idu] == epoch && (ruled_mask[idu] >> k) & 1 == 1 {
-                            stats.skipped_by_corollary2 += 1;
-                            continue;
-                        }
-                        if l == 1 {
-                            accepted[idu] = epoch;
-                            cands.push(id);
-                            continue;
-                        }
-                        // Chain from class k; truncate before the suffix
-                        // box (a chain reaching b₀ verifies directly).
-                        let span = l.min(m - k);
-                        let xp = index.prefix(id).expect("indexed record has a prefix");
-                        let check = check_prefix_viable_lazy(scheme, Direction::Ge, k, span, |j| {
-                            let c = j % m;
-                            debug_assert!(c >= 1);
-                            cached_class_overlap(
-                                xp,
-                                qp,
-                                c,
-                                idu,
-                                epoch,
-                                m,
-                                box_epoch,
-                                box_mask,
-                                box_vals,
-                                &mut stats.boxes_checked,
-                            ) as i64
-                        });
-                        match check {
-                            Ok(()) => {
-                                accepted[idu] = epoch;
-                                cands.push(id);
-                            }
-                            Err(l_fail) => {
-                                if ruled_epoch[idu] != epoch {
-                                    ruled_epoch[idu] = epoch;
-                                    ruled_mask[idu] = 0;
-                                }
-                                for off in 0..l_fail {
-                                    ruled_mask[idu] |= 1u64 << (k + off);
-                                }
-                                // Theorem 7's witness chain may start at the
-                                // suffix box b₀, which signature probes never
-                                // reach: b₀ absorbs the *cross* overlap
-                                // (prefix-of-one ∩ suffix-of-the-other), so it
-                                // can exceed t₀ even though the pure suffix
-                                // overlap cannot. Check the start-0 chain with
-                                // a conservative upper bound for b₀ (sound in
-                                // the ≥ direction); memoize failure in bit 0.
-                                if ruled_mask[idu] & 1 == 0 {
-                                    let b0_ub =
-                                        (x.len() - xp.len) as i64 + (q.len() - qp.len) as i64;
-                                    let c0 = check_prefix_viable_lazy(
-                                        scheme,
-                                        Direction::Ge,
-                                        0,
-                                        l,
-                                        |j| {
-                                            if j == 0 {
-                                                b0_ub
-                                            } else {
-                                                cached_class_overlap(
-                                                    xp,
-                                                    qp,
-                                                    j,
-                                                    idu,
-                                                    epoch,
-                                                    m,
-                                                    box_epoch,
-                                                    box_mask,
-                                                    box_vals,
-                                                    &mut stats.boxes_checked,
-                                                )
-                                                    as i64
-                                            }
-                                        },
-                                    );
-                                    match c0 {
-                                        Ok(()) => {
-                                            accepted[idu] = epoch;
-                                            cands.push(id);
-                                        }
-                                        Err(_) => ruled_mask[idu] |= 1,
-                                    }
-                                }
-                            }
-                        }
+                    // Signature probes never reach a chain that starts at
+                    // the suffix box: after the class start fails, check
+                    // start 0 unless Corollary 2 has already ruled it out.
+                    let viable = chain_from(scheme, k, l, &mut ruled, &mut box_value)
+                        || (ruled & 1 == 0 && chain_from(scheme, 0, l, &mut ruled, &mut box_value));
+                    state[1] = ruled as u32;
+                    state[2] = (ruled >> 32) as u32;
+                    if !viable {
+                        continue;
                     }
                 }
+                accepted[idu] = epoch;
+                cands.push(id);
             }
-            // Degenerate records carry no signature guarantee: always
-            // candidates (subject to the length filter).
-            for &id in index.degenerate_ids() {
-                let idu = id as usize;
-                if accepted[idu] != epoch
-                    && threshold.size_compatible(collection.records()[idu].len(), q.len())
-                {
-                    accepted[idu] = epoch;
-                    cands.push(id);
-                }
+        }
+        // Degenerate records carry no signature guarantee: always
+        // candidates (subject to the length filter).
+        for &id in index.degenerate_ids() {
+            let idu = id as usize;
+            if accepted[idu] != epoch && threshold.size_compatible(records[idu].len(), q.len()) {
+                accepted[idu] = epoch;
+                cands.push(id);
             }
         }
 
@@ -503,48 +474,29 @@ impl RingSetSim {
     }
 }
 
-/// `b_c = |x_c ∩ q_c|`: overlap of the class-`c` prefix tokens — the §6.2
-/// remark's "merging two very short lists".
-#[inline]
-fn class_overlap(xp: &Prefix, qp: &Prefix, c: usize) -> u32 {
-    overlap(&xp.grouped[c - 1], &qp.grouped[c - 1])
-}
-
-/// [`class_overlap`] through the per-query `(record, class)` cache in
-/// [`SetScratch`]: only a cache miss merges the class lists (and counts
-/// toward `boxes_checked`); hits — repeated probes of the same record
-/// and the start-0 suffix-box fallback re-check — are free.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "hot path; split borrows of scratch"
-)]
-#[inline]
-fn cached_class_overlap(
-    xp: &Prefix,
-    qp: &Prefix,
-    c: usize,
-    idu: usize,
-    epoch: u32,
-    m: usize,
-    box_epoch: &mut [u32],
-    box_mask: &mut [u64],
-    box_vals: &mut [u32],
-    boxes_checked: &mut usize,
-) -> u32 {
-    let bit = 1u64 << c;
-    if box_epoch[idu] == epoch {
-        if box_mask[idu] & bit != 0 {
-            return box_vals[idu * (m - 1) + (c - 1)];
+/// Checks the chain of length `l` from ring position `start`, reading box
+/// `j` through `box_value` (`j < m`). When it fails at prefix length `l'`,
+/// marks in `ruled` the starts Corollary 2 rules out: `start … start +
+/// l' − 1`, mod `m`.
+fn chain_from(
+    scheme: &ThresholdScheme<i64>,
+    start: usize,
+    l: usize,
+    ruled: &mut u64,
+    box_value: &mut impl FnMut(usize) -> i64,
+) -> bool {
+    let m = scheme.num_boxes();
+    // Ring position `j mod m` for `j < start + l ≤ 2m`, without a division.
+    let wrap = |j: usize| if j < m { j } else { j - m };
+    match check_prefix_viable_lazy(scheme, Direction::Ge, start, l, |j| box_value(wrap(j))) {
+        Ok(()) => true,
+        Err(l_fail) => {
+            for j in start..start + l_fail {
+                *ruled |= 1 << wrap(j);
+            }
+            false
         }
-    } else {
-        box_epoch[idu] = epoch;
-        box_mask[idu] = 0;
     }
-    *boxes_checked += 1;
-    let v = class_overlap(xp, qp, c);
-    box_mask[idu] |= bit;
-    box_vals[idu * (m - 1) + (c - 1)] = v;
-    v
 }
 
 #[cfg(test)]
