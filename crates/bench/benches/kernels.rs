@@ -196,15 +196,16 @@ fn bench_set_kernels(c: &mut Criterion) {
 /// signature probes, then chain checks over the record arena.
 fn bench_setsim_filter(c: &mut Criterion) {
     use pigeonring_datagen::{sample_query_ids, SetConfig};
+    use pigeonring_service::SearchEngine;
     use pigeonring_setsim::{Collection, RingSetSim, SetScratch, Threshold};
-    let coll = Collection::new(SetConfig::dblp_like(20_000).generate());
-    let queries = sample_query_ids(coll.len(), 64, 9);
-    let eng = RingSetSim::build(coll, Threshold::jaccard(0.8), 5);
+    let raw = SetConfig::dblp_like(20_000).generate();
+    let queries = sample_query_ids(raw.len(), 64, 9);
+    let eng = RingSetSim::build(Collection::new(raw.clone()), Threshold::jaccard(0.8), 5);
+    let mut scratch = SetScratch::default();
     let plans: Vec<_> = queries
         .into_iter()
-        .map(|q| eng.plan_query(eng.collection().record(q)))
+        .map(|q| eng.plan(&mut scratch, &raw[q]))
         .collect();
-    let mut scratch = SetScratch::default();
     c.bench_function("setsim/candidates_l2_dblp20k", |b| {
         b.iter(|| {
             plans

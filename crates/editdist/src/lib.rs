@@ -29,13 +29,11 @@ pub mod content;
 pub mod pivotal;
 pub mod qgram;
 pub mod ring;
-pub mod service;
 pub mod verify;
 
 pub use pivotal::{EditStats, Pivotal, PivotalIndex};
 pub use qgram::{GramDictionary, GramOrder, QGramCollection};
-pub use ring::{EditPlan, EditScratch, RingEdit};
-pub use service::EditParams;
+pub use ring::{EditParams, EditPlan, EditScratch, RingEdit};
 
 #[cfg(test)]
 mod paper_examples;

@@ -44,22 +44,6 @@ pub struct EditStats {
     pub skipped_by_corollary2: usize,
 }
 
-impl EditStats {
-    /// Folds `other` into `self`, saturating on overflow (shard
-    /// aggregation in the service layer).
-    pub fn merge(&mut self, other: &Self) {
-        self.cand1 = self.cand1.saturating_add(other.cand1);
-        self.cand2 = self.cand2.saturating_add(other.cand2);
-        self.candidates = self.candidates.saturating_add(other.candidates);
-        self.results = self.results.saturating_add(other.results);
-        self.postings_scanned = self.postings_scanned.saturating_add(other.postings_scanned);
-        self.boxes_checked = self.boxes_checked.saturating_add(other.boxes_checked);
-        self.skipped_by_corollary2 = self
-            .skipped_by_corollary2
-            .saturating_add(other.skipped_by_corollary2);
-    }
-}
-
 /// A viable single box from the first candidate-generation step.
 #[derive(Clone, Copy, Debug)]
 pub struct ViableBox {

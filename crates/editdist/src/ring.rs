@@ -11,38 +11,81 @@
 //! so every true result keeps its prefix-viable chain — completeness is
 //! preserved (and asserted against linear scan in the tests).
 //!
-//! Query execution is split into *plan once, execute per index*: an
+//! Query execution is split into *plan once, execute per index*, and the
+//! engine's `impl SearchEngine` is that split's one implementation: an
 //! [`EditPlan`] carries every query-side structure (interned prefix,
-//! pivotal grams, character masks), computed by [`RingEdit::plan_query`]
-//! and consumed read-only by [`RingEdit::search_with_plan`]. When shards
-//! share one [`GramDictionary`](crate::qgram::GramDictionary), one plan
-//! is valid for every shard — the `pigeonring-service` plan-once path.
+//! pivotal grams, character masks), computed by [`SearchEngine::plan`]
+//! and consumed read-only by [`SearchEngine::search_planned`]. The plan
+//! lives in the gram id space and global frequency order of one
+//! [`GramDictionary`](crate::qgram::GramDictionary), so it is valid for
+//! every shard sharing that dictionary (`ShardedIndex::build_global`
+//! over one corpus-wide dictionary); [`SearchEngine::plans_portable_to`]
+//! enforces it. Verification is exact edit distance, so the merged
+//! result set is identical for any shard count.
+
+use std::sync::Arc;
 
 use crate::content::{char_mask, min_window_bound, window_masks};
 use crate::pivotal::{EditStats, PivotalIndex, ViableBox};
 use crate::qgram::{PositionalGram, QGramCollection};
 use crate::verify::edit_distance_within;
+use pigeonring_core::scratch::EpochScratch;
 use pigeonring_core::viability::{check_prefix_viable_lazy, Direction, ThresholdScheme};
+use pigeonring_service::{MergeStats, SearchEngine};
+
+/// Per-batch parameters for edit-distance search (`τ` is fixed at
+/// index-build time).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EditParams {
+    /// Chain length `l` (clamped to `[1..τ+1]` by the engine).
+    pub l: usize,
+}
+
+impl MergeStats for EditStats {
+    fn merge(&mut self, other: &Self) {
+        self.cand1 = self.cand1.saturating_add(other.cand1);
+        self.cand2 = self.cand2.saturating_add(other.cand2);
+        self.candidates = self.candidates.saturating_add(other.candidates);
+        self.results = self.results.saturating_add(other.results);
+        self.postings_scanned = self.postings_scanned.saturating_add(other.postings_scanned);
+        self.boxes_checked = self.boxes_checked.saturating_add(other.boxes_checked);
+        self.skipped_by_corollary2 = self
+            .skipped_by_corollary2
+            .saturating_add(other.skipped_by_corollary2);
+    }
+
+    fn visit(&self, emit: &mut dyn FnMut(&'static str, u64)) {
+        emit("cand1", self.cand1 as u64);
+        emit("cand2", self.cand2 as u64);
+        emit("candidates", self.candidates as u64);
+        emit("results", self.results as u64);
+        emit("postings_scanned", self.postings_scanned as u64);
+        emit("boxes_checked", self.boxes_checked as u64);
+        emit("skipped_by_corollary2", self.skipped_by_corollary2 as u64);
+    }
+}
 
 /// Per-thread mutable query state for [`RingEdit`]: the shared
 /// epoch-stamped candidate dedup array and Corollary-2 ruled-start
-/// bitmasks ([`pigeonring_core::scratch::EpochScratch`]), plus the
-/// gram-extraction buffer the planning path reuses across queries.
-/// `Default` yields an empty scratch that lazily sizes itself to the
-/// engine's record count on first use.
+/// bitmasks ([`EpochScratch`]), the gram-extraction buffer the planning
+/// path reuses across queries, and the candidate list between filter
+/// and verification. `Default` yields an empty scratch that lazily
+/// sizes itself to the engine's record count on first use.
 #[derive(Clone, Debug, Default)]
 pub struct EditScratch {
     /// Epoch-stamped dedup + Corollary-2 ruled-start core.
-    pub(crate) epochs: pigeonring_core::scratch::EpochScratch,
+    epochs: EpochScratch,
     /// Reused buffer for the query's full extracted gram list (only the
     /// prefix/pivotal selections escape into the [`EditPlan`]).
-    pub(crate) gram_buf: Vec<PositionalGram>,
+    gram_buf: Vec<PositionalGram>,
+    /// Candidates accepted this query, in acceptance order.
+    cands: Vec<u32>,
 }
 
 /// The query-side plan for one edit-distance query: everything that
 /// depends on the query (and the shared gram dictionary) but not on any
 /// particular shard's postings. Computed once by
-/// [`RingEdit::plan_query`]; reusable across shards sharing the query's
+/// [`SearchEngine::plan`]; reusable across shards sharing the query's
 /// dictionary and across chain lengths `l` (nothing here depends on `l`).
 #[derive(Clone, Debug)]
 pub struct EditPlan {
@@ -88,67 +131,20 @@ impl RingEdit {
         &self.index
     }
 
-    /// Computes the query-side plan: gram extraction, interning, prefix
-    /// and pivotal selection, and character masks — the work that is
-    /// identical for every shard sharing this engine's gram dictionary.
-    /// `scratch` only lends its gram buffer; no per-record state is
-    /// touched.
-    pub fn plan_query(&self, scratch: &mut EditScratch, q: &[u8]) -> EditPlan {
-        let (prefix, pivotal, last) = self.index.query_side_with(&mut scratch.gram_buf, q);
-        let kappa = self.index.collection().kappa();
-        let (q_masks, q_piv_masks) = match &pivotal {
-            Some(piv) => (
-                window_masks(q, kappa),
-                piv.iter()
-                    .map(|pg| char_mask(&q[pg.pos as usize..pg.pos as usize + kappa]))
-                    .collect(),
-            ),
-            None => (Vec::new(), Vec::new()),
-        };
-        EditPlan {
-            prefix,
-            pivotal,
-            last,
-            q_masks,
-            q_piv_masks,
-        }
-    }
-
     /// Searches for all strings with `ed(x, q) ≤ τ` using chain length
     /// `l` (clamped to `[1..τ+1]`). Returns ascending ids and statistics.
     /// Takes `&self`, so any number of threads can search one engine
-    /// concurrently, each with its own [`EditScratch`].
+    /// concurrently, each with its own [`EditScratch`]. Plans the query,
+    /// then executes the plan ([`SearchEngine::search_into`]).
     pub fn search_with(
         &self,
         scratch: &mut EditScratch,
         q: &[u8],
         l: usize,
     ) -> (Vec<u32>, EditStats) {
-        let plan = self.plan_query(scratch, q);
-        self.search_with_plan(scratch, &plan, q, l)
-    }
-
-    /// [`RingEdit::search_with`] against a precomputed [`EditPlan`] (the
-    /// plan-once path: one plan serves every shard and every `l`).
-    pub fn search_with_plan(
-        &self,
-        scratch: &mut EditScratch,
-        plan: &EditPlan,
-        q: &[u8],
-        l: usize,
-    ) -> (Vec<u32>, EditStats) {
-        let (cands, mut stats) = self.candidates_with_plan(scratch, plan, q, l);
-        let tau = self.index.tau();
-        let mut results: Vec<u32> = cands
-            .into_iter()
-            .filter(|&id| {
-                edit_distance_within(self.index.collection().string(id as usize), q, tau as u32)
-                    .is_some()
-            })
-            .collect();
-        results.sort_unstable();
-        stats.results = results.len();
-        (results, stats)
+        let mut ids = Vec::new();
+        let stats = self.search_into(scratch, &q.to_vec(), &EditParams { l }, &mut ids);
+        (ids, stats)
     }
 
     /// Candidate generation only (no verification), for timing the
@@ -159,7 +155,7 @@ impl RingEdit {
         q: &[u8],
         l: usize,
     ) -> (Vec<u32>, EditStats) {
-        let plan = self.plan_query(scratch, q);
+        let plan = self.plan(scratch, &q.to_vec());
         self.candidates_with_plan(scratch, &plan, q, l)
     }
 
@@ -174,14 +170,22 @@ impl RingEdit {
         q: &[u8],
         l: usize,
     ) -> (Vec<u32>, EditStats) {
+        let stats = self.filter(scratch, plan, q, l);
+        (scratch.cands.clone(), stats)
+    }
+
+    /// Candidate generation for one planned query: leaves the accepted
+    /// candidates in `scratch.cands` and returns the statistics
+    /// (`results` still zero).
+    fn filter(&self, scratch: &mut EditScratch, plan: &EditPlan, q: &[u8], l: usize) -> EditStats {
         let tau = self.index.tau();
         let m = tau + 1;
         let l = l.clamp(1, m);
         let kappa = self.index.collection().kappa();
         let mut stats = EditStats::default();
-        let epoch = scratch.epochs.next_epoch(self.index.collection().len());
-
-        let mut cands: Vec<u32> = Vec::new();
+        let EditScratch { epochs, cands, .. } = scratch;
+        let epoch = epochs.next_epoch(self.index.collection().len());
+        cands.clear();
 
         if plan.pivotal.is_none() {
             // No pivotal guarantee on the query side (short query or no
@@ -199,12 +203,12 @@ impl RingEdit {
             let q_piv_masks = &plan.q_piv_masks;
 
             let index = &self.index;
-            let pigeonring_core::scratch::EpochScratch {
-                ref mut accepted,
-                ref mut ruled_epoch,
-                ref mut ruled_mask,
+            let EpochScratch {
+                accepted,
+                ruled_epoch,
+                ruled_mask,
                 ..
-            } = scratch.epochs;
+            } = epochs;
             let collection: &QGramCollection = index.collection();
 
             stats.postings_scanned =
@@ -287,7 +291,70 @@ impl RingEdit {
         }
 
         stats.candidates = cands.len();
-        (cands, stats)
+        stats
+    }
+}
+
+impl SearchEngine for RingEdit {
+    type Query = Vec<u8>;
+    type Params = EditParams;
+    type Stats = EditStats;
+    type Scratch = EditScratch;
+    type Plan = EditPlan;
+
+    /// Gram extraction, interning, prefix and pivotal selection, and
+    /// character masks — the work that is identical for every shard
+    /// sharing this engine's gram dictionary. `scratch` only lends its
+    /// gram buffer; no per-record state is touched.
+    fn plan(&self, scratch: &mut EditScratch, query: &Vec<u8>) -> EditPlan {
+        let (prefix, pivotal, last) = self.index.query_side_with(&mut scratch.gram_buf, query);
+        let kappa = self.index.collection().kappa();
+        let (q_masks, q_piv_masks) = match &pivotal {
+            Some(piv) => (
+                window_masks(query, kappa),
+                piv.iter()
+                    .map(|pg| char_mask(&query[pg.pos as usize..pg.pos as usize + kappa]))
+                    .collect(),
+            ),
+            None => (Vec::new(), Vec::new()),
+        };
+        EditPlan {
+            prefix,
+            pivotal,
+            last,
+            q_masks,
+            q_piv_masks,
+        }
+    }
+
+    fn search_planned(
+        &self,
+        scratch: &mut EditScratch,
+        plan: &EditPlan,
+        query: &Vec<u8>,
+        params: &EditParams,
+        out: &mut Vec<u32>,
+    ) -> EditStats {
+        let mut stats = self.filter(scratch, plan, query, params.l);
+        let (strings, tau) = (self.index.collection(), self.index.tau() as u32);
+        let first = out.len();
+        out.extend(
+            scratch.cands.iter().copied().filter(|&id| {
+                edit_distance_within(strings.string(id as usize), query, tau).is_some()
+            }),
+        );
+        out[first..].sort_unstable();
+        stats.results = out.len() - first;
+        stats
+    }
+
+    /// Plans live in one gram dictionary's id space: portable exactly
+    /// between engines sharing that dictionary.
+    fn plans_portable_to(&self, other: &Self) -> bool {
+        Arc::ptr_eq(
+            self.index.collection().dictionary(),
+            other.index.collection().dictionary(),
+        )
     }
 }
 
@@ -395,10 +462,12 @@ mod tests {
         let eng = RingEdit::build(c, 3);
         let mut scratch = EditScratch::default();
         for q in strings.iter().step_by(9) {
-            let plan = eng.plan_query(&mut scratch, q);
+            let plan = eng.plan(&mut scratch, q);
             for l in 1..=4usize {
                 let (fresh, fresh_stats) = eng.search_with(&mut EditScratch::default(), q, l);
-                let (planned, planned_stats) = eng.search_with_plan(&mut scratch, &plan, q, l);
+                let mut planned = Vec::new();
+                let planned_stats =
+                    eng.search_planned(&mut scratch, &plan, q, &EditParams { l }, &mut planned);
                 assert_eq!(planned, fresh, "l={l}");
                 assert_eq!(planned_stats, fresh_stats, "l={l}");
             }

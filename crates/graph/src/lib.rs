@@ -40,7 +40,6 @@ pub mod pars;
 pub mod partition;
 pub mod plan;
 pub mod ring;
-pub mod service;
 pub mod subiso;
 
 pub use ged::{ged, ged_within};
@@ -49,6 +48,5 @@ pub use index::PartIndex;
 pub use pars::{GraphStats, Pars};
 pub use partition::{partition_graph, Part};
 pub use plan::GraphPlan;
-pub use ring::RingGraph;
-pub use service::{GraphParams, GraphScratch};
+pub use ring::{GraphParams, GraphScratch, RingGraph};
 pub use subiso::{embeds, part_embeds, CompiledPart, Mask, MatchScratch, PartArena};

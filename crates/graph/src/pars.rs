@@ -28,17 +28,6 @@ pub struct GraphStats {
     pub boxes_checked: usize,
 }
 
-impl GraphStats {
-    /// Folds `other` into `self`, saturating on overflow (shard
-    /// aggregation in the service layer).
-    pub fn merge(&mut self, other: &Self) {
-        self.candidates = self.candidates.saturating_add(other.candidates);
-        self.results = self.results.saturating_add(other.results);
-        self.subiso_calls = self.subiso_calls.saturating_add(other.subiso_calls);
-        self.boxes_checked = self.boxes_checked.saturating_add(other.boxes_checked);
-    }
-}
-
 /// The Pars baseline engine.
 pub struct Pars {
     index: PartIndex,

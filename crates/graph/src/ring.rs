@@ -17,7 +17,7 @@
 //! still a valid lower bound), and the chain is viable while the running
 //! sum of those values stays within `l' − 1`. That value depends on the
 //! graph and the ring position only, never on the path that reached it,
-//! so [`crate::GraphScratch`] memoizes it per graph: each (graph, ring
+//! so [`GraphScratch`] memoizes it per graph: each (graph, ring
 //! position) is matched at most once per query however many chain
 //! starts reach it ([`crate::neighborhood::box_value`] on the compiled
 //! part, no allocation). `subiso_calls` and `boxes_checked` keep their
@@ -32,14 +32,57 @@
 //! optimization is **not** applied here: each label-feasible embedding
 //! part gets its own chain check — there are at most `τ + 1` per graph,
 //! and with the memo a second chain over the same boxes costs additions.
+//!
+//! The engine's `impl SearchEngine` is its one planned query path. The
+//! plan is a [`GraphPlan`] — label histograms, label-grouped vertices,
+//! incident-label counts and a flat adjacency copy of the query — a
+//! pure function of the query, so one plan serves every shard and every
+//! chain length.
 
 use crate::graph::Graph;
 use crate::index::PartIndex;
 use crate::neighborhood::{box_value, one_op_embeds};
 use crate::pars::GraphStats;
 use crate::plan::GraphPlan;
-use crate::service::GraphScratch;
 use crate::subiso::{search, Mask, MatchScratch};
+use pigeonring_service::{MergeStats, SearchEngine};
+
+/// Per-batch parameters for graph-edit-distance search (`τ` is fixed at
+/// index-build time).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GraphParams {
+    /// Chain length `l` (clamped to `[1..τ+1]` by the engine).
+    pub l: usize,
+}
+
+/// Per-thread scratch of the graph engine: the matcher's mapping/used
+/// buffers, the per-graph box memo of the chain check (module docs) and
+/// the candidate list between filter and verification; with it warm,
+/// filtering allocates nothing. `Default` is empty; buffers grow to the
+/// largest part, query and `τ + 1` seen.
+#[derive(Clone, Debug, Default)]
+pub struct GraphScratch {
+    matcher: MatchScratch,
+    /// Box memo of the graph being filtered, one state per ring position.
+    memo: Vec<u8>,
+    cands: Vec<u32>,
+}
+
+impl MergeStats for GraphStats {
+    fn merge(&mut self, other: &Self) {
+        self.candidates = self.candidates.saturating_add(other.candidates);
+        self.results = self.results.saturating_add(other.results);
+        self.subiso_calls = self.subiso_calls.saturating_add(other.subiso_calls);
+        self.boxes_checked = self.boxes_checked.saturating_add(other.boxes_checked);
+    }
+
+    fn visit(&self, emit: &mut dyn FnMut(&'static str, u64)) {
+        emit("candidates", self.candidates as u64);
+        emit("results", self.results as u64);
+        emit("subiso_calls", self.subiso_calls as u64);
+        emit("boxes_checked", self.boxes_checked as u64);
+    }
+}
 
 // The two-bit boxes, the memo and `box_value` are this cap being 1.
 const _: () = assert!(RingGraph::NEIGHBORHOOD_CAP == 1);
@@ -86,46 +129,24 @@ impl RingGraph {
 
     /// Searches for all graphs with `ged(x, q) ≤ τ` using chain length
     /// `l` (clamped to `[1..τ+1]`). Returns ascending ids and statistics.
+    /// Plans the query, then executes the plan
+    /// ([`SearchEngine::search_into`]) against a fresh scratch.
     pub fn search(&self, q: &Graph, l: usize) -> (Vec<u32>, GraphStats) {
         let mut results = Vec::new();
-        let stats = self.search_with(
+        let stats = self.search_into(
             &mut GraphScratch::default(),
-            &GraphPlan::new(q),
             q,
-            l,
+            &GraphParams { l },
             &mut results,
         );
         (results, stats)
-    }
-
-    /// [`RingGraph::search`] against a caller-owned scratch and plan,
-    /// appending the ascending result ids to `out`.
-    pub fn search_with(
-        &self,
-        scratch: &mut GraphScratch,
-        plan: &GraphPlan,
-        q: &Graph,
-        l: usize,
-        out: &mut Vec<u32>,
-    ) -> GraphStats {
-        let GraphScratch {
-            matcher,
-            memo,
-            cands,
-        } = scratch;
-        cands.clear();
-        let mut stats = self.filter(matcher, memo, plan, l, cands);
-        let before = out.len();
-        self.index.verify(cands, q, out);
-        stats.results = out.len() - before;
-        stats
     }
 
     /// Candidate generation only (no GED verification), for timing the
     /// filter separately (Figure 8's "Cand." series).
     pub fn candidates(&self, q: &Graph, l: usize) -> (Vec<u32>, GraphStats) {
         let mut cands = Vec::new();
-        let stats = self.candidates_with(
+        let stats = self.candidates_with_plan(
             &mut GraphScratch::default(),
             &GraphPlan::new(q),
             l,
@@ -137,7 +158,7 @@ impl RingGraph {
     /// [`RingGraph::candidates`] against a caller-owned scratch and
     /// plan, appending the ascending candidate ids to `out`. Performs no
     /// heap allocation once `scratch` and `out` have grown.
-    pub fn candidates_with(
+    pub fn candidates_with_plan(
         &self,
         scratch: &mut GraphScratch,
         plan: &GraphPlan,
@@ -199,6 +220,40 @@ impl RingGraph {
         }
         out[first..].sort_unstable();
         stats.candidates = out.len() - first;
+        stats
+    }
+}
+
+impl SearchEngine for RingGraph {
+    type Query = Graph;
+    type Params = GraphParams;
+    type Stats = GraphStats;
+    type Scratch = GraphScratch;
+    type Plan = GraphPlan;
+
+    fn plan(&self, _scratch: &mut GraphScratch, query: &Graph) -> GraphPlan {
+        GraphPlan::new(query)
+    }
+
+    fn search_planned(
+        &self,
+        scratch: &mut GraphScratch,
+        plan: &GraphPlan,
+        query: &Graph,
+        params: &GraphParams,
+        out: &mut Vec<u32>,
+    ) -> GraphStats {
+        let GraphScratch {
+            matcher,
+            memo,
+            cands,
+        } = scratch;
+        cands.clear();
+        let mut stats = self.filter(matcher, memo, plan, params.l, cands);
+        let first = out.len();
+        // Candidates are ascending, so the verified range is too.
+        self.index.verify(cands, query, out);
+        stats.results = out.len() - first;
         stats
     }
 }

@@ -1,6 +1,6 @@
 //! The graph filter's query path allocates nothing once its scratch is
 //! warm: every allocation made by this thread is counted by a wrapping
-//! global allocator, and `RingGraph::candidates_with` must add none.
+//! global allocator, and `RingGraph::candidates_with_plan` must add none.
 //!
 //! Kept in a test binary of its own so no other test shares the
 //! allocator (the count is per thread all the same).
@@ -74,7 +74,7 @@ fn warm_candidate_generation_does_not_allocate() {
         for plan in &plans {
             for l in 1..=tau + 1 {
                 out.clear();
-                let stats = ring.candidates_with(&mut scratch, plan, l, out);
+                let stats = ring.candidates_with_plan(&mut scratch, plan, l, out);
                 totals = (totals.0 + stats.candidates, totals.1 + stats.boxes_checked);
             }
         }

@@ -300,7 +300,7 @@ fn scratch_is_reusable_across_engines_and_queries() {
         for q in graphs.iter().step_by(7) {
             let plan = GraphPlan::new(q);
             let mut got = Vec::new();
-            let stats: GraphStats = ring.candidates_with(&mut scratch, &plan, tau, &mut got);
+            let stats: GraphStats = ring.candidates_with_plan(&mut scratch, &plan, tau, &mut got);
             assert_eq!((got, stats), ring.candidates(q, tau), "tau={tau}");
         }
     }

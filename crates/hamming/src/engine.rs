@@ -15,6 +15,13 @@
 //! Accepted objects are deduplicated with an epoch-stamped array (the
 //! "union of candidate sets before verification" the paper measures) and
 //! verified with early-abandoning Hamming distance.
+//!
+//! The engine's `impl SearchEngine` is its one planned query path:
+//! [`SearchEngine::plan`] computes a [`HammingPlan`] once per query and
+//! [`SearchEngine::search_planned`] executes it, so the
+//! `pigeonring-service` sharded layer and the single-engine
+//! conveniences ([`RingHamming::search_with`],
+//! [`RingHamming::candidates_with`]) run the same code.
 
 use std::sync::Arc;
 
@@ -25,6 +32,16 @@ use crate::index::PartIndex;
 use crate::kernels;
 use crate::partition::Partitioning;
 use pigeonring_core::scratch::EpochScratch;
+use pigeonring_service::{MergeStats, SearchEngine};
+
+/// Per-batch parameters for Hamming search.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HammingParams {
+    /// Distance threshold `τ`.
+    pub tau: u32,
+    /// Chain length `l` (clamped to `[1..m]` by the engine).
+    pub l: usize,
+}
 
 /// Per-query search counters, matching the cost terms of §7.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -43,10 +60,8 @@ pub struct SearchStats {
     pub skipped_by_corollary2: usize,
 }
 
-impl SearchStats {
-    /// Folds `other` into `self`, saturating on overflow (shard
-    /// aggregation in the service layer).
-    pub fn merge(&mut self, other: &Self) {
+impl MergeStats for SearchStats {
+    fn merge(&mut self, other: &Self) {
         self.candidates = self.candidates.saturating_add(other.candidates);
         self.results = self.results.saturating_add(other.results);
         self.probes = self.probes.saturating_add(other.probes);
@@ -55,6 +70,15 @@ impl SearchStats {
         self.skipped_by_corollary2 = self
             .skipped_by_corollary2
             .saturating_add(other.skipped_by_corollary2);
+    }
+
+    fn visit(&self, emit: &mut dyn FnMut(&'static str, u64)) {
+        emit("candidates", self.candidates as u64);
+        emit("results", self.results as u64);
+        emit("probes", self.probes as u64);
+        emit("viable_boxes", self.viable_boxes as u64);
+        emit("boxes_checked", self.boxes_checked as u64);
+        emit("skipped_by_corollary2", self.skipped_by_corollary2 as u64);
     }
 }
 
@@ -89,7 +113,7 @@ pub struct HammingScratch {
 /// query's part signatures (the probe centres and the chain check's box
 /// operands) and, under [`AllocationStrategy::CostModel`], its sampled
 /// distance histogram. Computed once per query by
-/// [`RingHamming::plan_query`]; valid for every engine with the same
+/// [`SearchEngine::plan`]; valid for every engine with the same
 /// partitioning and strategy.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HammingPlan {
@@ -220,34 +244,6 @@ impl RingHamming {
         self.index.index_bytes() + self.arena.bytes()
     }
 
-    /// Whether a plan computed by `self` can be executed by `other`:
-    /// same partitioning (signatures and histogram rows line up) and
-    /// same allocation strategy (the histogram is present or absent in
-    /// both).
-    pub fn plans_portable_to(&self, other: &Self) -> bool {
-        self.partitioning == other.partitioning && self.cost.is_some() == other.cost.is_some()
-    }
-
-    /// Computes `q`'s query plan: its part signatures and, under the
-    /// cost-model strategy, its sampled distance histogram — everything
-    /// about a search that depends on neither `τ` nor `l`.
-    ///
-    /// # Panics
-    /// Panics if `q`'s dimensionality differs from the indexed vectors'.
-    pub fn plan_query(&self, q: &BitVector) -> HammingPlan {
-        assert_eq!(
-            q.dims(),
-            self.partitioning.dims(),
-            "query dimensionality mismatch"
-        );
-        let sigs = self.partitioning.signatures(q);
-        let histogram = self
-            .cost
-            .as_ref()
-            .map_or_else(Vec::new, |cost| cost.distance_histogram(&sigs));
-        HammingPlan { sigs, histogram }
-    }
-
     /// Allocates the per-part thresholds for this query
     /// (`Σ t_i = τ − m + 1`).
     fn allocate_into(
@@ -268,7 +264,7 @@ impl RingHamming {
     /// ids (ascending) and the per-query statistics. Takes `&self`, so
     /// any number of threads can search one engine concurrently, each
     /// with its own [`HammingScratch`]. Plans the query, then executes
-    /// the plan.
+    /// the plan ([`SearchEngine::search_into`]).
     pub fn search_with(
         &self,
         scratch: &mut HammingScratch,
@@ -276,42 +272,9 @@ impl RingHamming {
         tau: u32,
         l: usize,
     ) -> (Vec<u32>, SearchStats) {
-        self.search_with_plan(scratch, &self.plan_query(q), q, tau, l)
-    }
-
-    /// [`RingHamming::search_with`] with `q`'s plan precomputed by
-    /// [`RingHamming::plan_query`] on this engine or any engine it is
-    /// [portable](RingHamming::plans_portable_to) from.
-    ///
-    /// # Panics
-    /// Panics if `q`'s dimensionality differs from the indexed vectors'
-    /// or `plan` was computed under a different partitioning.
-    pub fn search_with_plan(
-        &self,
-        scratch: &mut HammingScratch,
-        plan: &HammingPlan,
-        q: &BitVector,
-        tau: u32,
-        l: usize,
-    ) -> (Vec<u32>, SearchStats) {
-        assert_eq!(
-            q.dims(),
-            self.partitioning.dims(),
-            "query dimensionality mismatch"
-        );
-        let mut stats = self.generate(scratch, plan, tau, l);
-        let qwords = q.words();
-        let mut results: Vec<u32> = scratch
-            .cands
-            .iter()
-            .copied()
-            .filter(|&id| {
-                kernels::distance_within(self.arena.record(id as usize), qwords, tau).is_some()
-            })
-            .collect();
-        results.sort_unstable();
-        stats.results = results.len();
-        (results, stats)
+        let mut ids = Vec::new();
+        let stats = self.search_into(scratch, q, &HammingParams { tau, l }, &mut ids);
+        (ids, stats)
     }
 
     /// Candidate generation only (both steps of §7, no verification) —
@@ -324,11 +287,12 @@ impl RingHamming {
         tau: u32,
         l: usize,
     ) -> (Vec<u32>, SearchStats) {
-        self.candidates_with_plan(scratch, &self.plan_query(q), tau, l)
+        let plan = self.plan(scratch, q);
+        self.candidates_with_plan(scratch, &plan, tau, l)
     }
 
     /// [`RingHamming::candidates_with`] with the query's plan
-    /// precomputed (see [`RingHamming::search_with_plan`]).
+    /// precomputed by [`SearchEngine::plan`].
     pub fn candidates_with_plan(
         &self,
         scratch: &mut HammingScratch,
@@ -456,6 +420,69 @@ impl RingHamming {
     }
 }
 
+impl SearchEngine for RingHamming {
+    type Query = BitVector;
+    type Params = HammingParams;
+    type Stats = SearchStats;
+    type Scratch = HammingScratch;
+    /// The query's part signatures and sampled distance histogram —
+    /// independent of `τ` and `l` (per-batch parameters), so one plan
+    /// serves every shard and every parameter setting.
+    type Plan = HammingPlan;
+
+    /// # Panics
+    /// Panics if `query`'s dimensionality differs from the indexed
+    /// vectors'.
+    fn plan(&self, _scratch: &mut HammingScratch, query: &BitVector) -> HammingPlan {
+        assert_eq!(
+            query.dims(),
+            self.partitioning.dims(),
+            "query dimensionality mismatch"
+        );
+        let sigs = self.partitioning.signatures(query);
+        let histogram = self
+            .cost
+            .as_ref()
+            .map_or_else(Vec::new, |cost| cost.distance_histogram(&sigs));
+        HammingPlan { sigs, histogram }
+    }
+
+    /// # Panics
+    /// Panics if `query`'s dimensionality differs from the indexed
+    /// vectors' or `plan` was computed under a different partitioning.
+    fn search_planned(
+        &self,
+        scratch: &mut HammingScratch,
+        plan: &HammingPlan,
+        query: &BitVector,
+        params: &HammingParams,
+        out: &mut Vec<u32>,
+    ) -> SearchStats {
+        assert_eq!(
+            query.dims(),
+            self.partitioning.dims(),
+            "query dimensionality mismatch"
+        );
+        let HammingParams { tau, l } = *params;
+        let mut stats = self.generate(scratch, plan, tau, l);
+        let qwords = query.words();
+        let first = out.len();
+        out.extend(scratch.cands.iter().copied().filter(|&id| {
+            kernels::distance_within(self.arena.record(id as usize), qwords, tau).is_some()
+        }));
+        out[first..].sort_unstable();
+        stats.results = out.len() - first;
+        stats
+    }
+
+    /// Same partitioning (signatures and histogram rows line up) and
+    /// same allocation strategy (the histogram is present or absent in
+    /// both).
+    fn plans_portable_to(&self, other: &Self) -> bool {
+        self.partitioning == other.partitioning && self.cost.is_some() == other.cost.is_some()
+    }
+}
+
 /// Exhaustive reference: verifies every vector. Ground truth for tests and
 /// the verification-cost floor for benchmarks.
 pub struct LinearScan<'a> {
@@ -554,12 +581,14 @@ mod tests {
             let mut scratch = HammingScratch::default();
             for q in [&data[3], &data[20], &BitVector::zeros(64)] {
                 // One plan serves every (τ, l).
-                let plan = ring.plan_query(q);
+                let plan = ring.plan(&mut scratch, q);
                 for tau in [0u32, 4, 9, 70] {
                     for l in 1..=4usize {
                         let direct = ring.search_with(&mut scratch, q, tau, l);
-                        let planned = ring.search_with_plan(&mut scratch, &plan, q, tau, l);
-                        assert_eq!(planned, direct, "tau={tau} l={l}");
+                        let mut ids = Vec::new();
+                        let params = HammingParams { tau, l };
+                        let stats = ring.search_planned(&mut scratch, &plan, q, &params, &mut ids);
+                        assert_eq!((ids, stats), direct, "tau={tau} l={l}");
                         let cands = ring.candidates_with(&mut scratch, q, tau, l);
                         let planned = ring.candidates_with_plan(&mut scratch, &plan, tau, l);
                         assert_eq!(planned, cands, "tau={tau} l={l}");
@@ -591,14 +620,16 @@ mod tests {
         )));
         let mut scratch = HammingScratch::default();
         for q in [&data[5], &data[27]] {
-            let plan = shards[0].plan_query(q);
-            assert_eq!(plan, whole.plan_query(q));
+            let plan = shards[0].plan(&mut scratch, q);
+            assert_eq!(plan, whole.plan(&mut scratch, q));
             for (tau, l) in [(3u32, 2usize), (9, 3), (15, 4)] {
                 let (expect, expect_stats) = whole.search_with(&mut scratch, q, tau, l);
                 let mut got = Vec::new();
                 let mut stats = SearchStats::default();
                 for (shard, base) in shards.iter().zip([0u32, 11]) {
-                    let (ids, s) = shard.search_with_plan(&mut scratch, &plan, q, tau, l);
+                    let mut ids = Vec::new();
+                    let params = HammingParams { tau, l };
+                    let s = shard.search_planned(&mut scratch, &plan, q, &params, &mut ids);
                     got.extend(ids.into_iter().map(|id| id + base));
                     stats.merge(&s);
                 }

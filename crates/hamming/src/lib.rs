@@ -28,13 +28,13 @@ pub mod engine;
 pub mod index;
 pub mod kernels;
 pub mod partition;
-pub mod service;
 
 pub use alloc::{AllocationStrategy, CostModel};
 pub use bitvec::BitVector;
-pub use engine::{HammingPlan, HammingScratch, LinearScan, RingHamming, SearchStats};
+pub use engine::{
+    HammingParams, HammingPlan, HammingScratch, LinearScan, RingHamming, SearchStats,
+};
 pub use partition::Partitioning;
-pub use service::HammingParams;
 
 #[cfg(test)]
 mod paper_examples;

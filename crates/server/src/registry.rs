@@ -364,7 +364,7 @@ impl EngineSet {
     /// Convenience wrapper over [`EngineSet::run_streaming`] for
     /// callers that want the whole batch at once (the in-process
     /// reference path of `repro server-smoke`); responses carry
-    /// [`CONNECTION_REQUEST_ID`](crate::wire::CONNECTION_REQUEST_ID) —
+    /// [`CONNECTION_REQUEST_ID`] —
     /// the server's dispatcher stamps real ids on.
     pub fn run(&self, pool: &WorkerPool, queries: Vec<DomainQuery>) -> Vec<Response> {
         let mut responses: Vec<Option<Response>> = queries.iter().map(|_| None).collect();

@@ -16,8 +16,8 @@
 //!
 //! * **Readiness, not threads**: one reactor thread owns every
 //!   connection — accepting, incrementally decoding frames on
-//!   readable events ([`FrameDecoder`]), and draining per-connection
-//!   write buffers on writable events. Connection count costs file
+//!   readable events ([`FrameDecoder`](crate::wire::FrameDecoder)),
+//!   and draining per-connection write buffers on writable events. Connection count costs file
 //!   descriptors and buffer bytes, never OS threads.
 //! * **Pipelining**: frames are admitted without waiting for replies,
 //!   so many requests per connection are in flight at once; responses
@@ -555,10 +555,6 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Pops weighted-fair micro-batches off the lanes and answers them
-/// until the queue is closed and drained. Several dispatchers run this
-/// loop concurrently; replies carry request ids, so completion order
-/// across batches is free to interleave.
 /// Everything a dispatcher needs to answer (or fail) one slot of a
 /// micro-batch. One struct per slot instead of parallel arrays: the
 /// emit callback reaches all of it through a single checked
@@ -573,6 +569,10 @@ struct SlotState {
     answered: bool,
 }
 
+/// Pops weighted-fair micro-batches off the lanes and answers them
+/// until the queue is closed and drained. Several dispatchers run this
+/// loop concurrently; replies carry request ids, so completion order
+/// across batches is free to interleave.
 fn dispatch_loop(
     queue: &FairQueue<Job>,
     handler: &Handler,

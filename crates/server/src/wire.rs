@@ -1390,8 +1390,9 @@ mod tests {
 
     #[test]
     fn domain_names_round_trip() {
-        for d in Domain::ALL {
+        for (i, d) in Domain::ALL.into_iter().enumerate() {
             assert_eq!(Domain::parse_name(d.as_str()), Some(d));
+            assert_eq!(crate::queue::lane_of(d), i, "{d}: lane is its ALL index");
         }
         assert_eq!(Domain::parse_name("nope"), None);
     }

@@ -1,4 +1,5 @@
-//! The uniform engine interface every domain crate adapts to.
+//! The uniform engine interface every domain crate implements: each
+//! engine's `impl SearchEngine` is its only planned query path.
 
 /// Per-query statistics that can be aggregated across shards.
 ///
@@ -62,9 +63,6 @@ pub trait SearchEngine: Send + Sync + 'static {
     /// length `l`, so one plan also serves parameter sweeps. `()` for
     /// engines whose query side needs no preprocessing.
     type Plan: Send + Sync + 'static;
-
-    /// Number of records indexed by this engine.
-    fn num_records(&self) -> usize;
 
     /// Computes `query`'s plan. Must be a pure function of the query and
     /// the engine's *dictionary* (never its postings), so any shard of a

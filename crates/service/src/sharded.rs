@@ -6,7 +6,7 @@
 //! non-empty shard, and remembers each shard's global ids. At query time
 //! [`ShardedIndex::search_batch_on`] fans the batch out over the caller's
 //! [`WorkerPool`] — one job per shard, each worker reusing its long-lived
-//! [`ScratchStore`](crate::pool::ScratchStore) scratch, so buffers stay
+//! [`ScratchStore`] scratch, so buffers stay
 //! warm across shards *and* batches — then merges per-shard result sets
 //! back into ascending *global* id order and aggregates statistics with
 //! [`MergeStats::merge`].
@@ -456,8 +456,12 @@ impl<E: SearchEngine> ShardedIndex<E> {
             .collect()
     }
 
-    /// Fans one job per shard out to `pool`; each job receives `&Plan`
-    /// references into one `Arc`'d plan set.
+    /// Fans one job per shard out to `pool`, each executing `plans`
+    /// (one `Arc`'d plan set) against its shard, and collects the
+    /// results back into fixed shard order. With a trace context, each
+    /// job opens its `shard` spans on the worker thread — queue wait
+    /// inside the pool shows up as the gap between the `pool` span's
+    /// start and the `shard` span's start.
     ///
     /// Jobs on the persistent pool must be `'static`, so the batch is
     /// cloned into an `Arc` shared by all jobs (queries are cheap to
@@ -473,43 +477,20 @@ impl<E: SearchEngine> ShardedIndex<E> {
     ) -> Vec<ShardBatch<E::Stats>> {
         let batch: Arc<Vec<E::Query>> = Arc::new(batch.to_vec());
         let plans: Arc<Vec<Arc<E::Plan>>> = Arc::new(plans.to_vec());
-        self.fan_out(
-            pool,
-            move |shard, scratch, params| shard.run_batch_planned(scratch, &batch, &plans, params),
-            params,
-            trace,
-        )
-    }
-
-    /// Fan-out skeleton: one job per shard on `pool`, results
-    /// collected back into fixed shard order. With a trace context,
-    /// each job opens its `shard` spans on the worker thread — queue
-    /// wait inside the pool shows up as the gap between the `pool`
-    /// span's start and the `shard` span's start.
-    fn fan_out(
-        &self,
-        pool: &WorkerPool,
-        run: impl Fn(&Shard<E>, &mut E::Scratch, &E::Params) -> ShardBatch<E::Stats>
-            + Clone
-            + Send
-            + Sync
-            + 'static,
-        params: &E::Params,
-        trace: Option<&Arc<ShardTrace>>,
-    ) -> Vec<ShardBatch<E::Stats>> {
         let ns = self.shards.len();
         let (tx, rx) = mpsc::channel::<(usize, ShardBatch<E::Stats>)>();
         for si in 0..ns {
             let shards = Arc::clone(&self.shards);
+            let batch = Arc::clone(&batch);
+            let plans = Arc::clone(&plans);
             let params = params.clone();
             let tx = tx.clone();
-            let run = run.clone();
             let trace = trace.cloned();
             pool.submit(move |store| {
                 let scratch = store.get_mut::<E::Scratch>();
                 let result = shard_spans(trace.as_deref(), si, || {
                     // lint: allow(panic) — si ranges over 0..shards.len()
-                    run(&shards[si], scratch, &params)
+                    shards[si].run_batch_planned(scratch, &batch, &plans, &params)
                 });
                 // The receiver only hangs up on panic-unwind; ignore.
                 let _ = tx.send((si, result));
@@ -606,10 +587,6 @@ mod tests {
         type Scratch = ();
         type Plan = ();
 
-        fn num_records(&self) -> usize {
-            self.values.len()
-        }
-
         fn plan(&self, _scratch: &mut (), _query: &i64) {}
 
         fn search_planned(
@@ -645,10 +622,6 @@ mod tests {
         type Stats = AbsDiffStats;
         type Scratch = ();
         type Plan = i64;
-
-        fn num_records(&self) -> usize {
-            self.inner.num_records()
-        }
 
         fn plan(&self, _scratch: &mut (), query: &i64) -> i64 {
             self.plans_computed.fetch_add(1, Ordering::SeqCst);
@@ -698,10 +671,6 @@ mod tests {
         type Stats = AbsDiffStats;
         type Scratch = ();
         type Plan = ();
-
-        fn num_records(&self) -> usize {
-            self.inner.num_records()
-        }
 
         fn plan(&self, _scratch: &mut (), _query: &i64) {}
 

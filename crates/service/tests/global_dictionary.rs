@@ -38,7 +38,7 @@ use pigeonring_hamming::{
     AllocationStrategy, BitVector, CostModel, HammingParams, HammingPlan, HammingScratch,
     Partitioning, RingHamming, SearchStats,
 };
-use pigeonring_service::{ResultHasher, SearchEngine, ShardedIndex, WorkerPool};
+use pigeonring_service::{MergeStats, ResultHasher, SearchEngine, ShardedIndex, WorkerPool};
 use pigeonring_setsim::{Collection, RingSetSim, SetParams, SetStats, Threshold, TokenDictionary};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
@@ -278,10 +278,6 @@ impl SearchEngine for CountingHamming {
     type Stats = SearchStats;
     type Scratch = HammingScratch;
     type Plan = HammingPlan;
-
-    fn num_records(&self) -> usize {
-        self.inner.num_records()
-    }
 
     fn plan(&self, scratch: &mut HammingScratch, query: &BitVector) -> HammingPlan {
         let plan = self.inner.plan(scratch, query);

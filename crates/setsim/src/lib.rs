@@ -32,14 +32,12 @@ pub mod adapt;
 pub mod partalloc;
 pub mod pkwise;
 pub mod ring;
-pub mod service;
 pub mod types;
 
 pub use adapt::AdaptSearch;
 pub use partalloc::PartAlloc;
 pub use pkwise::{ClassMap, PkwiseIndex};
-pub use ring::{RingSetSim, SetPlan, SetScratch, SetStats};
-pub use service::SetParams;
+pub use ring::{RingSetSim, SetParams, SetPlan, SetScratch, SetStats};
 pub use types::{Collection, LinearScanSets, Threshold, TokenDictionary};
 
 #[cfg(test)]

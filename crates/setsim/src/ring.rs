@@ -51,6 +51,22 @@
 //! probe finds; start 0 is checked for every probed record; and by the
 //! pkwise guarantee every result is probed. Corollary 2 holds for any
 //! box values, `B̂` included, so skipped starts lose nothing.
+//!
+//! # One planned path
+//!
+//! The engine's `impl SearchEngine` is its one planned query path, and
+//! its queries are **raw token sets** (arbitrary `u32` token ids, as fed
+//! to [`Collection::new`]), not rank arrays. [`SearchEngine::plan`] ranks
+//! the raw query through the collection's
+//! [`TokenDictionary`](crate::types::TokenDictionary) and enumerates its
+//! k-wise signatures once into a [`SetPlan`]; every shard probes with
+//! those signatures, so all shards must share one rank space
+//! (`ShardedIndex::build_global` over one corpus-wide dictionary), which
+//! [`SearchEngine::plans_portable_to`] enforces.
+//! [`RingSetSim::search_with`] and [`RingSetSim::candidates_with`] take
+//! a query already in the rank space.
+
+use std::sync::Arc;
 
 use crate::pkwise::{
     combination_count, compute_prefix, for_each_combination, signature_hash, ClassMap, PkwiseIndex,
@@ -59,6 +75,15 @@ use crate::pkwise::{
 use crate::types::{overlap, overlap_at_least, Collection, Threshold};
 use pigeonring_core::scratch::EpochScratch;
 use pigeonring_core::viability::{check_prefix_viable_lazy, Direction, ThresholdScheme};
+use pigeonring_service::{MergeStats, SearchEngine};
+
+/// Per-batch parameters for set-similarity search (the similarity
+/// threshold is fixed at index-build time).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SetParams {
+    /// Chain length `l` (clamped to `[1..m]` by the engine).
+    pub l: usize,
+}
 
 /// Per-query counters for the set-similarity engines.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -79,10 +104,8 @@ pub struct SetStats {
     pub skipped_by_corollary2: usize,
 }
 
-impl SetStats {
-    /// Folds `other` into `self`, saturating on overflow (shard
-    /// aggregation in the service layer).
-    pub fn merge(&mut self, other: &Self) {
+impl MergeStats for SetStats {
+    fn merge(&mut self, other: &Self) {
         self.candidates = self.candidates.saturating_add(other.candidates);
         self.results = self.results.saturating_add(other.results);
         self.sig_probes = self.sig_probes.saturating_add(other.sig_probes);
@@ -92,13 +115,22 @@ impl SetStats {
             .skipped_by_corollary2
             .saturating_add(other.skipped_by_corollary2);
     }
+
+    fn visit(&self, emit: &mut dyn FnMut(&'static str, u64)) {
+        emit("candidates", self.candidates as u64);
+        emit("results", self.results as u64);
+        emit("sig_probes", self.sig_probes as u64);
+        emit("viable_boxes", self.viable_boxes as u64);
+        emit("boxes_checked", self.boxes_checked as u64);
+        emit("skipped_by_corollary2", self.skipped_by_corollary2 as u64);
+    }
 }
 
 /// The query-side plan for one set-similarity query: everything that
 /// depends on the query (and the shared token dictionary) but not on any
 /// particular shard's postings — the ranked query, its class prefix, the
 /// Theorem-7 threshold scheme, and the **enumerated k-wise signatures**.
-/// Computed once by [`RingSetSim::plan_query`]; reusable across shards
+/// Computed once by [`SearchEngine::plan`]; reusable across shards
 /// sharing the query's dictionary and across chain lengths `l` (nothing
 /// here depends on `l`), so the combinatorial signature enumeration runs
 /// once per query instead of once per shard per `l`.
@@ -142,7 +174,8 @@ impl SetPlan {
 ///   the record's Corollary-2 ruled-start bits (two words), and its
 ///   *box-value cache* — box `j` (the class overlap `b_j`, or `b̂₀` for
 ///   `j = 0`) is computed at most once per query, however many chains
-///   (signature starts, the start-0 check) read it.
+///   (signature starts, the start-0 check) read it;
+/// * the candidate list between filter and verification.
 ///
 /// The core's own ruled-start arrays go unused: the bits live in the
 /// slot, beside the box values. `Default` yields an empty scratch that
@@ -154,7 +187,9 @@ pub struct SetScratch {
     /// `n` slots of `SLOT_HEAD + m` words.
     slots: Vec<u32>,
     /// Reused dedup buffer for raw-query ranking in the planning path.
-    pub(crate) rank_buf: Vec<u32>,
+    rank_buf: Vec<u32>,
+    /// Candidates accepted this query, in acceptance order.
+    cands: Vec<u32>,
 }
 
 /// Words of a slot before its box values: the epoch stamp, then the low
@@ -229,49 +264,53 @@ impl RingSetSim {
         q: &[u32],
         l: usize,
     ) -> (Vec<u32>, SetStats) {
-        let plan = self.plan_query(q);
-        let (ids, mut stats) = self.search_with_plan(scratch, &plan, l);
-        stats.sig_probes = stats.sig_probes.saturating_add(plan.sig_probes);
+        let plan = self.plan_ranked(q.to_vec());
+        let mut ids = Vec::new();
+        // The planned path reads the query from its plan, not its
+        // raw-query argument.
+        let mut stats =
+            self.search_planned(scratch, &plan, &Vec::new(), &SetParams { l }, &mut ids);
+        stats.merge(&self.plan_stats(&plan));
         (ids, stats)
     }
 
-    /// [`RingSetSim::search_with`] against a precomputed [`SetPlan`]
-    /// (the plan-once path: one plan serves every shard and every `l`).
-    /// Plan-time statistics ([`SetPlan::sig_probes`]) are *not* included
-    /// — the plan's owner accounts them once per query.
-    pub fn search_with_plan(
+    /// Candidate generation only (no verification), for timing the
+    /// filter separately (Figure 6's "Cand." series). `q` is a sorted
+    /// rank array, as for [`RingSetSim::search_with`]. Plan-time
+    /// statistics (`sig_probes`) are included.
+    pub fn candidates_with(
+        &self,
+        scratch: &mut SetScratch,
+        q: &[u32],
+        l: usize,
+    ) -> (Vec<u32>, SetStats) {
+        let plan = self.plan_ranked(q.to_vec());
+        let (ids, mut stats) = self.candidates_with_plan(scratch, &plan, l);
+        stats.merge(&self.plan_stats(&plan));
+        (ids, stats)
+    }
+
+    /// [`RingSetSim::candidates_with`] against a precomputed [`SetPlan`]:
+    /// the execute-per-shard half of the split. Probes this engine's
+    /// signature index with the plan's pre-enumerated signatures — no
+    /// combinatorial enumeration happens here, so running one plan
+    /// against `K` shards (or several `l` values) enumerates once total.
+    /// Plan-time statistics are *not* included.
+    pub fn candidates_with_plan(
         &self,
         scratch: &mut SetScratch,
         plan: &SetPlan,
         l: usize,
     ) -> (Vec<u32>, SetStats) {
-        let (cands, mut stats) = self.candidates_with_plan(scratch, plan, l);
-        let threshold = self.threshold;
-        let q = plan.ranked();
-        let mut results: Vec<u32> = cands
-            .into_iter()
-            .filter(|&id| {
-                let x = self.collection.record(id as usize);
-                let need = threshold.min_overlap_pair(x.len(), q.len());
-                overlap_at_least(x, q, need).is_some()
-            })
-            .collect();
-        results.sort_unstable();
-        stats.results = results.len();
-        (results, stats)
+        let stats = self.filter(scratch, plan, l);
+        (scratch.cands.clone(), stats)
     }
 
-    /// Computes the query-side plan from a query already in this
-    /// engine's rank space: required overlap, class prefix, Theorem-7
-    /// thresholds, and the full k-wise signature enumeration — the work
-    /// that is identical for every shard sharing this engine's token
-    /// dictionary. Touches no per-record state.
-    pub fn plan_query(&self, q: &[u32]) -> SetPlan {
-        self.plan_ranked(q.to_vec())
-    }
-
-    /// [`RingSetSim::plan_query`] taking ownership of the rank array
-    /// (avoids a second copy on the raw-query path).
+    /// The query-side plan of a query already in this engine's rank
+    /// space: required overlap, class prefix, Theorem-7 thresholds, and
+    /// the full k-wise signature enumeration — the work that is
+    /// identical for every shard sharing this engine's token dictionary.
+    /// Touches no per-record state.
     fn plan_ranked(&self, ranked: Vec<u32>) -> SetPlan {
         let q: &[u32] = &ranked;
         let m = self.m();
@@ -328,56 +367,21 @@ impl RingSetSim {
         }
     }
 
-    /// [`RingSetSim::plan_query`] from a *raw*-token query: ranks it
-    /// through the collection's dictionary first (reusing `scratch`'s
-    /// dedup buffer), then plans. This is the service-layer entry point.
-    pub fn plan_raw_query(&self, scratch: &mut SetScratch, raw: &[u32]) -> SetPlan {
-        let ranked = self
-            .collection
-            .dictionary()
-            .rank_query_with(&mut scratch.rank_buf, raw);
-        self.plan_ranked(ranked)
-    }
-
-    /// Candidate generation only (no verification), for timing the
-    /// filter separately (Figure 6's "Cand." series). Plan-time
-    /// statistics (`sig_probes`) are included, as before the
-    /// plan/execute split.
-    ///
-    /// This plan-and-discard path materializes the signature enumeration
-    /// into one per-query `Vec` (the pre-split code streamed each
-    /// combination straight into a lookup). The CPU cost is unchanged —
-    /// the same combinations were always enumerated and hashed — and
-    /// the transient memory is bounded by the lookup count the query
-    /// performs anyway; accepting that buys the sharded/service callers
-    /// enumeration reuse across shards and `l` values.
-    pub fn candidates_with(
-        &self,
-        scratch: &mut SetScratch,
-        q: &[u32],
-        l: usize,
-    ) -> (Vec<u32>, SetStats) {
-        let plan = self.plan_query(q);
-        let (ids, mut stats) = self.candidates_with_plan(scratch, &plan, l);
-        stats.sig_probes = stats.sig_probes.saturating_add(plan.sig_probes);
-        (ids, stats)
-    }
-
-    /// [`RingSetSim::candidates_with`] against a precomputed [`SetPlan`]:
-    /// the execute-per-shard half of the split. Probes this engine's
-    /// signature index with the plan's pre-enumerated signatures — no
-    /// combinatorial enumeration happens here, so running one plan
-    /// against `K` shards (or several `l` values) enumerates once total.
-    pub fn candidates_with_plan(
-        &self,
-        scratch: &mut SetScratch,
-        plan: &SetPlan,
-        l: usize,
-    ) -> (Vec<u32>, SetStats) {
+    /// Candidate generation for one planned query: leaves the accepted
+    /// candidates in `scratch.cands` and returns the statistics
+    /// (`results` and `sig_probes` still zero).
+    fn filter(&self, scratch: &mut SetScratch, plan: &SetPlan, l: usize) -> SetStats {
         let m = self.m();
         let l = l.clamp(1, m);
         let mut stats = SetStats::default();
         let epoch = scratch.next_epoch(self.collection.len(), m);
+        let SetScratch {
+            inner,
+            slots,
+            cands,
+            ..
+        } = scratch;
+        cands.clear();
         let threshold = self.threshold;
         let q = plan.ranked();
         let index = &self.index;
@@ -386,9 +390,8 @@ impl RingSetSim {
         let records = self.collection.records();
 
         let Some(qp) = &plan.prefix else {
-            return (Vec::new(), stats); // no record can reach the overlap
+            return stats; // no record can reach the overlap
         };
-        let mut cands: Vec<u32> = Vec::new();
         if qp.degenerate {
             // No signature guarantee from the query side: every
             // size-compatible record is a candidate (rare tiny-set path).
@@ -398,18 +401,13 @@ impl RingSetSim {
                 }
             }
             stats.candidates = cands.len();
-            return (cands, stats);
+            return stats;
         }
         let scheme = plan
             .scheme
             .as_ref()
             .expect("non-degenerate plan carries a threshold scheme");
         let q_prefix = &q[..qp.len];
-        let SetScratch {
-            ref mut inner,
-            ref mut slots,
-            ..
-        } = *scratch;
         let accepted = &mut inner.accepted;
         let stride = SLOT_HEAD + m;
         for &(k8, sig) in &plan.sigs {
@@ -470,7 +468,61 @@ impl RingSetSim {
         }
 
         stats.candidates = cands.len();
-        (cands, stats)
+        stats
+    }
+}
+
+impl SearchEngine for RingSetSim {
+    /// A **raw** token set, not a rank array (module docs).
+    type Query = Vec<u32>;
+    type Params = SetParams;
+    type Stats = SetStats;
+    type Scratch = SetScratch;
+    type Plan = SetPlan;
+
+    /// Ranks `query` through the collection's dictionary (reusing
+    /// `scratch`'s dedup buffer), then plans it.
+    fn plan(&self, scratch: &mut SetScratch, query: &Vec<u32>) -> SetPlan {
+        let ranked = self
+            .collection
+            .dictionary()
+            .rank_query_with(&mut scratch.rank_buf, query);
+        self.plan_ranked(ranked)
+    }
+
+    /// Reads the ranked query from `plan`; the raw `_query` is unused.
+    fn search_planned(
+        &self,
+        scratch: &mut SetScratch,
+        plan: &SetPlan,
+        _query: &Vec<u32>,
+        params: &SetParams,
+        out: &mut Vec<u32>,
+    ) -> SetStats {
+        let mut stats = self.filter(scratch, plan, params.l);
+        let (threshold, q) = (self.threshold, plan.ranked());
+        let first = out.len();
+        out.extend(scratch.cands.iter().copied().filter(|&id| {
+            let x = self.collection.record(id as usize);
+            let need = threshold.min_overlap_pair(x.len(), q.len());
+            overlap_at_least(x, q, need).is_some()
+        }));
+        out[first..].sort_unstable();
+        stats.results = out.len() - first;
+        stats
+    }
+
+    fn plan_stats(&self, plan: &SetPlan) -> SetStats {
+        SetStats {
+            sig_probes: plan.sig_probes(),
+            ..SetStats::default()
+        }
+    }
+
+    /// Plans live in one token dictionary's rank space: portable exactly
+    /// between engines sharing that dictionary.
+    fn plans_portable_to(&self, other: &Self) -> bool {
+        Arc::ptr_eq(self.collection.dictionary(), other.collection.dictionary())
     }
 }
 
@@ -652,6 +704,62 @@ mod tests {
                 expect,
                 "qid={qid}"
             );
+        }
+    }
+
+    #[test]
+    fn unseen_tokens_are_safe_under_explicit_class_maps() {
+        // Regression: rank_query maps tokens unseen by the collection to
+        // ranks ≥ universe; ClassMap::class_of must fall back to hashing
+        // for those instead of indexing past an explicit table.
+        let raw = vec![vec![1u32, 2, 3], vec![2, 3, 4], vec![1, 3, 4]];
+        let c = Collection::new(raw);
+        let universe = c.universe();
+        let classes = ClassMap::explicit(3, vec![1; universe]);
+        let eng = RingSetSim::with_class_map(c, Threshold::jaccard(0.5), classes);
+        let mut scratch = SetScratch::default();
+        let mut out = Vec::new();
+        // Token 99 never occurs in the collection.
+        let stats = eng.search_into(
+            &mut scratch,
+            &vec![1, 2, 3, 99],
+            &SetParams { l: 2 },
+            &mut out,
+        );
+        assert_eq!(
+            out,
+            vec![0],
+            "only record 0 reaches J ≥ 0.5 against {{1,2,3,99}}"
+        );
+        assert_eq!(stats.results, 1);
+    }
+
+    #[test]
+    fn planned_search_matches_plan_and_search() {
+        let raw = vec![
+            vec![1u32, 2, 3, 4, 5],
+            vec![2, 3, 4, 5, 6],
+            vec![10, 11, 12, 13, 14],
+            vec![1, 2, 3, 4, 6],
+        ];
+        let c = Collection::new(raw.clone());
+        let eng = RingSetSim::build(c, Threshold::jaccard(0.6), 5);
+        let mut scratch = SetScratch::default();
+        for q in &raw {
+            let plan = eng.plan(&mut scratch, q);
+            for l in 1..=3usize {
+                let mut direct = Vec::new();
+                let direct_stats = eng.search_into(&mut scratch, q, &SetParams { l }, &mut direct);
+                let mut planned = Vec::new();
+                let mut planned_stats =
+                    eng.search_planned(&mut scratch, &plan, q, &SetParams { l }, &mut planned);
+                planned_stats.merge(&eng.plan_stats(&plan));
+                assert_eq!(planned, direct, "l={l}");
+                assert_eq!(planned_stats, direct_stats, "l={l}");
+                // The ranked convenience runs the same planned path.
+                let ranked = eng.search_with(&mut scratch, plan.ranked(), l);
+                assert_eq!(ranked, (direct, direct_stats), "l={l}");
+            }
         }
     }
 }

@@ -282,7 +282,7 @@ impl TraceCollector {
 
     /// Pins a trace: copies its spans into the pinned store, which
     /// ring eviction cannot touch (bounded by dropping the *oldest
-    /// pinned trace* past [`MAX_PINNED_TRACES`]). Called when a traced
+    /// pinned trace* past a fixed cap). Called when a traced
     /// query crosses the slow-query threshold, so slow-query log
     /// entries always have their trace to link to.
     pub fn pin(&self, trace_id: u64) {

@@ -3,14 +3,22 @@
 //! This is the completeness test the whole filter-and-refine design
 //! rests on (no result may ever be lost, at any `l`).
 
+use std::fmt::Debug;
+
 use pigeonring::datagen::{sample_query_ids, GraphConfig, SetConfig, StringConfig, VectorConfig};
 use pigeonring::editdist::verify::edit_distance;
-use pigeonring::editdist::{EditScratch, GramOrder, Pivotal, QGramCollection, RingEdit};
+use pigeonring::editdist::{
+    EditParams, EditScratch, GramOrder, Pivotal, QGramCollection, RingEdit,
+};
 use pigeonring::graph::pars::LinearScanGraphs;
-use pigeonring::graph::{Pars, RingGraph};
-use pigeonring::hamming::{AllocationStrategy, HammingScratch, LinearScan, RingHamming};
+use pigeonring::graph::{GraphParams, Pars, RingGraph};
+use pigeonring::hamming::{
+    AllocationStrategy, HammingParams, HammingScratch, LinearScan, RingHamming,
+};
+use pigeonring::service::{MergeStats, SearchEngine};
 use pigeonring::setsim::{
-    AdaptSearch, Collection, LinearScanSets, PartAlloc, RingSetSim, SetScratch, Threshold,
+    AdaptSearch, Collection, LinearScanSets, PartAlloc, RingSetSim, SetParams, SetScratch,
+    Threshold,
 };
 
 // Each ring domain below runs on ONE scratch for the whole test — every
@@ -147,6 +155,70 @@ fn graph_engines_are_exact() {
             }
         }
     }
+}
+
+/// `search_planned` appends: it must neither read nor reorder what `out`
+/// already holds. `out` starts with unsorted sentinels (a sort over the
+/// whole vector would move them); after `plan` + `search_planned` they
+/// must be untouched, and the appended suffix and the statistics must be
+/// exactly what `search_into` gives on an empty vector.
+fn assert_search_planned_appends<E>(engine: &E, queries: &[E::Query], params: &E::Params)
+where
+    E: SearchEngine,
+    E::Stats: Debug + PartialEq,
+{
+    const SENTINELS: [u32; 4] = [u32::MAX, u32::MAX - 1, 7, 0];
+    let mut scratch = E::Scratch::default();
+    let mut found = 0;
+    for (qi, q) in queries.iter().enumerate() {
+        let mut expect = Vec::new();
+        let expect_stats = engine.search_into(&mut scratch, q, params, &mut expect);
+        found += expect.len();
+        let plan = engine.plan(&mut scratch, q);
+        let mut out = SENTINELS.to_vec();
+        let mut stats = engine.search_planned(&mut scratch, &plan, q, params, &mut out);
+        stats.merge(&engine.plan_stats(&plan));
+        assert_eq!(out[..SENTINELS.len()], SENTINELS, "query {qi}: prefix");
+        assert_eq!(out[SENTINELS.len()..], expect[..], "query {qi}: suffix");
+        assert_eq!(stats, expect_stats, "query {qi}: stats");
+    }
+    assert!(found > 0, "queries must have results to append");
+}
+
+#[test]
+fn search_planned_leaves_prior_out_contents_alone() {
+    let data = VectorConfig::gist_like(400).generate();
+    let queries: Vec<_> = sample_query_ids(data.len(), 4, 29)
+        .into_iter()
+        .map(|i| data[i].clone())
+        .collect();
+    let hamming = RingHamming::build(data, 16, AllocationStrategy::CostModel);
+    assert_search_planned_appends(&hamming, &queries, &HammingParams { tau: 48, l: 5 });
+
+    let strings = StringConfig::imdb_like(300).generate();
+    let queries: Vec<_> = sample_query_ids(strings.len(), 4, 31)
+        .into_iter()
+        .map(|i| strings[i].clone())
+        .collect();
+    let coll = QGramCollection::build(strings, 2, GramOrder::Frequency);
+    assert_search_planned_appends(&RingEdit::build(coll, 2), &queries, &EditParams { l: 3 });
+
+    // Raw token sets: the planned path ranks them itself.
+    let raw = SetConfig::dblp_like(300).generate();
+    let queries: Vec<_> = sample_query_ids(raw.len(), 4, 37)
+        .into_iter()
+        .map(|i| raw[i].clone())
+        .collect();
+    let sets = RingSetSim::build(Collection::new(raw), Threshold::jaccard(0.7), 5);
+    assert_search_planned_appends(&sets, &queries, &SetParams { l: 2 });
+
+    let graphs = GraphConfig::aids_like(100).generate();
+    let queries: Vec<_> = sample_query_ids(graphs.len(), 3, 41)
+        .into_iter()
+        .map(|i| graphs[i].clone())
+        .collect();
+    let ring = RingGraph::build(graphs, 3);
+    assert_search_planned_appends(&ring, &queries, &GraphParams { l: 3 });
 }
 
 #[test]
