@@ -221,9 +221,10 @@ fn bench_setsim_filter(c: &mut Criterion) {
 }
 
 fn bench_graph_kernels(c: &mut Criterion) {
+    use pigeonring_datagen::{sample_query_ids, GraphConfig};
     use pigeonring_graph::{
         embeds, ged_within, part_embeds, partition_graph, Graph, GraphPlan, Mask, MatchScratch,
-        PartArena,
+        PartArena, RingGraph,
     };
     let mut r = rng();
     let mut mk = |n: usize, labels: u32| -> Graph {
@@ -266,8 +267,24 @@ fn bench_graph_kernels(c: &mut Criterion) {
     c.bench_function("graph/ged_within_tau4_dissimilar", |bch| {
         bch.iter(|| ged_within(black_box(&x), black_box(&q), 4))
     });
-    c.bench_function("graph/ged_within_tau4_self", |bch| {
-        bch.iter(|| ged_within(black_box(&x), black_box(&x), 4))
+    // The verifier on real candidate pairs: the l = 4 candidates of 50
+    // aids-like queries at τ = 4, every pair verified per iteration.
+    let graphs = GraphConfig::aids_like(2_000).generate();
+    let ring = RingGraph::build(graphs.clone(), 4);
+    let mut pairs: Vec<(&Graph, &Graph)> = Vec::new();
+    for qid in sample_query_ids(graphs.len(), 50, 7) {
+        let q = &graphs[qid];
+        for id in ring.candidates(q, 4).0 {
+            pairs.push((&graphs[id as usize], q));
+        }
+    }
+    c.bench_function("graph/verify_aids2000_tau4", |bch| {
+        bch.iter(|| {
+            pairs
+                .iter()
+                .filter(|&&(x, q)| ged_within(black_box(x), black_box(q), 4).is_some())
+                .count()
+        })
     });
 }
 

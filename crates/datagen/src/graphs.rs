@@ -4,9 +4,10 @@
 //! The paper's AIDS compounds average 26 vertices / 28 edges with 62
 //! vertex and 3 edge labels; Protein structures average 33/56 with 3/5.
 //! We keep those *ratios* — AIDS-like: sparse, label-rich; Protein-like:
-//! denser, label-poor — at a reduced size (vertex counts scaled to keep
-//! exact A\* GED verification tractable on a laptop; documented in
-//! DESIGN.md §4). Label-poor graphs make part features unselective,
+//! denser, label-poor — at a reduced size: the vertex counts are scaled
+//! down so that exact GED verification, whose search grows exponentially
+//! with the vertex count, stays tractable for every candidate a query
+//! yields. Label-poor graphs make part features unselective,
 //! which is exactly the paper's explanation for the small Ring gain on
 //! Protein (§8.3).
 

@@ -5,8 +5,10 @@
 //! Every generator is deterministic given its config (same seed → same
 //! data), plants groups of near-duplicates so that thresholded queries
 //! have non-trivial result sets, and reproduces the distributional
-//! features the filters are sensitive to (see DESIGN.md §4 for the
-//! substitution argument per dataset).
+//! features the filters are sensitive to (each module's docs give the
+//! substitution argument for its datasets). The graph generators also
+//! scale vertex counts down so that exact GED verification stays
+//! tractable.
 //!
 //! * [`vectors`] — clustered binary vectors (GIST-like 256-d, SIFT-like
 //!   512-d).

@@ -8,7 +8,7 @@
 //! id ranges ([`PartIndex::size_window`]) instead of a scan over every
 //! record.
 
-use crate::ged::ged_within;
+use crate::ged::GedScratch;
 use crate::graph::Graph;
 use crate::partition::partition_graph;
 use crate::plan::GraphPlan;
@@ -114,12 +114,22 @@ impl PartIndex {
         self.arena.part(id as usize * self.parts_per_graph() + pos)
     }
 
-    /// Appends to `out` those of `cands` with `ged(x, q) ≤ τ`.
-    pub(crate) fn verify(&self, cands: &[u32], q: &Graph, out: &mut Vec<u32>) {
+    /// Appends to `out` those of `cands` with `ged(x, q) ≤ τ`: `q` is
+    /// loaded into `ged` once, then one first-witness search (see
+    /// [`crate::ged`]) runs per candidate.
+    pub(crate) fn verify(
+        &self,
+        cands: &[u32],
+        q: &Graph,
+        ged: &mut GedScratch,
+        out: &mut Vec<u32>,
+    ) {
+        ged.set_query(q);
+        let tau = self.tau as u32;
         out.extend(
             cands
                 .iter()
-                .filter(|&&id| ged_within(&self.graphs[id as usize], q, self.tau as u32).is_some()),
+                .filter(|&&id| ged.within(&self.graphs[id as usize], tau).is_some()),
         );
     }
 }

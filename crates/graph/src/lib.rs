@@ -29,8 +29,9 @@
 //! The filtering instance `⟨partition, min-GED-to-subgraph boxes,
 //! D(τ) = τ⟩` satisfies `‖B(x, q)‖₁ ≤ ged(x, q)` (each edit damages one
 //! part by at most one operation), hence is complete but not tight;
-//! candidates are verified by an exact threshold-pruned A* GED
-//! ([`ged::ged_within`]).
+//! candidates are verified by an exact branch-and-bound GED search that
+//! stops at the first mapping within `τ` (module [`mod@ged`]; the exact
+//! distance is [`ged::ged_within`]).
 
 pub mod ged;
 pub mod graph;

@@ -9,7 +9,7 @@
 //! index and skips most embedding tests, and the standard size filter
 //! `||V_x| − |V_q|| + ||E_x| − |E_q|| > τ` prunes whole graphs first.
 
-use crate::ged::ged_within;
+use crate::ged::{ged_within, GedScratch};
 use crate::graph::Graph;
 use crate::index::PartIndex;
 use crate::plan::GraphPlan;
@@ -51,7 +51,8 @@ impl Pars {
     pub fn search(&self, q: &Graph) -> (Vec<u32>, GraphStats) {
         let (cands, mut stats) = self.candidates(q);
         let mut results = Vec::new();
-        self.index.verify(&cands, q, &mut results);
+        self.index
+            .verify(&cands, q, &mut GedScratch::default(), &mut results);
         stats.results = results.len();
         (results, stats)
     }

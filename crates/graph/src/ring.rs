@@ -39,6 +39,7 @@
 //! pure function of the query, so one plan serves every shard and every
 //! chain length.
 
+use crate::ged::GedScratch;
 use crate::graph::Graph;
 use crate::index::PartIndex;
 use crate::neighborhood::{box_value, one_op_embeds};
@@ -56,16 +57,17 @@ pub struct GraphParams {
 }
 
 /// Per-thread scratch of the graph engine: the matcher's mapping/used
-/// buffers, the per-graph box memo of the chain check (module docs) and
-/// the candidate list between filter and verification; with it warm,
-/// filtering allocates nothing. `Default` is empty; buffers grow to the
-/// largest part, query and `τ + 1` seen.
+/// buffers, the per-graph box memo of the chain check (module docs), the
+/// candidate list between filter and verification and the GED search's
+/// state; with it warm, a search allocates nothing. `Default` is empty;
+/// buffers grow to the largest part, graph, query and `τ + 1` seen.
 #[derive(Clone, Debug, Default)]
 pub struct GraphScratch {
     matcher: MatchScratch,
     /// Box memo of the graph being filtered, one state per ring position.
     memo: Vec<u8>,
     cands: Vec<u32>,
+    ged: GedScratch,
 }
 
 impl MergeStats for GraphStats {
@@ -247,12 +249,13 @@ impl SearchEngine for RingGraph {
             matcher,
             memo,
             cands,
+            ged,
         } = scratch;
         cands.clear();
         let mut stats = self.filter(matcher, memo, plan, params.l, cands);
         let first = out.len();
         // Candidates are ascending, so the verified range is too.
-        self.index.verify(cands, query, out);
+        self.index.verify(cands, query, ged, out);
         stats.results = out.len() - first;
         stats
     }

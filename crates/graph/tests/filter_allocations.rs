@@ -1,6 +1,8 @@
-//! The graph filter's query path allocates nothing once its scratch is
+//! The graph engine's query path allocates nothing once its scratch is
 //! warm: every allocation made by this thread is counted by a wrapping
-//! global allocator, and `RingGraph::candidates_with_plan` must add none.
+//! global allocator, and neither `RingGraph::candidates_with_plan` (the
+//! filter) nor `search_planned` (filter and GED verification) may add
+//! any.
 //!
 //! Kept in a test binary of its own so no other test shares the
 //! allocator (the count is per thread all the same).
@@ -10,7 +12,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use pigeonring_graph::{Graph, GraphPlan, GraphScratch, RingGraph};
+use pigeonring_graph::{Graph, GraphParams, GraphPlan, GraphScratch, RingGraph};
+use pigeonring_service::SearchEngine;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
@@ -89,4 +92,76 @@ fn warm_candidate_generation_does_not_allocate() {
     let allocated = ALLOCATIONS.with(Cell::get) - before;
     assert_eq!(again, warm);
     assert_eq!(allocated, 0, "warm filter path allocated {allocated} times");
+}
+
+/// `g` with vertex 0 relabelled: a graph at edit distance 1.
+fn relabelled(g: &Graph, labels: u32) -> Graph {
+    let mut vl = g.vlabels().to_vec();
+    vl[0] = (vl[0] + 1) % labels;
+    let mut h = Graph::new(vl);
+    for (u, v, l) in g.edges() {
+        h.add_edge(u, v, l);
+    }
+    h
+}
+
+#[test]
+fn warm_search_planned_does_not_allocate() {
+    // Pairs at distance 1, so verification both accepts and rejects.
+    let graphs: Vec<Graph> = (0..300u64)
+        .map(|i| {
+            let g = molecule_like(i / 2, 10 + (i / 2 % 4) as usize, 6);
+            if i % 2 == 0 {
+                g
+            } else {
+                relabelled(&g, 6)
+            }
+        })
+        .collect();
+    let tau = 4;
+    let ring = RingGraph::build(graphs.clone(), tau);
+    let queries: Vec<&Graph> = graphs.iter().step_by(13).collect();
+    let plans: Vec<GraphPlan> = queries.iter().map(|q| GraphPlan::new(q)).collect();
+    let mut scratch = GraphScratch::default();
+    let mut out = Vec::new();
+    let mut pass = |out: &mut Vec<u32>| {
+        let mut totals = (0, 0, 0u64);
+        for (plan, q) in plans.iter().zip(&queries) {
+            for l in 1..=tau + 1 {
+                out.clear();
+                let stats = ring.search_planned(&mut scratch, plan, q, &GraphParams { l }, out);
+                let ids: u64 = out.iter().map(|&id| u64::from(id)).sum();
+                totals = (
+                    totals.0 + stats.candidates,
+                    totals.1 + stats.results,
+                    totals.2 + ids,
+                );
+            }
+        }
+        totals
+    };
+    // Warm-up: the scratch and `out` grow to what this workload needs.
+    let warm = pass(&mut out);
+    assert!(warm.0 > warm.1, "workload must reject candidates");
+    assert!(
+        warm.1 > queries.len() * (tau + 1),
+        "workload must verify more than the self matches"
+    );
+
+    let before = ALLOCATIONS.with(Cell::get);
+    let again = pass(&mut out);
+    let allocated = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(again, warm);
+    assert_eq!(allocated, 0, "warm search path allocated {allocated} times");
+
+    // The warm scratch answers exactly what a fresh one does.
+    for (plan, q) in plans.iter().zip(&queries) {
+        for l in 1..=tau + 1 {
+            let params = GraphParams { l };
+            let (mut warm, mut fresh) = (Vec::new(), Vec::new());
+            ring.search_planned(&mut scratch, plan, q, &params, &mut warm);
+            ring.search_into(&mut GraphScratch::default(), q, &params, &mut fresh);
+            assert_eq!(warm, fresh, "l={l}");
+        }
+    }
 }
