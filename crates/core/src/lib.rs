@@ -24,23 +24,32 @@
 //!
 //! ## Crate layout
 //!
-//! * [`ring`] — chains over a ring of boxes: sums, prefixes, suffixes.
+//! The production surface, which the four engines call on every query:
+//!
 //! * [`viability`] — threshold schemes ([`viability::ThresholdScheme`]),
 //!   the engines' one chain check ([`viability::ChainCheck`]) and, as its
 //!   reference, the scheme-generic chain-viability predicates (the
 //!   prefix-viable search with Corollary-2 skipping).
 //! * [`scratch`] — the epoch-stamped per-query dedup and Corollary-2
 //!   state the engines share.
+//! * [`fxhash`] — a small FxHash-style hasher for hot integer-keyed maps.
+//!
+//! The paper's statements in checkable form. No engine calls them; their
+//! only readers are their own unit tests, `tests/principle_props.rs`,
+//! `tests/framework_case_studies.rs` and the Hamming crate's
+//! `paper_examples`:
+//!
 //! * [`theorem`] — the principle statements as checkable functions, plus
 //!   brute-force witnesses used by the test suite.
-//! * [`framework`] — the universal filtering framework `⟨F, B, D⟩` of §5
-//!   with completeness (Lemma 6) and tightness (Lemma 7) checkers.
-//! * [`analysis`] — the filtering-performance analysis of §3.1
-//!   (word-set recurrences producing `Pr(CAND_l)` and `Pr(RES)`), which
-//!   regenerates Figure 2.
 //! * [`integral`] — the continuous (integral) forms of both principles
 //!   (Appendix B, Theorems 8 and 9) over piecewise-constant functions.
-//! * [`fxhash`] — a small FxHash-style hasher for hot integer-keyed maps.
+//! * [`framework`] — the universal filtering framework `⟨F, B, D⟩` of §5
+//!   with completeness (Lemma 6) and tightness (Lemma 7) checkers.
+//! * [`ring`] — chains over a ring of boxes: sums, prefixes, suffixes.
+//!
+//! Beside both, [`analysis`] is the filtering-performance analysis of
+//! §3.1 (word-set recurrences producing `Pr(CAND_l)` and `Pr(RES)`),
+//! which regenerates Figure 2 (`repro fig2`).
 //!
 //! ## Quick example
 //!

@@ -7,7 +7,10 @@
 //! Kept in a test binary of its own so no other test shares the
 //! allocator (the count is per thread all the same).
 
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "a counting global allocator must implement the unsafe `GlobalAlloc` trait"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -321,7 +321,10 @@ impl Client {
         let mut done = 0usize;
         while done < queries.len() {
             while in_flight.len() < window && next < queries.len() {
-                // lint: allow(panic) — the loop condition bounds next < queries.len()
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "the loop condition bounds next < queries.len()"
+                )]
                 let id = self.send_query(queries[next].clone())?;
                 in_flight.insert(id, next);
                 next += 1;

@@ -47,6 +47,16 @@
 //! EXPLAIN flag returns its own span tree inline with its results —
 //! all answered even when every lane is saturated.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod client;
 pub mod queue;
 #[cfg(target_os = "linux")]

@@ -122,8 +122,11 @@ impl<T> FairQueue<T> {
     }
 
     /// The attached depth gauge for `domain`'s lane, if any.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "lane_of is always < NUM_LANES, the array length"
+    )]
     pub fn depth_gauge(&self, domain: Domain) -> Option<&Arc<Gauge>> {
-        // lint: allow(panic) — lane_of is always < NUM_LANES, the array length
         self.depth_gauges.get().map(|g| &g[lane_of(domain)])
     }
 
@@ -143,8 +146,11 @@ impl<T> FairQueue<T> {
     }
 
     /// Items currently buffered in `domain`'s lane (racy outside tests).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "lane_of is always < NUM_LANES, the array length"
+    )]
     pub fn lane_len(&self, domain: Domain) -> usize {
-        // lint: allow(panic) — lane_of is always < NUM_LANES, the array length
         lock_recover(&self.state).lanes[lane_of(domain)].len()
     }
 
@@ -158,7 +164,10 @@ impl<T> FairQueue<T> {
         if state.closed {
             return Err(PushError::Closed(item));
         }
-        // lint: allow(panic) — lane_of is always < NUM_LANES, the array length
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "lane_of is always < NUM_LANES, the array length"
+        )]
         let lane = &mut state.lanes[lane_of(domain)];
         if lane.len() >= self.lane_capacity {
             return Err(PushError::Full(item));
@@ -166,7 +175,10 @@ impl<T> FairQueue<T> {
         lane.push_back(item);
         drop(state);
         if let Some(gauges) = self.depth_gauges.get() {
-            // lint: allow(panic) — lane_of is always < NUM_LANES, the array length
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "lane_of is always < NUM_LANES, the array length"
+            )]
             gauges[lane_of(domain)].inc();
         }
         self.not_empty.notify_one();
@@ -187,23 +199,35 @@ impl<T> FairQueue<T> {
         loop {
             if state.total() > 0 {
                 let mut taken = [0usize; NUM_LANES];
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "li is cursor % NUM_LANES, in bounds"
+                )]
                 while out.len() < max && state.total() > 0 {
                     let li = state.cursor % NUM_LANES;
                     state.cursor = state.cursor.wrapping_add(1);
-                    // lint: allow(panic) — li is cursor % NUM_LANES, in bounds for all three arrays
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "li is cursor % NUM_LANES, in bounds for all three arrays"
+                    )]
                     let quota = self.weights[li].min(max - out.len());
-                    // lint: allow(panic) — li is cursor % NUM_LANES, in bounds
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "li is cursor % NUM_LANES, in bounds"
+                    )]
                     let lane = &mut state.lanes[li];
                     let take = quota.min(lane.len());
                     out.extend(lane.drain(..take));
-                    // lint: allow(panic) — li is cursor % NUM_LANES, in bounds
                     taken[li] += take;
                 }
                 drop(state);
                 if let Some(gauges) = self.depth_gauges.get() {
                     for (li, &n) in taken.iter().enumerate() {
                         if n > 0 {
-                            // lint: allow(panic) — li enumerates a NUM_LANES array
+                            #[expect(
+                                clippy::indexing_slicing,
+                                reason = "li enumerates a NUM_LANES array"
+                            )]
                             gauges[li].sub(n as i64);
                         }
                     }

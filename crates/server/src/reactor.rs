@@ -260,7 +260,10 @@ impl Reactor {
             self.events = events;
 
             for i in 0..self.events.len() {
-                // lint: allow(panic) — i < events.len() by the loop bound
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "i < events.len() by the loop bound"
+                )]
                 let ev = self.events[i];
                 match ev.token {
                     LISTENER => self.accept_ready(),
@@ -358,7 +361,7 @@ impl Reactor {
                     return;
                 }
                 Ok(n) => {
-                    // lint: allow(panic) — read() guarantees n ≤ buf.len()
+                    #[expect(clippy::indexing_slicing, reason = "read() guarantees n ≤ buf.len()")]
                     conn.decoder.feed(&buf[..n]);
                     self.pump_parse(token);
                 }
@@ -446,7 +449,10 @@ impl Reactor {
             let Some(front) = conn.outbuf.front() else {
                 break;
             };
-            // lint: allow(panic) — front_pos ≤ front.len() is a loop invariant
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "front_pos ≤ front.len() is a loop invariant"
+            )]
             let rest = &front[conn.front_pos..];
             match conn.stream.write(rest) {
                 Ok(0) => {
@@ -579,7 +585,10 @@ impl Reactor {
                 // Best-effort: whatever the socket buffer still
                 // accepts goes out before the teardown.
                 while let Some(front) = conn.outbuf.front() {
-                    // lint: allow(panic) — front_pos ≤ front.len() is a loop invariant
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "front_pos ≤ front.len() is a loop invariant"
+                    )]
                     match conn.stream.write(&front[conn.front_pos..]) {
                         Ok(n) if n > 0 => {
                             conn.front_pos += n;

@@ -130,46 +130,58 @@ impl EngineSpec {
     /// is pure in the spec.
     pub fn sample_queries(&self, domain: Domain) -> Vec<DomainQuery> {
         match domain {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "sample_query_ids draws ids < data.len()"
+            )]
             Domain::Hamming => {
                 let data = VectorConfig::gist_like(self.hamming_n).generate();
                 sample_query_ids(data.len(), self.query_count, 1)
                     .into_iter()
                     .map(|i| DomainQuery::Hamming {
-                        // lint: allow(panic) — sample_query_ids draws ids < data.len()
                         query: data[i].clone(),
                         tau: self.hamming_tau,
                         l: self.hamming_l,
                     })
                     .collect()
             }
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "sample_query_ids draws ids < data.len()"
+            )]
             Domain::Edit => {
                 let data = StringConfig::imdb_like(self.edit_n).generate();
                 sample_query_ids(data.len(), self.query_count, 5)
                     .into_iter()
                     .map(|i| DomainQuery::Edit {
-                        // lint: allow(panic) — sample_query_ids draws ids < data.len()
                         query: data[i].clone(),
                         l: self.edit_l,
                     })
                     .collect()
             }
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "sample_query_ids draws ids < data.len()"
+            )]
             Domain::Set => {
                 let data = SetConfig::dblp_like(self.set_n).generate();
                 sample_query_ids(data.len(), self.query_count, 4)
                     .into_iter()
                     .map(|i| DomainQuery::Set {
-                        // lint: allow(panic) — sample_query_ids draws ids < data.len()
                         tokens: data[i].clone(),
                         l: self.set_l,
                     })
                     .collect()
             }
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "sample_query_ids draws ids < data.len()"
+            )]
             Domain::Graph => {
                 let data = GraphConfig::aids_like(self.graph_n).generate();
                 sample_query_ids(data.len(), self.query_count, 7)
                     .into_iter()
                     .map(|i| DomainQuery::Graph {
-                        // lint: allow(panic) — sample_query_ids draws ids < data.len()
                         query: data[i].clone(),
                         l: self.graph_l,
                     })
@@ -223,7 +235,6 @@ fn domain_counters<S: MergeStats>(registry: &MetricsRegistry, domain: Domain) ->
     S::default().visit(&mut |name, _| {
         stages.push((
             name,
-            // lint: metric(service.{domain}.stage.{field})
             registry.counter(&format!("service.{domain}.stage.{name}")),
         ));
     });
@@ -259,8 +270,10 @@ impl EngineSet {
                 })
             },
             |cost, shard| {
-                // lint: allow(panic) — shards are built from corpus records, so a
-                // shard to build means a non-empty corpus, which has a model
+                #[expect(
+                    clippy::expect_used,
+                    reason = "shards are built from corpus records, so a shard to build means a non-empty corpus, which has a model"
+                )]
                 let cost = cost.as_ref().expect("non-empty corpus has a cost model");
                 RingHamming::with_cost_model(shard, m, std::sync::Arc::clone(cost))
             },
@@ -366,16 +379,22 @@ impl EngineSet {
     /// reference path of `repro server-smoke`); responses carry
     /// [`CONNECTION_REQUEST_ID`] —
     /// the server's dispatcher stamps real ids on.
+    #[expect(
+        clippy::expect_used,
+        reason = "run_streaming emits exactly once per slot"
+    )]
     pub fn run(&self, pool: &WorkerPool, queries: Vec<DomainQuery>) -> Vec<Response> {
         let mut responses: Vec<Option<Response>> = queries.iter().map(|_| None).collect();
         let traces = TraceBatch::untraced(queries.len());
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "run_streaming emits slots < queries.len()"
+        )]
         self.run_streaming(pool, queries, &traces, &mut |slot, resp| {
-            // lint: allow(panic) — run_streaming emits slots < queries.len()
             responses[slot] = Some(resp);
         });
         responses
             .into_iter()
-            // lint: allow(panic) — run_streaming emits exactly once per slot
             .map(|r| r.expect("every query answered"))
             .collect()
     }
@@ -447,20 +466,32 @@ impl EngineSet {
         // deterministic for a given cost state.
         let sizes = [hamming.len(), edit.len(), set.len(), graph.len()];
         let mut order: [usize; 4] = [0, 1, 2, 3];
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "di ranges over the four fixed domain indices"
+        )]
         let estimate = |di: usize| -> u128 {
-            // lint: allow(panic) — di ranges over the four fixed domain indices
             self.cost_ema_ns[di].load(Ordering::Relaxed) as u128 * sizes[di] as u128
         };
         order.sort_by_key(|&di| (estimate(di), di));
         for di in order {
-            // lint: allow(panic) — di ranges over the four fixed domain indices
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "di ranges over the four fixed domain indices"
+            )]
             if sizes[di] == 0 {
                 continue;
             }
             let start = std::time::Instant::now();
-            // lint: allow(panic) — di ranges over the four fixed domain indices
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "di ranges over the four fixed domain indices"
+            )]
             let counters = self.metrics.get().map(|m| &m[di]);
-            // lint: allow(panic) — di ranges over the four fixed domain indices
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "di ranges over the four fixed domain indices"
+            )]
             match Domain::ALL[di] {
                 Domain::Hamming => run_groups(
                     pool,
@@ -495,13 +526,19 @@ impl EngineSet {
                     emit,
                 ),
             }
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "di ranges over the four fixed domain indices"
+            )]
             let per_query_ns =
-                // lint: allow(panic) — di ranges over the four fixed domain indices
                 (start.elapsed().as_nanos() / sizes[di] as u128).min(u64::MAX as u128) as u64;
             // EMA with a 1/4 step: smooth enough to ride out one odd
             // batch, fresh enough to track warmup and load shifts.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "di ranges over the four fixed domain indices"
+            )]
             let _ =
-                // lint: allow(panic) — di ranges over the four fixed domain indices
                 self.cost_ema_ns[di].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
                     Some(if old == 0 {
                         per_query_ns.max(1)
@@ -569,8 +606,11 @@ fn run_groups<E>(
         let mut shard_trace = None;
         if let Some(c) = traces.collector() {
             for (i, &s) in slots.iter().enumerate() {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "dispatch is sized to slots.len(); i enumerates slots"
+                )]
                 if let Some((trace_id, root)) = traces.target(s) {
-                    // lint: allow(panic) — dispatch is sized to slots.len(); i enumerates slots
                     dispatch[i] = Some(c.child_of(trace_id, root));
                 }
             }
@@ -597,7 +637,10 @@ fn run_groups<E>(
             // per-stage pruning story reads directly off the trace.
             for (i, &s) in slots.iter().enumerate() {
                 if let Some((trace_id, root)) = traces.target(s) {
-                    // lint: allow(panic) — one result per batch item; i enumerates slots
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "one result per batch item; i enumerates slots"
+                    )]
                     results[i].stats.visit(&mut |name, value| {
                         buf.push(c.instant(
                             trace_id,

@@ -240,11 +240,9 @@ impl ServerMetrics {
     fn new(config: &ServerConfig) -> Self {
         let registry = Arc::new(MetricsRegistry::new());
         let lane_counter = |kind: &str| {
-            // lint: metric(server.lane.{domain}.admitted, server.lane.{domain}.busy)
             Domain::ALL.map(|domain| registry.counter(&format!("server.lane.{domain}.{kind}")))
         };
         let domain_histogram = |kind: &str| {
-            // lint: metric(server.{domain}.latency_us, server.{domain}.queue_wait_us)
             Domain::ALL.map(|domain| registry.histogram(&format!("server.{domain}.{kind}")))
         };
         ServerMetrics {
@@ -308,7 +306,10 @@ impl ServerMetrics {
         latency_us: u64,
         trace_id: Option<u64>,
     ) {
-        // lint: allow(panic) — lane_of is always < NUM_LANES, the array length
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "lane_of is always < NUM_LANES, the array length"
+        )]
         self.latency_us[lane_of(domain)].record(latency_us);
         let Some(threshold) = self.slow_query_us else {
             return;
@@ -587,7 +588,10 @@ fn dispatch_loop(
         let mut span_buf = Vec::new();
         for job in jobs.drain(..) {
             let waited_us = job.admitted_at.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            // lint: allow(panic) — lane_of is always < NUM_LANES, the array length
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "lane_of is always < NUM_LANES, the array length"
+            )]
             metrics.queue_wait_us[lane_of(job.domain)].record(waited_us);
             if let Some(t) = &job.trace {
                 // The queue-wait span covers admission → this pop;
@@ -792,13 +796,13 @@ pub(crate) fn handle_payload(
                 // Pipelining: admitted — do NOT wait for the reply;
                 // the dispatcher sends it through the sink directly.
                 Ok(()) => {
-                    // lint: allow(panic) — lane_of is always < NUM_LANES
+                    #[expect(clippy::indexing_slicing, reason = "lane_of is always < NUM_LANES")]
                     metrics.admitted[lane_of(domain)].inc();
                     FrameDisposition::Continue
                 }
                 // This lane is at capacity right now: retryable.
                 Err(PushError::Full(_)) => {
-                    // lint: allow(panic) — lane_of is always < NUM_LANES
+                    #[expect(clippy::indexing_slicing, reason = "lane_of is always < NUM_LANES")]
                     metrics.busy[lane_of(domain)].inc();
                     sink.send(Response::Busy { request_id });
                     FrameDisposition::Continue

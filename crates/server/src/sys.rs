@@ -6,20 +6,20 @@
 //!
 //! Everything here returns typed [`io::Error`]s — a failed syscall is
 //! an ordinary error on the connection or the reactor, never a panic —
-//! and every unsafe site carries the `// SAFETY:` justification
-//! `pigeonring-lint` enforces.
+//! and every unsafe block carries the `// SAFETY:` justification that
+//! `clippy::undocumented_unsafe_blocks` enforces.
 //!
 //! The [`Waker`] deliberately avoids `pipe2`/`eventfd`: a connected
 //! loopback UDP socket pair is readiness-compatible with epoll,
 //! allocation-free on the wake path, and needs no unsafe at all.
 
-// The workspace denies `unsafe_code`; this module is the scoped
-// exception for the readiness-syscall FFI — the `extern "C"`
-// declarations and the four call sites (`epoll_create1`, `epoll_ctl`,
-// `epoll_wait`, `close`) are the only unsafe in the crate (and in all
-// of `crates/*/src`), and every one carries an inline `// SAFETY:`
-// argument (enforced by `pigeonring-lint`'s safety-comment rule).
-#![allow(unsafe_code)]
+// The `extern "C"` declarations and the four call sites
+// (`epoll_create1`, `epoll_ctl`, `epoll_wait`, `close`) are the only
+// unsafe in the crate (and in all of `crates/*/src`).
+#![allow(
+    unsafe_code,
+    reason = "the workspace denies `unsafe_code`; this module is the scoped exception for the readiness-syscall FFI"
+)]
 
 use std::ffi::c_int;
 use std::io;

@@ -478,7 +478,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
     while filled < 4 {
-        // lint: allow(panic) — `filled < 4` bounds the range into the 4-byte buffer
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`filled < 4` bounds the range into the 4-byte buffer"
+        )]
         let n = r.read(&mut len_buf[filled..])?;
         if n == 0 {
             return if filled == 0 {
@@ -543,7 +546,10 @@ impl FrameDecoder {
         if avail < 4 {
             return Ok(None);
         }
-        // lint: allow(panic) — `avail >= 4` bounds the 4-byte prefix slice
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`avail >= 4` bounds the 4-byte prefix slice"
+        )]
         let len_bytes: [u8; 4] = self.buf[self.pos..self.pos + 4]
             .try_into()
             .unwrap_or([0; 4]);
@@ -555,7 +561,10 @@ impl FrameDecoder {
         if avail < total {
             return Ok(None);
         }
-        // lint: allow(panic) — `avail >= total` bounds the payload slice
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`avail >= total` bounds the payload slice"
+        )]
         let payload = self.buf[self.pos + 4..self.pos + total].to_vec();
         self.pos += total;
         if self.pos == self.buf.len() {
@@ -630,26 +639,31 @@ impl<'a> BodyReader<'a> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
         }
-        // lint: allow(panic) — the remaining() guard above keeps pos + n in bounds
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the remaining() guard above keeps pos + n in bounds"
+        )]
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        // take(N) returns exactly N bytes, so the conversion cannot
+        // fail; mapping to Truncated keeps the path panic-free anyway.
+        self.take(N)?.try_into().map_err(|_| WireError::Truncated)
+    }
+
     fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
-        // take(4) returns exactly 4 bytes, so the conversion cannot
-        // fail; mapping to Truncated keeps the path panic-free anyway.
-        let bytes = self.take(4)?.try_into().map_err(|_| WireError::Truncated)?;
-        Ok(u32::from_le_bytes(bytes))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
-        let bytes = self.take(8)?.try_into().map_err(|_| WireError::Truncated)?;
-        Ok(u64::from_le_bytes(bytes))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads a `count`-prefixed length, validating that `count * width`
@@ -696,17 +710,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             request_id,
             query,
             explain,
-        } => {
-            // Named here, not in `encode_query`: `pigeonring-lint`'s
-            // wire-tags rule wants every tag in both codec functions.
-            let tag = match query {
-                DomainQuery::Hamming { .. } => TAG_Q_HAMMING,
-                DomainQuery::Edit { .. } => TAG_Q_EDIT,
-                DomainQuery::Set { .. } => TAG_Q_SET,
-                DomainQuery::Graph { .. } => TAG_Q_GRAPH,
-            };
-            encode_query(tag, *request_id, *explain, query)
-        }
+        } => encode_query(*request_id, *explain, query),
         Request::Stats { request_id } => {
             let mut w = BodyWriter::new(TAG_STATS);
             w.u64(*request_id);
@@ -722,8 +726,13 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 
 /// Encodes a query: the shared header (`request_id`, flags byte), then
 /// the domain's body.
-fn encode_query(tag: u8, request_id: u64, explain: bool, query: &DomainQuery) -> Vec<u8> {
-    let mut w = BodyWriter::new(tag);
+fn encode_query(request_id: u64, explain: bool, query: &DomainQuery) -> Vec<u8> {
+    let mut w = BodyWriter::new(match query {
+        DomainQuery::Hamming { .. } => TAG_Q_HAMMING,
+        DomainQuery::Edit { .. } => TAG_Q_EDIT,
+        DomainQuery::Set { .. } => TAG_Q_SET,
+        DomainQuery::Graph { .. } => TAG_Q_GRAPH,
+    });
     w.u64(request_id);
     w.u8(encode_query_flags(explain));
     match query {
@@ -1395,5 +1404,139 @@ mod tests {
             assert_eq!(crate::queue::lane_of(d), i, "{d}: lane is its ALL index");
         }
         assert_eq!(Domain::parse_name("nope"), None);
+    }
+
+    /// Each request kind's exemplar slot. No wildcard arm: a new
+    /// variant does not compile until it gets a slot (and an exemplar).
+    fn request_slot(req: &Request) -> usize {
+        match req {
+            Request::Hello { .. } => 0,
+            Request::Query { query, .. } => match query {
+                DomainQuery::Hamming { .. } => 1,
+                DomainQuery::Edit { .. } => 2,
+                DomainQuery::Set { .. } => 3,
+                DomainQuery::Graph { .. } => 4,
+            },
+            Request::Stats { .. } => 5,
+            Request::Trace { .. } => 6,
+        }
+    }
+
+    /// Each response kind's exemplar slot, exhaustive like `request_slot`.
+    fn response_slot(resp: &Response) -> usize {
+        match resp {
+            Response::HelloOk { .. } => 0,
+            Response::Results { .. } => 1,
+            Response::Busy { .. } => 2,
+            Response::Stats { .. } => 3,
+            Response::Trace { .. } => 4,
+            Response::Explained { .. } => 5,
+            Response::Error { .. } => 6,
+        }
+    }
+
+    /// The tag of every message kind: its exemplar round-trips, tags
+    /// are unique, requests are `< 0x80` and responses `>= 0x80`, every
+    /// tag the decoders accept belongs to an exemplar, and the README
+    /// wire tables list exactly these tags.
+    #[test]
+    fn every_message_kind_has_one_documented_tag() {
+        let query = |query| Request::Query {
+            request_id: 1,
+            query,
+            explain: false,
+        };
+        let requests = [
+            Request::Hello { max_version: 2 },
+            query(DomainQuery::Hamming {
+                query: BitVector::from_words(64, vec![0x55]).unwrap(),
+                tau: 4,
+                l: 2,
+            }),
+            query(DomainQuery::Edit {
+                query: b"abc".to_vec(),
+                l: 2,
+            }),
+            query(DomainQuery::Set {
+                tokens: vec![1, 2, 3],
+                l: 2,
+            }),
+            query(DomainQuery::Graph {
+                query: Graph::new(vec![1, 2]),
+                l: 2,
+            }),
+            Request::Stats { request_id: 1 },
+            Request::Trace { request_id: 1 },
+        ];
+        let responses = [
+            Response::HelloOk { version: 2 },
+            Response::Results {
+                request_id: 1,
+                ids: vec![1, 2],
+            },
+            Response::Busy { request_id: 1 },
+            Response::Stats {
+                request_id: 1,
+                json: "{}".into(),
+            },
+            Response::Trace {
+                request_id: 1,
+                json: "{}".into(),
+            },
+            Response::Explained {
+                request_id: 1,
+                ids: vec![3],
+                json: "{}".into(),
+            },
+            Response::Error {
+                request_id: 1,
+                code: ErrorCode::Internal,
+                message: "x".into(),
+            },
+        ];
+        let mut tags = Vec::new();
+        for (slot, req) in requests.iter().enumerate() {
+            assert_eq!(request_slot(req), slot, "exemplars in slot order");
+            let payload = encode_request(req);
+            assert_eq!(decode_request(&payload).unwrap(), *req);
+            assert!(payload[1] < 0x80, "request tag {:#04x}", payload[1]);
+            tags.push(payload[1]);
+        }
+        for (slot, resp) in responses.iter().enumerate() {
+            assert_eq!(response_slot(resp), slot, "exemplars in slot order");
+            let payload = encode_response(resp);
+            assert_eq!(decode_response(&payload).unwrap(), *resp);
+            assert!(payload[1] >= 0x80, "response tag {:#04x}", payload[1]);
+            tags.push(payload[1]);
+        }
+        let mut unique = tags.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), tags.len(), "duplicate tag in {tags:02x?}");
+
+        for tag in 0..=u8::MAX {
+            let header = [PROTOCOL_VERSION, tag];
+            let known = !matches!(decode_request(&header), Err(WireError::BadTag(_)))
+                || !matches!(decode_response(&header), Err(WireError::BadTag(_)));
+            assert_eq!(
+                known,
+                tags.contains(&tag),
+                "decoders vs exemplars: {tag:#04x}"
+            );
+        }
+
+        let readme = include_str!("../../../README.md");
+        let section = readme
+            .split("### Wire protocol")
+            .nth(1)
+            .and_then(|s| s.split("\n## ").next())
+            .expect("README has a wire protocol section");
+        let mut documented: Vec<u8> = section
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `0x")?.get(..2))
+            .map(|hex| u8::from_str_radix(hex, 16).unwrap())
+            .collect();
+        documented.sort_unstable();
+        assert_eq!(documented, unique, "README wire tables vs code");
     }
 }

@@ -4,7 +4,8 @@
 //! counters equal an identically-built engine set's own merged stats
 //! (engines built from equal specs are bit-identical, and stats are
 //! batching-invariant), and which embeds the machine fingerprint and
-//! per-lane depth gauges.
+//! per-lane depth gauges. A second test holds the live metric names to
+//! the README Observability catalog.
 
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -12,7 +13,7 @@ use std::sync::Arc;
 use pigeonring_server::wire::Domain;
 use pigeonring_server::{start, Client, EngineSet, EngineSpec, Outcome, ServerConfig};
 use pigeonring_service::WorkerPool;
-use pigeonring_telemetry::{json, MetricsRegistry};
+use pigeonring_telemetry::{json, MetricsRegistry, Snapshot};
 
 fn tiny_spec() -> EngineSpec {
     EngineSpec {
@@ -139,4 +140,103 @@ fn stats_snapshot_matches_known_query_batch() {
     }
 
     handle.shutdown();
+}
+
+/// Expands the README Observability catalog into name patterns. The
+/// first cell of each row holds backticked names; one starting with `.`
+/// replaces the previous name's trailing segments
+/// (`index.{domain}.plan_us` / `.search_us`).
+fn catalog() -> Vec<String> {
+    let readme = include_str!("../../../README.md");
+    let section = readme
+        .split("\n## Observability\n")
+        .nth(1)
+        .and_then(|s| s.split("\n## ").next())
+        .expect("README has an Observability section");
+    let mut names: Vec<String> = Vec::new();
+    for row in section.lines().filter(|l| l.starts_with("| `")) {
+        let first_cell = row.split('|').nth(1).unwrap_or_default();
+        for span in first_cell.split('`').skip(1).step_by(2) {
+            let name = match (span.strip_prefix('.'), names.last()) {
+                (Some(suffix), Some(prev)) => {
+                    let segs: Vec<&str> = prev.split('.').collect();
+                    let keep = segs.len() - suffix.split('.').count();
+                    format!("{}.{suffix}", segs[..keep].join("."))
+                }
+                _ => span.to_string(),
+            };
+            names.push(name);
+        }
+    }
+    names
+}
+
+/// Whether `name` is an instance of catalog `pattern`: `{domain}` is one
+/// of the four domains, `{field}` any one segment.
+fn instance_of(name: &str, pattern: &str) -> bool {
+    let (segs, pats): (Vec<&str>, Vec<&str>) =
+        (name.split('.').collect(), pattern.split('.').collect());
+    segs.len() == pats.len()
+        && segs.iter().zip(&pats).all(|(seg, pat)| match *pat {
+            "{domain}" => Domain::ALL.iter().any(|d| d.as_str() == *seg),
+            "{field}" => true,
+            _ => seg == pat,
+        })
+}
+
+#[test]
+fn live_metric_names_match_the_readme_catalog() {
+    let spec = tiny_spec();
+    let engines = Arc::new(EngineSet::build(spec.clone()));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let handle = start(
+        listener,
+        engines,
+        WorkerPool::new(2),
+        ServerConfig::default(),
+    )
+    .expect("server starts");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for domain in Domain::ALL {
+        let query = spec.sample_queries(domain).swap_remove(0);
+        let outcome = client.search(query).expect("query answered");
+        assert!(matches!(outcome, Outcome::Results(_)), "{domain}");
+    }
+    let doc = json::parse(&client.stats().expect("stats answered")).expect("valid JSON");
+    let live =
+        Snapshot::from_json(doc.get("metrics").expect("metrics section")).expect("snapshot shape");
+    handle.shutdown();
+
+    let catalog = catalog();
+    let kinds = [
+        live.counters.keys().collect::<Vec<_>>(),
+        live.gauges.keys().collect(),
+        live.histograms.keys().collect(),
+    ];
+    let names: Vec<&String> = kinds.concat();
+    for name in &names {
+        let grammar = name.split('.').count() >= 2
+            && name.split('.').all(|seg| {
+                !seg.is_empty()
+                    && seg
+                        .bytes()
+                        .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
+            });
+        assert!(grammar, "`{name}` breaks the `layer(.segment)+` grammar");
+        assert!(
+            catalog.iter().any(|pattern| instance_of(name, pattern)),
+            "`{name}` is live but missing from the README Observability catalog"
+        );
+        let kinds_with_name = kinds.iter().filter(|k| k.contains(name)).count();
+        assert_eq!(
+            kinds_with_name, 1,
+            "`{name}` registered under two metric kinds"
+        );
+    }
+    for pattern in &catalog {
+        assert!(
+            names.iter().any(|name| instance_of(name, pattern)),
+            "README catalog lists `{pattern}`, which no live metric matches"
+        );
+    }
 }

@@ -50,6 +50,16 @@
 //! [`RingSetSim`]: https://docs.rs/pigeonring-setsim
 //! [`RingGraph`]: https://docs.rs/pigeonring-graph
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod engine;
 pub mod fingerprint;
 pub mod machine;

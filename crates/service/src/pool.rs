@@ -97,13 +97,15 @@ pub struct ScratchStore {
 impl ScratchStore {
     /// The worker's long-lived scratch of type `S`, created with
     /// `S::default()` on first request.
+    #[expect(
+        clippy::expect_used,
+        reason = "the entry is keyed by TypeId::of::<S>, so it always holds an S"
+    )]
     pub fn get_mut<S: Default + Send + 'static>(&mut self) -> &mut S {
         self.slots
             .entry(TypeId::of::<S>())
             .or_insert_with(|| Box::new(S::default()))
             .downcast_mut::<S>()
-            // lint: allow(panic) — the entry is keyed by TypeId::of::<S>, so it
-            // always holds an S
             .expect("slot keyed by TypeId::of::<S> holds an S")
     }
 
@@ -155,14 +157,16 @@ impl WorkerPool {
             }),
             available: Condvar::new(),
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "spawn failure at pool construction is an unrecoverable resource exhaustion; fail loudly at startup"
+        )]
         let workers = (0..workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("pigeonring-worker-{i}"))
                     .spawn(move || worker_loop(&shared))
-                    // lint: allow(panic) — spawn failure at pool construction is
-                    // an unrecoverable resource exhaustion; fail loudly at startup
                     .expect("spawn worker thread")
             })
             .collect();
@@ -247,9 +251,11 @@ impl Drop for WorkerPool {
             // job panics are caught) would surface here; propagate.
             if handle.join().is_err() {
                 // Already unwinding? Don't double-panic out of drop.
+                #[expect(
+                    clippy::panic,
+                    reason = "a worker dying outside a job is a pool bug; propagating the panic is the only honest signal"
+                )]
                 if !std::thread::panicking() {
-                    // lint: allow(panic) — a worker dying outside a job is a pool
-                    // bug; propagating the panic is the only honest signal
                     panic!("worker thread panicked outside a job");
                 }
             }

@@ -72,11 +72,8 @@ impl IndexMetrics {
     /// `.batch_size`).
     pub fn register(registry: &MetricsRegistry, prefix: &str) -> Self {
         IndexMetrics {
-            // lint: metric(index.{domain}.plan_us)
             plan_us: registry.histogram(&format!("{prefix}.plan_us")),
-            // lint: metric(index.{domain}.search_us)
             search_us: registry.histogram(&format!("{prefix}.search_us")),
-            // lint: metric(index.{domain}.batch_size)
             batch_size: registry.histogram(&format!("{prefix}.batch_size")),
         }
     }
@@ -163,9 +160,11 @@ impl<E: SearchEngine> Shard<E> {
                 let stats = self
                     .engine
                     .search_planned(scratch, plan, q, params, &mut out);
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "engines emit shard-local ids, which index the shard's own id table by construction"
+                )]
                 for id in &mut out {
-                    // lint: allow(panic) — engines emit shard-local ids, which
-                    // index the shard's own id table by construction
                     *id = self.ids[*id as usize];
                 }
                 (out, stats)
@@ -197,7 +196,10 @@ fn partition<R>(records: Vec<R>, shards: usize) -> Vec<(Vec<u32>, Vec<R>)> {
     let mut parts: Vec<(Vec<u32>, Vec<R>)> = (0..shards).map(|_| Default::default()).collect();
     for (id, record) in records.into_iter().enumerate() {
         let s = shard_of(id as u64, shards);
-        // lint: allow(panic) — shard_of reduces modulo `shards`, the length
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "shard_of reduces modulo `shards`, the length"
+        )]
         let part = &mut parts[s];
         part.0.push(id as u32);
         part.1.push(record);
@@ -326,14 +328,16 @@ impl<E: SearchEngine> ShardedIndex<E> {
     /// should prefer [`ShardedIndex::search_batch_on`], which amortizes
     /// the resize across the whole batch (each worker serves entire
     /// shards).
+    #[expect(
+        clippy::expect_used,
+        reason = "merge_planned returns one entry per query and exactly one query was passed"
+    )]
     pub fn search(&self, query: &E::Query, params: &E::Params) -> SearchResult<E::Stats> {
         let batch = std::slice::from_ref(query);
         let plans = self.plan_batch(batch).unwrap_or_default();
         let per_shard = self.run_serial_planned(batch, &plans, params, None);
         self.merge_planned(1, per_shard, &plans)
             .pop()
-            // lint: allow(panic) — merge_planned returns one entry per query
-            // and exactly one query was passed
             .expect("one query in, one result out")
     }
 
@@ -467,6 +471,7 @@ impl<E: SearchEngine> ShardedIndex<E> {
     /// cloned into an `Arc` shared by all jobs (queries are cheap to
     /// clone relative to a shard search; the server path hands over
     /// owned queries anyway).
+    #[expect(clippy::expect_used, reason = "ns successful receives fill every slot")]
     fn run_on_planned(
         &self,
         pool: &WorkerPool,
@@ -486,10 +491,14 @@ impl<E: SearchEngine> ShardedIndex<E> {
             let params = params.clone();
             let tx = tx.clone();
             let trace = trace.cloned();
+            #[expect(
+                clippy::expect_used,
+                reason = "deliberate: deadlock is the alternative"
+            )]
             pool.submit(move |store| {
                 let scratch = store.get_mut::<E::Scratch>();
+                #[expect(clippy::indexing_slicing, reason = "si ranges over 0..shards.len()")]
                 let result = shard_spans(trace.as_deref(), si, || {
-                    // lint: allow(panic) — si ranges over 0..shards.len()
                     shards[si].run_batch_planned(scratch, &batch, &plans, &params)
                 });
                 // The receiver only hangs up on panic-unwind; ignore.
@@ -498,23 +507,26 @@ impl<E: SearchEngine> ShardedIndex<E> {
             // Searching on a pool the caller already shut down is a
             // caller bug; failing loudly beats deadlocking below on
             // results that will never arrive.
-            // lint: allow(panic) — deliberate: deadlock is the alternative
             .expect("search_batch_on called on a shut-down worker pool");
         }
         drop(tx);
         let mut slots: Vec<Option<ShardBatch<E::Stats>>> = (0..ns).map(|_| None).collect();
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "si comes from the submit loop, always < ns"
+        )]
         for _ in 0..ns {
             // A worker job that panicked drops its sender without
             // sending; recv then fails once all senders are gone.
-            // lint: allow(panic) — a shard worker panicked; this batch cannot
-            // be answered, and the server's dispatcher catches the unwind
+            #[expect(
+                clippy::expect_used,
+                reason = "a shard worker panicked; this batch cannot be answered, and the server's dispatcher catches the unwind"
+            )]
             let (si, res) = rx.recv().expect("search worker panicked");
-            // lint: allow(panic) — si comes from the submit loop, always < ns
             slots[si] = Some(res);
         }
         slots
             .into_iter()
-            // lint: allow(panic) — ns successful receives fill every slot
             .map(|s| s.expect("every shard served"))
             .collect()
     }
@@ -537,8 +549,10 @@ impl<E: SearchEngine> ShardedIndex<E> {
             .collect();
         for shard_results in per_shard {
             for (qi, (ids, stats)) in shard_results.into_iter().enumerate() {
-                // lint: allow(panic) — every shard batch has one entry per
-                // query, so qi < batch_len, the length of merged
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "every shard batch has one entry per query, so qi < batch_len, the length of merged"
+                )]
                 let slot = &mut merged[qi];
                 slot.ids.extend(ids);
                 slot.stats.merge(&stats);
