@@ -8,8 +8,8 @@
 //! repro <serve|query|stats|trace|server-smoke>
 //!       [--quick | --paper] [--shards K] [--threads T] [--port P]
 //!       [--domain D] [--raw] [--slow-query-ms MS]
-//!       [--slow-query-ring N] [--metrics-dump PATH] [--metrics-interval-secs S]
-//!       [--trace-sample N] [--trace-buffer M] [--watch SECS] [--chrome PATH]
+//!       [--metrics-dump PATH] [--metrics-interval-secs S]
+//!       [--trace-sample N] [--watch SECS] [--chrome PATH]
 //! ```
 //!
 //! Each experiment prints an aligned table and writes a CSV under

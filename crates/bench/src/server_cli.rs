@@ -65,15 +65,9 @@ pub struct ServerCliOpts {
     /// `serve` / `server-smoke`: slow-query log threshold in
     /// milliseconds (`None` = disabled).
     pub slow_query_ms: Option<u64>,
-    /// `serve` / `server-smoke`: slow-query ring capacity (`None` =
-    /// the server default of 64).
-    pub slow_query_ring: Option<usize>,
     /// `serve` / `server-smoke`: trace one admitted query in N
     /// (`None` = sampling disabled; EXPLAIN still traces).
     pub trace_sample: Option<u64>,
-    /// `serve` / `server-smoke`: span-ring capacity (`None` = the
-    /// telemetry default).
-    pub trace_buffer: Option<usize>,
     /// `stats`: poll every SECS seconds and print snapshot deltas
     /// instead of one snapshot.
     pub watch: Option<usize>,
@@ -86,7 +80,7 @@ impl ServerCliOpts {
     /// flags and malformed values are errors, not silent defaults.
     pub fn from_args(args: &[String]) -> Result<ServerCliOpts, String> {
         const BOOL_FLAGS: [&str; 3] = ["--quick", "--paper", "--raw"];
-        const VALUE_FLAGS: [&str; 12] = [
+        const VALUE_FLAGS: [&str; 10] = [
             "--shards",
             "--threads",
             "--port",
@@ -94,9 +88,7 @@ impl ServerCliOpts {
             "--metrics-dump",
             "--metrics-interval-secs",
             "--slow-query-ms",
-            "--slow-query-ring",
             "--trace-sample",
-            "--trace-buffer",
             "--watch",
             "--chrome",
         ];
@@ -156,9 +148,7 @@ impl ServerCliOpts {
             metrics_dump,
             metrics_interval_secs: value_of("--metrics-interval-secs")?.unwrap_or(10),
             slow_query_ms: value_of("--slow-query-ms")?.map(|ms| ms as u64),
-            slow_query_ring: value_of("--slow-query-ring")?,
             trace_sample: value_of("--trace-sample")?.map(|n| n as u64),
-            trace_buffer: value_of("--trace-buffer")?,
             watch: value_of("--watch")?,
             chrome,
         })
@@ -187,9 +177,7 @@ impl ServerCliOpts {
         let defaults = ServerConfig::default();
         ServerConfig {
             slow_query_ms: self.slow_query_ms,
-            slow_query_ring: self.slow_query_ring.unwrap_or(defaults.slow_query_ring),
             trace_sample: self.trace_sample.unwrap_or(defaults.trace_sample),
-            trace_buffer: self.trace_buffer.unwrap_or(defaults.trace_buffer),
             ..defaults
         }
     }
@@ -584,8 +572,9 @@ mod tests {
         assert!(err.contains("unknown flag \"--backend\""), "{err}");
         assert!(ServerCliOpts::from_args(&args(&["--domain", "sets"])).is_err());
         assert!(ServerCliOpts::from_args(&args(&["--domain", "all"])).is_ok());
-        // The load generator's knobs went with it; lane depth and
-        // micro-batch size are `ServerConfig::default()`'s.
+        // The load generator's knobs went with it; lane depth,
+        // micro-batch size, span-ring and slow-query-ring capacity are
+        // the server's fixed defaults.
         for flag in [
             "--conns",
             "--requests",
@@ -593,6 +582,8 @@ mod tests {
             "--mix",
             "--queue",
             "--batch",
+            "--trace-buffer",
+            "--slow-query-ring",
         ] {
             let err = ServerCliOpts::from_args(&args(&[flag, "2"])).unwrap_err();
             assert!(err.contains(&format!("unknown flag {flag:?}")), "{err}");
@@ -633,17 +624,11 @@ mod tests {
     fn tracing_flags_parse() {
         let o = ServerCliOpts::from_args(&args(&[])).expect("defaults parse");
         assert!(o.trace_sample.is_none());
-        assert!(o.trace_buffer.is_none());
-        assert!(o.slow_query_ring.is_none());
         assert!(o.watch.is_none());
         assert!(o.chrome.is_none());
         let o = ServerCliOpts::from_args(&args(&[
             "--trace-sample",
             "8",
-            "--trace-buffer",
-            "2048",
-            "--slow-query-ring",
-            "16",
             "--watch",
             "2",
             "--chrome",
@@ -651,14 +636,11 @@ mod tests {
         ]))
         .expect("tracing flags parse");
         assert_eq!(o.trace_sample, Some(8));
-        assert_eq!(o.trace_buffer, Some(2048));
-        assert_eq!(o.slow_query_ring, Some(16));
         assert_eq!(o.watch, Some(2));
         assert_eq!(o.chrome.as_deref(), Some("results/trace.json"));
         // Zero is "disabled" spelled wrong — reject it rather than
         // silently arming a meaningless cadence.
         assert!(ServerCliOpts::from_args(&args(&["--trace-sample", "0"])).is_err());
-        assert!(ServerCliOpts::from_args(&args(&["--slow-query-ring", "0"])).is_err());
         // A missing or flag-shaped path is an error, not a silent skip.
         assert!(ServerCliOpts::from_args(&args(&["--chrome"])).is_err());
         assert!(ServerCliOpts::from_args(&args(&["--chrome", "--raw"])).is_err());

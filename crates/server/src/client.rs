@@ -198,25 +198,7 @@ impl Client {
     /// queries). Must not be interleaved with in-flight pipelined
     /// queries — like [`Client::search`], it waits for its own reply.
     pub fn stats(&mut self) -> Result<String, ClientError> {
-        let request_id = self.next_id;
-        self.next_id += 1;
-        write_frame(
-            &mut self.writer,
-            &encode_request(&Request::Stats { request_id }),
-        )?;
-        match self.read_response()? {
-            Response::Stats {
-                request_id: got,
-                json,
-            } => {
-                if got != request_id {
-                    return Err(ClientError::Protocol("response id does not match request"));
-                }
-                Ok(json)
-            }
-            Response::Error { code, message, .. } => Err(ClientError::Server { code, message }),
-            _ => Err(ClientError::Protocol("expected Stats response")),
-        }
+        self.fetch_document(|request_id| Request::Stats { request_id })
     }
 
     /// Fetches the server's recent sampled traces (a JSON document:
@@ -225,23 +207,40 @@ impl Client {
     /// reactor thread — usable even under full lanes — and must not
     /// be interleaved with in-flight pipelined queries.
     pub fn trace(&mut self) -> Result<String, ClientError> {
+        self.fetch_document(|request_id| Request::Trace { request_id })
+    }
+
+    /// Sends a Stats or Trace request and waits for the JSON document
+    /// of the matching response variant.
+    fn fetch_document(&mut self, request: fn(u64) -> Request) -> Result<String, ClientError> {
         let request_id = self.next_id;
         self.next_id += 1;
-        write_frame(
-            &mut self.writer,
-            &encode_request(&Request::Trace { request_id }),
-        )?;
-        match self.read_response()? {
-            Response::Trace {
-                request_id: got,
-                json,
-            } => {
+        let request = request(request_id);
+        write_frame(&mut self.writer, &encode_request(&request))?;
+        match (request, self.read_response()?) {
+            (
+                Request::Stats { .. },
+                Response::Stats {
+                    request_id: got,
+                    json,
+                },
+            )
+            | (
+                Request::Trace { .. },
+                Response::Trace {
+                    request_id: got,
+                    json,
+                },
+            ) => {
                 if got != request_id {
                     return Err(ClientError::Protocol("response id does not match request"));
                 }
                 Ok(json)
             }
-            Response::Error { code, message, .. } => Err(ClientError::Server { code, message }),
+            (_, Response::Error { code, message, .. }) => {
+                Err(ClientError::Server { code, message })
+            }
+            (Request::Stats { .. }, _) => Err(ClientError::Protocol("expected Stats response")),
             _ => Err(ClientError::Protocol("expected Trace response")),
         }
     }

@@ -121,15 +121,6 @@ impl<T> FairQueue<T> {
         let _ = self.depth_gauges.set(gauges);
     }
 
-    /// The attached depth gauge for `domain`'s lane, if any.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "lane_of is always < NUM_LANES, the array length"
-    )]
-    pub fn depth_gauge(&self, domain: Domain) -> Option<&Arc<Gauge>> {
-        self.depth_gauges.get().map(|g| &g[lane_of(domain)])
-    }
-
     /// The per-lane admission-control depth.
     pub fn lane_capacity(&self) -> usize {
         self.lane_capacity
@@ -419,12 +410,13 @@ mod tests {
     #[test]
     fn fair_depth_gauges_track_push_and_pop() {
         let q = fq(8);
-        q.attach_depth_gauges(std::array::from_fn(|_| Arc::new(Gauge::new())));
+        let gauges: [Arc<Gauge>; NUM_LANES] = std::array::from_fn(|_| Arc::new(Gauge::new()));
+        q.attach_depth_gauges(gauges.clone());
         for i in 0..3 {
             q.try_push(Domain::Graph, (Domain::Graph, i)).expect("room");
         }
         q.try_push(Domain::Edit, (Domain::Edit, 0)).expect("room");
-        let read = |d: Domain| q.depth_gauge(d).expect("attached").get();
+        let read = |d: Domain| gauges[lane_of(d)].get();
         assert_eq!(read(Domain::Graph), 3);
         assert_eq!(read(Domain::Edit), 1);
         assert_eq!(read(Domain::Hamming), 0);

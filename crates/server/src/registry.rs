@@ -29,8 +29,8 @@ use pigeonring_graph::{GraphParams, RingGraph};
 use pigeonring_hamming::{CostModel, HammingParams, Partitioning, RingHamming};
 use pigeonring_service::{IndexMetrics, MergeStats, SearchEngine, ShardedIndex, WorkerPool};
 use pigeonring_setsim::{Collection, RingSetSim, SetParams, Threshold, TokenDictionary};
-use pigeonring_telemetry::trace::{kind, ShardTrace, TraceBatch};
-use pigeonring_telemetry::{Counter, MetricsRegistry, SpanHandle};
+use pigeonring_telemetry::trace::{kind, TraceBatch, TraceScope};
+use pigeonring_telemetry::{Counter, MetricsRegistry};
 
 use crate::wire::{Domain, DomainQuery, ErrorCode, Response, CONNECTION_REQUEST_ID};
 
@@ -600,48 +600,22 @@ fn run_groups<E>(
             slots.push(s);
             batch.push(q);
         }
-        // Open one dispatch span per traced query of this run; the
-        // sharded index parents its plan/pool/shard spans under them.
-        let mut dispatch: Vec<Option<SpanHandle>> = vec![None; slots.len()];
-        let mut shard_trace = None;
-        if let Some(c) = traces.collector() {
-            for (i, &s) in slots.iter().enumerate() {
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "dispatch is sized to slots.len(); i enumerates slots"
-                )]
-                if let Some((trace_id, root)) = traces.target(s) {
-                    dispatch[i] = Some(c.child_of(trace_id, root));
-                }
-            }
-            let targets: Vec<(u64, u64)> = dispatch
-                .iter()
-                .flatten()
-                .map(|h| (h.trace_id, h.id))
-                .collect();
-            if !targets.is_empty() {
-                shard_trace = Some(ShardTrace {
-                    collector: Arc::clone(c),
-                    targets,
-                });
-            }
-        }
-        let results = index.search_batch_on_traced(pool, &batch, &params, shard_trace.as_ref());
+        // One dispatch span per traced query of this run; the sharded
+        // index parents its plan/pool/shard spans under them.
+        let results = TraceScope::span(
+            traces.scope(&slots).as_ref(),
+            kind::DISPATCH,
+            &[("batch", batch.len() as u64)],
+            |scope| index.search_batch_on_traced(pool, &batch, &params, scope),
+        );
         if let Some(c) = traces.collector() {
             let mut buf = Vec::new();
-            for h in dispatch.iter().flatten() {
-                buf.push(c.finish(*h, kind::DISPATCH, "", vec![("batch", batch.len() as u64)]));
-            }
             // Stage markers carry each traced query's *own* merged
             // stats (not the run total), parented on the root so the
             // per-stage pruning story reads directly off the trace.
-            for (i, &s) in slots.iter().enumerate() {
+            for (&s, result) in slots.iter().zip(&results) {
                 if let Some((trace_id, root)) = traces.target(s) {
-                    #[expect(
-                        clippy::indexing_slicing,
-                        reason = "one result per batch item; i enumerates slots"
-                    )]
-                    results[i].stats.visit(&mut |name, value| {
+                    result.stats.visit(&mut |name, value| {
                         buf.push(c.instant(
                             trace_id,
                             root,

@@ -97,16 +97,10 @@ pub struct ServerConfig {
     /// kept in the bounded slow-query ring the Stats snapshot exposes.
     /// `None` (the default) disables the log entirely.
     pub slow_query_ms: Option<u64>,
-    /// How many completed slow queries the ring retains for the Stats
-    /// snapshot (oldest evicted first).
-    pub slow_query_ring: usize,
     /// Head-sampling rate for per-request tracing: one admitted query
     /// in `trace_sample` gets a full span timeline. `0` (the default)
     /// disables sampling; EXPLAIN queries are always traced.
     pub trace_sample: u64,
-    /// How many spans the trace ring retains (oldest evicted first;
-    /// slow-query traces are pinned and survive eviction).
-    pub trace_buffer: usize,
 }
 
 impl Default for ServerConfig {
@@ -117,12 +111,14 @@ impl Default for ServerConfig {
             dispatchers: 4,
             conn_in_flight: 32,
             slow_query_ms: None,
-            slow_query_ring: 64,
             trace_sample: 0,
-            trace_buffer: DEFAULT_TRACE_BUFFER,
         }
     }
 }
+
+/// How many completed slow queries the ring retains for the Stats
+/// snapshot (oldest evicted first).
+const SLOW_QUERY_RING: usize = 64;
 
 /// How long a connection with buffered replies may accept no bytes
 /// before the reactor declares the client wedged and tears it down
@@ -231,7 +227,6 @@ pub struct ServerMetrics {
     /// Write-buffer flush passes that made progress on a socket.
     pub(crate) reactor_write_flushes: Arc<Counter>,
     slow_query_us: Option<u64>,
-    slow_query_cap: usize,
     slow_queries: Mutex<VecDeque<SlowQuery>>,
     tracer: Arc<TraceCollector>,
 }
@@ -261,11 +256,10 @@ impl ServerMetrics {
             reactor_events_per_wake: registry.histogram("server.reactor.events_per_wake"),
             reactor_write_flushes: registry.counter("server.reactor.write_flushes"),
             slow_query_us: config.slow_query_ms.map(|ms| ms.saturating_mul(1000)),
-            slow_query_cap: config.slow_query_ring.max(1),
             slow_queries: Mutex::new(VecDeque::new()),
             tracer: Arc::new(TraceCollector::new(
                 config.trace_sample,
-                config.trace_buffer,
+                DEFAULT_TRACE_BUFFER,
             )),
             registry,
         }
@@ -329,7 +323,7 @@ impl ServerMetrics {
             None => Vec::new(),
         };
         let mut log = lock_recover(&self.slow_queries);
-        if log.len() >= self.slow_query_cap {
+        if log.len() >= SLOW_QUERY_RING {
             log.pop_front();
         }
         log.push_back(SlowQuery {
@@ -395,6 +389,9 @@ pub type Handler =
 pub struct ServerHandle {
     addr: SocketAddr,
     queue: Arc<FairQueue<Job>>,
+    /// Per-lane depth gauges ([`Domain::ALL`] order), maintained by the
+    /// queue at push and pop.
+    lane_depths: [Arc<Gauge>; NUM_LANES],
     stop: Arc<AtomicBool>,
     metrics: Arc<ServerMetrics>,
     /// The event loop's thread + wake handle.
@@ -447,11 +444,12 @@ fn start_inner(
 ) -> std::io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
     let queue = Arc::new(FairQueue::<Job>::new(config.lane_depth, LANE_SHARES));
-    queue.attach_depth_gauges(Domain::ALL.map(|domain| {
+    let lane_depths = Domain::ALL.map(|domain| {
         metrics
             .registry
             .gauge(&format!("server.lane.{domain}.depth"))
-    }));
+    });
+    queue.attach_depth_gauges(lane_depths.clone());
     let stop = Arc::new(AtomicBool::new(false));
 
     let dispatch_threads = (0..config.dispatchers.max(1))
@@ -477,6 +475,7 @@ fn start_inner(
         Ok(ServerHandle {
             addr,
             queue,
+            lane_depths,
             stop,
             metrics,
             reactor,
@@ -510,10 +509,8 @@ impl ServerHandle {
     /// the gauge transiently read one high or low; exact interior
     /// counts are not observable without the lock anyway.
     pub fn lane_len(&self, domain: Domain) -> usize {
-        match self.queue.depth_gauge(domain) {
-            Some(gauge) => gauge.get().max(0) as usize,
-            None => self.queue.lane_len(domain),
-        }
+        let gauge = self.lane_depths.get(lane_of(domain));
+        gauge.map_or(0, |g| g.get().max(0) as usize)
     }
 
     /// The server's telemetry: registry, uptime, slow-query ring.
@@ -597,7 +594,7 @@ fn dispatch_loop(
                 // The queue-wait span covers admission → this pop;
                 // re-dating a fresh child to the root's start makes the
                 // interval exact without carrying a second handle.
-                let mut wait = metrics.tracer.child(&t.root);
+                let mut wait = metrics.tracer.child_of(t.root.trace_id, t.root.id);
                 wait.start_us = t.root.start_us;
                 span_buf.push(metrics.tracer.finish(wait, kind::QUEUE_WAIT, "", vec![]));
             }
@@ -637,11 +634,7 @@ fn dispatch_loop(
                 // the response leaves.
                 let resp = match st.trace {
                     Some(t) => {
-                        let root =
-                            metrics
-                                .tracer
-                                .finish(t.root, kind::QUERY, st.domain.as_str(), vec![]);
-                        metrics.tracer.extend(vec![root]);
+                        close_root(metrics, t, st.domain);
                         match resp {
                             Response::Results { ids, .. } if t.explain => Response::Explained {
                                 request_id: 0, // stamped below
@@ -671,11 +664,7 @@ fn dispatch_loop(
                 // A traced query that died still closes its root span,
                 // so the exported trace never has dangling parents.
                 if let Some(t) = st.trace {
-                    let root =
-                        metrics
-                            .tracer
-                            .finish(t.root, kind::QUERY, st.domain.as_str(), vec![]);
-                    metrics.tracer.extend(vec![root]);
+                    close_root(metrics, t, st.domain);
                 }
                 metrics.errors.inc();
                 st.reply.send(Response::Error {
@@ -686,6 +675,14 @@ fn dispatch_loop(
             }
         }
     }
+}
+
+/// Finishes a traced query's root span and drains it into the ring.
+fn close_root(metrics: &ServerMetrics, t: JobTrace, domain: Domain) {
+    let root = metrics
+        .tracer
+        .finish(t.root, kind::QUERY, domain.as_str(), vec![]);
+    metrics.tracer.extend(vec![root]);
 }
 
 /// What the connection owner should do after one frame was handled.

@@ -215,6 +215,33 @@ fn assert_tree_shape(spans: &[&Value], expect_domain: &str) {
     }
 }
 
+/// The README "Tracing" ladder: every span of a layer hangs off the
+/// span of the layer above it.
+fn assert_ladder(spans: &[&Value]) {
+    fn kind_of(s: &Value) -> &str {
+        s.get("kind").and_then(Value::as_str).expect("span kind")
+    }
+    for s in spans {
+        let expect_parent = match kind_of(s) {
+            "queue_wait" | "dispatch" | "stage" => "query",
+            "plan" | "pool" => "dispatch",
+            "shard" => "pool",
+            _ => continue,
+        };
+        let parent = s.get("parent").and_then(Value::as_u64).expect("parent");
+        let parent = spans
+            .iter()
+            .find(|p| p.get("id").and_then(Value::as_u64) == Some(parent))
+            .expect("parent in trace");
+        assert_eq!(
+            kind_of(parent),
+            expect_parent,
+            "a {} span must hang off a {expect_parent} span",
+            kind_of(s)
+        );
+    }
+}
+
 /// EXPLAIN per query: ids identical to the reference run, span tree
 /// inline, stage counts bit-identical to the engines' own MergeStats.
 #[test]
@@ -339,6 +366,7 @@ fn sampled_traces_cover_every_query_with_valid_parentage() {
             .unwrap_or_else(|| panic!("root span named after a domain, got {name:?}"));
         roots_by_domain[di] += 1;
         assert_tree_shape(&spans, name);
+        assert_ladder(&spans);
     }
     assert!(
         roots_by_domain.iter().all(|&n| n == QUERIES_PER_DOMAIN),

@@ -39,8 +39,9 @@
 //!   wire.
 //!
 //! The adapter impls for [`RingHamming`], [`RingEdit`], [`RingSetSim`]
-//! and [`RingGraph`] live in the respective domain crates, each in a
-//! `service` module. (This is a layout choice, not an orphan-rule
+//! and [`RingGraph`] live in the respective domain crates, next to each
+//! engine: `hamming/src/engine.rs` and `{editdist,setsim,graph}/src/ring.rs`.
+//! (This is a layout choice, not an orphan-rule
 //! obligation — `SearchEngine` is local here, so the impls could equally
 //! live in this crate; keeping them next to the engines lets each
 //! adapter touch crate-private details such as query translation.)

@@ -50,8 +50,8 @@ use std::time::Instant;
 use crate::engine::{MergeStats, SearchEngine};
 use crate::pool::{ScratchStore, WorkerPool};
 use pigeonring_core::fxhash::FxHasher;
-use pigeonring_telemetry::trace::{kind, ShardTrace};
-use pigeonring_telemetry::{Histogram, MetricsRegistry, SpanHandle};
+use pigeonring_telemetry::trace::{kind, TraceScope};
+use pigeonring_telemetry::{Histogram, MetricsRegistry};
 
 /// Telemetry handles for one [`ShardedIndex`], attached via
 /// [`ShardedIndex::attach_metrics`]. Recorded by
@@ -82,33 +82,6 @@ impl IndexMetrics {
 /// Elapsed µs since `start`, saturating into u64.
 fn elapsed_us(start: Instant) -> u64 {
     start.elapsed().as_micros().min(u64::MAX as u128) as u64
-}
-
-/// Brackets one shard's execution with a `shard` span per traced
-/// query, buffered locally and drained with a single
-/// [`TraceCollector::extend`](pigeonring_telemetry::TraceCollector::extend)
-/// — the spans reach the ring *before* the shard's results are
-/// reported, so a trace assembled right after the batch completes is
-/// never missing its shard spans.
-fn shard_spans<T>(trace: Option<&ShardTrace>, si: usize, f: impl FnOnce() -> T) -> T {
-    let handles: Option<Vec<SpanHandle>> = trace.map(|t| {
-        t.targets
-            .iter()
-            .map(|&(tid, parent)| t.collector.child_of(tid, parent))
-            .collect()
-    });
-    let out = f();
-    if let (Some(t), Some(handles)) = (trace, handles) {
-        let buf = handles
-            .into_iter()
-            .map(|h| {
-                t.collector
-                    .finish(h, kind::SHARD, "", vec![("shard", si as u64)])
-            })
-            .collect();
-        t.collector.extend(buf);
-    }
-    out
 }
 
 /// Deterministic shard assignment for global record id `id` among
@@ -142,34 +115,39 @@ struct Shard<E> {
 }
 
 impl<E: SearchEngine> Shard<E> {
-    /// Runs every query of `batch` against this shard with precomputed
-    /// plans (`plans[i]` belongs to `batch[i]`), translating shard-local
-    /// ids to global ids.
+    /// Runs every query of `batch` against this shard — shard `si` —
+    /// with precomputed plans (`plans[i]` belongs to `batch[i]`) inside
+    /// one `shard` span per traced query, translating shard-local ids
+    /// to global ids.
     fn run_batch_planned(
         &self,
+        si: usize,
+        trace: Option<&TraceScope>,
         scratch: &mut E::Scratch,
         batch: &[E::Query],
         plans: &[Arc<E::Plan>],
         params: &E::Params,
     ) -> ShardBatch<E::Stats> {
-        batch
-            .iter()
-            .zip(plans)
-            .map(|(q, plan)| {
-                let mut out = Vec::new();
-                let stats = self
-                    .engine
-                    .search_planned(scratch, plan, q, params, &mut out);
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "engines emit shard-local ids, which index the shard's own id table by construction"
-                )]
-                for id in &mut out {
-                    *id = self.ids[*id as usize];
-                }
-                (out, stats)
-            })
-            .collect()
+        TraceScope::span(trace, kind::SHARD, &[("shard", si as u64)], |_| {
+            batch
+                .iter()
+                .zip(plans)
+                .map(|(q, plan)| {
+                    let mut out = Vec::new();
+                    let stats = self
+                        .engine
+                        .search_planned(scratch, plan, q, params, &mut out);
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "engines emit shard-local ids, which index the shard's own id table by construction"
+                    )]
+                    for id in &mut out {
+                        *id = self.ids[*id as usize];
+                    }
+                    (out, stats)
+                })
+                .collect()
+        })
     }
 }
 
@@ -361,12 +339,12 @@ impl<E: SearchEngine> ShardedIndex<E> {
     }
 
     /// [`ShardedIndex::search_batch_on`] with per-request tracing: for
-    /// every `(trace_id, parent span)` target in `trace`, the index
-    /// emits a `plan` span bracketing the shared plan phase, a `pool`
-    /// span bracketing the whole fan-out
-    /// window, and one `shard` child span per shard measured where the
-    /// work runs (on the worker for the parallel path, on the calling
-    /// thread for the serial fallback). `None` is the zero-cost
+    /// every traced query in `trace`, the index emits a `plan` span
+    /// bracketing the shared plan phase, a `pool` span bracketing the
+    /// fan-out window and merge, and under it one `shard` span per shard
+    /// measured where the work runs (on the worker for the parallel
+    /// path, on the calling thread for the serial fallback) and flushed
+    /// before that shard's results are reported. `None` is the zero-cost
     /// untraced path — byte-identical behaviour to
     /// [`ShardedIndex::search_batch_on`].
     pub fn search_batch_on_traced(
@@ -374,64 +352,23 @@ impl<E: SearchEngine> ShardedIndex<E> {
         pool: &WorkerPool,
         batch: &[E::Query],
         params: &E::Params,
-        trace: Option<&ShardTrace>,
+        trace: Option<&TraceScope>,
     ) -> Vec<SearchResult<E::Stats>> {
         let start = Instant::now();
-        // One `plan` span per traced query, around the shared plan
-        // phase.
-        let plan_handles: Option<Vec<SpanHandle>> = match trace {
-            Some(t) if !self.shards.is_empty() => Some(
-                t.targets
-                    .iter()
-                    .map(|&(tid, parent)| t.collector.child_of(tid, parent))
-                    .collect(),
-            ),
-            _ => None,
-        };
-        let plans = self.plan_batch(batch).unwrap_or_default();
-        if let (Some(t), Some(handles)) = (trace, plan_handles) {
-            let buf = handles
-                .into_iter()
-                .map(|h| {
-                    t.collector
-                        .finish(h, kind::PLAN, "", vec![("queries", batch.len() as u64)])
-                })
-                .collect();
-            t.collector.extend(buf);
-        }
-        // One `pool` span per traced query bracketing execution; shard
-        // spans parent under it, so the timeline shows fan-out window
-        // vs. per-shard work.
-        let exec = trace.map(|t| {
-            let handles: Vec<SpanHandle> = t
-                .targets
-                .iter()
-                .map(|&(tid, parent)| t.collector.child_of(tid, parent))
-                .collect();
-            let ctx = Arc::new(ShardTrace {
-                collector: Arc::clone(&t.collector),
-                targets: handles.iter().map(|h| (h.trace_id, h.id)).collect(),
-            });
-            (handles, ctx)
+        let queries = batch.len() as u64;
+        let plan_trace = trace.filter(|_| !self.shards.is_empty()); // no shards: no plan phase
+        let plans = TraceScope::span(plan_trace, kind::PLAN, &[("queries", queries)], |_| {
+            self.plan_batch(batch).unwrap_or_default()
         });
-        let shard_trace = exec.as_ref().map(|(_, ctx)| ctx);
-        let per_shard = if self.shards.len() <= 1 || pool.workers() <= 1 {
-            self.run_serial_planned(batch, &plans, params, shard_trace)
-        } else {
-            self.run_on_planned(pool, batch, &plans, params, shard_trace)
-        };
-        let merged = self.merge_planned(batch.len(), per_shard, &plans);
-        if let (Some(t), Some((handles, _))) = (trace, exec) {
-            let tags = vec![
-                ("shards", self.shards.len() as u64),
-                ("queries", batch.len() as u64),
-            ];
-            let buf = handles
-                .into_iter()
-                .map(|h| t.collector.finish(h, kind::POOL, "", tags.clone()))
-                .collect();
-            t.collector.extend(buf);
-        }
+        let tags = [("shards", self.shards.len() as u64), ("queries", queries)];
+        let merged = TraceScope::span(trace, kind::POOL, &tags, |shard_trace| {
+            let per_shard = if self.shards.len() <= 1 || pool.workers() <= 1 {
+                self.run_serial_planned(batch, &plans, params, shard_trace)
+            } else {
+                self.run_on_planned(pool, batch, &plans, params, shard_trace)
+            };
+            self.merge_planned(batch.len(), per_shard, &plans)
+        });
         if let Some(m) = self.metrics.get() {
             m.batch_size.record(batch.len() as u64);
             m.search_us.record(elapsed_us(start));
@@ -446,17 +383,13 @@ impl<E: SearchEngine> ShardedIndex<E> {
         batch: &[E::Query],
         plans: &[Arc<E::Plan>],
         params: &E::Params,
-        trace: Option<&Arc<ShardTrace>>,
+        trace: Option<&TraceScope>,
     ) -> Vec<ShardBatch<E::Stats>> {
         let mut scratch = E::Scratch::default();
         self.shards
             .iter()
             .enumerate()
-            .map(|(si, s)| {
-                shard_spans(trace.map(Arc::as_ref), si, || {
-                    s.run_batch_planned(&mut scratch, batch, plans, params)
-                })
-            })
+            .map(|(si, s)| s.run_batch_planned(si, trace, &mut scratch, batch, plans, params))
             .collect()
     }
 
@@ -478,7 +411,7 @@ impl<E: SearchEngine> ShardedIndex<E> {
         batch: &[E::Query],
         plans: &[Arc<E::Plan>],
         params: &E::Params,
-        trace: Option<&Arc<ShardTrace>>,
+        trace: Option<&TraceScope>,
     ) -> Vec<ShardBatch<E::Stats>> {
         let batch: Arc<Vec<E::Query>> = Arc::new(batch.to_vec());
         let plans: Arc<Vec<Arc<E::Plan>>> = Arc::new(plans.to_vec());
@@ -498,9 +431,8 @@ impl<E: SearchEngine> ShardedIndex<E> {
             pool.submit(move |store| {
                 let scratch = store.get_mut::<E::Scratch>();
                 #[expect(clippy::indexing_slicing, reason = "si ranges over 0..shards.len()")]
-                let result = shard_spans(trace.as_deref(), si, || {
-                    shards[si].run_batch_planned(scratch, &batch, &plans, &params)
-                });
+                let result =
+                    shards[si].run_batch_planned(si, trace.as_ref(), scratch, &batch, &plans, &params);
                 // The receiver only hangs up on panic-unwind; ignore.
                 let _ = tx.send((si, result));
             })
@@ -831,7 +763,7 @@ mod tests {
         let batch: Vec<i64> = (0..6).collect();
         let collector = Arc::new(TraceCollector::new(0, 256));
         let root = collector.sample(true).expect("forced trace");
-        let trace = ShardTrace {
+        let trace = TraceScope {
             collector: Arc::clone(&collector),
             targets: vec![(root.trace_id, root.id)],
         };

@@ -15,11 +15,10 @@
 //!   relaxed atomic fetch-add on admission; untraced requests never
 //!   allocate, never lock, and never construct a span. The CI bench
 //!   gate holds the disabled path under 1% overhead.
-//! * **No per-span locking when enabled.** Spans are buffered in
-//!   plain `Vec`s owned by the emitting thread's stack frame (the
-//!   dispatcher batch, the worker-pool job) and drained into the
-//!   bounded central ring with a single lock acquisition per batch
-//!   via [`TraceCollector::extend`].
+//! * **No per-span locking when enabled.** Each layer brackets its
+//!   work with [`TraceScope::span`], which opens one span per traced
+//!   query of the work, and drains them into the bounded central ring
+//!   with a single lock acquisition via [`TraceCollector::extend`].
 //! * **Bounded memory.** The ring holds at most `capacity` spans;
 //!   older spans are evicted (and counted) as new ones arrive. Traces
 //!   of queries that crossed the slow-query threshold can be
@@ -40,7 +39,7 @@ use std::time::Instant;
 
 use crate::json::Value;
 
-/// Default span-ring capacity (`serve --trace-buffer`).
+/// Span-ring capacity of a server's collector.
 pub const DEFAULT_TRACE_BUFFER: usize = 4096;
 
 /// How many slow traces the pinned store retains before the oldest
@@ -205,13 +204,8 @@ impl TraceCollector {
         })
     }
 
-    /// Opens a child span under `parent`, starting now.
-    pub fn child(&self, parent: &SpanHandle) -> SpanHandle {
-        self.child_of(parent.trace_id, parent.id)
-    }
-
-    /// Opens a child span from raw ids (for layers that carry
-    /// `(trace_id, parent)` pairs instead of handles).
+    /// Opens a child span under span `parent` of trace `trace_id`,
+    /// starting now.
     pub fn child_of(&self, trace_id: u64, parent: u64) -> SpanHandle {
         SpanHandle {
             trace_id,
@@ -419,17 +413,59 @@ impl TraceBatch {
         self.collector.as_ref()?;
         self.targets.get(slot).copied().flatten()
     }
+
+    /// The scope of the traced queries among `slots`, parented on their
+    /// roots; `None` when none of them is traced.
+    pub fn scope(&self, slots: &[usize]) -> Option<TraceScope> {
+        let collector = self.collector.as_ref()?;
+        let targets: Vec<(u64, u64)> = slots.iter().filter_map(|&s| self.target(s)).collect();
+        (!targets.is_empty()).then(|| TraceScope {
+            collector: Arc::clone(collector),
+            targets,
+        })
+    }
 }
 
-/// Trace context for one sharded batch execution: every traced query
-/// in the group, with the span each layer should parent its children
-/// under. Wrapped in an `Arc` so worker-pool job closures can carry
-/// it.
-pub struct ShardTrace {
+/// Where one layer's spans go: every traced query of the work at hand,
+/// with the span that layer parents its children under. Cloned into
+/// worker-pool jobs, so each shard's spans are emitted where it runs.
+#[derive(Clone)]
+pub struct TraceScope {
     /// The sink spans are drained into.
     pub collector: Arc<TraceCollector>,
-    /// `(trace_id, parent span id)` per traced query in the group.
+    /// `(trace_id, parent span id)` per traced query.
     pub targets: Vec<(u64, u64)>,
+}
+
+impl TraceScope {
+    /// Brackets `f` with one `kind` span per traced query: opens a child
+    /// under each parent of `scope`, runs `f` with the scope of those new
+    /// spans, then finishes them with `tags` and drains them into the
+    /// ring with a single [`TraceCollector::extend`] — so they are in
+    /// the ring when `span` returns. With `None` it only calls
+    /// `f(None)`: no allocation, no clock read, no lock.
+    pub fn span<T>(
+        scope: Option<&TraceScope>,
+        kind: &'static str,
+        tags: &[(&'static str, u64)],
+        f: impl FnOnce(Option<&TraceScope>) -> T,
+    ) -> T {
+        let Some(TraceScope { collector, targets }) = scope else {
+            return f(None);
+        };
+        let open: Vec<SpanHandle> = targets
+            .iter()
+            .map(|&(t, p)| collector.child_of(t, p))
+            .collect();
+        let inner = TraceScope {
+            collector: Arc::clone(collector),
+            targets: open.iter().map(|h| (h.trace_id, h.id)).collect(),
+        };
+        let out = f(Some(&inner));
+        let finish = |h| collector.finish(h, kind, "", tags.to_vec());
+        collector.extend(open.into_iter().map(finish).collect());
+        out
+    }
 }
 
 /// Converts an exported trace document (the [`export_recent`]
@@ -536,7 +572,7 @@ mod tests {
     fn spans_nest_and_export_in_start_order() {
         let c = TraceCollector::new(1, 64);
         let root = c.sample(false).expect("sampled");
-        let child = c.child(&root);
+        let child = c.child_of(root.trace_id, root.id);
         let buf = vec![
             c.finish(child, kind::DISPATCH, "", vec![("batch", 4)]),
             c.instant(
@@ -606,7 +642,7 @@ mod tests {
     fn chrome_export_is_valid_and_covers_every_span() {
         let c = TraceCollector::new(1, 64);
         let root = c.sample(false).expect("sampled");
-        let shard = c.child(&root);
+        let shard = c.child_of(root.trace_id, root.id);
         c.extend(vec![
             c.finish(shard, kind::SHARD, "", vec![("shard", 1)]),
             c.finish(root, kind::QUERY, "graph", vec![]),
@@ -650,5 +686,52 @@ mod tests {
         // All-None targets collapse to the untraced fast path.
         let empty = TraceBatch::new(c, vec![None, None]);
         assert!(empty.collector().is_none());
+    }
+
+    #[test]
+    fn span_scope_opens_one_child_per_parent_and_flushes_on_return() {
+        let c = Arc::new(TraceCollector::new(1, 64));
+        let mut calls = 0;
+        let out = TraceScope::span(None, kind::POOL, &[("shards", 2)], |inner| {
+            calls += 1;
+            assert!(inner.is_none(), "untraced work stays untraced");
+            7
+        });
+        assert_eq!((out, calls), (7, 1));
+        let doc = c.export_recent();
+        assert_eq!(
+            doc.get("traces"),
+            Some(&Value::Arr(vec![])),
+            "None records nothing"
+        );
+
+        let roots = [c.sample(true).unwrap(), c.sample(true).unwrap()];
+        let scope = TraceBatch::new(
+            Arc::clone(&c),
+            roots.iter().map(|r| Some((r.trace_id, r.id))).collect(),
+        )
+        .scope(&[0, 1])
+        .expect("both slots traced");
+        let inner_targets = TraceScope::span(Some(&scope), kind::POOL, &[("shards", 2)], |inner| {
+            inner.expect("traced work gets a scope").targets.clone()
+        });
+        assert_eq!(inner_targets.len(), 2);
+        for (root, &(trace_id, span_id)) in roots.iter().zip(&inner_targets) {
+            assert_eq!(trace_id, root.trace_id);
+            let Some(Value::Arr(spans)) = c.export_trace(trace_id).get("spans").cloned() else {
+                panic!("trace {trace_id} has spans");
+            };
+            assert_eq!(spans.len(), 1, "the span is in the ring on return");
+            let span = &spans[0];
+            assert_eq!(span.get("kind").and_then(Value::as_str), Some(kind::POOL));
+            assert_eq!(span.get("id").and_then(Value::as_u64), Some(span_id));
+            assert_eq!(span.get("parent").and_then(Value::as_u64), Some(root.id));
+            assert_eq!(
+                span.get("tags")
+                    .and_then(|t| t.get("shards"))
+                    .and_then(Value::as_u64),
+                Some(2)
+            );
+        }
     }
 }
