@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the hot kernels: chain viability
 //! checks (with and without Corollary-2 skipping), popcount part
-//! distances, signature enumeration, CSR part probes and arena chain
-//! extension, k-combination signatures, content
+//! distances, signature enumeration, CSR part probes, chain extension
+//! over the arena and over the postings' ring-next signatures,
+//! k-combination signatures, content
 //! filter bounds, banded edit-distance verification, set-overlap merges,
 //! the set-similarity candidate filter, subgraph embedding, and
 //! threshold-pruned GED — plus each verify
@@ -101,38 +102,40 @@ fn bench_signature_enumeration(c: &mut Criterion) {
 /// layouts, at the harness's gist shape (256-d, 16 parts of 16 bits):
 /// one dense-key CSR part probed at radius 3 (697 signatures), and the
 /// engines' `l = 5` chain check (`EpochScratch::chain_accept`, Theorem 7
-/// thresholds 8 per part) from a viable box of each of 256 records,
-/// reading arena box values.
+/// thresholds 8 per part) from a viable box of each of 256 records —
+/// once reading every box from the arena, once reading box `part + 1`
+/// from the ring-next signature the posting carries, as the engine does.
 fn bench_hamming_layouts(c: &mut Criterion) {
     let data = VectorConfig::gist_like(20_000).generate();
     let parts = Partitioning::equi_width(256, 16);
     let qsigs = parts.signatures(&data[17]);
-    let index = PartIndex::build(&data, parts.clone());
+    let arena = VectorArena::build(&data, &parts);
+    let index = PartIndex::build(&arena, parts.clone());
     let mut t = [-1i64; 16];
     t[5] = 3;
     c.bench_function("hamming/probe_w16_t3", |b| {
         b.iter(|| {
             let mut acc = 0u64;
-            let probes = index.probe_signatures(black_box(&qsigs), &t, |_, dist, id| {
-                acc += u64::from(dist) + u64::from(id);
+            let probes = index.probe_signatures(black_box(&qsigs), &t, |_, dist, id, next| {
+                acc += u64::from(dist) + u64::from(id) + u64::from(next);
             });
             (probes, acc)
         })
     });
-    let arena = VectorArena::build(&data, &parts);
     let mut quotas = Vec::new();
     doubled_prefix_into(&[8i64; 16], &mut quotas);
     let mut epochs = EpochScratch::default();
     // 256 records, each from its first viable box at or after `id % 16`
-    // (box ≤ 8), as the probe would hand them over.
+    // (box ≤ 8) with its ring-next signature, as the probe would hand
+    // them over.
     let n = data.len();
-    let starts: Vec<(usize, usize)> = (0..n)
+    let starts: Vec<(usize, usize, u16)> = (0..n)
         .step_by(n / 256)
         .filter_map(|id| {
             (id..id + 16)
                 .map(|j| j % 16)
                 .find(|&j| arena.box_value(id, j, qsigs[j]) <= 8)
-                .map(|j| (id, j))
+                .map(|j| (id, j, arena.part_signature(id, (j + 1) % 16) as u16))
         })
         .collect();
     c.bench_function("hamming/chain_check_l5_arena", |b| {
@@ -140,9 +143,27 @@ fn bench_hamming_layouts(c: &mut Criterion) {
             epochs.next_epoch(n);
             let mut chain = ChainCheck::new(&quotas, Direction::Le, 5);
             let mut accepted = 0u32;
-            for &(id, start) in &starts {
+            for &(id, start, _) in &starts {
                 accepted += u32::from(epochs.chain_accept(id, start, &mut chain, |j| {
                     i64::from(arena.box_value(black_box(id), j, qsigs[j]))
+                }));
+            }
+            accepted
+        })
+    });
+    c.bench_function("hamming/chain_check_l5_postings", |b| {
+        b.iter(|| {
+            epochs.next_epoch(n);
+            let mut chain = ChainCheck::new(&quotas, Direction::Le, 5);
+            let mut accepted = 0u32;
+            for &(id, start, next) in &starts {
+                let ring_next = (start + 1) % 16;
+                accepted += u32::from(epochs.chain_accept(id, start, &mut chain, |j| {
+                    if j == ring_next {
+                        i64::from((u64::from(black_box(next)) ^ qsigs[j]).count_ones())
+                    } else {
+                        i64::from(arena.box_value(black_box(id), j, qsigs[j]))
+                    }
                 }));
             }
             accepted

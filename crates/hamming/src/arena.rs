@@ -87,6 +87,21 @@ impl VectorArena {
         }
     }
 
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.words.len() / self.stride
+    }
+
+    /// Whether the arena holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// Number of parts whose geometry the arena resolved.
+    pub fn num_parts(&self) -> usize {
+        self.parts.len()
+    }
+
     /// The packed words of record `id`.
     ///
     /// # Panics

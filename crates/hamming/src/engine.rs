@@ -11,7 +11,11 @@
 //!    under the Theorem 7 quotas `‖c^{l'}_i‖₁ ≤ l' − 1 + Σ t_j`. A failed
 //!    prefix at length `l'` rules out starts `i..i+l'−1` for this object
 //!    (Corollary 2), tracked in a per-object bitmask. The walk is the
-//!    core's [`ChainCheck`]; this engine supplies the box values.
+//!    core's [`ChainCheck`]; this engine supplies the box values. Box
+//!    `part + 1` — the first step, where nearly every chain dies — is a
+//!    popcount on the ring-next signature the probe read beside the
+//!    posting id (see [`crate::index`]); later boxes are read from the
+//!    flat [`VectorArena`].
 //!
 //! Accepted objects are deduplicated with an epoch-stamped array (the
 //! "union of candidate sets before verification" the paper measures) and
@@ -103,9 +107,11 @@ pub struct HammingScratch {
     prefix: Vec<i64>,
     /// The greedy allocator's next-unit cost per part.
     marginal: Vec<f64>,
-    /// The first step's viable boxes `(id, part, distance)`, in probe
-    /// order, buffered so the second step runs as one flat loop.
-    viable: Vec<(u32, u8, u8)>,
+    /// The first step's viable boxes `(id, part, distance, next)`, in
+    /// probe order, buffered so the second step runs as one flat loop;
+    /// `next` is the record's ring-next part signature when the part's
+    /// postings store it.
+    viable: Vec<(u32, u8, u8, u16)>,
     /// Candidates accepted this query, in acceptance order.
     cands: Vec<u32>,
 }
@@ -210,8 +216,8 @@ impl RingHamming {
         cost: Option<Arc<CostModel>>,
     ) -> Self {
         assert!(partitioning.num_parts() <= 64, "at most 64 parts supported");
-        let index = PartIndex::build(&data, partitioning.clone());
         let arena = VectorArena::build(&data, &partitioning);
+        let index = PartIndex::build(&arena, partitioning.clone());
         RingHamming {
             data,
             arena,
@@ -232,7 +238,8 @@ impl RingHamming {
     }
 
     /// Heap bytes of the query-time structures: the part index's posting
-    /// arenas and key tables plus the flat vector arena (the
+    /// arenas, ring-next signature columns and key tables plus the flat
+    /// vector arena (the
     /// [`RingHamming::data`] copy kept for callers is not counted).
     pub fn index_bytes(&self) -> usize {
         self.index.index_bytes() + self.arena.bytes()
@@ -334,20 +341,35 @@ impl RingHamming {
         // flight together rather than serialised behind the probe's
         // unpredictable posting-list branches.
         viable.clear();
-        stats.probes = self.index.probe_signatures(sigs, t, |part, dist, id| {
-            viable.push((id, part as u8, dist as u8));
-        });
+        stats.probes = self
+            .index
+            .probe_signatures(sigs, t, |part, dist, id, next| {
+                viable.push((id, part as u8, dist as u8, next));
+            });
         stats.viable_boxes = viable.len();
         // Second step: the Theorem 7 chain from each viable box. The
         // start box's value is the enumeration depth (within its quota,
-        // `dist ≤ t_part`, by the probe radius); the rest are popcounts.
+        // `dist ≤ t_part`, by the probe radius), the ring-next box a
+        // popcount on the posting's stored signature where the part keeps
+        // one, and the rest popcounts on the arena.
+        let stored = (0..m)
+            .filter(|&i| self.index.stores_next(i))
+            .fold(0u64, |mask, i| mask | 1 << i);
         let mut chain = ChainCheck::new(prefix, Direction::Le, l);
-        for &(id, part, dist) in viable.iter() {
+        for &(id, part, dist, next) in viable.iter() {
             let (idu, part) = (id as usize, usize::from(part));
+            // `usize::MAX` matches no box: the arena serves box part + 1.
+            let ring_next = match (stored >> part) & 1 {
+                0 => usize::MAX,
+                _ if part + 1 == m => 0,
+                _ => part + 1,
+            };
             let accepted = epochs.chain_accept(idu, part, &mut chain, |j| {
                 stats.boxes_checked += 1;
                 if j == part {
                     i64::from(dist)
+                } else if j == ring_next {
+                    i64::from((u64::from(next) ^ sigs[j]).count_ones())
                 } else {
                     i64::from(arena.box_value(idu, j, sigs[j]))
                 }

@@ -18,9 +18,18 @@
 //! loads; wider parts keep a sorted array of the distinct signatures
 //! that occur and binary-search it. Both are built by sorting — a
 //! counting sort for dense parts — with no hash map and no per-signature
-//! heap allocation: `4n + 4·(2^w + 1)` bytes per dense part.
+//! heap allocation.
+//!
+//! Beside `ids`, a part whose ring-next part `(i + 1) mod m` is at most
+//! [`DENSE_MAX_WIDTH`] bits wide keeps a parallel `next` column: the
+//! record's signature of that part, as a `u16`. The probe hands it over
+//! with the id, so the chain's first step past the start box is a
+//! popcount on data the probe already streamed, not a random load from
+//! the [`VectorArena`] (the inverted-list-with-codes layout of Johnson,
+//! Douze & Jégou). A dense part with the column takes
+//! `6n + 4·(2^w + 1)` bytes.
 
-use crate::bitvec::BitVector;
+use crate::arena::VectorArena;
 use crate::partition::Partitioning;
 
 /// Widest part indexed by direct signature lookup; `2^16 + 1` offsets
@@ -28,7 +37,7 @@ use crate::partition::Partitioning;
 /// worth indexing.
 pub const DENSE_MAX_WIDTH: usize = 16;
 
-/// Posting ranges [`PartIndex::probe`] resolves before walking any.
+/// Posting ranges [`PartIndex::probe_signatures`] resolves before walking any.
 const RANGE_CHUNK: usize = 128;
 
 /// How a part's signatures map to posting-list groups.
@@ -40,51 +49,106 @@ enum Keys {
 }
 
 /// One part's posting lists: group `k` is
-/// `ids[offsets[k]..offsets[k + 1]]`.
+/// `ids[offsets[k]..offsets[k + 1]]`, and `next[j]` (when the part
+/// stores the column) is record `ids[j]`'s ring-next part signature.
 struct Postings {
     ids: Vec<u32>,
+    /// Empty when the ring-next part is wider than [`DENSE_MAX_WIDTH`].
+    next: Vec<u16>,
     offsets: Vec<u32>,
     keys: Keys,
 }
 
-impl Postings {
-    /// Groups vector ids `0..sigs.len()` by their `width`-bit signature.
-    fn build(sigs: &[u64], width: usize) -> Self {
+/// One part's signatures, record by record: `u16`s when the part is at
+/// most [`DENSE_MAX_WIDTH`] bits wide — dense keys, and narrow enough to
+/// ride beside the previous part's posting ids — else `u64`s.
+enum Column {
+    Narrow(Vec<u16>),
+    Wide(Vec<u64>),
+}
+
+impl Column {
+    fn extract(arena: &VectorArena, part: usize, width: usize) -> Self {
+        let sigs = (0..arena.len()).map(|id| arena.part_signature(id, part));
         if width <= DENSE_MAX_WIDTH {
-            // Counting sort: histogram, prefix sums, stable scatter.
-            let mut offsets = vec![0u32; (1usize << width) + 1];
-            for &s in sigs {
-                offsets[s as usize + 1] += 1;
-            }
-            for k in 1..offsets.len() {
-                offsets[k] += offsets[k - 1];
-            }
-            let mut next = offsets.clone();
-            let mut ids = vec![0u32; sigs.len()];
-            for (id, &s) in sigs.iter().enumerate() {
-                let slot = &mut next[s as usize];
-                ids[*slot as usize] = id as u32;
-                *slot += 1;
-            }
-            return Postings {
-                ids,
-                offsets,
-                keys: Keys::Dense,
-            };
+            Column::Narrow(sigs.map(|sig| sig as u16).collect())
+        } else {
+            Column::Wide(sigs.collect())
         }
-        let mut pairs: Vec<(u64, u32)> = sigs.iter().copied().zip(0u32..).collect();
-        pairs.sort_unstable();
+    }
+
+    /// The column as the previous part's ring-next signatures, when it
+    /// is narrow enough to store.
+    fn as_next(&self) -> Option<&[u16]> {
+        match self {
+            Column::Narrow(sigs) => Some(sigs),
+            Column::Wide(_) => None,
+        }
+    }
+}
+
+impl Postings {
+    /// Groups vector ids `0..n` by their signature, carrying `next[id]`
+    /// beside each id when given.
+    fn build(sigs: &Column, width: usize, next: Option<&[u16]>) -> Self {
+        match sigs {
+            Column::Narrow(sigs) => Self::dense(sigs, width, next),
+            Column::Wide(sigs) => Self::sorted(sigs, next),
+        }
+    }
+
+    /// Counting sort: histogram, prefix sums, stable scatter.
+    fn dense(sigs: &[u16], width: usize, next_sigs: Option<&[u16]>) -> Self {
+        let mut offsets = vec![0u32; (1usize << width) + 1];
+        for &s in sigs {
+            offsets[usize::from(s) + 1] += 1;
+        }
+        for k in 1..offsets.len() {
+            offsets[k] += offsets[k - 1];
+        }
+        let mut slots = offsets.clone();
+        let mut ids = vec![0u32; sigs.len()];
+        let mut next = vec![0u16; next_sigs.map_or(0, <[u16]>::len)];
+        for (id, &s) in sigs.iter().enumerate() {
+            let slot = &mut slots[usize::from(s)];
+            ids[*slot as usize] = id as u32;
+            if let Some(next_sigs) = next_sigs {
+                next[*slot as usize] = next_sigs[id];
+            }
+            *slot += 1;
+        }
+        Postings {
+            ids,
+            next,
+            offsets,
+            keys: Keys::Dense,
+        }
+    }
+
+    /// Sorts `(signature, id, next)` rows and keys the distinct
+    /// signatures.
+    fn sorted(sigs: &[u64], next_sigs: Option<&[u16]>) -> Self {
+        let next_of = |id: usize| next_sigs.map_or(0, |col| col[id]);
+        let mut rows: Vec<(u64, u32, u16)> = (0..sigs.len())
+            .map(|id| (sigs[id], id as u32, next_of(id)))
+            .collect();
+        rows.sort_unstable();
         let mut keys = Vec::new();
         let mut offsets = Vec::new();
-        for (pos, &(sig, _)) in pairs.iter().enumerate() {
+        for (pos, &(sig, _, _)) in rows.iter().enumerate() {
             if keys.last() != Some(&sig) {
                 keys.push(sig);
                 offsets.push(pos as u32);
             }
         }
-        offsets.push(pairs.len() as u32);
+        offsets.push(rows.len() as u32);
+        let next = match next_sigs {
+            Some(_) => rows.iter().map(|&(_, _, ns)| ns).collect(),
+            None => Vec::new(),
+        };
         Postings {
-            ids: pairs.into_iter().map(|(_, id)| id).collect(),
+            ids: rows.into_iter().map(|(_, id, _)| id).collect(),
+            next,
             offsets,
             keys: Keys::Sorted(keys),
         }
@@ -101,8 +165,16 @@ impl Postings {
             Keys::Dense => 0,
             Keys::Sorted(keys) => keys.len() * size_of::<u64>(),
         };
-        (self.ids.len() + self.offsets.len()) * size_of::<u32>() + keys
+        (self.ids.len() + self.offsets.len()) * size_of::<u32>()
+            + self.next.len() * size_of::<u16>()
+            + keys
     }
+}
+
+/// Whether part `i`'s postings carry its ring-next part's signatures:
+/// part `(i + 1) mod m` fits a `u16`.
+fn ring_next_fits(partitioning: &Partitioning, i: usize) -> bool {
+    partitioning.width((i + 1) % partitioning.num_parts()) <= DENSE_MAX_WIDTH
 }
 
 /// Inverted index from part signatures to vector ids, one CSR posting
@@ -114,38 +186,37 @@ pub struct PartIndex {
 }
 
 impl PartIndex {
-    /// Indexes every vector of `data` under every part signature.
+    /// Indexes every record of `arena` under every part signature of
+    /// `partitioning` (the one the arena was built with).
     ///
     /// # Panics
-    /// Panics if any vector's dimensionality disagrees with the
-    /// partitioning, or if there are more than `u32::MAX` vectors.
-    pub fn build(data: &[BitVector], partitioning: Partitioning) -> Self {
-        assert!(data.len() <= u32::MAX as usize, "id space is u32");
-        for (id, v) in data.iter().enumerate() {
-            assert_eq!(
-                v.dims(),
-                partitioning.dims(),
-                "vector {id} has wrong dimensionality"
-            );
+    /// Panics if the arena has a different number of parts, or more
+    /// than `u32::MAX` records.
+    pub fn build(arena: &VectorArena, partitioning: Partitioning) -> Self {
+        let (n, m) = (arena.len(), partitioning.num_parts());
+        assert!(n <= u32::MAX as usize, "id space is u32");
+        assert_eq!(arena.num_parts(), m, "arena of a different partitioning");
+        let column = |part: usize| Column::extract(arena, part, partitioning.width(part));
+        // Each part's signatures are extracted once: part i's column
+        // serves as part i − 1's ring-next column, then as its own keys.
+        let first = column(0);
+        let mut own: Option<Column> = None;
+        let mut parts = Vec::with_capacity(m);
+        for i in 0..m {
+            let next = (i + 1 < m).then(|| column(i + 1));
+            let sigs = own.as_ref().unwrap_or(&first);
+            let ring_next = next.as_ref().unwrap_or(&first);
+            parts.push(Postings::build(
+                sigs,
+                partitioning.width(i),
+                ring_next.as_next(),
+            ));
+            own = next;
         }
-        let mut sigs = vec![0u64; data.len()];
-        let parts = partitioning
-            .iter()
-            .map(|(lo, hi)| {
-                assert!(
-                    hi - lo <= 64,
-                    "indexed part widths must fit a u64 signature"
-                );
-                for (sig, v) in sigs.iter_mut().zip(data) {
-                    *sig = v.part_signature(lo, hi);
-                }
-                Postings::build(&sigs, hi - lo)
-            })
-            .collect();
         PartIndex {
             partitioning,
             parts,
-            len: data.len(),
+            len: n,
         }
     }
 
@@ -164,29 +235,34 @@ impl PartIndex {
         self.len == 0
     }
 
-    /// Heap bytes held by the posting arenas and their key tables.
+    /// Heap bytes held by the posting arenas, their ring-next signature
+    /// columns (2 B per posting of a part that stores one) and their key
+    /// tables.
     pub fn index_bytes(&self) -> usize {
         self.parts.iter().map(Postings::bytes).sum()
     }
 
-    /// Probes every part `i` with radius `t[i]` around the query's
-    /// signature, invoking `visit(part, distance, id)` for each matching
-    /// vector (distance is the part's exact Hamming distance, known from
-    /// the enumeration depth). Parts with `t[i] < 0` are skipped — an
-    /// integer-reduced allocation may disable a part entirely. Returns the
-    /// number of signatures enumerated (the probe cost `CC1`).
-    pub fn probe(&self, q: &BitVector, t: &[i64], visit: impl FnMut(usize, u32, u32)) -> usize {
-        self.probe_signatures(&self.partitioning.signatures(q), t, visit)
+    /// Whether part `part`'s postings carry the ring-next signature
+    /// column: its ring-next part `(part + 1) mod m` is at most
+    /// [`DENSE_MAX_WIDTH`] bits wide.
+    pub fn stores_next(&self, part: usize) -> bool {
+        ring_next_fits(&self.partitioning, part)
     }
 
-    /// [`PartIndex::probe`] with the query's part signatures already
-    /// extracted (`qsigs[i]` is the query's part-`i` signature) — the
-    /// form the engine uses, since one query plan serves every shard.
+    /// Probes every part `i` with radius `t[i]` around the query's part
+    /// signature `qsigs[i]`, invoking `visit(part, distance, id, next)`
+    /// for each matching vector: distance is the part's exact Hamming
+    /// distance, known from the enumeration depth, and `next` the
+    /// vector's ring-next part signature when
+    /// [`PartIndex::stores_next`]`(part)`, else 0. Parts with
+    /// `t[i] < 0` are skipped — an integer-reduced allocation may
+    /// disable a part entirely. Returns the number of signatures
+    /// enumerated (the probe cost `CC1`).
     pub fn probe_signatures(
         &self,
         qsigs: &[u64],
         t: &[i64],
-        mut visit: impl FnMut(usize, u32, u32),
+        mut visit: impl FnMut(usize, u32, u32, u16),
     ) -> usize {
         assert_eq!(t.len(), self.parts.len(), "one threshold per part");
         assert_eq!(qsigs.len(), self.parts.len(), "one signature per part");
@@ -206,7 +282,7 @@ impl PartIndex {
         i: usize,
         qsig: u64,
         radius: usize,
-        visit: &mut impl FnMut(usize, u32, u32),
+        visit: &mut impl FnMut(usize, u32, u32, u16),
     ) -> usize {
         let width = self.partitioning.width(i);
         let postings = &self.parts[i];
@@ -219,8 +295,16 @@ impl PartIndex {
         let mut len = 0;
         let mut flush = |ranges: &[(u32, u32, u32)]| {
             for &(lo, hi, dist) in ranges {
-                for &id in &postings.ids[lo as usize..hi as usize] {
-                    visit(i, dist, id);
+                let (lo, hi) = (lo as usize, hi as usize);
+                let ids = &postings.ids[lo..hi];
+                if postings.next.is_empty() {
+                    for &id in ids {
+                        visit(i, dist, id, 0);
+                    }
+                } else {
+                    for (&id, &next) in ids.iter().zip(&postings.next[lo..hi]) {
+                        visit(i, dist, id, next);
+                    }
                 }
             }
         };
@@ -296,6 +380,7 @@ pub fn enumeration_count(width: usize, radius: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitvec::BitVector;
 
     #[test]
     fn enumerate_radius_zero() {
@@ -350,23 +435,26 @@ mod tests {
         .map(|s| BitVector::from_bit_str(s))
         .collect();
         let p = Partitioning::equi_width(8, 2);
-        let idx = PartIndex::build(&data, p);
+        let idx = PartIndex::build(&VectorArena::build(&data, &p), p.clone());
         let q = BitVector::from_bit_str("0000 0000");
 
-        let mut hits: Vec<(usize, u32, u32)> = Vec::new();
-        idx.probe(&q, &[1, 0], |part, dist, id| hits.push((part, dist, id)));
+        let mut hits: Vec<(usize, u32, u32, u16)> = Vec::new();
+        idx.probe_signatures(&p.signatures(&q), &[1, 0], |part, dist, id, next| {
+            hits.push((part, dist, id, next));
+        });
         hits.sort_unstable();
         // Part 0 radius 1: ids 0 (d=0), 1 (d=1), 3 (d=0 in part 0).
         // Part 1 radius 0: ids 0, 1, 2 (all zero in part 1).
+        // Each carries its other part's signature (bit `lo` is bit 0).
         assert_eq!(
             hits,
             vec![
-                (0, 0, 0),
-                (0, 0, 3),
-                (0, 1, 1),
-                (1, 0, 0),
-                (1, 0, 1),
-                (1, 0, 2)
+                (0, 0, 0, 0),
+                (0, 0, 3, 0b1111),
+                (0, 1, 1, 0),
+                (1, 0, 0, 0),
+                (1, 0, 1, 0b1000),
+                (1, 0, 2, 0b1100)
             ]
         );
     }
@@ -374,10 +462,10 @@ mod tests {
     #[test]
     fn probe_skips_disabled_parts() {
         let data = vec![BitVector::from_bit_str("0000")];
-        let idx = PartIndex::build(&data, Partitioning::equi_width(4, 2));
-        let q = BitVector::from_bit_str("0000");
+        let p = Partitioning::equi_width(4, 2);
+        let idx = PartIndex::build(&VectorArena::build(&data, &p), p);
         let mut hits = 0;
-        let probes = idx.probe(&q, &[-1, -1], |_, _, _| hits += 1);
+        let probes = idx.probe_signatures(&[0, 0], &[-1, -1], |_, _, _, _| hits += 1);
         assert_eq!((hits, probes), (0, 0));
     }
 }

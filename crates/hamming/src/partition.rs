@@ -19,7 +19,7 @@ impl Partitioning {
     ///
     /// Parts wider than 64 bits are fine for distance computation; only
     /// signature *indexing* requires ≤ 64-bit parts, which
-    /// [`crate::index::PartIndex::build`] enforces.
+    /// [`crate::arena::VectorArena::build`] enforces.
     ///
     /// # Panics
     /// Panics if `m == 0`, `d == 0`, or `m > d`.

@@ -3,9 +3,11 @@
 //! arena's box values against `BitVector::part_distance`.
 //!
 //! The shapes cover every lookup and geometry case: dense keys with
-//! widths below and at the 16-bit limit, sorted keys above it (32- and
-//! full-word 64-bit parts), and parts straddling a 64-bit word boundary
-//! (`d = 100, m = 7`).
+//! widths below and at the 16-bit limit, sorted keys above it (17-, 32-
+//! and full-word 64-bit parts), parts straddling a 64-bit word boundary
+//! (`d = 100, m = 7`), a mix of parts with and without the ring-next
+//! signature column (`d = 100, m = 6`), and a single part that is its
+//! own ring-next part (`m = 1`).
 
 use std::collections::BTreeMap;
 
@@ -14,8 +16,18 @@ use pigeonring_hamming::index::{enumerate_within, PartIndex, DENSE_MAX_WIDTH};
 use pigeonring_hamming::{AllocationStrategy, BitVector, Partitioning, RingHamming};
 use proptest::prelude::*;
 
-/// `(d, m)`: widths 8, 16, 32, 14–15 (straddling) and 64.
-const SHAPES: [(usize, usize); 5] = [(64, 8), (256, 16), (256, 8), (100, 7), (128, 2)];
+/// `(d, m)`: widths 8, 16, 32, 14–15 (straddling), 64, 16–17 (only
+/// parts 3 and 4 carry the ring-next column, part 3 under sorted keys)
+/// and one 64-bit part.
+const SHAPES: [(usize, usize); 7] = [
+    (64, 8),
+    (256, 16),
+    (256, 8),
+    (100, 7),
+    (128, 2),
+    (100, 6),
+    (64, 1),
+];
 
 /// A `d`-dimensional vector from a small seed pool (so signatures
 /// collide and posting lists hold several ids), with one optional flip.
@@ -42,13 +54,15 @@ fn dataset(d: usize, seeds: &[u64], flips: &[usize]) -> Vec<BitVector> {
 }
 
 /// The index this crate shipped before the CSR layout, minus the hasher:
-/// one ordered map per part, posting lists in insertion (id) order.
+/// one ordered map per part, posting lists in insertion (id) order. Each
+/// hit carries the record's ring-next part signature when that part is
+/// at most `DENSE_MAX_WIDTH` bits wide, else 0.
 fn reference_probe(
     data: &[BitVector],
     p: &Partitioning,
     q: &BitVector,
     t: &[i64],
-) -> (usize, Vec<(usize, u32, u32)>) {
+) -> (usize, Vec<(usize, u32, u32, u16)>) {
     let mut maps: Vec<BTreeMap<u64, Vec<u32>>> = vec![BTreeMap::new(); p.num_parts()];
     for (id, v) in data.iter().enumerate() {
         for (i, (lo, hi)) in p.iter().enumerate() {
@@ -64,10 +78,18 @@ fn reference_probe(
             continue;
         }
         let qsig = q.part_signature(lo, hi);
+        let (next_lo, next_hi) = p.part((i + 1) % p.num_parts());
+        let next = |id: u32| {
+            if next_hi - next_lo <= DENSE_MAX_WIDTH {
+                data[id as usize].part_signature(next_lo, next_hi) as u16
+            } else {
+                0
+            }
+        };
         enumerate_within(qsig, hi - lo, t[i] as usize, &mut |sig, dist| {
             probes += 1;
             for &id in maps[i].get(&sig).map_or(&[][..], Vec::as_slice) {
-                hits.push((i, dist, id));
+                hits.push((i, dist, id, next(id)));
             }
         });
     }
@@ -84,11 +106,13 @@ fn probe_order_survives_range_chunking() {
     let p = Partitioning::equi_width(d, m);
     let q = vector(d, 5_000, usize::MAX);
     let t = [8, -1, 4, 0, 8, 1, -1, 5];
-    let index = PartIndex::build(&data, p.clone());
+    let index = PartIndex::build(&VectorArena::build(&data, &p), p.clone());
     let (expect_probes, expect) = reference_probe(&data, &p, &q, &t);
     assert!(expect.len() > 2 * 2_000);
     let mut got = Vec::new();
-    let probes = index.probe(&q, &t, |part, dist, id| got.push((part, dist, id)));
+    let probes = index.probe_signatures(&p.signatures(&q), &t, |part, dist, id, next| {
+        got.push((part, dist, id, next));
+    });
     assert_eq!(probes, expect_probes);
     assert_eq!(got, expect);
 }
@@ -114,20 +138,15 @@ proptest! {
         let cap = if d / m == 64 { 2 } else { 3 };
         let t: Vec<i64> = radii[..m].iter().map(|&r| r.min(cap)).collect();
 
-        let index = PartIndex::build(&data, p.clone());
+        let index = PartIndex::build(&VectorArena::build(&data, &p), p.clone());
         let (expect_probes, expect) = reference_probe(&data, &p, &q, &t);
 
         let mut got = Vec::new();
-        let probes = index.probe(&q, &t, |part, dist, id| got.push((part, dist, id)));
+        let probes = index.probe_signatures(&p.signatures(&q), &t, |part, dist, id, next| {
+            got.push((part, dist, id, next));
+        });
         prop_assert_eq!(probes, expect_probes, "d={} m={} t={:?}", d, m, t);
         prop_assert_eq!(&got, &expect, "d={} m={} t={:?}", d, m, t);
-
-        let mut via_sigs = Vec::new();
-        let probes = index.probe_signatures(&p.signatures(&q), &t, |part, dist, id| {
-            via_sigs.push((part, dist, id));
-        });
-        prop_assert_eq!(probes, expect_probes);
-        prop_assert_eq!(&via_sigs, &expect);
     }
 
     #[test]
@@ -155,6 +174,9 @@ proptest! {
         }
     }
 
+    /// Every part dense and carrying the ring-next column: `6n` bytes of
+    /// ids and next signatures plus `2^w + 1` offsets per part, and the
+    /// arena's `8 · stride` bytes per record.
     #[test]
     fn dense_index_bytes_are_bounded(
         shape in 0usize..SHAPES.len(),
@@ -167,11 +189,11 @@ proptest! {
         let data = dataset(d, &seeds, &flips);
         let n = data.len();
         let engine = RingHamming::build(data, m, AllocationStrategy::Even);
-        let stride = d.div_ceil(64);
-        let bound = n * (4 * m + 8 * stride) + 4 * m * ((1usize << w) + 1);
-        prop_assert!(
-            engine.index_bytes() <= bound,
-            "d={} m={} n={}: {} > {}", d, m, n, engine.index_bytes(), bound
-        );
+        let parts: usize = Partitioning::equi_width(d, m)
+            .iter()
+            .map(|(lo, hi)| 6 * n + 4 * ((1usize << (hi - lo)) + 1))
+            .sum();
+        let expect = parts + 8 * d.div_ceil(64) * n;
+        prop_assert_eq!(engine.index_bytes(), expect, "d={} m={} n={}", d, m, n);
     }
 }

@@ -62,21 +62,30 @@ proptest! {
         }
     }
 
+    /// `(d, m, τ bound)` shapes: every part with the ring-next column
+    /// (`64, 4`), a mix with and without it (`100, 6`: widths
+    /// 17,17,17,17,16,16), and none at all (`64, 2`) — a probe that drops
+    /// the postings of a part without the column loses results here. The
+    /// 32-bit parts keep `τ` small: a probe enumerates `Σ C(32, k)`
+    /// signatures up to its part's threshold.
     #[test]
     fn engine_exact_on_random_vectors(
+        shape in prop::sample::select(vec![(64usize, 4usize, 40u32), (100, 6, 40), (64, 2, 9)]),
         seeds in prop::collection::vec(0u64..1u64 << 48, 24..64),
         qsel in 0usize..24,
         tau in 0u32..40,
         l in 1usize..=6,
     ) {
-        // Expand compact seeds into 64-d vectors deterministically.
+        let (d, m, tau_bound) = shape;
+        let tau = tau % tau_bound;
+        // Expand compact seeds into d-dimensional vectors deterministically.
         let data: Vec<BitVector> = seeds
             .iter()
-            .map(|&s| BitVector::from_bits((0..64).map(move |b| (s >> (b % 48)) & 1 == 1)))
+            .map(|&s| BitVector::from_bits((0..d).map(move |b| (s >> (b % 48)) & 1 == 1)))
             .collect();
         let q = data[qsel % data.len()].clone();
         let expect = LinearScan::new(&data).search(&q, tau);
-        let eng = RingHamming::build(data.clone(), 4, AllocationStrategy::Even);
+        let eng = RingHamming::build(data.clone(), m, AllocationStrategy::Even);
         let got = eng.search_with(&mut HammingScratch::default(), &q, tau, l).0;
         prop_assert_eq!(got, expect);
     }
