@@ -2,11 +2,11 @@
 //! checks (with and without Corollary-2 skipping), popcount part
 //! distances, signature enumeration, CSR part probes, chain extension
 //! over the arena and over the postings' ring-next signatures,
-//! k-combination signatures, content
-//! filter bounds, banded edit-distance verification, set-overlap merges,
-//! the set-similarity candidate filter, subgraph embedding, and
-//! threshold-pruned GED — plus each verify
-//! kernel beside the reference loop it replaced.
+//! k-combination signatures, content filter bounds, banded
+//! edit-distance verification, set-overlap merges, the set-similarity
+//! and edit-distance candidate filters, subgraph embedding, and
+//! threshold-pruned GED — plus each verify kernel beside the reference
+//! loop it replaced.
 //!
 //! This binary has a custom `main` (not `criterion_main!`): it accepts
 //! `--quick` (small sample counts, for the CI `kernel-bench-smoke` job;
@@ -252,6 +252,40 @@ fn bench_setsim_filter(c: &mut Criterion) {
                 .iter()
                 .map(|plan| {
                     eng.candidates_with_plan(&mut scratch, black_box(plan), 2)
+                        .0
+                        .len()
+                })
+                .sum::<usize>()
+        })
+    });
+}
+
+/// The edit-distance filter at the benchmark's `editdist` shape
+/// (imdb-like, 20 000 records, τ = 2, κ = 2): candidate generation at
+/// `l = 3` for 64 pre-planned queries per iteration — the length-window
+/// posting probe, then chain checks over the pivotal arena and the
+/// records' windows.
+fn bench_editdist_filter(c: &mut Criterion) {
+    use pigeonring_datagen::{sample_query_ids, StringConfig};
+    use pigeonring_editdist::{EditScratch, GramOrder, QGramCollection, RingEdit};
+    use pigeonring_service::SearchEngine;
+    let raw = StringConfig::imdb_like(20_000).generate();
+    let queries = sample_query_ids(raw.len(), 64, 9);
+    let eng = RingEdit::build(
+        QGramCollection::build(raw.clone(), 2, GramOrder::Frequency),
+        2,
+    );
+    let mut scratch = EditScratch::default();
+    let plans: Vec<_> = queries
+        .into_iter()
+        .map(|q| (eng.plan(&mut scratch, &raw[q]), q))
+        .collect();
+    c.bench_function("editdist/filter_imdb20k_tau2_l3", |b| {
+        b.iter(|| {
+            plans
+                .iter()
+                .map(|(plan, q)| {
+                    eng.candidates_with_plan(&mut scratch, black_box(plan), &raw[*q], 3)
                         .0
                         .len()
                 })
@@ -543,6 +577,7 @@ fn main() {
     bench_verify(&mut c);
     bench_set_kernels(&mut c);
     bench_setsim_filter(&mut c);
+    bench_editdist_filter(&mut c);
     bench_graph_kernels(&mut c);
     bench_kernel_tiers(&mut c);
     bench_telemetry_overhead(&mut c);

@@ -87,6 +87,11 @@ impl GramDictionary {
         self.kappa
     }
 
+    /// Number of interned grams: corpus gram ids are `0..len`.
+    pub(crate) fn len(&self) -> usize {
+        self.intern.len()
+    }
+
     /// The interned id of `gram`, if the corpus contains it.
     pub fn id(&self, gram: &[u8]) -> Option<u32> {
         self.intern.get(gram).copied()

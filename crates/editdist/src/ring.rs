@@ -8,9 +8,14 @@
 //! core's [`ChainCheck`]): subsequent boxes
 //! are *content-filter lower bounds* (`⌈H(mask)/2⌉` over the ±τ window,
 //! `O(κ + τ)` popcounts each), and the check aborts at the first
-//! non-viable prefix. Lower-bounding box values only shrinks chain sums,
-//! so every true result keeps its prefix-viable chain — completeness is
-//! preserved (and asserted against linear scan in the tests).
+//! non-viable prefix. In case A (the record's pivotal grams are the
+//! boxes) a box reads the gram's position and build-time `char_mask`
+//! from [`PivotalIndex::pivotal`]'s arena against the plan's query
+//! window masks, touching no record string; in case B (the query's
+//! pivotal grams) it computes the record's window masks on the fly.
+//! Lower-bounding box values only shrinks chain sums, so every true
+//! result keeps its prefix-viable chain — completeness is preserved
+//! (and asserted against linear scan in the tests).
 //!
 //! Query execution is split into *plan once, execute per index*, and the
 //! engine's `impl SearchEngine` is that split's one implementation: an
@@ -217,10 +222,8 @@ impl RingEdit {
                         return 0;
                     }
                     let pg = index.pivotal(id)[j];
-                    let pos = pg.pos as usize;
-                    let g = &collection.string(idu)[pos..pos + kappa];
-                    let (lo, hi) = (pos as i64 - tau as i64, (pos + tau) as i64);
-                    i64::from(min_window_bound(char_mask(g), q_masks, lo, hi))
+                    let (lo, hi) = (pg.pos as i64 - tau as i64, (pg.pos as usize + tau) as i64);
+                    i64::from(min_window_bound(pg.mask, q_masks, lo, hi))
                 })
             } else {
                 // Case B: boxes are q's pivotal grams, windows in x.
