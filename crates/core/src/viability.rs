@@ -324,6 +324,41 @@ pub fn check_prefix_viable<T: BoxValue>(
     Ok(())
 }
 
+/// Query parameters outside the range the principle covers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ParamError {
+    /// Chain length `l` outside `1..=m`, where no pigeonring theorem holds.
+    ChainLength {
+        /// The chain length asked for.
+        l: usize,
+        /// The engine's box count.
+        m: usize,
+    },
+    /// A Hamming threshold `τ` above the dimensionality `d`.
+    TauAboveDims {
+        /// The threshold asked for.
+        tau: u32,
+        /// The dataset's dimensionality.
+        d: usize,
+    },
+}
+
+impl core::fmt::Display for ParamError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            Self::ChainLength { l, m } => write!(f, "chain length l = {l} is outside 1..={m}"),
+            Self::TauAboveDims { tau, d } => write!(f, "tau = {tau} exceeds the {d} dims"),
+        }
+    }
+}
+
+/// The one statement of the chain-length rule: `1 ≤ l ≤ m` (`l = 1` is
+/// the pigeonhole principle, `l = m` the basic form; §3).
+pub fn check_chain_length(l: usize, m: usize) -> Result<(), ParamError> {
+    let valid = (1..=m).contains(&l);
+    valid.then_some(()).ok_or(ParamError::ChainLength { l, m })
+}
+
 /// The chain check of §7's second step, shared by every pigeonring
 /// engine: from a viable start box, extend the chain clockwise, reading
 /// box values lazily, and accept iff all its prefixes up to length `l`
@@ -364,7 +399,7 @@ impl<'a> ChainCheck<'a> {
             prefix.len() == 2 * m + 1 && m <= 64,
             "quota prefix sums of m ≤ 64 thresholds"
         );
-        debug_assert!(l >= 1 && l <= m, "chain length must be in [1..m]");
+        debug_assert_eq!(check_chain_length(l, m), Ok(()));
         ChainCheck {
             prefix,
             m,

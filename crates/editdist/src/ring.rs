@@ -36,15 +36,24 @@ use crate::pivotal::{EditStats, PivotalIndex, ViableBox};
 use crate::qgram::{PositionalGram, QGramCollection};
 use crate::verify::edit_distance_within;
 use pigeonring_core::scratch::EpochScratch;
-use pigeonring_core::viability::{zero_thresholds, ChainCheck, Direction};
+use pigeonring_core::viability::{
+    check_chain_length, zero_thresholds, ChainCheck, Direction, ParamError,
+};
 use pigeonring_service::{MergeStats, SearchEngine};
 
 /// Per-batch parameters for edit-distance search (`τ` is fixed at
 /// index-build time).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EditParams {
-    /// Chain length `l` (clamped to `[1..τ+1]` by the engine).
+    /// Chain length `l`, in `1..=τ+1` ([`EditParams::validate`]).
     pub l: usize,
+}
+
+impl EditParams {
+    /// Checks `1 ≤ l ≤ m` for an engine built at `tau`: `m = τ + 1` boxes.
+    pub fn validate(&self, tau: usize) -> Result<(), ParamError> {
+        check_chain_length(self.l, tau + 1)
+    }
 }
 
 impl MergeStats for EditStats {
@@ -138,7 +147,7 @@ impl RingEdit {
     }
 
     /// Searches for all strings with `ed(x, q) ≤ τ` using chain length
-    /// `l` (clamped to `[1..τ+1]`). Returns ascending ids and statistics.
+    /// `l` (panics outside `1..=τ+1`). Returns ascending ids and statistics.
     /// Takes `&self`, so any number of threads can search one engine
     /// concurrently, each with its own [`EditScratch`]. Plans the query,
     /// then executes the plan ([`SearchEngine::search_into`]).
@@ -186,7 +195,9 @@ impl RingEdit {
     fn filter(&self, scratch: &mut EditScratch, plan: &EditPlan, q: &[u8], l: usize) -> EditStats {
         let (index, collection) = (&self.index, self.index.collection());
         let tau = index.tau();
-        let l = l.clamp(1, tau + 1);
+        EditParams { l }
+            .validate(tau)
+            .unwrap_or_else(|e| panic!("{e}"));
         let kappa = collection.kappa();
         let mut stats = EditStats::default();
         let EditScratch { epochs, cands, .. } = scratch;
@@ -491,5 +502,22 @@ mod tests {
         let mut scratch = EditScratch::default();
         let (res, _) = eng.search_with(&mut scratch, b"hello world", 2);
         assert_eq!(res, vec![0, 1]);
+    }
+
+    #[test]
+    fn validate_accepts_l_in_one_to_tau_plus_one() {
+        let valid = [0, 1, 3, 4].map(|l| EditParams { l }.validate(2).is_ok());
+        assert_eq!(valid, [false, true, true, false]);
+    }
+
+    #[test]
+    #[should_panic(expected = "chain length l = 4 is outside 1..=3")]
+    fn chain_longer_than_m_panics() {
+        let strings = pseudo_random_strings(20, 30, 5);
+        let eng = RingEdit::build(
+            QGramCollection::build(strings.clone(), 2, GramOrder::Frequency),
+            2,
+        );
+        eng.search_with(&mut EditScratch::default(), &strings[0], 4);
     }
 }

@@ -47,15 +47,24 @@ use crate::neighborhood::{box_value, one_op_embeds};
 use crate::pars::GraphStats;
 use crate::plan::GraphPlan;
 use crate::subiso::{search, Mask, MatchScratch};
-use pigeonring_core::viability::{zero_thresholds, ChainCheck, Direction};
+use pigeonring_core::viability::{
+    check_chain_length, zero_thresholds, ChainCheck, Direction, ParamError,
+};
 use pigeonring_service::{MergeStats, SearchEngine};
 
 /// Per-batch parameters for graph-edit-distance search (`τ` is fixed at
 /// index-build time).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GraphParams {
-    /// Chain length `l` (clamped to `[1..τ+1]` by the engine).
+    /// Chain length `l`, in `1..=τ+1` ([`GraphParams::validate`]).
     pub l: usize,
+}
+
+impl GraphParams {
+    /// Checks `1 ≤ l ≤ m` for an engine built at `tau`: `m = τ + 1` parts.
+    pub fn validate(&self, tau: usize) -> Result<(), ParamError> {
+        check_chain_length(self.l, tau + 1)
+    }
 }
 
 /// Per-thread scratch of the graph engine: the matcher's mapping/used
@@ -137,7 +146,7 @@ impl RingGraph {
     }
 
     /// Searches for all graphs with `ged(x, q) ≤ τ` using chain length
-    /// `l` (clamped to `[1..τ+1]`). Returns ascending ids and statistics.
+    /// `l` (panics outside `1..=τ+1`). Returns ascending ids and statistics.
     /// Plans the query, then executes the plan
     /// ([`SearchEngine::search_into`]) against a fresh scratch.
     pub fn search(&self, q: &Graph, l: usize) -> (Vec<u32>, GraphStats) {
@@ -191,7 +200,8 @@ impl RingGraph {
         memo.resize(m, UNKNOWN);
         let first = out.len();
         // The uniform quota ⌊l'·τ/m⌋, which is l' − 1.
-        let mut chain = ChainCheck::new(zero_thresholds(m), Direction::Le, l.clamp(1, m));
+        check_chain_length(l, m).unwrap_or_else(|e| panic!("{e}"));
+        let mut chain = ChainCheck::new(zero_thresholds(m), Direction::Le, l);
 
         for &(_, _, id) in self.index.size_window(plan).flatten() {
             memo.fill(UNKNOWN);
@@ -357,5 +367,18 @@ mod tests {
                 assert!(res.contains(&(qid as u32)), "qid={qid} l={l}");
             }
         }
+    }
+
+    #[test]
+    fn validate_accepts_l_in_one_to_tau_plus_one() {
+        let valid = [0, 1, 3, 4].map(|l| GraphParams { l }.validate(2).is_ok());
+        assert_eq!(valid, [false, true, true, false]);
+    }
+
+    #[test]
+    #[should_panic(expected = "chain length l = 4 is outside 1..=3")]
+    fn chain_longer_than_m_panics() {
+        let graphs = dataset();
+        RingGraph::build(graphs.clone(), 2).search(&graphs[0], 4);
     }
 }

@@ -37,7 +37,9 @@ use crate::index::PartIndex;
 use crate::kernels;
 use crate::partition::Partitioning;
 use pigeonring_core::scratch::EpochScratch;
-use pigeonring_core::viability::{doubled_prefix_into, ChainCheck, Direction};
+use pigeonring_core::viability::{
+    check_chain_length, doubled_prefix_into, ChainCheck, Direction, ParamError,
+};
 use pigeonring_service::{MergeStats, SearchEngine};
 
 /// Per-batch parameters for Hamming search.
@@ -45,8 +47,19 @@ use pigeonring_service::{MergeStats, SearchEngine};
 pub struct HammingParams {
     /// Distance threshold `τ`.
     pub tau: u32,
-    /// Chain length `l` (clamped to `[1..m]` by the engine).
+    /// Chain length `l`, in `1..=m` ([`HammingParams::validate`]).
     pub l: usize,
+}
+
+impl HammingParams {
+    /// Checks `τ ≤ d` and `1 ≤ l ≤ m` for an engine of `m` parts over `d`
+    /// dimensions (in process, a `τ > d` returns everything).
+    pub fn validate(&self, m: usize, d: usize) -> Result<(), ParamError> {
+        if self.tau as usize > d {
+            return Err(ParamError::TauAboveDims { tau: self.tau, d });
+        }
+        check_chain_length(self.l, m)
+    }
 }
 
 /// Per-query search counters, matching the cost terms of §7.
@@ -261,7 +274,7 @@ impl RingHamming {
     }
 
     /// Searches for all vectors within Hamming distance `tau` of `q`,
-    /// using chain length `l` (clamped to `[1..m]`). Returns the result
+    /// using chain length `l` (panics outside `1..=m`). Returns the result
     /// ids (ascending) and the per-query statistics. Takes `&self`, so
     /// any number of threads can search one engine concurrently, each
     /// with its own [`HammingScratch`]. Plans the query, then executes
@@ -317,7 +330,7 @@ impl RingHamming {
     ) -> SearchStats {
         let m = self.partitioning.num_parts();
         assert_eq!(plan.sigs.len(), m, "plan of a different partitioning");
-        let l = l.clamp(1, m);
+        check_chain_length(l, m).unwrap_or_else(|e| panic!("{e}"));
         let HammingScratch {
             epochs,
             t,
@@ -677,5 +690,23 @@ mod tests {
         let mut scratch = HammingScratch::default();
         let (res, _) = ring.search_with(&mut scratch, &BitVector::zeros(64), 64, 3);
         assert_eq!(res.len(), n);
+    }
+
+    #[test]
+    fn validate_accepts_tau_to_d_and_l_in_one_to_m() {
+        let check = |tau, l| HammingParams { tau, l }.validate(4, 64);
+        let valid = [0, 1, 4, 5].map(|l| check(64, l).is_ok());
+        assert_eq!(valid, [false, true, true, false]);
+        let tau_above_d = check(65, 4).unwrap_err();
+        assert_eq!(tau_above_d, ParamError::TauAboveDims { tau: 65, d: 64 });
+        // The server sends this text as its `InvalidQuery` message.
+        assert_eq!(tau_above_d.to_string(), "tau = 65 exceeds the 64 dims");
+    }
+
+    #[test]
+    #[should_panic(expected = "chain length l = 5 is outside 1..=4")]
+    fn chain_longer_than_m_panics() {
+        let ring = RingHamming::build(tiny_dataset(), 4, AllocationStrategy::Even);
+        ring.search_with(&mut HammingScratch::default(), &BitVector::zeros(64), 8, 5);
     }
 }

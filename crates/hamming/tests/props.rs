@@ -74,10 +74,13 @@ proptest! {
         seeds in prop::collection::vec(0u64..1u64 << 48, 24..64),
         qsel in 0usize..24,
         tau in 0u32..40,
-        l in 1usize..=6,
+        lsel in 0usize..12,
     ) {
         let (d, m, tau_bound) = shape;
         let tau = tau % tau_bound;
+        // Uniform over the valid chain lengths 1..=m (12 is a multiple of
+        // every m drawn).
+        let l = 1 + lsel % m;
         // Expand compact seeds into d-dimensional vectors deterministically.
         let data: Vec<BitVector> = seeds
             .iter()

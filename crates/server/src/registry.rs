@@ -23,6 +23,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use pigeonring_core::viability::ParamError;
 use pigeonring_datagen::{sample_query_ids, GraphConfig, SetConfig, StringConfig, VectorConfig};
 use pigeonring_editdist::{EditParams, GramDictionary, GramOrder, QGramCollection, RingEdit};
 use pigeonring_graph::{GraphParams, RingGraph};
@@ -199,9 +200,8 @@ pub struct EngineSet {
     set: ShardedIndex<RingSetSim>,
     graph: ShardedIndex<RingGraph>,
     /// Dimensionality of the Hamming dataset; queries with any other
-    /// dimensionality, or with `τ` above it, are rejected with a typed
-    /// `InvalidQuery` error (the engine itself would panic on a
-    /// dimension mismatch).
+    /// dimensionality, or with `τ` above it, draw a typed `InvalidQuery`
+    /// error.
     hamming_dims: usize,
     /// Exponential moving average of measured per-query execution
     /// nanos, one slot per domain in [`Domain::ALL`] order (`0` = not
@@ -409,9 +409,9 @@ impl EngineSet {
     /// Queries are grouped by domain *and* by equal per-request
     /// parameters, so each group inherits the batched shard fan-out of
     /// [`ShardedIndex::search_batch_on`]; invalid queries (a Hamming
-    /// vector of the wrong dimensionality or `τ > d`, a chain length
-    /// outside `1..=m`) get a typed `InvalidQuery` error without
-    /// disturbing the rest of the batch.
+    /// vector of the wrong dimensionality, or params the domain's
+    /// `*Params::validate` rejects) get a typed `InvalidQuery` error
+    /// without disturbing the rest of the batch.
     ///
     /// `traces` names the traced slots: each traced query gets a
     /// `dispatch` span for its param-group's execution (with `plan` /
@@ -430,8 +430,36 @@ impl EngineSet {
         let mut edit: Vec<(usize, Vec<u8>, EditParams)> = Vec::new();
         let mut set: Vec<(usize, Vec<u32>, SetParams)> = Vec::new();
         let mut graph: Vec<(usize, pigeonring_graph::Graph, GraphParams)> = Vec::new();
+        let (spec, d) = (&self.spec, self.hamming_dims);
         for (i, q) in queries.into_iter().enumerate() {
-            if let Some(message) = self.rejection(&q) {
+            // The engine would panic on a vector of another dimensionality
+            // or a chain length outside `1..=m`: each draws a typed error.
+            let admitted = match q {
+                DomainQuery::Hamming { query, .. } if query.dims() != d => {
+                    Err(format!("query has {} dims, dataset has {d}", query.dims()))
+                }
+                DomainQuery::Hamming { query, tau, l } => {
+                    let params = HammingParams { tau, l: l as usize };
+                    let valid = params.validate(spec.hamming_m, d);
+                    admit(&mut hamming, (i, query, params), valid)
+                }
+                DomainQuery::Edit { query, l } => {
+                    let params = EditParams { l: l as usize };
+                    let valid = params.validate(spec.edit_tau);
+                    admit(&mut edit, (i, query, params), valid)
+                }
+                DomainQuery::Set { tokens, l } => {
+                    let params = SetParams { l: l as usize };
+                    let valid = params.validate(spec.set_m);
+                    admit(&mut set, (i, tokens, params), valid)
+                }
+                DomainQuery::Graph { query, l } => {
+                    let params = GraphParams { l: l as usize };
+                    let valid = params.validate(spec.graph_tau);
+                    admit(&mut graph, (i, query, params), valid)
+                }
+            };
+            if let Err(message) = admitted {
                 emit(
                     i,
                     Response::Error {
@@ -440,21 +468,6 @@ impl EngineSet {
                         message,
                     },
                 );
-                continue;
-            }
-            match q {
-                DomainQuery::Hamming { query, tau, l } => {
-                    hamming.push((i, query, HammingParams { tau, l: l as usize }));
-                }
-                DomainQuery::Edit { query, l } => {
-                    edit.push((i, query, EditParams { l: l as usize }));
-                }
-                DomainQuery::Set { tokens, l } => {
-                    set.push((i, tokens, SetParams { l: l as usize }));
-                }
-                DomainQuery::Graph { query, l } => {
-                    graph.push((i, query, GraphParams { l: l as usize }));
-                }
             }
         }
         // Shortest job first: order the batch's domain groups by their
@@ -548,30 +561,14 @@ impl EngineSet {
                 });
         }
     }
+}
 
-    /// Why `query` cannot be served, or `None` when it can. The engines
-    /// would panic on a Hamming vector of the wrong dimensionality and
-    /// silently clamp a chain length outside `1..=m` (m = the box count
-    /// the engine was built with) or a Hamming `τ > d`, so these draw a
-    /// typed `InvalidQuery` instead.
-    fn rejection(&self, query: &DomainQuery) -> Option<String> {
-        let (l, m) = match query {
-            DomainQuery::Hamming { query, tau, l } => {
-                let d = self.hamming_dims;
-                if query.dims() != d {
-                    return Some(format!("query has {} dims, dataset has {d}", query.dims()));
-                }
-                if *tau as usize > d {
-                    return Some(format!("tau = {tau} exceeds the {d} dims"));
-                }
-                (*l, self.spec.hamming_m)
-            }
-            DomainQuery::Edit { l, .. } => (*l, self.spec.edit_tau + 1),
-            DomainQuery::Set { l, .. } => (*l, self.spec.set_m),
-            DomainQuery::Graph { l, .. } => (*l, self.spec.graph_tau + 1),
-        };
-        (l == 0 || l as usize > m).then(|| format!("chain length l = {l} is outside 1..={m}"))
-    }
+/// Queues `item` on its domain group when its params are `valid`;
+/// otherwise the `InvalidQuery` message.
+fn admit<T>(group: &mut Vec<T>, item: T, valid: Result<(), ParamError>) -> Result<(), String> {
+    valid.map_err(|e| e.to_string())?;
+    group.push(item);
+    Ok(())
 }
 
 /// Runs one domain's share of a micro-batch: splits it into runs of

@@ -1,103 +1,92 @@
 //! The in-process reference the over-TCP suites compare against: the
 //! batched `search_batch_on` API is the serving contract, so a server
-//! round-trip must reproduce its result fingerprint exactly.
+//! round-trip must reproduce its answers — and, traced, its engines'
+//! filter-chain stage counts — exactly.
 
 use pigeonring_editdist::EditParams;
 use pigeonring_graph::GraphParams;
 use pigeonring_hamming::HammingParams;
 use pigeonring_server::wire::{Domain, DomainQuery};
 use pigeonring_server::EngineSet;
-use pigeonring_service::{ResultHasher, WorkerPool};
+use pigeonring_service::{MergeStats, ResultHasher, SearchEngine, ShardedIndex, WorkerPool};
 use pigeonring_setsim::SetParams;
 
-/// Fingerprint of a direct in-process `search_batch_on` run (its own
-/// two-worker pool: no wire, no lanes) over the domain's standard query
-/// set.
-pub fn in_process_hash(engines: &EngineSet, domain: Domain, queries: &[DomainQuery]) -> u64 {
-    let pool = WorkerPool::new(2);
-    let mut hasher = ResultHasher::new();
-    match domain {
-        Domain::Hamming => {
-            let batch: Vec<_> = queries
-                .iter()
-                .map(|q| {
-                    let DomainQuery::Hamming { query, .. } = q else {
-                        panic!("mixed domain")
-                    };
-                    query.clone()
-                })
-                .collect();
-            let DomainQuery::Hamming { tau, l, .. } = &queries[0] else {
-                panic!("mixed domain")
-            };
-            let params = HammingParams {
-                tau: *tau,
-                l: *l as usize,
-            };
-            for r in engines
-                .hamming_index()
-                .search_batch_on(&pool, &batch, &params)
-            {
-                hasher.push(&r.ids);
-            }
+/// Result ids plus named filter-chain stage counts for one query.
+pub type IdsAndStages = (Vec<u32>, Vec<(&'static str, u64)>);
+
+/// Per-query reference run of a direct in-process `search_batch_on`
+/// (its own two-worker pool: no wire, no lanes) over one domain's query
+/// set, at the first query's params: result ids plus the engine's own
+/// filter-chain stage counts, via the same `MergeStats::visit` seam the
+/// tracer exports through.
+pub fn reference_run(
+    engines: &EngineSet,
+    domain: Domain,
+    queries: &[DomainQuery],
+) -> Vec<IdsAndStages> {
+    fn run<E: SearchEngine>(
+        index: &ShardedIndex<E>,
+        batch: Vec<E::Query>,
+        params: &E::Params,
+    ) -> Vec<IdsAndStages> {
+        let pool = WorkerPool::new(2);
+        index
+            .search_batch_on(&pool, &batch, params)
+            .into_iter()
+            .map(|r| {
+                let mut stages = Vec::new();
+                r.stats.visit(&mut |name, value| stages.push((name, value)));
+                (r.ids, stages)
+            })
+            .collect()
+    }
+    assert!(queries.iter().all(|q| q.domain() == domain), "mixed domain");
+    match &queries[0] {
+        DomainQuery::Hamming { tau, l, .. } => {
+            let batch = queries.iter().filter_map(|q| match q {
+                DomainQuery::Hamming { query, .. } => Some(query.clone()),
+                _ => None,
+            });
+            let (tau, l) = (*tau, *l as usize);
+            let params = HammingParams { tau, l };
+            run(engines.hamming_index(), batch.collect(), &params)
         }
-        Domain::Edit => {
-            let batch: Vec<_> = queries
-                .iter()
-                .map(|q| {
-                    let DomainQuery::Edit { query, .. } = q else {
-                        panic!("mixed domain")
-                    };
-                    query.clone()
-                })
-                .collect();
-            let DomainQuery::Edit { l, .. } = &queries[0] else {
-                panic!("mixed domain")
-            };
+        DomainQuery::Edit { l, .. } => {
+            let batch = queries.iter().filter_map(|q| match q {
+                DomainQuery::Edit { query, .. } => Some(query.clone()),
+                _ => None,
+            });
             let params = EditParams { l: *l as usize };
-            for r in engines.edit_index().search_batch_on(&pool, &batch, &params) {
-                hasher.push(&r.ids);
-            }
+            run(engines.edit_index(), batch.collect(), &params)
         }
-        Domain::Set => {
-            let batch: Vec<_> = queries
-                .iter()
-                .map(|q| {
-                    let DomainQuery::Set { tokens, .. } = q else {
-                        panic!("mixed domain")
-                    };
-                    tokens.clone()
-                })
-                .collect();
-            let DomainQuery::Set { l, .. } = &queries[0] else {
-                panic!("mixed domain")
-            };
+        DomainQuery::Set { l, .. } => {
+            let batch = queries.iter().filter_map(|q| match q {
+                DomainQuery::Set { tokens, .. } => Some(tokens.clone()),
+                _ => None,
+            });
             let params = SetParams { l: *l as usize };
-            for r in engines.set_index().search_batch_on(&pool, &batch, &params) {
-                hasher.push(&r.ids);
-            }
+            run(engines.set_index(), batch.collect(), &params)
         }
-        Domain::Graph => {
-            let batch: Vec<_> = queries
-                .iter()
-                .map(|q| {
-                    let DomainQuery::Graph { query, .. } = q else {
-                        panic!("mixed domain")
-                    };
-                    query.clone()
-                })
-                .collect();
-            let DomainQuery::Graph { l, .. } = &queries[0] else {
-                panic!("mixed domain")
-            };
+        DomainQuery::Graph { l, .. } => {
+            let batch = queries.iter().filter_map(|q| match q {
+                DomainQuery::Graph { query, .. } => Some(query.clone()),
+                _ => None,
+            });
             let params = GraphParams { l: *l as usize };
-            for r in engines
-                .graph_index()
-                .search_batch_on(&pool, &batch, &params)
-            {
-                hasher.push(&r.ids);
-            }
+            run(engines.graph_index(), batch.collect(), &params)
         }
+    }
+}
+
+/// Fingerprint of [`reference_run`]'s result ids.
+#[allow(
+    dead_code,
+    reason = "the trace suite compares ids and stages, not the fingerprint"
+)]
+pub fn in_process_hash(engines: &EngineSet, domain: Domain, queries: &[DomainQuery]) -> u64 {
+    let mut hasher = ResultHasher::new();
+    for (ids, _) in reference_run(engines, domain, queries) {
+        hasher.push(&ids);
     }
     hasher.finish()
 }

@@ -10,14 +10,13 @@
 use std::net::TcpListener;
 use std::sync::Arc;
 
-use pigeonring_editdist::EditParams;
-use pigeonring_graph::GraphParams;
-use pigeonring_hamming::HammingParams;
-use pigeonring_server::wire::{Domain, DomainQuery};
+use pigeonring_server::wire::Domain;
 use pigeonring_server::{start, Client, EngineSet, EngineSpec, Outcome, ServerConfig};
 use pigeonring_service::WorkerPool;
-use pigeonring_setsim::SetParams;
 use pigeonring_telemetry::json::{self, Value};
+
+mod common;
+use common::reference_run;
 
 fn tiny_spec() -> EngineSpec {
     EngineSpec {
@@ -32,109 +31,6 @@ fn tiny_spec() -> EngineSpec {
 }
 
 const QUERIES_PER_DOMAIN: usize = 3;
-
-/// Result ids plus named filter-chain stage counts for one query.
-type IdsAndStages = (Vec<u32>, Vec<(&'static str, u64)>);
-
-/// Per-query reference run on an identically built engine set: result
-/// ids plus the engine's own filter-chain stage counts, via the same
-/// `MergeStats::visit` seam the tracer exports through.
-fn reference_run(
-    engines: &EngineSet,
-    domain: Domain,
-    queries: &[DomainQuery],
-) -> Vec<IdsAndStages> {
-    fn collect<S: pigeonring_service::MergeStats>(
-        results: Vec<pigeonring_service::SearchResult<S>>,
-    ) -> Vec<IdsAndStages> {
-        results
-            .into_iter()
-            .map(|r| {
-                let mut stages = Vec::new();
-                r.stats.visit(&mut |name, value| stages.push((name, value)));
-                (r.ids, stages)
-            })
-            .collect()
-    }
-    let pool = WorkerPool::new(2);
-    match domain {
-        Domain::Hamming => {
-            let batch: Vec<_> = queries
-                .iter()
-                .map(|q| {
-                    let DomainQuery::Hamming { query, .. } = q else {
-                        panic!("mixed domain")
-                    };
-                    query.clone()
-                })
-                .collect();
-            let DomainQuery::Hamming { tau, l, .. } = &queries[0] else {
-                panic!("mixed domain")
-            };
-            let params = HammingParams {
-                tau: *tau,
-                l: *l as usize,
-            };
-            collect(
-                engines
-                    .hamming_index()
-                    .search_batch_on(&pool, &batch, &params),
-            )
-        }
-        Domain::Edit => {
-            let batch: Vec<_> = queries
-                .iter()
-                .map(|q| {
-                    let DomainQuery::Edit { query, .. } = q else {
-                        panic!("mixed domain")
-                    };
-                    query.clone()
-                })
-                .collect();
-            let DomainQuery::Edit { l, .. } = &queries[0] else {
-                panic!("mixed domain")
-            };
-            let params = EditParams { l: *l as usize };
-            collect(engines.edit_index().search_batch_on(&pool, &batch, &params))
-        }
-        Domain::Set => {
-            let batch: Vec<_> = queries
-                .iter()
-                .map(|q| {
-                    let DomainQuery::Set { tokens, .. } = q else {
-                        panic!("mixed domain")
-                    };
-                    tokens.clone()
-                })
-                .collect();
-            let DomainQuery::Set { l, .. } = &queries[0] else {
-                panic!("mixed domain")
-            };
-            let params = SetParams { l: *l as usize };
-            collect(engines.set_index().search_batch_on(&pool, &batch, &params))
-        }
-        Domain::Graph => {
-            let batch: Vec<_> = queries
-                .iter()
-                .map(|q| {
-                    let DomainQuery::Graph { query, .. } = q else {
-                        panic!("mixed domain")
-                    };
-                    query.clone()
-                })
-                .collect();
-            let DomainQuery::Graph { l, .. } = &queries[0] else {
-                panic!("mixed domain")
-            };
-            let params = GraphParams { l: *l as usize };
-            collect(
-                engines
-                    .graph_index()
-                    .search_batch_on(&pool, &batch, &params),
-            )
-        }
-    }
-}
 
 /// The `stage` instant spans of one span tree, as `(name, count)`.
 fn stage_counts(spans: &[&Value]) -> Vec<(String, u64)> {

@@ -75,15 +75,24 @@ use crate::pkwise::{
 };
 use crate::types::{overlap, overlap_at_least, Collection, Threshold};
 use pigeonring_core::scratch::EpochScratch;
-use pigeonring_core::viability::{doubled_prefix_into, ChainCheck, Direction};
+use pigeonring_core::viability::{
+    check_chain_length, doubled_prefix_into, ChainCheck, Direction, ParamError,
+};
 use pigeonring_service::{MergeStats, SearchEngine};
 
 /// Per-batch parameters for set-similarity search (the similarity
 /// threshold is fixed at index-build time).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SetParams {
-    /// Chain length `l` (clamped to `[1..m]` by the engine).
+    /// Chain length `l`, in `1..=m` ([`SetParams::validate`]).
     pub l: usize,
+}
+
+impl SetParams {
+    /// Checks `1 ≤ l ≤ m` for an engine of `m` parts.
+    pub fn validate(&self, m: usize) -> Result<(), ParamError> {
+        check_chain_length(self.l, m)
+    }
 }
 
 /// Per-query counters for the set-similarity engines.
@@ -256,10 +265,10 @@ impl RingSetSim {
     }
 
     /// Searches for all records with `sim(x, q) ≥ τ` using chain length
-    /// `l`. `q` is a sorted rank array (normally a record of this
-    /// collection). Returns ascending ids and statistics. Takes `&self`,
-    /// so any number of threads can search one engine concurrently, each
-    /// with its own [`SetScratch`].
+    /// `l` (panics outside `1..=m`). `q` is a sorted rank array (normally
+    /// a record of this collection). Returns ascending ids and
+    /// statistics. Takes `&self`, so any number of threads can search one
+    /// engine concurrently, each with its own [`SetScratch`].
     pub fn search_with(
         &self,
         scratch: &mut SetScratch,
@@ -375,7 +384,7 @@ impl RingSetSim {
     /// (`results` and `sig_probes` still zero).
     fn filter(&self, scratch: &mut SetScratch, plan: &SetPlan, l: usize) -> SetStats {
         let m = self.m();
-        let l = l.clamp(1, m);
+        check_chain_length(l, m).unwrap_or_else(|e| panic!("{e}"));
         let mut stats = SetStats::default();
         let epoch = scratch.next_epoch(self.collection.len(), m);
         let SetScratch {
@@ -726,5 +735,19 @@ mod tests {
                 assert_eq!(ranked, (direct, direct_stats), "l={l}");
             }
         }
+    }
+
+    #[test]
+    fn validate_accepts_l_in_one_to_m() {
+        let valid = [0, 1, 5, 6].map(|l| SetParams { l }.validate(5).is_ok());
+        assert_eq!(valid, [false, true, true, false]);
+    }
+
+    #[test]
+    #[should_panic(expected = "chain length l = 6 is outside 1..=5")]
+    fn chain_longer_than_m_panics() {
+        let c = zipfish_collection(40, 12, 3);
+        let ring = RingSetSim::build(c.clone(), Threshold::jaccard(0.7), 5);
+        ring.search_with(&mut SetScratch::default(), c.record(0), 6);
     }
 }

@@ -30,7 +30,7 @@ fn main() {
     for &qid in &queries {
         let q = &names[qid];
         let (res_p, sp) = pivotal.search(q);
-        let (res_r, sr) = ring.search_with(&mut scratch, q, 3); // l = min(3, τ+1)
+        let (res_r, sr) = ring.search_with(&mut scratch, q, 3); // l = 3 = m at τ = 2
         assert_eq!(res_p, res_r, "both engines are exact");
         c1 += sp.cand1;
         c2 += sp.cand2;

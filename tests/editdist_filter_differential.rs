@@ -26,6 +26,7 @@
 //! within a gram the record's own grams in slot / position order.
 
 use std::collections::BTreeSet;
+use std::ops::RangeInclusive;
 
 use pigeonring::datagen::{sample_query_ids, StringConfig};
 use pigeonring::editdist::qgram::{prefix_grams, select_pivotal, PositionalGram};
@@ -185,7 +186,6 @@ impl<'a> Reference<'a> {
 
     fn candidates(&self, q: &[u8], l: usize) -> Outcome {
         let (tau, kappa, m) = (self.tau, self.coll.kappa(), self.tau + 1);
-        let l = l.clamp(1, m);
         let quota = |l_prime: usize| ((l_prime * tau) / m) as i64;
         let qs = self.query_side(q);
         let mut out = Outcome::default();
@@ -312,13 +312,14 @@ fn check(
     name: &str,
     strings: Vec<Vec<u8>>,
     queries: Vec<Vec<u8>>,
+    taus: RangeInclusive<usize>,
     kappa_for: impl Fn(usize) -> usize,
 ) {
     assert!(
         strings.iter().flatten().all(u8::is_ascii_lowercase),
         "26 symbols: the engine's 64-bit masks fold no two of them together"
     );
-    for tau in 1..=4usize {
+    for tau in taus {
         let coll = QGramCollection::build(strings.clone(), kappa_for(tau), GramOrder::Frequency);
         let reference = Reference::build(&coll, tau);
         let ring = RingEdit::build(
@@ -365,17 +366,49 @@ fn check(
 fn imdb_like_candidates_and_counters_match_the_reference_loop() {
     let strings = StringConfig::imdb_like(1_500).generate();
     let queries = queries(&strings, 12, 5);
-    check("imdb", strings, queries, |tau| if tau == 1 { 3 } else { 2 });
+    check("imdb", strings, queries, 1..=4, |tau| {
+        if tau == 1 {
+            3
+        } else {
+            2
+        }
+    });
 }
 
 #[test]
 fn pubmed_like_candidates_and_counters_match_the_reference_loop() {
     let strings = StringConfig::pubmed_like(300).generate();
     let queries = queries(&strings, 8, 6);
-    check(
-        "pubmed",
-        strings,
-        queries,
-        |tau| if tau == 4 { 8 } else { 4 },
-    );
+    check("pubmed", strings, queries, 1..=4, |tau| {
+        if tau == 4 {
+            8
+        } else {
+            4
+        }
+    });
+}
+
+/// Copies of pubmed-like records with two or three substitutions inside
+/// one κ = 8 window join the corpus; originals and copies are queries,
+/// so the damaged window is a case-A box for some pairs and a case-B box
+/// for others, worth ≥ 2. The unplanted pubmed queries above pass with
+/// either case's boxes loosened to `(b − 1).max(0)`; these fail.
+#[test]
+fn pubmed_like_window_edits_turn_the_chain() {
+    let mut strings = StringConfig::pubmed_like(300).generate();
+    let mut queries = Vec::new();
+    for (i, qid) in sample_query_ids(strings.len(), 12, 9)
+        .into_iter()
+        .enumerate()
+    {
+        let mut planted = strings[qid].clone();
+        let p = (qid * 13) % (planted.len() - 8);
+        for (k, letter) in [b'z', b'x', b'q'].into_iter().enumerate().take(2 + i % 2) {
+            planted[p + 3 * k] = letter;
+        }
+        queries.push(strings[qid].clone());
+        queries.push(planted.clone());
+        strings.push(planted);
+    }
+    check("pubmed planted", strings, queries, 4..=4, |_| 8);
 }

@@ -46,7 +46,6 @@ impl<'a> Reference<'a> {
         const NEIGHBORHOOD_CAP: i64 = 1;
         let (tau, m) = (self.tau as i64, self.tau + 1);
         let quota = |l_prime: usize| (l_prime as i64 * tau) / (tau + 1);
-        let l = l.clamp(1, m);
         let qv = label_counts(q.vlabels().iter().copied());
         let qe = label_counts(q.edges().map(|e| e.2));
         let (mut cands, mut subiso_calls, mut boxes_checked) = (Vec::new(), 0, 0);
