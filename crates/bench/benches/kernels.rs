@@ -141,10 +141,10 @@ fn bench_hamming_layouts(c: &mut Criterion) {
     c.bench_function("hamming/chain_check_l5_arena", |b| {
         b.iter(|| {
             epochs.next_epoch(n);
-            let mut chain = ChainCheck::new(&quotas, Direction::Le, 5);
+            let chain = ChainCheck::new(&quotas, Direction::Le, 5);
             let mut accepted = 0u32;
             for &(id, start, _) in &starts {
-                accepted += u32::from(epochs.chain_accept(id, start, &mut chain, |j| {
+                accepted += u32::from(epochs.chain_accept(id, start, &chain, |j| {
                     i64::from(arena.box_value(black_box(id), j, qsigs[j]))
                 }));
             }
@@ -154,11 +154,11 @@ fn bench_hamming_layouts(c: &mut Criterion) {
     c.bench_function("hamming/chain_check_l5_postings", |b| {
         b.iter(|| {
             epochs.next_epoch(n);
-            let mut chain = ChainCheck::new(&quotas, Direction::Le, 5);
+            let chain = ChainCheck::new(&quotas, Direction::Le, 5);
             let mut accepted = 0u32;
             for &(id, start, next) in &starts {
                 let ring_next = (start + 1) % 16;
-                accepted += u32::from(epochs.chain_accept(id, start, &mut chain, |j| {
+                accepted += u32::from(epochs.chain_accept(id, start, &chain, |j| {
                     if j == ring_next {
                         i64::from((u64::from(black_box(next)) ^ qsigs[j]).count_ones())
                     } else {

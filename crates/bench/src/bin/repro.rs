@@ -24,7 +24,7 @@ use pigeonring_bench::{
 };
 use pigeonring_core::analysis::{DiscreteDist, FilterAnalysis};
 use pigeonring_datagen::{sample_query_ids, GraphConfig, StringConfig, VectorConfig};
-use pigeonring_editdist::{EditScratch, GramOrder, Pivotal, QGramCollection, RingEdit};
+use pigeonring_editdist::{EditParams, EditScratch, GramOrder, Pivotal, QGramCollection, RingEdit};
 use pigeonring_graph::{Graph, Pars, RingGraph};
 use pigeonring_hamming::{AllocationStrategy, BitVector, HammingScratch, RingHamming};
 use pigeonring_setsim::{AdaptSearch, PartAlloc, RingSetSim, SetScratch, Threshold};
@@ -391,7 +391,7 @@ fn fig7(scale: Scale) {
             let coll = QGramCollection::build(setup.strings.clone(), kappa, GramOrder::Frequency);
             let eng = RingEdit::build(coll, tau);
             let mut scratch = EditScratch::default();
-            for l in 1..=4usize.min(tau + 1) {
+            for l in (1..=4).filter(|&l| EditParams { l }.validate(tau).is_ok()) {
                 let (cand_ms, _cstats) = time_per_query(&setup.queries, |qid| {
                     eng.candidates_with(&mut scratch, &setup.strings[qid], l).1
                 });
@@ -457,7 +457,11 @@ fn fig11(scale: Scale) {
             let coll = QGramCollection::build(setup.strings.clone(), kappa, GramOrder::Frequency);
             let ring = RingEdit::build(coll, tau);
             let mut scratch = EditScratch::default();
-            let l = 3.min(tau + 1);
+            // The paper's l = 3, or the longest valid chain below it.
+            let l = (1..=3)
+                .rev()
+                .find(|&l| EditParams { l }.validate(tau).is_ok())
+                .expect("l = 1 is always valid");
             let (ms, stats) = time_per_query(&setup.queries, |qid| {
                 ring.search_with(&mut scratch, &setup.strings[qid], l).1
             });

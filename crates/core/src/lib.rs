@@ -30,8 +30,8 @@
 //!   the engines' one chain check ([`viability::ChainCheck`]) and, as its
 //!   reference, the scheme-generic chain-viability predicates (the
 //!   prefix-viable search with Corollary-2 skipping).
-//! * [`scratch`] — the epoch-stamped per-query dedup and Corollary-2
-//!   state the engines share.
+//! * [`scratch`] — the epoch-stamped per-query candidate dedup the
+//!   engines share.
 //! * [`fxhash`] — a small FxHash-style hasher for hot integer-keyed maps.
 //!
 //! The paper's statements in checkable form. No engine calls them; their

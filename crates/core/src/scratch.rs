@@ -1,19 +1,18 @@
 //! Epoch-stamped per-thread query scratch shared by the domain engines.
 //!
-//! The ring engines deduplicate candidates and memoize Corollary-2
-//! ruled-out chain starts with *epoch stamping*: instead of clearing an
-//! `n`-sized array per query, each query bumps an epoch counter and a
-//! slot is "set" iff its stamp equals the current epoch. This struct
-//! holds that mechanism once — including the two subtle paths (resize
-//! resets the epoch; wrap-around at `u32::MAX` clears the stamps) — so
-//! the per-domain scratch types cannot drift apart — and, through
-//! [`EpochScratch::chain_accept`], the dedup around the shared
+//! The ring engines deduplicate candidates with *epoch stamping*: instead
+//! of clearing an `n`-sized array per query, each query bumps an epoch
+//! counter and a record is "set" iff its stamp equals the current epoch.
+//! This struct holds that mechanism once — including the two subtle
+//! paths (resize resets the epoch; wrap-around at `u32::MAX` clears the
+//! stamps) — so the per-domain scratch types cannot drift apart — and,
+//! through [`EpochScratch::chain_accept`], the dedup around the shared
 //! [`ChainCheck`].
 
 use crate::viability::ChainCheck;
 
-/// Epoch-stamped candidate-dedup array plus Corollary-2 ruled-start
-/// bitmasks, lazily sized to the engine's record count.
+/// Epoch-stamped candidate-dedup array, lazily sized to the engine's
+/// record count.
 ///
 /// `Default` yields an empty scratch; the first [`EpochScratch::next_epoch`]
 /// sizes it, and every other method reads the epoch it returned.
@@ -23,10 +22,6 @@ pub struct EpochScratch {
     /// Per-record stamp: record already accepted as a candidate this
     /// query.
     accepted: Vec<u32>,
-    /// Per-record stamp validating `ruled_mask` for this query.
-    ruled_epoch: Vec<u32>,
-    /// Per-record bitmask of chain starts ruled out by Corollary 2.
-    ruled_mask: Vec<u64>,
 }
 
 impl EpochScratch {
@@ -45,40 +40,26 @@ impl EpochScratch {
     }
 
     /// §7's second step for one viable box: unless record `id` is already
-    /// a candidate, runs `chain` from `start` over the record's
-    /// Corollary-2 bitmask and accepts the record if the chain is
-    /// prefix-viable. Returns whether `id` became a candidate. At `l = 1`
-    /// the viable start box alone accepts, without reading a box.
+    /// a candidate, runs `chain` from `start` and accepts the record if
+    /// the chain is prefix-viable. Returns whether `id` became a
+    /// candidate. At `l = 1` the viable start box alone accepts, without
+    /// reading a box.
     #[inline]
     pub fn chain_accept(
         &mut self,
         id: usize,
         start: usize,
-        chain: &mut ChainCheck<'_>,
+        chain: &ChainCheck<'_>,
         box_value: impl FnMut(usize) -> i64,
     ) -> bool {
-        if self.is_accepted(id) {
+        if self.is_accepted(id) || (chain.l > 1 && !chain.check(start, box_value)) {
             return false;
-        }
-        if chain.l > 1 {
-            // The mask is stored only when a chain fails: an accepted
-            // record never reads it again this query.
-            let mut ruled = if self.ruled_epoch[id] == self.epoch {
-                self.ruled_mask[id]
-            } else {
-                0
-            };
-            if !chain.check(start, &mut ruled, box_value) {
-                self.ruled_epoch[id] = self.epoch;
-                self.ruled_mask[id] = ruled;
-                return false;
-            }
         }
         self.accepted[id] = self.epoch;
         true
     }
 
-    /// Sizes the buffers for an `n`-record engine and advances the
+    /// Sizes the stamps for an `n`-record engine and advances the
     /// epoch, resetting all stamps on resize or on epoch wrap-around.
     /// Returns the new epoch — which is `1` exactly when the stamps were
     /// (re)initialized, so wrappers stacking extra epoch-stamped state on
@@ -86,12 +67,9 @@ impl EpochScratch {
     pub fn next_epoch(&mut self, n: usize) -> u32 {
         if self.accepted.len() != n {
             self.accepted = vec![0; n];
-            self.ruled_epoch = vec![0; n];
-            self.ruled_mask = vec![0; n];
             self.epoch = 0;
         } else if self.epoch == u32::MAX {
             self.accepted.fill(0);
-            self.ruled_epoch.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;
@@ -127,31 +105,28 @@ mod tests {
     }
 
     #[test]
-    fn chain_accept_dedups_and_remembers_ruled_starts() {
+    fn chain_accept_dedups_per_query() {
         use crate::viability::{zero_thresholds, Direction};
         // m = 4, zero thresholds: quota l' − 1.
         let boxes = [0i64, 3, 0, 0];
         let mut s = EpochScratch::default();
         s.next_epoch(2);
-        let mut chain = ChainCheck::new(zero_thresholds(4), Direction::Le, 3);
-        // From start 0 the chain fails at length 2, ruling out 0 and 1.
-        assert!(!s.chain_accept(1, 0, &mut chain, |j| boxes[j]));
-        assert!(!s.chain_accept(1, 1, &mut chain, |_| unreachable!()));
-        assert_eq!(chain.skipped_by_corollary2, 1);
-        // Record 0 has its own bitmask.
-        assert!(!s.chain_accept(0, 1, &mut chain, |j| boxes[j]));
-        assert!(s.chain_accept(1, 2, &mut chain, |j| boxes[j]));
+        let chain = ChainCheck::new(zero_thresholds(4), Direction::Le, 3);
+        // From start 0 the chain fails at length 2.
+        assert!(!s.chain_accept(1, 0, &chain, |j| boxes[j]));
+        assert!(!s.chain_accept(1, 1, &chain, |j| boxes[j]));
+        assert!(!s.chain_accept(0, 1, &chain, |j| boxes[j]));
+        assert!(s.chain_accept(1, 2, &chain, |j| boxes[j]));
         assert!(s.is_accepted(1));
         // An accepted record reads nothing more.
-        assert!(!s.chain_accept(1, 3, &mut chain, |_| unreachable!()));
-        // A new query forgets both the stamp and the bitmask: start 1,
-        // ruled out last query, is checked again.
+        assert!(!s.chain_accept(1, 3, &chain, |_| unreachable!()));
+        // A new query forgets the stamp.
         s.next_epoch(2);
         assert!(!s.is_accepted(1));
-        assert!(s.chain_accept(1, 1, &mut chain, |_| 0));
+        assert!(s.chain_accept(1, 1, &chain, |_| 0));
         // At l = 1 the viable start box alone accepts.
-        let mut single = ChainCheck::new(zero_thresholds(4), Direction::Le, 1);
-        assert!(s.chain_accept(0, 1, &mut single, |_| unreachable!()));
+        let single = ChainCheck::new(zero_thresholds(4), Direction::Le, 1);
+        assert!(s.chain_accept(0, 1, &single, |_| unreachable!()));
         assert!(!s.accept(0), "already a candidate");
         s.next_epoch(2);
         assert!(s.accept(0) && !s.accept(0));
@@ -163,10 +138,8 @@ mod tests {
         s.next_epoch(2);
         s.epoch = u32::MAX;
         s.accepted[0] = u32::MAX;
-        s.ruled_epoch[1] = u32::MAX;
         let e = s.next_epoch(2);
         assert_eq!(e, 1);
         assert_eq!(s.accepted[0], 0);
-        assert_eq!(s.ruled_epoch[1], 0);
     }
 }

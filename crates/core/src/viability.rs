@@ -16,8 +16,7 @@
 //! starts of a box slice with the Corollary-2 skipping optimization of §7.
 //! The per-problem engines instead reach viable starts in probe order and
 //! compute box values on demand: [`ChainCheck`] is their one chain check,
-//! aborting at the first non-viable prefix and keeping Corollary-2 ruled
-//! starts per record.
+//! aborting at the first non-viable prefix.
 //!
 //! Integer box values use exact integer arithmetic for the `l·n/m`
 //! comparison (`m·sum ⋛ l·n`), avoiding any floating-point rounding at the
@@ -181,7 +180,7 @@ pub fn doubled_prefix_into<T: BoxValue>(t: &[T], prefix: &mut Vec<T>) {
 /// summing to `n − m + 1 = 0`: all zero.
 ///
 /// # Panics
-/// Panics if `m > 64`, the most boxes a [`ChainCheck`] bitmask holds.
+/// Panics if `m > 64`, the most boxes the static table holds.
 pub fn zero_thresholds(m: usize) -> &'static [i64] {
     static ZEROS: [i64; 129] = [0; 129];
     &ZEROS[..2 * m + 1]
@@ -364,7 +363,7 @@ pub fn check_chain_length(l: usize, m: usize) -> Result<(), ParamError> {
 /// box values lazily, and accept iff all its prefixes up to length `l`
 /// are viable under Theorem 7's integer quotas. An engine keeps only its
 /// probe (which finds viable starts) and its box source (the `box_value`
-/// closure); the walk, the early exit and Corollary 2 live here.
+/// closure); the walk and the early exit live here.
 ///
 /// **Quotas.** The check reads the query's thresholds as quota prefix
 /// sums ([`doubled_prefix_into`]; [`zero_thresholds`] for Theorem 3's
@@ -372,13 +371,12 @@ pub fn check_chain_length(l: usize, m: usize) -> Result<(), ParamError> {
 /// `‖c^{l′}_s‖₁ ≤ l′ − 1 + Σ t_j` (direction ≤) or `≥ 1 − l′ + Σ t_j`
 /// (≥): integer arithmetic, one subtraction per step.
 ///
-/// **Corollary 2.** When the chain from `s` fails at prefix length `l′`,
-/// no chain starting in `s … s+l′−1` can be prefix-viable (Lemma 2
-/// contrapositive), whatever the box values — lower or upper bounds
-/// included. [`ChainCheck::check`] records those starts in the caller's
-/// per-record bitmask (`m ≤ 64`) and skips a later check from any of
-/// them, counting it in [`ChainCheck::skipped_by_corollary2`]. A caller
-/// that passes a fresh zero mask to every check never skips.
+/// **No Corollary-2 memo.** When the chain from `s` fails at prefix
+/// length `f`, the chain from any `s + d` with `d < f` fails again within
+/// `f − d` boxes (Lemma 2 contrapositive), so checking such a start again
+/// reads only boxes the failed chain already read. The engines therefore
+/// keep no per-record ruled-start state; [`find_prefix_viable`], which
+/// scans every start of one ring, is where Corollary 2 skips.
 #[derive(Debug)]
 pub struct ChainCheck<'a> {
     /// Quota prefix sums, length `2m + 1`.
@@ -386,50 +384,28 @@ pub struct ChainCheck<'a> {
     m: usize,
     dir: Direction,
     pub(crate) l: usize,
-    /// Chain checks avoided because Corollary 2 had ruled their start out.
-    pub skipped_by_corollary2: usize,
 }
 
 impl<'a> ChainCheck<'a> {
     /// A chain check of length `l` in direction `dir` over the quota
-    /// prefix sums `prefix` of `m ≤ 64` thresholds (length `2m + 1`).
+    /// prefix sums `prefix` of `m` thresholds (length `2m + 1`).
     pub fn new(prefix: &'a [i64], dir: Direction, l: usize) -> Self {
         let m = prefix.len() / 2;
-        debug_assert!(
-            prefix.len() == 2 * m + 1 && m <= 64,
-            "quota prefix sums of m ≤ 64 thresholds"
-        );
+        debug_assert_eq!(prefix.len(), 2 * m + 1, "quota prefix sums of m thresholds");
         debug_assert_eq!(check_chain_length(l, m), Ok(()));
-        ChainCheck {
-            prefix,
-            m,
-            dir,
-            l,
-            skipped_by_corollary2: 0,
-        }
+        ChainCheck { prefix, m, dir, l }
     }
 
     /// Whether the chain of length `l` from ring position `start` is
     /// prefix-viable. `box_value(j)` reads box `j < m` — the start box
     /// included, so the source may count it — in ring order, and is not
-    /// called past the first prefix over quota. `ruled` is the record's
-    /// Corollary-2 bitmask (see the type docs): a start it rules out
-    /// fails without reading a box, and a failure rules out its starts.
+    /// called past the first prefix over quota.
     #[inline(always)]
-    pub fn check(
-        &mut self,
-        start: usize,
-        ruled: &mut u64,
-        mut box_value: impl FnMut(usize) -> i64,
-    ) -> bool {
+    pub fn check(&self, start: usize, mut box_value: impl FnMut(usize) -> i64) -> bool {
         let m = self.m;
         debug_assert!(start < m, "chain start out of range");
         // Ring position `j mod m` for `j < start + l ≤ 2m`, without a division.
         let wrap = |j: usize| if j < m { j } else { j - m };
-        if (*ruled >> start) & 1 == 1 {
-            self.skipped_by_corollary2 += 1;
-            return false;
-        }
         let base = self.prefix[start];
         let mut sum = 0;
         for len in 1..=self.l {
@@ -440,9 +416,6 @@ impl<'a> ChainCheck<'a> {
                 Direction::Ge => sum >= t_sum - slack,
             };
             if !viable {
-                for j in start..start + len {
-                    *ruled |= 1 << wrap(j);
-                }
                 return false;
             }
         }
@@ -652,38 +625,28 @@ mod tests {
         // m = 4, zero thresholds: quota l' − 1. Box 1 = 5 breaks the
         // prefix of length 2 from start 0.
         let boxes = [0i64, 5, 0, 0];
-        let mut chain = ChainCheck::new(zero_thresholds(4), Direction::Le, 4);
-        let (mut calls, mut ruled) = (0, 0u64);
-        let viable = chain.check(0, &mut ruled, |j| {
+        let chain = ChainCheck::new(zero_thresholds(4), Direction::Le, 4);
+        let mut calls = 0;
+        let viable = chain.check(0, |j| {
             calls += 1;
             boxes[j]
         });
         assert!(!viable);
         assert_eq!(calls, 2, "must not evaluate boxes past the failure");
-        assert_eq!(ruled, 0b0011, "Corollary 2 rules out starts 0 and 1");
-        // A ruled start fails without reading a box, and is counted.
-        assert!(!chain.check(1, &mut ruled, |_| unreachable!()));
-        assert_eq!(chain.skipped_by_corollary2, 1);
-        // A fresh mask skips nothing: start 1 is read.
-        let mut fresh = 0u64;
-        assert!(!chain.check(1, &mut fresh, |j| boxes[j]));
-        assert_eq!((fresh, chain.skipped_by_corollary2), (0b0010, 1));
     }
 
     #[test]
     fn chain_check_wraps_the_ring() {
         // m = 3, thresholds (0, 0, 2): the chain from 2 wraps to 0 and 1.
         let prefix = quota_prefix(&[0, 0, 2]);
-        let mut chain = ChainCheck::new(&prefix, Direction::Le, 3);
+        let chain = ChainCheck::new(&prefix, Direction::Le, 3);
         let mut seen = Vec::new();
-        let mut ruled = 0u64;
-        assert!(chain.check(2, &mut ruled, |j| {
+        // Prefix quotas 2, 3, 4 with sum 2, 3, 4: all tight, all viable.
+        assert!(chain.check(2, |j| {
             seen.push(j);
             [1i64, 1, 2][j]
         }));
         assert_eq!(seen, [2, 0, 1]);
-        // Prefix quotas 2, 3, 4 with sum 2, 3, 4: all tight, all viable.
-        assert_eq!(ruled, 0);
     }
 
     #[test]
@@ -698,9 +661,9 @@ mod tests {
                     .map(|k| ((seed * 7 + k * k * 13 + k) % 5).min(2) as i64)
                     .collect();
                 for l in 1..=m {
-                    let mut chain = ChainCheck::new(zero_thresholds(m), Direction::Le, l);
+                    let chain = ChainCheck::new(zero_thresholds(m), Direction::Le, l);
                     for start in 0..m {
-                        let fast = chain.check(start, &mut 0, |j| boxes[j]);
+                        let fast = chain.check(start, |j| boxes[j]);
                         let slow =
                             check_prefix_viable(&boxes, &scheme, Direction::Le, start, l).is_ok();
                         assert_eq!(fast, slow, "tau={tau} l={l} start={start}");

@@ -57,8 +57,6 @@ pub struct EditStats {
     pub postings_scanned: usize,
     /// Ring box evaluations (chain checks).
     pub boxes_checked: usize,
-    /// Chain checks skipped via Corollary 2.
-    pub skipped_by_corollary2: usize,
 }
 
 /// A viable single box from the first candidate-generation step.

@@ -64,9 +64,6 @@ impl MergeStats for EditStats {
         self.results = self.results.saturating_add(other.results);
         self.postings_scanned = self.postings_scanned.saturating_add(other.postings_scanned);
         self.boxes_checked = self.boxes_checked.saturating_add(other.boxes_checked);
-        self.skipped_by_corollary2 = self
-            .skipped_by_corollary2
-            .saturating_add(other.skipped_by_corollary2);
     }
 
     fn visit(&self, emit: &mut dyn FnMut(&'static str, u64)) {
@@ -76,19 +73,18 @@ impl MergeStats for EditStats {
         emit("results", self.results as u64);
         emit("postings_scanned", self.postings_scanned as u64);
         emit("boxes_checked", self.boxes_checked as u64);
-        emit("skipped_by_corollary2", self.skipped_by_corollary2 as u64);
     }
 }
 
 /// Per-thread mutable query state for [`RingEdit`]: the shared
-/// epoch-stamped candidate dedup array and Corollary-2 ruled-start
-/// bitmasks ([`EpochScratch`]), the gram-extraction buffer the planning
-/// path reuses across queries, and the candidate list between filter
-/// and verification. `Default` yields an empty scratch that lazily
-/// sizes itself to the engine's record count on first use.
+/// epoch-stamped candidate dedup array ([`EpochScratch`]), the
+/// gram-extraction buffer the planning path reuses across queries, and
+/// the candidate list between filter and verification. `Default` yields
+/// an empty scratch that lazily sizes itself to the engine's record
+/// count on first use.
 #[derive(Clone, Debug, Default)]
 pub struct EditScratch {
-    /// Epoch-stamped dedup + Corollary-2 ruled-start core.
+    /// Epoch-stamped candidate dedup.
     epochs: EpochScratch,
     /// Reused buffer for the query's full extracted gram list (only the
     /// prefix/pivotal selections escape into the [`EditPlan`]).
@@ -133,9 +129,10 @@ impl RingEdit {
     /// Builds the engine over a gram collection at threshold `τ`.
     ///
     /// # Panics
-    /// Panics if `τ > 63` (the Corollary-2 bitmask holds `τ + 1` starts).
+    /// Panics if `τ > 63` ([`zero_thresholds`] holds the quotas of at
+    /// most 64 boxes, and the ring has `τ + 1`).
     pub fn build(collection: QGramCollection, tau: usize) -> Self {
-        assert!(tau <= 63, "ruled-start bitmask supports τ ≤ 63");
+        assert!(tau <= 63, "zero_thresholds holds at most 64 boxes: τ ≤ 63");
         RingEdit {
             index: PivotalIndex::build(collection, tau),
         }
@@ -215,7 +212,7 @@ impl RingEdit {
             return stats;
         };
         let (q_masks, q_piv_masks) = (&plan.q_masks, &plan.q_piv_masks);
-        let mut chain = ChainCheck::new(zero_thresholds(tau + 1), Direction::Le, l);
+        let chain = ChainCheck::new(zero_thresholds(tau + 1), Direction::Le, l);
         stats.postings_scanned = index.probe(&plan.prefix, Some(q_piv), plan.last, q.len(), |vb| {
             stats.cand1 += 1;
             let ViableBox {
@@ -227,7 +224,7 @@ impl RingEdit {
             // The start box is the probed exact match: 0.
             let accepted = if record_side {
                 // Case A: boxes are x's pivotal grams, windows in q.
-                epochs.chain_accept(idu, start, &mut chain, |j| {
+                epochs.chain_accept(idu, start, &chain, |j| {
                     stats.boxes_checked += 1;
                     if j == start {
                         return 0;
@@ -238,7 +235,7 @@ impl RingEdit {
                 })
             } else {
                 // Case B: boxes are q's pivotal grams, windows in x.
-                epochs.chain_accept(idu, start, &mut chain, |j| {
+                epochs.chain_accept(idu, start, &chain, |j| {
                     stats.boxes_checked += 1;
                     if j == start {
                         return 0;
@@ -257,7 +254,6 @@ impl RingEdit {
                 cands.push(id);
             }
         });
-        stats.skipped_by_corollary2 = chain.skipped_by_corollary2;
         // Short records carry no guarantee: always candidates.
         for &id in index.short_ids() {
             if index.length_compatible(id, q.len()) && epochs.accept(id as usize) {

@@ -28,11 +28,10 @@
 //! box values would, so completeness is preserved; the tests assert
 //! equality with linear scan and candidate-set inclusion w.r.t. Pars.
 //!
-//! The walk is the core's [`ChainCheck`], as in the other three engines,
-//! but each check gets a fresh ruled-start mask, so Corollary 2 never
-//! skips a start: each label-feasible embedding part gets its own chain
-//! check — there are at most `τ + 1` per graph, and with the memo a
-//! second chain over the same boxes costs additions.
+//! The walk is the core's [`ChainCheck`], as in the other three engines:
+//! each label-feasible embedding part gets its own chain check — there
+//! are at most `τ + 1` per graph, and with the memo a second chain over
+//! the same boxes costs additions.
 //!
 //! The engine's `impl SearchEngine` is its one planned query path. The
 //! plan is a [`GraphPlan`] — label histograms, label-grouped vertices,
@@ -116,10 +115,10 @@ impl RingGraph {
     /// Partitions every data graph into `τ + 1` parts and compiles them.
     ///
     /// # Panics
-    /// Panics if `τ > 63` (a chain check marks ruled starts of its
-    /// `τ + 1` boxes in one `u64`).
+    /// Panics if `τ > 63` ([`zero_thresholds`] holds the quotas of at
+    /// most 64 boxes, and a graph has `τ + 1` parts).
     pub fn build(graphs: Vec<Graph>, tau: usize) -> Self {
-        assert!(tau <= 63, "ruled-start bitmask supports τ ≤ 63");
+        assert!(tau <= 63, "zero_thresholds holds at most 64 boxes: τ ≤ 63");
         RingGraph {
             index: PartIndex::build(graphs, tau),
         }
@@ -201,7 +200,7 @@ impl RingGraph {
         let first = out.len();
         // The uniform quota ⌊l'·τ/m⌋, which is l' − 1.
         check_chain_length(l, m).unwrap_or_else(|e| panic!("{e}"));
-        let mut chain = ChainCheck::new(zero_thresholds(m), Direction::Le, l);
+        let chain = ChainCheck::new(zero_thresholds(m), Direction::Le, l);
 
         for &(_, _, id) in self.index.size_window(plan).flatten() {
             memo.fill(UNKNOWN);
@@ -218,9 +217,7 @@ impl RingGraph {
                     continue;
                 }
                 // Viable box (b_i = 0); the boxes past it are chain steps.
-                // A fresh ruled-start mask per check: no Corollary 2
-                // (module docs).
-                let viable = chain.check(i, &mut 0, |j| {
+                let viable = chain.check(i, |j| {
                     stats.boxes_checked += usize::from(j != i);
                     let part = || self.index.part(id, j);
                     memo[j] = match memo[j] {

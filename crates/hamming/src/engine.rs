@@ -8,10 +8,8 @@
 //! 2. **Second step** (Ring only) — from each viable box, extend the chain
 //!    clockwise, computing part distances by popcount on the fly, and
 //!    accept the object only if the chain of length `l` is prefix-viable
-//!    under the Theorem 7 quotas `‖c^{l'}_i‖₁ ≤ l' − 1 + Σ t_j`. A failed
-//!    prefix at length `l'` rules out starts `i..i+l'−1` for this object
-//!    (Corollary 2), tracked in a per-object bitmask. The walk is the
-//!    core's [`ChainCheck`]; this engine supplies the box values. Box
+//!    under the Theorem 7 quotas `‖c^{l'}_i‖₁ ≤ l' − 1 + Σ t_j`. The walk
+//!    is the core's [`ChainCheck`]; this engine supplies the box values. Box
 //!    `part + 1` — the first step, where nearly every chain dies — is a
 //!    popcount on the ring-next signature the probe read beside the
 //!    posting id (see [`crate::index`]); later boxes are read from the
@@ -75,8 +73,6 @@ pub struct SearchStats {
     pub viable_boxes: usize,
     /// Box evaluations performed in the second step (`C_C2` cost proxy).
     pub boxes_checked: usize,
-    /// Chain checks avoided by the Corollary-2 bitmask.
-    pub skipped_by_corollary2: usize,
 }
 
 impl MergeStats for SearchStats {
@@ -86,9 +82,6 @@ impl MergeStats for SearchStats {
         self.probes = self.probes.saturating_add(other.probes);
         self.viable_boxes = self.viable_boxes.saturating_add(other.viable_boxes);
         self.boxes_checked = self.boxes_checked.saturating_add(other.boxes_checked);
-        self.skipped_by_corollary2 = self
-            .skipped_by_corollary2
-            .saturating_add(other.skipped_by_corollary2);
     }
 
     fn visit(&self, emit: &mut dyn FnMut(&'static str, u64)) {
@@ -97,15 +90,13 @@ impl MergeStats for SearchStats {
         emit("probes", self.probes as u64);
         emit("viable_boxes", self.viable_boxes as u64);
         emit("boxes_checked", self.boxes_checked as u64);
-        emit("skipped_by_corollary2", self.skipped_by_corollary2 as u64);
     }
 }
 
 /// Per-thread mutable query state for [`RingHamming`]: the shared
-/// epoch-stamped candidate dedup array and Corollary-2 ruled-start
-/// bitmasks ([`EpochScratch`]) plus every per-query buffer of candidate
-/// generation, so a warm scratch makes a query allocation-free up to its
-/// returned id list.
+/// epoch-stamped candidate dedup array ([`EpochScratch`]) plus every
+/// per-query buffer of candidate generation, so a warm scratch makes a
+/// query allocation-free up to its returned id list.
 ///
 /// `Default` yields an empty scratch that lazily sizes itself to the
 /// engine's record count on first use, so worker threads can create one
@@ -176,7 +167,8 @@ impl RingHamming {
     ///
     /// # Panics
     /// Panics if `data` is empty, dimensionalities disagree, or `m > 64`
-    /// (the Corollary-2 bitmask is one `u64` per object).
+    /// (the parts that store a ring-next signature are one `u64` mask,
+    /// and a viable box keeps its part in a `u8`).
     pub fn build(data: Vec<BitVector>, m: usize, strategy: AllocationStrategy) -> Self {
         assert!(!data.is_empty(), "cannot index an empty dataset");
         let d = data[0].dims();
@@ -368,7 +360,7 @@ impl RingHamming {
         let stored = (0..m)
             .filter(|&i| self.index.stores_next(i))
             .fold(0u64, |mask, i| mask | 1 << i);
-        let mut chain = ChainCheck::new(prefix, Direction::Le, l);
+        let chain = ChainCheck::new(prefix, Direction::Le, l);
         for &(id, part, dist, next) in viable.iter() {
             let (idu, part) = (id as usize, usize::from(part));
             // `usize::MAX` matches no box: the arena serves box part + 1.
@@ -377,7 +369,7 @@ impl RingHamming {
                 _ if part + 1 == m => 0,
                 _ => part + 1,
             };
-            let accepted = epochs.chain_accept(idu, part, &mut chain, |j| {
+            let accepted = epochs.chain_accept(idu, part, &chain, |j| {
                 stats.boxes_checked += 1;
                 if j == part {
                     i64::from(dist)
@@ -392,7 +384,6 @@ impl RingHamming {
             }
         }
 
-        stats.skipped_by_corollary2 = chain.skipped_by_corollary2;
         stats.candidates = cands.len();
         stats
     }

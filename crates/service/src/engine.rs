@@ -23,10 +23,10 @@ pub trait MergeStats: Default + Send + 'static {
 ///
 /// The contract mirrors the four ring engines after their `&self`
 /// refactor: the index is immutable at query time, and all per-query
-/// mutable state (epoch-stamped dedup arrays, Corollary-2 bitmasks, box
-/// caches) lives in an external [`SearchEngine::Scratch`] owned by the
-/// calling thread. One engine can therefore serve arbitrarily many
-/// threads concurrently, each with its own scratch.
+/// mutable state (epoch-stamped dedup arrays, box caches) lives in an
+/// external [`SearchEngine::Scratch`] owned by the calling thread. One
+/// engine can therefore serve arbitrarily many threads concurrently,
+/// each with its own scratch.
 ///
 /// Query execution is split into **plan once, execute per shard**:
 /// [`SearchEngine::plan`] computes the query-side work (gram interning

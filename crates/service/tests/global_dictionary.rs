@@ -257,10 +257,6 @@ fn corpus_cost_model_makes_hamming_stats_resharding_invariant() {
         assert_eq!(agg.viable_boxes, baseline.viable_boxes, "viable k={k}");
         assert_eq!(agg.boxes_checked, baseline.boxes_checked, "boxes k={k}");
         assert_eq!(agg.candidates, baseline.candidates, "candidates k={k}");
-        assert_eq!(
-            agg.skipped_by_corollary2, baseline.skipped_by_corollary2,
-            "skipped k={k}"
-        );
         assert_eq!(agg.results, baseline.results, "results k={k}");
     }
 }

@@ -39,10 +39,8 @@
 //! Every chain runs its full length `l` around the ring — through ring
 //! position 0, reading `b̂₀`, when it wraps — in the core's
 //! [`ChainCheck`], which reads the boxes below. A signature hit on class `k`
-//! starts the chain at `k`; when it fails at prefix length `l'`,
-//! Corollary 2 rules out starts `k … k + l' − 1` (mod `m`) for that
-//! record. After a failed class-start chain the start-0 chain is checked
-//! too, since signature probes reach only class starts.
+//! starts the chain at `k`. After a failed class-start chain the start-0
+//! chain is checked too, since signature probes reach only class starts.
 //!
 //! Raising a box can only make a `≥` chain more viable, so with
 //! `B̂ = (b̂₀, b₁, …)` ≥ `B` every chain prefix-viable under `B` is
@@ -50,8 +48,7 @@
 //! start box is viable on its own: a class start `k` shares `t_k = k`
 //! class-`k` prefix tokens with the query, i.e. a k-wise signature the
 //! probe finds; start 0 is checked for every probed record; and by the
-//! pkwise guarantee every result is probed. Corollary 2 holds for any
-//! box values, `B̂` included, so skipped starts lose nothing.
+//! pkwise guarantee every result is probed.
 //!
 //! # One planned path
 //!
@@ -110,8 +107,6 @@ pub struct SetStats {
     /// overlaps merged and suffix-box bounds computed. Cache hits in the
     /// [`SetScratch`] box-value cache do not count.
     pub boxes_checked: usize,
-    /// Chain checks skipped via Corollary 2.
-    pub skipped_by_corollary2: usize,
 }
 
 impl MergeStats for SetStats {
@@ -121,9 +116,6 @@ impl MergeStats for SetStats {
         self.sig_probes = self.sig_probes.saturating_add(other.sig_probes);
         self.viable_boxes = self.viable_boxes.saturating_add(other.viable_boxes);
         self.boxes_checked = self.boxes_checked.saturating_add(other.boxes_checked);
-        self.skipped_by_corollary2 = self
-            .skipped_by_corollary2
-            .saturating_add(other.skipped_by_corollary2);
     }
 
     fn visit(&self, emit: &mut dyn FnMut(&'static str, u64)) {
@@ -132,7 +124,6 @@ impl MergeStats for SetStats {
         emit("sig_probes", self.sig_probes as u64);
         emit("viable_boxes", self.viable_boxes as u64);
         emit("boxes_checked", self.boxes_checked as u64);
-        emit("skipped_by_corollary2", self.skipped_by_corollary2 as u64);
     }
 }
 
@@ -180,17 +171,15 @@ impl SetPlan {
 ///
 /// * `accepted` (in the core [`EpochScratch`]) — the candidate dedup
 ///   stamps, the only per-record state the `l = 1` path reads;
-/// * one *slot* of `m + 3` words per record, which a chain check reads
+/// * one *slot* of `m + 1` words per record, which a chain check reads
 ///   and writes as one block: the epoch stamp that validates the rest,
-///   the record's Corollary-2 ruled-start bits (two words), and its
-///   *box-value cache* — box `j` (the class overlap `b_j`, or `b̂₀` for
-///   `j = 0`) is computed at most once per query, however many chains
-///   (signature starts, the start-0 check) read it;
+///   then the record's *box-value cache* — box `j` (the class overlap
+///   `b_j`, or `b̂₀` for `j = 0`) is computed at most once per query,
+///   however many chains (signature starts, the start-0 check) read it;
 /// * the candidate list between filter and verification.
 ///
-/// The core's own ruled-start arrays go unused: the bits live in the
-/// slot, beside the box values. `Default` yields an empty scratch that
-/// lazily sizes itself on first use.
+/// `Default` yields an empty scratch that lazily sizes itself on first
+/// use.
 #[derive(Clone, Debug, Default)]
 pub struct SetScratch {
     /// The epoch and the `accepted` stamps.
@@ -203,9 +192,8 @@ pub struct SetScratch {
     cands: Vec<u32>,
 }
 
-/// Words of a slot before its box values: the epoch stamp, then the low
-/// and high halves of the ruled-start bits.
-const SLOT_HEAD: usize = 3;
+/// Words of a slot before its box values: the epoch stamp.
+const SLOT_HEAD: usize = 1;
 
 /// A cached box value not yet computed this query (box values are at most
 /// `|x| < u32::MAX`).
@@ -413,7 +401,7 @@ impl RingSetSim {
             return stats;
         };
         let q_prefix = &q[..qp.len];
-        let mut chain = ChainCheck::new(quotas, Direction::Ge, l);
+        let chain = ChainCheck::new(quotas, Direction::Ge, l);
         let stride = SLOT_HEAD + m;
         for &(k8, sig) in &plan.sigs {
             let k = k8 as usize;
@@ -426,11 +414,10 @@ impl RingSetSim {
                 if l > 1 {
                     let slot = &mut slots[idu * stride..(idu + 1) * stride];
                     if slot[0] != epoch {
-                        slot[..SLOT_HEAD].copy_from_slice(&[epoch, 0, 0]);
+                        slot[0] = epoch;
                         slot[SLOT_HEAD..].fill(UNSET);
                     }
-                    let (state, vals) = slot.split_at_mut(SLOT_HEAD);
-                    let mut ruled = u64::from(state[1]) | u64::from(state[2]) << 32;
+                    let vals = &mut slot[SLOT_HEAD..];
                     let mut box_value = |c: usize| {
                         if vals[c] == UNSET {
                             stats.boxes_checked += 1;
@@ -444,11 +431,8 @@ impl RingSetSim {
                     };
                     // Signature probes never reach a chain that starts at
                     // the suffix box: after the class start fails, check
-                    // start 0 unless Corollary 2 has already ruled it out.
-                    let viable = chain.check(k, &mut ruled, &mut box_value)
-                        || (ruled & 1 == 0 && chain.check(0, &mut ruled, &mut box_value));
-                    state[1] = ruled as u32;
-                    state[2] = (ruled >> 32) as u32;
+                    // start 0.
+                    let viable = chain.check(k, &mut box_value) || chain.check(0, &mut box_value);
                     if !viable {
                         continue;
                     }
@@ -457,7 +441,6 @@ impl RingSetSim {
                 cands.push(id);
             }
         }
-        stats.skipped_by_corollary2 = chain.skipped_by_corollary2;
         // Degenerate records carry no signature guarantee: always
         // candidates (subject to the length filter).
         for &id in index.degenerate_ids() {

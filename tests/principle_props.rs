@@ -1,8 +1,9 @@
 //! Property tests machine-checking the paper's theorems on random
 //! inputs: the principle statements themselves (Theorems 1–3, 6, 7 and
 //! both directions), the candidate-set inclusions (Lemmata 1 and 4), the
-//! equivalence of the Corollary-2 skipping scan with the naive scan, and
-//! the engines' chain check against the slice reference.
+//! equivalence of the Corollary-2 skipping scan with the naive scan, the
+//! re-failure fact behind Corollary 2, and the engines' chain check
+//! against the slice reference.
 
 use pigeonring::core::scratch::EpochScratch;
 use pigeonring::core::theorem;
@@ -149,11 +150,11 @@ proptest! {
         // The engines' chain check over m ≤ 64 boxes, fed starts in probe
         // order (some, or all in shuffled order, then repeats), accepts a
         // record iff one of those starts heads a prefix-viable chain —
-        // with Corollary 2 (one mask per record) or without it (a fresh
-        // mask per check), which may only save box reads. Only at l = 1,
-        // where the start box alone accepts, must the starts be viable
-        // boxes; a longer chain checks its start box too (a
-        // signature-hash collision can probe a non-viable one).
+        // through the candidate dedup or as plain checks, which read the
+        // same boxes. Only at l = 1, where the start box alone accepts,
+        // must the starts be viable boxes; a longer chain checks its
+        // start box too (a signature-hash collision can probe a
+        // non-viable one).
         let (b, t, l, cut) = (&b[..m], t[..m].to_vec(), 1 + (l - 1) % m, cut % (m + 1));
         let mut order: Vec<usize> = (0..m).collect();
         order.sort_by_key(|&s| keys[s]);
@@ -175,34 +176,59 @@ proptest! {
             prop_assert_eq!(expect, find_prefix_viable(b, &scheme, dir, l).is_some());
         }
 
-        let mut chain = ChainCheck::new(&prefix, dir, l);
+        let chain = ChainCheck::new(&prefix, dir, l);
         let mut epochs = EpochScratch::default();
         epochs.next_epoch(1);
-        let mut skip_reads = 0usize;
+        let mut dedup_reads = 0usize;
         let accepted = starts.iter().fold(false, |acc, &s| {
-            acc | epochs.chain_accept(0, s, &mut chain, |j| {
-                skip_reads += 1;
+            acc | epochs.chain_accept(0, s, &chain, |j| {
+                dedup_reads += 1;
                 b[j]
             })
         });
         prop_assert_eq!(accepted, expect);
         prop_assert_eq!(epochs.is_accepted(0), expect);
 
-        let mut plain = ChainCheck::new(&prefix, dir, l);
         let mut plain_reads = 0usize;
         let accepted = starts.iter().fold(false, |acc, &s| {
             acc || l == 1
-                || plain.check(s, &mut 0, |j| {
+                || chain.check(s, |j| {
                     plain_reads += 1;
                     b[j]
                 })
         });
         prop_assert_eq!(accepted, expect);
-        prop_assert_eq!(plain.skipped_by_corollary2, 0);
-        prop_assert!(
-            skip_reads <= plain_reads,
-            "Corollary 2 may only save reads: {} vs {}", skip_reads, plain_reads
-        );
+        prop_assert_eq!(dedup_reads, plain_reads);
+    }
+
+    #[test]
+    fn a_failed_chain_fails_again_from_every_start_it_covered(
+        m in 1usize..=16,
+        b in boxes_strategy(16, 4),
+        t in boxes_strategy(16, 3),
+        ge in prop::bool::ANY,
+    ) {
+        // Why the engines keep no Corollary-2 memo: when the chain from s
+        // fails at prefix length f, the chain from s + d (d < f) fails at
+        // a length g with d + g ≤ f, so checking it again reads only
+        // boxes s … s + f − 1, which the failed chain already read.
+        let (b, t) = (&b[..m], t[..m].to_vec());
+        let dir = if ge { Direction::Ge } else { Direction::Le };
+        let scheme = ThresholdScheme::integer_reduced(t);
+        for l in 1..=m {
+            for s in 0..m {
+                let Err(f) = check_prefix_viable(b, &scheme, dir, s, l) else {
+                    continue;
+                };
+                for d in 0..f {
+                    let again = check_prefix_viable(b, &scheme, dir, (s + d) % m, l);
+                    prop_assert!(
+                        matches!(again, Err(g) if d + g <= f),
+                        "l={} s={} f={} d={}: {:?}", l, s, f, d, again
+                    );
+                }
+            }
+        }
     }
 
     #[test]
