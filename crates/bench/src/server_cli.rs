@@ -343,10 +343,7 @@ fn query(opts: &ServerCliOpts) -> Result<(), String> {
         Some(d) => vec![d],
         None => Domain::ALL.to_vec(),
     };
-    let mut rep = Report::new(
-        "server_query",
-        &["domain", "queries", "results", "busy", "result_hash"],
-    );
+    let mut rep = Report::new("server_query", "domain,queries,results,busy,result_hash");
     for domain in domains {
         let queries = spec.sample_queries(domain);
         let mut client =
@@ -438,7 +435,7 @@ fn server_smoke(opts: &ServerCliOpts) -> Result<(), String> {
     let reference_pool = WorkerPool::new(opts.worker_threads());
     let mut rep = Report::new(
         "server_smoke",
-        &["domain", "queries", "server_hash", "inproc_hash", "match"],
+        "domain,queries,server_hash,inproc_hash,match",
     );
     let mut mismatches = Vec::new();
     // Sample every domain's query set once; the hash loop and the
