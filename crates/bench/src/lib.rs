@@ -12,7 +12,7 @@ use pigeonring_datagen::{sample_query_ids, GraphConfig, SetConfig, StringConfig,
 use pigeonring_editdist::{
     EditParams, EditScratch, EditStats, GramOrder, Pivotal, QGramCollection, RingEdit,
 };
-use pigeonring_graph::{Graph, GraphParams, GraphStats, Pars, RingGraph};
+use pigeonring_graph::{Graph, GraphParams, GraphStats, RingGraph};
 use pigeonring_hamming::{
     AllocationStrategy, BitVector, HammingParams, HammingScratch, RingHamming, SearchStats,
 };
@@ -582,12 +582,14 @@ pub fn fig11_rows(scale: Scale) -> Figure<VersusRow> {
     let taus: [&[usize]; 2] = [&[1, 2, 3, 4], &[4, 6, 8, 10, 12]];
     for (setup, taus) in string_setups(scale).into_iter().zip(taus) {
         for &tau in taus {
-            let mut piv = Pivotal::build(qgrams(&setup, tau), tau);
-            let timed = time_per_query(&setup.queries, |qid| piv.search(&setup.data[qid]).1);
+            let piv = Pivotal::build(qgrams(&setup, tau), tau);
+            let mut scratch = EditScratch::default();
+            let timed = time_per_query(&setup.queries, |qid| {
+                piv.search(&mut scratch, &setup.data[qid]).1
+            });
             let cand1 = mean(&timed.1, |s| s.cand1);
             rows.push(setup.versus(tau as f64, "Pivotal", &timed, Some(cand1)));
             let ring = RingEdit::build(qgrams(&setup, tau), tau);
-            let mut scratch = EditScratch::default();
             let l = (1..=3)
                 .rev()
                 .find(|&l| EditParams { l }.validate(tau).is_ok())
@@ -602,18 +604,18 @@ pub fn fig11_rows(scale: Scale) -> Figure<VersusRow> {
     Figure::new("fig11_editdist_vs_pivotal", header, rows)
 }
 
-/// Figure 12, Ring vs Pars over τ: Ring runs `l = τ` (the paper's best
-/// `l` lies in `[τ − 2, τ]`).
+/// Figure 12, Ring vs Pars over τ: Pars is `RingGraph` at `l = 1`, Ring
+/// the same engine at `l = τ` (the paper's best `l` lies in `[τ − 2, τ]`).
 pub fn fig12_rows(scale: Scale) -> Figure<VersusRow> {
     let mut rows = Vec::new();
     for setup in graph_setups(scale) {
         for tau in 1..=5 {
-            let pars = Pars::build(setup.data.clone(), tau);
-            let timed = time_per_query(&setup.queries, |qid| pars.search(&setup.data[qid]).1);
-            rows.push(setup.versus(tau as f64, "Pars", &timed, None));
             let ring = RingGraph::build(setup.data.clone(), tau);
-            let timed = time_per_query(&setup.queries, |qid| ring.search(&setup.data[qid], tau).1);
-            rows.push(setup.versus(tau as f64, "Ring", &timed, None));
+            for (engine, l) in [("Pars", 1), ("Ring", tau)] {
+                let timed =
+                    time_per_query(&setup.queries, |qid| ring.search(&setup.data[qid], l).1);
+                rows.push(setup.versus(tau as f64, engine, &timed, None));
+            }
         }
     }
     Figure::new("fig12_graph_vs_pars", VERSUS, rows)

@@ -361,6 +361,24 @@ mod tests {
     }
 
     #[test]
+    fn fp_over_res_is_cand_over_res_minus_one() {
+        // The two Figure 2 readings differ by the results themselves:
+        // (Pr(CAND) − Pr(RES))/Pr(RES) = Pr(CAND)/Pr(RES) − 1, clamped at
+        // 0 where rounding puts Pr(CAND) below Pr(RES).
+        for (tau, m) in [(96i64, 16usize), (64, 16), (48, 8), (32, 8), (12, 4)] {
+            let fa = FilterAnalysis::new(DiscreteDist::binomial(256 / m, 0.5), m, tau);
+            for l in 1..=m.min(7) {
+                let want = (fa.cand_over_res(l) - 1.0).max(0.0);
+                let got = fa.fp_over_res(l);
+                assert!(
+                    (got - want).abs() <= 1e-9 * want.max(1.0),
+                    "τ={tau} m={m} l={l}: {got} vs {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn word_probs_sum_reasonable() {
         let dist = DiscreteDist::binomial(16, 0.5);
         let fa = FilterAnalysis::new(dist, 8, 40);

@@ -1,8 +1,10 @@
 //! Epoch-stamped per-thread query scratch shared by the domain engines.
 //!
-//! The ring engines deduplicate candidates with *epoch stamping*: instead
-//! of clearing an `n`-sized array per query, each query bumps an epoch
-//! counter and a record is "set" iff its stamp equals the current epoch.
+//! The engines — the ring engines and the set baselines, which stamp a
+//! record the first time a query meets it — deduplicate records with
+//! *epoch stamping*: instead of clearing an `n`-sized array per query,
+//! each query bumps an epoch counter and a record is "set" iff its stamp
+//! equals the current epoch.
 //! This struct holds that mechanism once — including the two subtle
 //! paths (resize resets the epoch; wrap-around at `u32::MAX` clears the
 //! stamps) — so the per-domain scratch types cannot drift apart — and,

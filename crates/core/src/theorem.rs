@@ -96,7 +96,8 @@ pub fn pigeonring_integer_reduced_ge(boxes: &[i64], t: Vec<i64>, l: usize) -> Op
 
 /// Lemma 2 (concatenate chain) as a checkable statement: returns whether
 /// concatenating two contiguous chains of the given viabilities yields the
-/// predicted viability. Used only by tests.
+/// predicted viability. Used only by tests (`tests/principle_props.rs`
+/// checks it against brute-force chain sums).
 pub fn lemma2_concat_prediction(first_viable: bool, second_viable: bool) -> Option<bool> {
     match (first_viable, second_viable) {
         (true, true) => Some(true),

@@ -10,9 +10,9 @@
 //!   sorted by a global order; the first `κτ + 1` form its *prefix* and a
 //!   greedy positional selection yields `τ + 1` disjoint *pivotal*
 //!   q-grams. A result must have an exact (position-compatible) match
-//!   between one side's pivotal grams and the other side's prefix; the
-//!   *alignment filter* then bounds the sum of per-gram minimum edit
-//!   distances by `τ`.
+//!   between one side's pivotal grams and the other side's prefix (this
+//!   first step is [`RingEdit`] at `l = 1`); the *alignment filter* then
+//!   bounds the sum of per-gram minimum edit distances by `τ`.
 //! * [`RingEdit`] — the §6.3 pigeonring engine: the alignment filter is
 //!   recognized as the `l = m` basic form, and replaced by the strong
 //!   form with per-box *content-filter lower bounds* \[114\]
@@ -31,9 +31,9 @@ pub mod qgram;
 pub mod ring;
 pub mod verify;
 
-pub use pivotal::{EditStats, Pivotal, PivotalIndex};
+pub use pivotal::{EditStats, PivotalIndex};
 pub use qgram::{GramDictionary, GramOrder, QGramCollection};
-pub use ring::{EditParams, EditPlan, EditScratch, RingEdit};
+pub use ring::{EditParams, EditPlan, EditScratch, Pivotal, RingEdit};
 
 #[cfg(test)]
 mod paper_examples;

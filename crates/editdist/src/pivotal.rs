@@ -11,8 +11,9 @@
 //!   disjoint pivotal grams, whose rows also carry the pivotal slot in a
 //!   parallel `u8` column (17 bytes per row);
 //! * *pivotal arena*: every record's pivotal grams at stride `τ + 1`, each
-//!   a 16-byte [`PivotalGram`] (position and the gram's `char_mask`,
-//!   computed at build). A short record's stretch starts with a sentinel.
+//!   a 16-byte [`PivotalGram`] (position, the gram's `char_mask` computed
+//!   at build, and the record's last prefix rank in what would be padding).
+//!   A short record's stretch starts with a sentinel.
 //!
 //! Each posting list is sorted by record length (ids ascending within a
 //! length), so the length filter `||x| − |q|| ≤ τ` is two binary
@@ -27,28 +28,35 @@
 //! gram in the query's prefix; otherwise one of the *query's* pivotal
 //! grams must match in the record's prefix. Both probes emit
 //! `(record, pivotal-slot)` pairs — the viable single boxes of §7's first
-//! step, shared verbatim by [`crate::ring::RingEdit`].
+//! step, which [`RingEdit`](crate::RingEdit) chains.
 //!
-//! The baseline's second filter (the *alignment filter*) computes the
-//! exact sum of per-pivotal-gram minimum edit distances against ±τ
-//! substring windows and prunes when it exceeds τ — the paper observes
-//! this is precisely the `l = m` basic form of the pigeonring principle,
-//! at `O(κ² + κτ)` per box.
+//! The [`Pivotal`](crate::Pivotal) baseline is that first step alone
+//! (`RingEdit` at `l = 1`, one Cand-1 entry per record) followed by its
+//! second filter, the *alignment filter*: the exact sum of
+//! per-pivotal-gram minimum edit distances against ±τ substring windows,
+//! pruning when it exceeds τ. The paper observes this is precisely the
+//! `l = m` basic form of the pigeonring principle, at `O(κ² + κτ)` per
+//! box.
 
 use std::ops::Range;
 
 use crate::content::char_mask;
 use crate::qgram::{prefix_grams, select_pivotal, PositionalGram, QGramCollection};
-use crate::verify::edit_distance_within;
 
 /// Per-query counters for the edit-distance engines.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EditStats {
-    /// Records passing the pivotal prefix filter (Cand-1 in Figure 11).
+    /// On [`RingEdit`](crate::RingEdit): viable single boxes the probe
+    /// visited (a record counts once per matching pivotal gram, chain
+    /// accepted or not). On [`Pivotal`](crate::Pivotal): records passing
+    /// the pivotal prefix filter, each once (Cand-1 in Figure 11).
     pub cand1: usize,
-    /// Records also passing the alignment filter (Cand-2; baseline only).
+    /// On [`Pivotal`](crate::Pivotal): Cand-1 records also passing the
+    /// alignment filter (Cand-2). Always 0 on
+    /// [`RingEdit`](crate::RingEdit), which has no alignment filter.
     pub cand2: usize,
-    /// Unique records passed to verification.
+    /// Unique records passed to verification (on
+    /// [`Pivotal`](crate::Pivotal), Cand-2).
     pub candidates: usize,
     /// Records with `ed(x, q) ≤ τ`.
     pub results: usize,
@@ -79,12 +87,19 @@ pub struct PivotalGram {
     pub mask: u64,
     /// Start position in the record.
     pub pos: u32,
+    /// The record's last prefix gram id, the same in each of its grams:
+    /// the case A / B split, read where the alignment filter reads the
+    /// positions (it fills the 4 bytes `mask`'s alignment would pad).
+    pub last: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<PivotalGram>() == 16);
 
 /// Arena sentinel opening a short record's stretch.
 const NO_PIVOTAL: PivotalGram = PivotalGram {
     mask: 0,
     pos: u32::MAX,
+    last: u32::MAX,
 };
 
 /// One posting row: what the probe tests, with no load elsewhere.
@@ -169,7 +184,10 @@ impl PivotalIndex {
                 short_ids.push(id as u32);
                 continue;
             };
-            let x = collection.string(id);
+            let (x, last) = (
+                collection.string(id),
+                prefix.last().expect("non-empty prefix").id,
+            );
             for pg in prefix {
                 prefix_counts[pg.id as usize] += 1;
             }
@@ -179,6 +197,7 @@ impl PivotalIndex {
                 pivotal[id * stride + k] = PivotalGram {
                     mask: char_mask(&x[pg.pos as usize..pg.pos as usize + kappa]),
                     pos: pg.pos,
+                    last,
                 };
             }
         }
@@ -196,7 +215,7 @@ impl PivotalIndex {
             }
             let prefix = prefix_grams(collection.grams(idu), kappa, tau);
             let (last, len) = (
-                prefix.last().expect("non-empty prefix").id,
+                pivotal[idu * stride].last,
                 collection.string(idu).len() as u32,
             );
             let row = |pos| Posting { id, last, len, pos };
@@ -253,14 +272,9 @@ impl PivotalIndex {
     }
 
     /// Query-side structures: (tie-extended prefix, pivotal grams, last
-    /// prefix rank). Pivotal is `None` for short queries.
-    pub fn query_side(&self, q: &[u8]) -> (Vec<PositionalGram>, Option<Vec<PositionalGram>>, u32) {
-        self.query_side_with(&mut Vec::new(), q)
-    }
-
-    /// [`PivotalIndex::query_side`] against a caller-owned gram buffer
-    /// (the full extracted gram list, reused across queries by the
-    /// planning path so only the prefix/pivotal vectors allocate).
+    /// prefix rank); pivotal is `None` for short queries. `gram_buf` holds
+    /// the full extracted gram list, reused across queries by the planning
+    /// path so only the prefix/pivotal vectors allocate.
     pub fn query_side_with(
         &self,
         gram_buf: &mut Vec<PositionalGram>,
@@ -360,7 +374,7 @@ pub fn min_substring_ed(gram: &[u8], text: &[u8], lo: i64, hi: i64) -> u32 {
 /// The alignment filter over one side's pivotal grams (start
 /// `positions` in `src`): their minimum edit distances to `text`'s ±τ
 /// windows sum to at most `τ`; stops at the first prefix over `τ`.
-fn alignment_within(
+pub(crate) fn alignment_within(
     positions: impl IntoIterator<Item = u32>,
     src: &[u8],
     text: &[u8],
@@ -377,120 +391,12 @@ fn alignment_within(
     })
 }
 
-/// The Pivotal baseline \[28\]: pivotal prefix filter + alignment filter
-/// + banded verification.
-pub struct Pivotal {
-    index: PivotalIndex,
-    epoch: u32,
-    seen: Vec<u32>,
-}
-
-impl Pivotal {
-    /// Builds the baseline over a gram collection at threshold `τ`.
-    pub fn build(collection: QGramCollection, tau: usize) -> Self {
-        let n = collection.len();
-        Pivotal {
-            index: PivotalIndex::build(collection, tau),
-            epoch: 0,
-            seen: vec![0; n],
-        }
-    }
-
-    /// The shared index.
-    pub fn index(&self) -> &PivotalIndex {
-        &self.index
-    }
-
-    /// Searches for all strings with `ed(x, q) ≤ τ`. Returns ascending
-    /// ids and statistics.
-    pub fn search(&mut self, q: &[u8]) -> (Vec<u32>, EditStats) {
-        let mut stats = EditStats::default();
-        if self.epoch == u32::MAX {
-            self.seen.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        let epoch = self.epoch;
-        let tau = self.index.tau;
-        let kappa = self.index.collection.kappa();
-
-        let (q_prefix, q_pivotal, q_last) = self.index.query_side(q);
-        let mut cand1: Vec<ViableBox> = Vec::new();
-        let seen = &mut self.seen;
-        if q_pivotal.is_none() {
-            // No pivotal guarantee (query shorter than κ yields no grams
-            // at all; a longer one may still lack a usable pivotal set):
-            // every length-compatible record is a candidate.
-            for id in 0..self.index.collection.len() as u32 {
-                if self.index.length_compatible(id, q.len()) {
-                    cand1.push(ViableBox {
-                        id,
-                        slot: 0,
-                        record_side: true,
-                    });
-                }
-            }
-        } else {
-            stats.postings_scanned =
-                self.index
-                    .probe(&q_prefix, q_pivotal.as_deref(), q_last, q.len(), |vb| {
-                        if seen[vb.id as usize] != epoch {
-                            seen[vb.id as usize] = epoch;
-                            cand1.push(vb);
-                        }
-                    });
-            // Short records are always candidates.
-            for &id in self.index.short_ids() {
-                if seen[id as usize] != epoch && self.index.length_compatible(id, q.len()) {
-                    seen[id as usize] = epoch;
-                    cand1.push(ViableBox {
-                        id,
-                        slot: 0,
-                        record_side: true,
-                    });
-                }
-            }
-        }
-        stats.cand1 = cand1.len();
-
-        // Alignment filter: Σ_i min-ed(pivotal gram i, ±τ window) ≤ τ.
-        let mut cand2: Vec<u32> = Vec::new();
-        for vb in cand1 {
-            let id = vb.id;
-            let x = self.index.collection.string(id as usize);
-            // A short side has no pivotal grams: the filter passes.
-            let pass = if vb.record_side {
-                let positions = self.index.pivotal(id).iter().map(|pg| pg.pos);
-                alignment_within(positions, x, q, kappa, tau)
-            } else {
-                let q_piv = q_pivotal.as_deref().unwrap_or_default();
-                alignment_within(q_piv.iter().map(|pg| pg.pos), q, x, kappa, tau)
-            };
-            if pass {
-                cand2.push(id);
-            }
-        }
-        stats.cand2 = cand2.len();
-        stats.candidates = cand2.len();
-
-        let mut results: Vec<u32> = cand2
-            .into_iter()
-            .filter(|&id| {
-                edit_distance_within(self.index.collection.string(id as usize), q, tau as u32)
-                    .is_some()
-            })
-            .collect();
-        results.sort_unstable();
-        stats.results = results.len();
-        (results, stats)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::qgram::GramOrder;
     use crate::verify::edit_distance;
+    use crate::{EditScratch, Pivotal};
 
     fn strs(v: &[&str]) -> Vec<Vec<u8>> {
         v.iter().map(|s| s.as_bytes().to_vec()).collect()
@@ -531,10 +437,11 @@ mod tests {
         ]);
         for tau in 1..=3usize {
             let c = QGramCollection::build(strings.clone(), 2, GramOrder::Frequency);
-            let mut eng = Pivotal::build(c, tau);
+            let eng = Pivotal::build(c, tau);
+            let mut scratch = EditScratch::default();
             for (qid, q) in strings.iter().enumerate() {
                 let expect = linear_scan(&strings, q, tau as u32);
-                let (got, _) = eng.search(q);
+                let (got, _) = eng.search(&mut scratch, q);
                 assert_eq!(got, expect, "tau={tau} qid={qid}");
             }
         }
@@ -550,8 +457,8 @@ mod tests {
             "abzzefghij",
         ]);
         let c = QGramCollection::build(strings.clone(), 2, GramOrder::Frequency);
-        let mut eng = Pivotal::build(c, 2);
-        let (_, stats) = eng.search(b"abcdefghij");
+        let eng = Pivotal::build(c, 2);
+        let (_, stats) = eng.search(&mut EditScratch::default(), b"abcdefghij");
         assert!(stats.cand2 <= stats.cand1);
         assert!(stats.results <= stats.cand2);
     }
@@ -560,10 +467,11 @@ mod tests {
     fn short_strings_never_lost() {
         let strings = strs(&["ab", "ba", "abc", "xyz", "a"]);
         let c = QGramCollection::build(strings.clone(), 2, GramOrder::Frequency);
-        let mut eng = Pivotal::build(c, 2);
+        let eng = Pivotal::build(c, 2);
+        let mut scratch = EditScratch::default();
         for (qid, q) in strings.iter().enumerate() {
             let expect = linear_scan(&strings, q, 2);
-            assert_eq!(eng.search(q).0, expect, "qid={qid}");
+            assert_eq!(eng.search(&mut scratch, q).0, expect, "qid={qid}");
         }
     }
 
@@ -585,7 +493,7 @@ mod tests {
             })
             .collect();
         for q in [&b"abcdefghij"[..], b"abcdefghxy", b"zzzzzzzzzz"] {
-            let (q_prefix, q_piv, q_last) = index.query_side(q);
+            let (q_prefix, q_piv, q_last) = index.query_side_with(&mut Vec::new(), q);
             let q_piv = q_piv.expect("ten symbols hold two disjoint bigrams");
             // A gram's rows inside the window: the gram's occurrences
             // among the length-compatible records' indexed grams.
@@ -613,7 +521,7 @@ mod tests {
         }
         // Grams unseen in the corpus have ids past the dictionary and
         // read as empty lists.
-        let (q_prefix, _, q_last) = index.query_side(b"zzzzzzzzzz");
+        let (q_prefix, _, q_last) = index.query_side_with(&mut Vec::new(), b"zzzzzzzzzz");
         assert!(q_prefix
             .iter()
             .all(|g| g.id as usize >= c.dictionary().len()));

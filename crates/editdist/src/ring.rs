@@ -1,7 +1,9 @@
 //! The pigeonring edit-distance engine (§6.3).
 //!
-//! Same first step as [`crate::pivotal::Pivotal`] (a viable single box is
-//! a position-compatible exact pivotal-gram match, so its box value is 0).
+//! The first step is the pivotal prefix filter (a viable single box is a
+//! position-compatible exact pivotal-gram match, so its box value is 0);
+//! at `l = 1` it is all there is, and the [`Pivotal`] baseline runs it
+//! that way before its alignment filter.
 //! The second step replaces the alignment filter with the strong form of
 //! the pigeonring principle at chain length `l` over `m = τ + 1` boxes and
 //! the uniform quota `‖c^{l'}‖₁ ≤ l'·τ/m` (Theorem 3, checked by the
@@ -32,7 +34,7 @@
 use std::sync::Arc;
 
 use crate::content::{char_mask, min_window_bound, window_masks};
-use crate::pivotal::{EditStats, PivotalIndex, ViableBox};
+use crate::pivotal::{alignment_within, EditStats, PivotalIndex, ViableBox};
 use crate::qgram::{PositionalGram, QGramCollection};
 use crate::verify::edit_distance_within;
 use pigeonring_core::scratch::EpochScratch;
@@ -115,8 +117,9 @@ pub struct EditPlan {
 }
 
 /// The pigeonring edit-distance search engine. `l = 1` *is* Pivotal's
-/// prefix filter alone (its Cand-1, without the alignment filter); the
-/// paper's best setting is `l = min(3, τ + 1)`.
+/// prefix filter alone (its Cand-1, without the alignment filter, which
+/// [`Pivotal`] runs on top); the paper's best setting is
+/// `l = min(3, τ + 1)`.
 ///
 /// The index is immutable at query time: every query method takes
 /// `&self` plus a caller-owned [`EditScratch`], so shards can serve
@@ -184,6 +187,35 @@ impl RingEdit {
     ) -> (Vec<u32>, EditStats) {
         let stats = self.filter(scratch, plan, q, l);
         (scratch.cands.clone(), stats)
+    }
+
+    /// The plan's gram half — prefix, pivotal grams, last prefix rank —
+    /// without the character masks, which only chain steps past the start
+    /// box read (`l > 1`).
+    fn plan_grams(&self, scratch: &mut EditScratch, q: &[u8]) -> EditPlan {
+        let (prefix, pivotal, last) = self.index.query_side_with(&mut scratch.gram_buf, q);
+        EditPlan {
+            prefix,
+            pivotal,
+            last,
+            q_masks: Vec::new(),
+            q_piv_masks: Vec::new(),
+        }
+    }
+
+    /// Appends the candidates with `ed(x, q) ≤ τ` to `out`, ascending;
+    /// returns how many.
+    fn verify(&self, cands: &[u32], q: &[u8], out: &mut Vec<u32>) -> usize {
+        let (strings, tau) = (self.index.collection(), self.index.tau() as u32);
+        let first = out.len();
+        out.extend(
+            cands
+                .iter()
+                .copied()
+                .filter(|&id| edit_distance_within(strings.string(id as usize), q, tau).is_some()),
+        );
+        out[first..].sort_unstable();
+        out.len() - first
     }
 
     /// Candidate generation for one planned query: leaves the accepted
@@ -278,24 +310,16 @@ impl SearchEngine for RingEdit {
     /// sharing this engine's gram dictionary. `scratch` only lends its
     /// gram buffer; no per-record state is touched.
     fn plan(&self, scratch: &mut EditScratch, query: &Vec<u8>) -> EditPlan {
-        let (prefix, pivotal, last) = self.index.query_side_with(&mut scratch.gram_buf, query);
+        let mut plan = self.plan_grams(scratch, query);
         let kappa = self.index.collection().kappa();
-        let (q_masks, q_piv_masks) = match &pivotal {
-            Some(piv) => (
-                window_masks(query, kappa),
-                piv.iter()
-                    .map(|pg| char_mask(&query[pg.pos as usize..pg.pos as usize + kappa]))
-                    .collect(),
-            ),
-            None => (Vec::new(), Vec::new()),
-        };
-        EditPlan {
-            prefix,
-            pivotal,
-            last,
-            q_masks,
-            q_piv_masks,
+        if let Some(piv) = &plan.pivotal {
+            plan.q_masks = window_masks(query, kappa);
+            plan.q_piv_masks = piv
+                .iter()
+                .map(|pg| char_mask(&query[pg.pos as usize..pg.pos as usize + kappa]))
+                .collect();
         }
+        plan
     }
 
     fn search_planned(
@@ -307,15 +331,7 @@ impl SearchEngine for RingEdit {
         out: &mut Vec<u32>,
     ) -> EditStats {
         let mut stats = self.filter(scratch, plan, query, params.l);
-        let (strings, tau) = (self.index.collection(), self.index.tau() as u32);
-        let first = out.len();
-        out.extend(
-            scratch.cands.iter().copied().filter(|&id| {
-                edit_distance_within(strings.string(id as usize), query, tau).is_some()
-            }),
-        );
-        out[first..].sort_unstable();
-        stats.results = out.len() - first;
+        stats.results = self.verify(&scratch.cands, query, out);
         stats
     }
 
@@ -326,6 +342,57 @@ impl SearchEngine for RingEdit {
             self.index.collection().dictionary(),
             other.index.collection().dictionary(),
         )
+    }
+}
+
+/// The Pivotal baseline \[28\]: [`RingEdit`]'s `l = 1` filter (Cand-1),
+/// the alignment filter (Cand-2), then banded verification. Like
+/// [`RingEdit`], it takes `&self` plus a caller-owned [`EditScratch`].
+pub struct Pivotal {
+    ring: RingEdit,
+}
+
+impl Pivotal {
+    /// Builds the baseline over a gram collection at threshold `τ`.
+    pub fn build(collection: QGramCollection, tau: usize) -> Self {
+        Pivotal {
+            ring: RingEdit::build(collection, tau),
+        }
+    }
+
+    /// The shared index.
+    pub fn index(&self) -> &PivotalIndex {
+        self.ring.index()
+    }
+
+    /// Searches for all strings with `ed(x, q) ≤ τ`. Returns ascending
+    /// ids and statistics.
+    pub fn search(&self, scratch: &mut EditScratch, q: &[u8]) -> (Vec<u32>, EditStats) {
+        let index = self.ring.index();
+        let (strings, tau) = (index.collection(), index.tau());
+        let kappa = strings.kappa();
+        let plan = self.ring.plan_grams(scratch, q);
+        let mut stats = self.ring.filter(scratch, &plan, q, 1);
+        stats.cand1 = stats.candidates;
+        // Alignment filter: Σ_i min-ed(pivotal gram i, ±τ window) ≤ τ over
+        // the pivotal grams of the side the probe matched (case B: the
+        // record's last prefix gram comes after the query's). A record
+        // without pivotal grams passes, as does every record when the
+        // query has none: their Cand-1 is the length filter alone.
+        scratch.cands.retain(|&id| {
+            let (x, x_piv) = (strings.string(id as usize), index.pivotal(id));
+            match plan.pivotal.as_deref() {
+                Some(q_piv) if x_piv.first().is_some_and(|g| g.last > plan.last) => {
+                    alignment_within(q_piv.iter().map(|g| g.pos), q, x, kappa, tau)
+                }
+                _ => alignment_within(x_piv.iter().map(|g| g.pos), x, q, kappa, tau),
+            }
+        });
+        stats.cand2 = scratch.cands.len();
+        stats.candidates = stats.cand2;
+        let mut results = Vec::new();
+        stats.results = self.ring.verify(&scratch.cands, q, &mut results);
+        (results, stats)
     }
 }
 
@@ -463,16 +530,15 @@ mod tests {
 
     #[test]
     fn ring_candidates_subset_of_pivotal_cand1() {
-        use crate::pivotal::Pivotal;
         let strings = pseudo_random_strings(100, 14, 13);
         let c1 = QGramCollection::build(strings.clone(), 2, GramOrder::Frequency);
         let c2 = QGramCollection::build(strings.clone(), 2, GramOrder::Frequency);
         let ring = RingEdit::build(c1, 2);
         let mut scratch = EditScratch::default();
-        let mut piv = Pivotal::build(c2, 2);
+        let piv = Pivotal::build(c2, 2);
         for q in strings.iter().step_by(9) {
             let (_, rs) = ring.search_with(&mut scratch, q, 3);
-            let (_, ps) = piv.search(q);
+            let (_, ps) = piv.search(&mut scratch, q);
             assert!(rs.candidates <= ps.cand1, "ring must not exceed Cand-1");
         }
     }

@@ -72,7 +72,7 @@ proptest! {
             prop_assert_eq!(ring.search_with(&mut scratch, &q, l).0, expect.clone(), "l={}", l);
         }
         let coll = QGramCollection::build(strings.clone(), 2, GramOrder::Frequency);
-        let mut piv = Pivotal::build(coll, tau);
-        prop_assert_eq!(piv.search(&q).0, expect);
+        let piv = Pivotal::build(coll, tau);
+        prop_assert_eq!(piv.search(&mut scratch, &q).0, expect);
     }
 }

@@ -1,4 +1,4 @@
-//! The build-time half shared by [`crate::Pars`] and [`crate::RingGraph`].
+//! The build-time half of [`crate::RingGraph`] (and so of Pars, its `l = 1`).
 //!
 //! A [`PartIndex`] owns the data graphs, partitions each into `τ + 1`
 //! parts and compiles every part once into one [`PartArena`] (part `p`

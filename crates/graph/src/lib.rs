@@ -8,11 +8,12 @@
 //!
 //! Engines:
 //!
-//! * [`Pars`] — the Pars baseline \[136\]: each data graph is divided into
-//!   `τ + 1` disjoint subgraphs (possibly holding *half-edges*: edge stubs
-//!   whose far endpoint lies in another part). One edit operation damages
-//!   at most one part, so a result must have at least one part that
-//!   embeds intact in `q` (subgraph isomorphism including half-edges).
+//! * Pars — the Pars baseline \[136\], [`RingGraph`] at `l = 1`: each data
+//!   graph is divided into `τ + 1` disjoint subgraphs (possibly holding
+//!   *half-edges*: edge stubs whose far endpoint lies in another part).
+//!   One edit operation damages at most one part, so a result must have
+//!   at least one part that embeds intact in `q` (subgraph isomorphism
+//!   including half-edges).
 //! * [`RingGraph`] — the §6.4 pigeonring engine: from each embedding part
 //!   `i` (box value 0), extend the chain over the following parts, lower
 //!   bounding each box by the *deletion neighborhood* \[62, 106\]: part
@@ -20,7 +21,7 @@
 //!   produced by at most `b` operations (delete an edge/stub, delete an
 //!   isolated vertex, wildcard a vertex label) embeds in `q`.
 //!
-//! Both engines share one build ([`PartIndex`]): every part is compiled
+//! The engine has one build ([`PartIndex`]): every part is compiled
 //! once into a flat arena ([`subiso::PartArena`]), a variant is a part
 //! read through a one-element [`Mask`], and one allocation-free matcher
 //! ([`embeds`]) answers the intact test and every variant test against
@@ -46,7 +47,7 @@ pub mod subiso;
 pub use ged::{ged, ged_within};
 pub use graph::Graph;
 pub use index::PartIndex;
-pub use pars::{GraphStats, Pars};
+pub use pars::GraphStats;
 pub use partition::{partition_graph, Part};
 pub use plan::GraphPlan;
 pub use ring::{GraphParams, GraphScratch, RingGraph};

@@ -1,19 +1,13 @@
-//! The Pars baseline \[136\].
+//! The graph engines' counters and linear-scan reference.
 //!
-//! Each data graph is partitioned into `τ + 1` parts and compiled at
-//! build time ([`PartIndex`], shared with [`crate::RingGraph`]). At query
-//! time a graph is a candidate iff some part embeds intact in `q` (the
-//! pigeonhole filter: `τ` edits damage at most `τ` parts). A cheap
-//! label-multiset prefilter (part vertex labels ⊑ query vertex labels,
-//! part edge labels ⊑ query edge labels) stands in for Pars' feature
-//! index and skips most embedding tests, and the standard size filter
-//! `||V_x| − |V_q|| + ||E_x| − |E_q|| > τ` prunes whole graphs first.
+//! The Pars baseline \[136\] is [`RingGraph`](crate::RingGraph) at
+//! `l = 1`: each data graph is partitioned into `τ + 1` parts, and a
+//! graph is a candidate iff some part embeds intact in `q` (the
+//! pigeonhole filter: `τ` edits damage at most `τ` parts), which is a
+//! chain start alone.
 
-use crate::ged::{ged_within, GedScratch};
+use crate::ged::ged_within;
 use crate::graph::Graph;
-use crate::index::PartIndex;
-use crate::plan::GraphPlan;
-use crate::subiso::{search, Mask, MatchScratch};
 
 /// Per-query counters for the graph engines.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -26,57 +20,6 @@ pub struct GraphStats {
     pub subiso_calls: usize,
     /// Ring box evaluations (deletion-neighborhood probes).
     pub boxes_checked: usize,
-}
-
-/// The Pars baseline engine.
-pub struct Pars {
-    index: PartIndex,
-}
-
-impl Pars {
-    /// Partitions every data graph into `τ + 1` parts and compiles them.
-    pub fn build(graphs: Vec<Graph>, tau: usize) -> Self {
-        Pars {
-            index: PartIndex::build(graphs, tau),
-        }
-    }
-
-    /// The data graphs.
-    pub fn graphs(&self) -> &[Graph] {
-        self.index.graphs()
-    }
-
-    /// Searches for all graphs with `ged(x, q) ≤ τ`. Returns ascending
-    /// ids and statistics.
-    pub fn search(&self, q: &Graph) -> (Vec<u32>, GraphStats) {
-        let (cands, mut stats) = self.candidates(q);
-        let mut results = Vec::new();
-        self.index
-            .verify(&cands, q, &mut GedScratch::default(), &mut results);
-        stats.results = results.len();
-        (results, stats)
-    }
-
-    /// Candidate generation only (no GED verification), for timing the
-    /// filter separately (Figure 8's "Cand." series).
-    pub fn candidates(&self, q: &Graph) -> (Vec<u32>, GraphStats) {
-        let mut stats = GraphStats::default();
-        let plan = GraphPlan::new(q);
-        let mut scratch = MatchScratch::default();
-        let mut cands = Vec::new();
-        for &(_, _, id) in self.index.size_window(&plan).flatten() {
-            for (_, part) in self.index.starts(id, &plan) {
-                stats.subiso_calls += 1;
-                if search(part, Mask::None, &plan, &mut scratch) {
-                    cands.push(id);
-                    break;
-                }
-            }
-        }
-        cands.sort_unstable();
-        stats.candidates = cands.len();
-        (cands, stats)
-    }
 }
 
 /// Linear-scan reference: verifies every graph.
@@ -104,6 +47,7 @@ impl<'a> LinearScanGraphs<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RingGraph;
 
     pub(crate) fn molecule_like(seed: u64, n: usize, labels: u32) -> Graph {
         let mut s = seed | 1;
@@ -168,15 +112,17 @@ mod tests {
         graphs
     }
 
+    // Pars is `RingGraph` at `l = 1`.
+
     #[test]
     fn pars_matches_linear_scan() {
         let graphs = dataset();
         let scan = LinearScanGraphs::new(&graphs);
         for tau in 1..=3usize {
-            let pars = Pars::build(graphs.clone(), tau);
+            let pars = RingGraph::build(graphs.clone(), tau);
             for (qid, q) in graphs.iter().enumerate().step_by(7) {
                 let expect = scan.search(q, tau as u32);
-                let (got, _) = pars.search(q);
+                let (got, _) = pars.search(q, 1);
                 assert_eq!(got, expect, "tau={tau} qid={qid}");
             }
         }
@@ -185,9 +131,9 @@ mod tests {
     #[test]
     fn self_query_found() {
         let graphs = dataset();
-        let pars = Pars::build(graphs.clone(), 2);
+        let pars = RingGraph::build(graphs.clone(), 2);
         for qid in (0..graphs.len()).step_by(11) {
-            let (res, _) = pars.search(&graphs[qid]);
+            let (res, _) = pars.search(&graphs[qid], 1);
             assert!(res.contains(&(qid as u32)), "qid={qid}");
         }
     }
@@ -197,12 +143,12 @@ mod tests {
         // A query sharing no labels with the data must trigger zero
         // embedding tests.
         let graphs = dataset();
-        let pars = Pars::build(graphs.clone(), 2);
+        let pars = RingGraph::build(graphs.clone(), 2);
         let mut alien = Graph::new(vec![99, 98, 97, 96, 95, 94, 93, 92]);
         for v in 1..8u32 {
             alien.add_edge(v - 1, v, 9);
         }
-        let (res, stats) = pars.search(&alien);
+        let (res, stats) = pars.search(&alien, 1);
         assert!(res.is_empty());
         assert_eq!(stats.subiso_calls, 0);
     }

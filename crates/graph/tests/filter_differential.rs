@@ -4,8 +4,8 @@
 //! chain check through shards sharing one plan, and the index's memory
 //! bound.
 //!
-//! The corpus-level half — `RingGraph::candidates` and
-//! `Pars::candidates` against a copy of the pre-compilation loop on
+//! The corpus-level half — `RingGraph::candidates` at every `l` (Pars
+//! is `l = 1`) against a copy of the pre-compilation loop on
 //! generated aids-like / protein-like data — lives in the workspace
 //! root's `tests/graph_filter_differential.rs`, where the data
 //! generators are reachable.

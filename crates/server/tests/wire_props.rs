@@ -314,3 +314,154 @@ fn response_decoder_rejects_request_tags_and_vice_versa() {
         Err(WireError::BadTag(0x83))
     ));
 }
+
+/// One exemplar of every request and response kind, as encoded payloads
+/// (`true`: a request).
+fn exemplars() -> Vec<(bool, Vec<u8>)> {
+    let query = |query| Request::Query {
+        request_id: 9,
+        query,
+        explain: true,
+    };
+    let mut graph = Graph::new(vec![1, 2, 3]);
+    graph.add_edge(0, 1, 5);
+    graph.add_edge(1, 2, 6);
+    let requests = [
+        Request::Hello { max_version: 2 },
+        query(DomainQuery::Hamming {
+            query: BitVector::from_bits((0..100).map(|i| i % 3 == 0)),
+            tau: 4,
+            l: 2,
+        }),
+        query(DomainQuery::Edit {
+            query: b"abcdef".to_vec(),
+            l: 2,
+        }),
+        query(DomainQuery::Set {
+            tokens: vec![1, 2, 3],
+            l: 2,
+        }),
+        query(DomainQuery::Graph { query: graph, l: 2 }),
+        Request::Stats { request_id: 9 },
+        Request::Trace { request_id: 9 },
+    ];
+    let responses = [
+        Response::HelloOk { version: 2 },
+        Response::Results {
+            request_id: 9,
+            ids: vec![1, 2],
+        },
+        Response::Busy { request_id: 9 },
+        Response::Stats {
+            request_id: 9,
+            json: "{}".into(),
+        },
+        Response::Trace {
+            request_id: 9,
+            json: "{}".into(),
+        },
+        Response::Explained {
+            request_id: 9,
+            ids: vec![3],
+            json: "{}".into(),
+        },
+        Response::Error {
+            request_id: 9,
+            code: ErrorCode::Internal,
+            message: "x".into(),
+        },
+    ];
+    let requests = requests.iter().map(|r| (true, encode_request(r)));
+    requests
+        .chain(responses.iter().map(|r| (false, encode_response(r))))
+        .collect()
+}
+
+/// Offsets of an encoded message's 4-byte count, length, `dims`, `l` and
+/// `τ` fields, and of its query flags byte if it is a query. Every query
+/// body starts after `[version, tag]`, the 8-byte request id and the
+/// flags byte; every response count or length after `[version, tag]` and
+/// the request id.
+fn mutable_fields(payload: &[u8]) -> (Vec<usize>, Option<usize>) {
+    let u32_at = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap()) as usize;
+    let fields = match payload[1] {
+        0x02 => vec![11, 15, 19, 23], // hamming: τ, l, dims, word count
+        0x03 | 0x04 => vec![11, 15],  // edit / set: l, length or count
+        0x05 => vec![11, 15, 19 + 4 * u32_at(15)], // graph: l, |V|, |E|
+        0x82 => vec![10],             // results: id count
+        0x85 | 0x86 => vec![10],      // stats / trace: JSON length
+        0x87 => vec![10, 14 + 4 * u32_at(10)], // explained: id count, JSON length
+        0x84 => vec![11],             // error: message length
+        _ => vec![],
+    };
+    let flags = (0x02..=0x05).contains(&payload[1]).then_some(10);
+    (fields, flags)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// A frame with one field overwritten, cut short, or carrying an
+    /// unknown query flag decodes to a typed error or to a message that
+    /// re-encodes to itself; the decoder never panics.
+    #[test]
+    fn mutated_frames_fail_closed(
+        which in 0usize..14,
+        mutation in 0u32..3,
+        at in prop::num::u64::ANY,
+        value in prop::num::u64::ANY,
+        small in prop::bool::ANY,
+    ) {
+        let (is_request, mut payload) = exemplars().swap_remove(which);
+        let (fields, flags) = mutable_fields(&payload);
+        match (mutation, fields.is_empty(), flags) {
+            (0, false, _) => {
+                let field = fields[at as usize % fields.len()];
+                let value = if small { value % 16 } else { value } as u32;
+                payload[field..field + 4].copy_from_slice(&value.to_le_bytes());
+            }
+            (2, _, Some(flags)) => payload[flags] |= 1 << (at % 8),
+            _ => payload.truncate(at as usize % payload.len()),
+        }
+        let what = format!("mutation {mutation} of exemplar {which}: {payload:02x?}");
+        if is_request {
+            match decode_request(&payload) {
+                Ok(m) => prop_assert_eq!(decode_request(&encode_request(&m)).ok(), Some(m), "{}", what),
+                Err(e) => prop_assert!(!matches!(e, WireError::Io(_)), "{}: {:?}", what, e),
+            }
+        } else {
+            match decode_response(&payload) {
+                Ok(m) => prop_assert_eq!(decode_response(&encode_response(&m)).ok(), Some(m), "{}", what),
+                Err(e) => prop_assert!(!matches!(e, WireError::Io(_)), "{}: {:?}", what, e),
+            }
+        }
+    }
+}
+
+#[test]
+fn mutable_fields_are_the_encoded_fields() {
+    // Read back at each offset: the exemplars' τ, l, dims, counts and
+    // lengths, in exemplar order.
+    let read = |p: &[u8], at: usize| u32::from_le_bytes(p[at..at + 4].try_into().unwrap());
+    let got: Vec<Vec<u32>> = exemplars()
+        .iter()
+        .map(|(_, p)| mutable_fields(p).0.iter().map(|&at| read(p, at)).collect())
+        .collect();
+    let want: [&[u32]; 14] = [
+        &[],
+        &[4, 2, 100, 2],
+        &[2, 6],
+        &[2, 3],
+        &[2, 3, 2],
+        &[],
+        &[],
+        &[],
+        &[2],
+        &[],
+        &[2],
+        &[2],
+        &[1, 2],
+        &[1],
+    ];
+    assert_eq!(got, want.map(<[u32]>::to_vec));
+}

@@ -14,6 +14,7 @@
 
 use crate::types::{overlap_at_least, Collection, Threshold};
 use pigeonring_core::fxhash::FxHashMap;
+use pigeonring_core::scratch::EpochScratch;
 
 /// Prefix-filter search engine (AllPairs/PPJoin search version).
 pub struct AdaptSearch {
@@ -21,10 +22,9 @@ pub struct AdaptSearch {
     threshold: Threshold,
     /// token → (id, position-in-record) postings over record prefixes.
     lists: FxHashMap<u32, Vec<(u32, u32)>>,
-    epoch: u32,
-    seen: Vec<u32>,
-    alpha: Vec<u32>,
-    pruned: Vec<bool>,
+    /// Records met this query (each is filtered once, at its first
+    /// posting).
+    seen: EpochScratch,
 }
 
 /// Per-query counters for [`AdaptSearch`].
@@ -36,16 +36,6 @@ pub struct AdaptStats {
     pub results: usize,
     /// Posting entries scanned.
     pub postings_scanned: usize,
-}
-
-impl AdaptStats {
-    /// Folds `other` into `self`, saturating on overflow (shard
-    /// aggregation in the service layer).
-    pub fn merge(&mut self, other: &Self) {
-        self.candidates = self.candidates.saturating_add(other.candidates);
-        self.results = self.results.saturating_add(other.results);
-        self.postings_scanned = self.postings_scanned.saturating_add(other.postings_scanned);
-    }
 }
 
 impl AdaptSearch {
@@ -62,15 +52,11 @@ impl AdaptSearch {
                 lists.entry(tok).or_default().push((id as u32, pos as u32));
             }
         }
-        let n = collection.len();
         AdaptSearch {
             collection,
             threshold,
             lists,
-            epoch: 0,
-            seen: vec![0; n],
-            alpha: vec![0; n],
-            pruned: vec![false; n],
+            seen: EpochScratch::default(),
         }
     }
 
@@ -83,12 +69,7 @@ impl AdaptSearch {
     /// array `q`. Returns ascending ids and statistics.
     pub fn search(&mut self, q: &[u32]) -> (Vec<u32>, AdaptStats) {
         let mut stats = AdaptStats::default();
-        if self.epoch == u32::MAX {
-            self.seen.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        let epoch = self.epoch;
+        self.seen.next_epoch(self.collection.len());
 
         let oq = self.threshold.min_overlap_single(q.len());
         if oq as usize > q.len() {
@@ -104,29 +85,21 @@ impl AdaptSearch {
             for &(id, j) in list {
                 stats.postings_scanned += 1;
                 let idu = id as usize;
-                let x = self.collection.record(idu);
-                if self.seen[idu] != epoch {
-                    self.seen[idu] = epoch;
-                    self.alpha[idu] = 0;
-                    // Length filter once per record.
-                    if !self.threshold.size_compatible(x.len(), q.len()) {
-                        self.pruned[idu] = true;
-                        continue;
-                    }
-                    // Position filter (PPJoin, first encounter): the
-                    // overlap can be at most 1 + what remains after the
-                    // matching positions.
-                    let need = self.threshold.min_overlap_pair(x.len(), q.len());
-                    let ub = 1 + (x.len() - j as usize - 1).min(q.len() - i - 1) as u32;
-                    if ub < need {
-                        self.pruned[idu] = true;
-                        continue;
-                    }
-                    self.pruned[idu] = false;
-                    touched.push(id);
+                if !self.seen.accept(idu) {
+                    continue;
                 }
-                if !self.pruned[idu] {
-                    self.alpha[idu] += 1;
+                let x = self.collection.record(idu);
+                // Length filter once per record.
+                if !self.threshold.size_compatible(x.len(), q.len()) {
+                    continue;
+                }
+                // Position filter (PPJoin, first encounter): the overlap
+                // can be at most 1 + what remains after the matching
+                // positions.
+                let need = self.threshold.min_overlap_pair(x.len(), q.len());
+                let ub = 1 + (x.len() - j as usize - 1).min(q.len() - i - 1) as u32;
+                if ub >= need {
+                    touched.push(id);
                 }
             }
         }

@@ -23,6 +23,7 @@
 
 use crate::types::{overlap_at_least, Collection, Threshold};
 use pigeonring_core::fxhash::{FxHashMap, FxHasher};
+use pigeonring_core::scratch::EpochScratch;
 use std::hash::Hasher;
 
 /// One record-size group with its own universe partitioning.
@@ -44,24 +45,14 @@ pub struct PartAllocStats {
     pub segments_hashed: usize,
 }
 
-impl PartAllocStats {
-    /// Folds `other` into `self`, saturating on overflow (shard
-    /// aggregation in the service layer).
-    pub fn merge(&mut self, other: &Self) {
-        self.candidates = self.candidates.saturating_add(other.candidates);
-        self.results = self.results.saturating_add(other.results);
-        self.segments_hashed = self.segments_hashed.saturating_add(other.segments_hashed);
-    }
-}
-
 /// Partition-filter search engine.
 pub struct PartAlloc {
     collection: Collection,
     threshold: Threshold,
     groups: Vec<Group>,
-    max_size: usize,
-    epoch: u32,
-    seen: Vec<u32>,
+    /// Records met this query: their `matches` count is live.
+    seen: EpochScratch,
+    /// Equal segments counted per record this query.
     matches: Vec<u32>,
 }
 
@@ -114,9 +105,7 @@ impl PartAlloc {
             collection,
             threshold,
             groups,
-            max_size,
-            epoch: 0,
-            seen: vec![0; n],
+            seen: EpochScratch::default(),
             matches: vec![0; n],
         }
     }
@@ -146,13 +135,7 @@ impl PartAlloc {
     /// ids and statistics.
     pub fn search(&mut self, q: &[u32]) -> (Vec<u32>, PartAllocStats) {
         let mut stats = PartAllocStats::default();
-        if self.epoch == u32::MAX {
-            self.seen.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        let epoch = self.epoch;
-        let _ = self.max_size;
+        self.seen.next_epoch(self.collection.len());
 
         let mut cands: Vec<u32> = Vec::new();
         for g in &self.groups {
@@ -172,8 +155,7 @@ impl PartAlloc {
                 if let Some(ids) = g.maps[i].get(&h) {
                     for &id in ids {
                         let idu = id as usize;
-                        if self.seen[idu] != epoch {
-                            self.seen[idu] = epoch;
+                        if self.seen.accept(idu) {
                             self.matches[idu] = 0;
                         }
                         self.matches[idu] += 1;

@@ -23,13 +23,13 @@ fn main() {
     let ring = RingEdit::build(coll, tau);
     let mut scratch = EditScratch::default();
     let coll = QGramCollection::build(names.clone(), kappa, GramOrder::Frequency);
-    let mut pivotal = Pivotal::build(coll, tau);
+    let pivotal = Pivotal::build(coll, tau);
 
     let queries = sample_query_ids(names.len(), 200, 5);
     let (mut c1, mut c2, mut cr, mut matches) = (0usize, 0usize, 0usize, 0usize);
     for &qid in &queries {
         let q = &names[qid];
-        let (res_p, sp) = pivotal.search(q);
+        let (res_p, sp) = pivotal.search(&mut scratch, q);
         let (res_r, sr) = ring.search_with(&mut scratch, q, 3); // l = 3 = m at τ = 2
         assert_eq!(res_p, res_r, "both engines are exact");
         c1 += sp.cand1;

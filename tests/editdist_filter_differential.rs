@@ -317,7 +317,7 @@ fn check(
             QGramCollection::build(strings.clone(), kappa_for(tau), GramOrder::Frequency),
             tau,
         );
-        let mut pivotal = Pivotal::build(
+        let pivotal = Pivotal::build(
             QGramCollection::build(strings.clone(), kappa_for(tau), GramOrder::Frequency),
             tau,
         );
@@ -340,7 +340,7 @@ fn check(
             }
             let cand1 = cand1_records.expect("l = 1 ran");
             let (cand2, results) = reference.pivotal_results(q, &cand1);
-            let (got, stats) = pivotal.search(q);
+            let (got, stats) = pivotal.search(&mut scratch, q);
             let at = format!("{name} tau={tau} pivotal q#{qi}");
             assert_eq!(got, results, "{at}");
             assert_eq!(stats.cand1, cand1.len(), "cand1 {at}");

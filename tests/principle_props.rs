@@ -1,9 +1,9 @@
 //! Property tests machine-checking the paper's theorems on random
 //! inputs: the principle statements themselves (Theorems 1–3, 6, 7 and
-//! both directions), the candidate-set inclusions (Lemmata 1 and 4), the
-//! equivalence of the Corollary-2 skipping scan with the naive scan, the
-//! re-failure fact behind Corollary 2, and the engines' chain check
-//! against the slice reference.
+//! both directions), chain concatenation (Lemma 2), the candidate-set
+//! inclusions (Lemmata 1 and 4), the equivalence of the Corollary-2
+//! skipping scan with the naive scan, the re-failure fact behind
+//! Corollary 2, and the engines' chain check against the slice reference.
 
 use pigeonring::core::scratch::EpochScratch;
 use pigeonring::core::theorem;
@@ -87,6 +87,29 @@ proptest! {
         let n = tsum - (6 - 1); // ‖T‖₁ = n + m − 1
         prop_assume!(b.iter().sum::<i64>() >= n);
         prop_assert!(theorem::pigeonring_integer_reduced_ge(&b, t, l).is_some());
+    }
+
+    #[test]
+    fn lemma2_concatenated_chains(
+        b in boxes_strategy(8, 10),
+        t in boxes_strategy(8, 10),
+        i in 0usize..8,
+        l1 in 1usize..8,
+        l2 in 1usize..8,
+    ) {
+        prop_assume!(l1 + l2 <= 8);
+        // A chain is viable iff its box sum is within its threshold sum
+        // (brute force over the ring, wrapping at m).
+        let viable = |start: usize, len: usize| {
+            let sum = |v: &[i64]| (start..start + len).map(|j| v[j % 8]).sum::<i64>();
+            sum(&b) <= sum(&t)
+        };
+        let (first, second) = (viable(i, l1), viable(i + l1, l2));
+        let whole = viable(i, l1 + l2);
+        // Mixed halves: the lemma makes no claim.
+        if let Some(predicted) = theorem::lemma2_concat_prediction(first, second) {
+            prop_assert_eq!(whole, predicted);
+        }
     }
 
     #[test]
